@@ -21,6 +21,7 @@ deterministic regardless of OS thread scheduling.
 from repro.cluster.machine import MachineSpec, NetworkModel
 from repro.cluster.simclock import VirtualClock
 from repro.cluster.comm import Comm
+from repro.cluster import collectives  # noqa: F401 -- loaded before any fork
 from repro.cluster.limits import RuntimeLimits, BufferOverflowError
 from repro.cluster.faults import (
     FaultPlan,

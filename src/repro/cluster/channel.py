@@ -30,6 +30,10 @@ class Envelope:
     frag_total: int = 1
 
 
+#: Wake token ``mark_done`` queues behind a finished rank's last message.
+_DONE = object()
+
+
 class ChannelTable:
     """All channels of one SPMD run, plus the run's abort flag.
 
@@ -71,13 +75,14 @@ class ChannelTable:
 
         Must be called after the rank's last possible ``post``: receivers
         treat done + empty channel as "this message can never arrive".
+        A wake token behind the rank's last message on each of its
+        channels sends an already-blocked receiver straight to that check.
         """
         with self._lock:
             self._done.add(rank)
-
-    def rank_done(self, rank: int) -> bool:
-        with self._lock:
-            return rank in self._done
+            for (src, _dst, _tag), ch in self._channels.items():
+                if src == rank:
+                    ch.put(_DONE)
 
     def take(
         self, src: int, dst: int, tag: int, real_timeout: float
@@ -89,38 +94,32 @@ class ChannelTable:
         check order (message, then done-and-empty) is race-free.
         """
         ch = self.channel(src, dst, tag)
-        waited = 0.0
-        poll = 0.05
         while True:
+            # Read before the queue: once done is observed every post by
+            # src is visible, so empty means "never arriving".
+            with self._lock:
+                done = src in self._done
             try:
-                return ch.get_nowait()
+                env = ch.get_nowait() if done else ch.get(timeout=real_timeout)
             except queue.Empty:
-                pass
-            if self.rank_done(src):
-                # Re-check after observing done: every post by src is
-                # visible by now, so empty means "never arriving".
-                try:
-                    return ch.get_nowait()
-                except queue.Empty:
-                    if self.abort.is_set():
-                        raise_abort(self)
-                    raise SimDeadlockError(
-                        f"rank {dst} waits for a message from rank {src} "
-                        f"tag {tag}, but rank {src} already finished "
-                        f"without sending it; deadlock?"
-                    )
-            try:
-                return ch.get(timeout=poll)
-            except queue.Empty:
-                waited += poll
-                if waited >= real_timeout:
+                if not done:
                     raise SimDeadlockError(
                         f"rank {dst} waited {real_timeout:.0f}s (real) for a "
                         f"message from rank {src} tag {tag}; deadlock?"
-                    )
+                    ) from None
+                if self.abort.is_set():
+                    raise_abort(self)
+                raise SimDeadlockError(
+                    f"rank {dst} waits for a message from rank {src} "
+                    f"tag {tag}, but rank {src} already finished "
+                    f"without sending it; deadlock?"
+                ) from None
+            if env is not _DONE:
+                return env
 
     def fail(self, exc: BaseException) -> None:
-        """Record a rank failure and wake all blocked receivers."""
+        """Record a rank failure; the failing rank's ``mark_done`` (always
+        next) is what wakes the receivers blocked on it."""
         if not self.abort.is_set():
             self.abort_reason = exc
             self.abort.set()

@@ -409,56 +409,39 @@ class Comm:
     # -- collectives (implementations in collectives.py) ----------------------
 
     def barrier(self) -> None:
-        from repro.cluster import collectives
-
         collectives.barrier(self)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        from repro.cluster import collectives
-
         return collectives.bcast(self, obj, root)
 
     def scatter(self, chunks: list | None, root: int = 0) -> Any:
-        from repro.cluster import collectives
-
         return collectives.scatter(self, chunks, root)
 
     def gather(self, obj: Any, root: int = 0) -> list | None:
-        from repro.cluster import collectives
-
         return collectives.gather(self, obj, root)
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any], root: int = 0) -> Any:
-        from repro.cluster import collectives
-
         return collectives.reduce(self, obj, op, root)
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
-        from repro.cluster import collectives
-
         return collectives.allreduce(self, obj, op)
 
     def allgather(self, obj: Any) -> list:
-        from repro.cluster import collectives
-
         return collectives.allgather(self, obj)
 
     def alltoall(self, chunks: list) -> list:
-        from repro.cluster import collectives
-
         return collectives.alltoall(self, chunks)
 
     def scatterv(self, arr, counts: list[int] | None, root: int = 0):
-        from repro.cluster import collectives
-
         return collectives.scatterv(self, arr, counts, root)
 
     def gatherv(self, local, root: int = 0):
-        from repro.cluster import collectives
-
         return collectives.gatherv(self, local, root)
 
     def reduce_scatter(self, chunks: list, op: Callable[[Any, Any], Any]):
-        from repro.cluster import collectives
-
         return collectives.reduce_scatter(self, chunks, op)
+
+
+# Down here because collectives imports Comm from this module; at import
+# time so that no forked rank compiles collectives.py in its first collective.
+from repro.cluster import collectives  # noqa: E402

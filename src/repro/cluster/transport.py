@@ -12,14 +12,15 @@ protocol with three backends:
     every existing test and figure is bit-identical.
 
 ``local``
-    Real ``multiprocessing`` worker processes, one per rank (fork start
-    method).  Messages travel over per-rank OS queues; contiguous numpy
-    buffer sends above a threshold travel as
-    ``multiprocessing.shared_memory`` segments (one block copy in, one
-    out -- the buffer-based contiguity-checked discipline of gpaw's MPI
-    layer).  Because ranks really execute in parallel, wall-clock time
-    scales with cores while the *virtual* timeline -- computed causally
-    from the same cost model -- stays bit-identical to ``sim``.
+    Real worker processes, one raw ``os.fork`` per rank per section (no
+    helper threads, nothing imported in a child).  Messages travel as
+    pickle frames over one pipe per ordered rank pair; payloads above a
+    threshold -- raw numpy buffers and serialized ``bytes`` alike --
+    travel as shared segments (one block copy in, one out -- the
+    buffer-based contiguity-checked discipline of gpaw's MPI layer).
+    Because ranks really execute in parallel, wall-clock time scales with
+    cores while the *virtual* timeline -- computed causally from the same
+    cost model -- stays bit-identical to ``sim``.
 
 ``mpi``
     Optional mpi4py buffer sends between the ranks of an ``mpiexec``
@@ -42,7 +43,15 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
-import queue as _queue
+import mmap
+import os
+import pickle
+import select
+import shutil
+import signal
+import struct
+import sys
+import tempfile
 import threading
 import time
 from collections import deque
@@ -205,139 +214,208 @@ class SimTransport(Transport):
 
 
 # ---------------------------------------------------------------------------
-# local: real multiprocess ranks over OS queues + shared-memory segments
+# local: forked ranks over per-pair pipes + shared segments
 
 
-#: Contiguous buffer payloads at or above this size travel as
-#: ``multiprocessing.shared_memory`` segments instead of being pickled
-#: through the queue pipe (two block copies either way, but the segment
-#: bypasses the pickle framing and the pipe's small buffer).
+#: Payloads at or above this size -- raw numpy buffers and serialized
+#: ``bytes`` alike -- leave the pipe through a shared segment (one block
+#: copy in, one out), so frames on a pipe stay small.
 SHM_MIN_BYTES = 1 << 15
+
+#: Seconds past ``real_timeout`` a rank has to report before it is killed.
+REPORT_SLACK_S = 30.0
+
+#: Segments are plain files on the tmpfs where there is one (what
+#: ``shm_open`` does underneath, without a resource-tracker process).
+_SEG_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
+
+_FRAME_LEN = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
 class _ShmRef:
-    """Wire descriptor of a shared-memory array payload."""
+    """Wire descriptor of a payload parked in a shared segment
+    (``dtype`` is ``None`` for serialized ``bytes``)."""
 
     name: str
-    dtype: str
+    dtype: str | None
     shape: tuple
 
 
-def _shm_write(arr: np.ndarray) -> _ShmRef:
-    """Copy *arr* into a fresh shared segment; returns its descriptor.
-
-    The receiver owns the segment from here: it unlinks after copying
-    out.  The creator unregisters from its resource tracker so a clean
-    receiver-side unlink is not double-reported at exit.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    a = ensure_contiguous(arr)
-    seg = shared_memory.SharedMemory(create=True, size=max(1, a.nbytes))
-    np.ndarray(a.shape, a.dtype, buffer=seg.buf)[...] = a
-    ref = _ShmRef(seg.name, a.dtype.str, a.shape)
-    seg.close()
-    try:  # receiver unlinks; keep the creator's tracker out of it
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:
-        pass
-    return ref
+def _shm_write(
+    payload: "np.ndarray | bytes", seg_dir: str | None = _SEG_DIR
+) -> _ShmRef:
+    """Copy *payload* into a fresh segment under *seg_dir*; returns its
+    descriptor.  The receiver owns the segment from here: it unlinks
+    after copying out."""
+    if isinstance(payload, np.ndarray):
+        a = ensure_contiguous(payload)
+        dtype, shape, data = a.dtype.str, a.shape, a.reshape(-1).view(np.uint8)
+    else:
+        dtype, shape, data = None, (len(payload),), payload
+    fd, path = tempfile.mkstemp(prefix="seg-", dir=seg_dir)
+    with open(fd, "wb") as f:
+        f.write(data)
+    return _ShmRef(path, dtype, shape)
 
 
-def _shm_read(ref: _ShmRef) -> np.ndarray:
-    """Materialize (and release) a shared-memory payload."""
-    from multiprocessing import shared_memory
-
-    seg = shared_memory.SharedMemory(name=ref.name)
+def _shm_read(ref: _ShmRef) -> "np.ndarray | bytes":
+    """Materialize (and release) a shared-segment payload."""
     try:
-        out = np.ndarray(ref.shape, np.dtype(ref.dtype), buffer=seg.buf).copy()
+        with open(ref.name, "rb") as f:
+            if ref.dtype is None:
+                return f.read()
+            out = np.empty(ref.shape, np.dtype(ref.dtype))
+            f.readinto(out.reshape(-1).view(np.uint8))
+            return out
     finally:
-        seg.close()
-        _shm_unlink(ref)
-    return out
+        os.unlink(ref.name)
 
 
-def _shm_unlink(ref: _ShmRef) -> None:
-    from multiprocessing import shared_memory
-
-    try:
-        seg = shared_memory.SharedMemory(name=ref.name)
-        seg.close()
-        seg.unlink()
-    except FileNotFoundError:
-        pass
-
-
-def _encode_envelope(env: Envelope, shm_min: int) -> Envelope:
-    """Swap a large contiguous buffer payload for a shared-memory ref."""
-    p = env.payload
-    if env.raw and isinstance(p, np.ndarray) and p.nbytes >= shm_min:
-        return dataclasses.replace(env, payload=_shm_write(p))
-    return env
+def _send_frame(fd: int, obj: Any, on_full: Callable[[], None] | None = None) -> None:
+    """Write *obj* to *fd* as one length-prefixed pickle frame.  A full
+    non-blocking pipe calls *on_full* (which waits for space); a reader
+    that has exited makes the frame undeliverable and it is dropped, as
+    the simulator's queue would hold it unread."""
+    body = pickle.dumps(obj, protocol=5)
+    view = memoryview(_FRAME_LEN.pack(len(body)) + body)
+    while view:
+        try:
+            view = view[os.write(fd, view):]
+        except BlockingIOError:
+            on_full()
+        except BrokenPipeError:
+            return
 
 
-def _decode_envelope(env: Envelope) -> Envelope:
-    if isinstance(env.payload, _ShmRef):
-        return dataclasses.replace(env, payload=_shm_read(env.payload))
-    return env
+class _FrameReader:
+    """Incremental decoder of the frames rank *peer* writes to one pipe;
+    ``select`` takes it as it is."""
+
+    def __init__(self, fd: int, peer: int) -> None:
+        self.fd = fd
+        self.peer = peer
+        self._buf = bytearray()
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def feed(self) -> list | None:
+        """One ``os.read``: the frames it completed, or ``None`` at EOF
+        (the writer has exited)."""
+        data = os.read(self.fd, 1 << 16)
+        if not data:
+            return None
+        buf = self._buf
+        buf += data
+        frames, off, head = [], 0, _FRAME_LEN.size
+        while len(buf) - off >= head:
+            end = off + head + _FRAME_LEN.unpack_from(buf, off)[0]
+            if end > len(buf):
+                break
+            frames.append(pickle.loads(buf[off + head : end]))
+            off = end
+        del buf[:off]
+        return frames
 
 
 class LocalChannelTable:
-    """One process-rank's endpoint: per-rank inbox queues, (src, tag)
-    matching with MPI's per-source non-overtaking guarantee, and the
-    run's shared abort flag.  Same ``post``/``take``/``fail`` surface as
-    the simulator's :class:`~repro.cluster.channel.ChannelTable`."""
+    """One process-rank's endpoint: its ends of the per-pair pipes (one
+    writer each, so per-source FIFO needs no lock), (src, tag) matching
+    with MPI's non-overtaking guarantee, and the run's shared abort flag.
+    Same ``post``/``take``/``fail`` surface as the simulator's
+    :class:`~repro.cluster.channel.ChannelTable`.
 
-    def __init__(self, rank: int, inboxes: list, abort, shm_min: int) -> None:
+    Pipes are bounded where the simulator's queues are not, so every wait
+    -- for write space or for a message -- services *all* inbound pipes
+    into memory: two ranks flooding each other, or a receiver whose
+    awaited sender is stuck posting to a third rank, finish as on ``sim``.
+    """
+
+    def __init__(
+        self, rank: int, pipes: dict, abort: mmap.mmap, shm_min: int,
+        seg_dir: str, real_timeout: float,
+    ) -> None:
         self.rank = rank
-        self._inboxes = inboxes
         self.abort = abort
-        self.abort_reason: BaseException | None = None
         self._shm_min = shm_min
-        # (src, tag) -> deque of envelopes that arrived before they were
-        # asked for.  Per-sender queue order is preserved end to end, so
-        # matching stays deterministic exactly like the sim channels.
+        self._seg_dir = seg_dir
+        self._real_timeout = real_timeout
+        # (src, tag) -> envelopes that arrived before they were asked for;
+        # pipe order is kept, so matching is deterministic as on sim.
         self._pending: dict[tuple[int, int], deque] = {}
+        # This rank's ends: src -> reader (until EOF), dst -> write fd.
+        # Every other end is closed, so that EOF / EPIPE on a pipe mean
+        # "that rank has exited" and nothing else.
+        self._inbound: dict[int, _FrameReader] = {}
+        self._outbound: dict[int, int] = {}
+        for (s, d), (r, w) in pipes.items():
+            if d == rank:
+                self._inbound[s] = _FrameReader(r, s)
+            elif s == rank:
+                self._outbound[d] = w
+                os.set_blocking(w, False)
+            for fd, mine in ((r, d == rank), (w, s == rank)):
+                if not mine:
+                    os.close(fd)
+
+    def _progress(self, what: str, timeout: float, wfd: int | None = None) -> None:
+        """Block until an inbound pipe delivered (into ``_pending``) or
+        *wfd* has room; a silent *timeout* is a deadlock."""
+        ready, room, _ = select.select(
+            list(self._inbound.values()), [] if wfd is None else [wfd], [], timeout
+        )
+        if not ready and not room:
+            raise SimDeadlockError(
+                f"rank {self.rank} waited {timeout:.0f}s (real) {what}; deadlock?"
+            )
+        for reader in ready:
+            frames = reader.feed()
+            if frames is None:  # that rank exited: nothing more will arrive
+                del self._inbound[reader.peer]
+                continue
+            for tag, env in frames:
+                self._pending.setdefault((reader.peer, tag), deque()).append(env)
 
     def post(self, src: int, dst: int, tag: int, env: Envelope) -> None:
-        if self.abort.is_set():
+        if self.abort[0]:
             raise SimAborted("run aborted: a peer rank failed")
-        self._inboxes[dst].put((src, tag, _encode_envelope(env, self._shm_min)))
+        if dst == self.rank:
+            self._pending.setdefault((src, tag), deque()).append(env)
+            return
+        p = env.payload
+        if (p.nbytes if isinstance(p, np.ndarray) else len(p)) >= self._shm_min:
+            env = dataclasses.replace(env, payload=_shm_write(p, self._seg_dir))
+        fd = self._outbound[dst]
+        wait = f"for pipe space to rank {dst}"
+        _send_frame(
+            fd, (tag, env), lambda: self._progress(wait, self._real_timeout, fd)
+        )
 
     def take(self, src: int, dst: int, tag: int, real_timeout: float) -> Envelope:
         key = (src, tag)
-        waited = 0.0
-        poll = 0.05
         while True:
             q = self._pending.get(key)
             if q:
-                return _decode_envelope(q.popleft())
-            if self.abort.is_set():
+                env = q.popleft()
+                if isinstance(env.payload, _ShmRef):
+                    env = dataclasses.replace(env, payload=_shm_read(env.payload))
+                return env
+            if self.abort[0]:
                 raise SimAborted("run aborted: a peer rank failed")
-            try:
-                s, t, env = self._inboxes[self.rank].get(timeout=poll)
-            except _queue.Empty:
-                waited += poll
-                if waited >= real_timeout:
-                    raise SimDeadlockError(
-                        f"rank {dst} waited {real_timeout:.0f}s (real) for a "
-                        f"message from rank {src} tag {tag}; deadlock?"
-                    )
-                continue
-            if (s, t) == key:
-                return _decode_envelope(env)
-            self._pending.setdefault((s, t), deque()).append(env)
+            if src not in self._inbound:
+                raise SimDeadlockError(
+                    f"rank {dst} waits for a message from rank {src} tag {tag}, but "
+                    f"rank {src} already finished without sending it; deadlock?"
+                )
+            self._progress(f"for a message from rank {src} tag {tag}", real_timeout)
 
     def fail(self, exc: BaseException) -> None:
-        self.abort_reason = exc
-        self.abort.set()
+        self.abort[0] = 1
 
 
 def _picklable_error(exc: BaseException) -> BaseException:
-    """An exception safe to send through a queue (some carry live state)."""
-    import pickle
-
+    """An exception safe to send through a pipe (some carry live state)."""
     try:
         pickle.loads(pickle.dumps(exc))
         return exc
@@ -346,14 +424,17 @@ def _picklable_error(exc: BaseException) -> BaseException:
 
 
 class LocalTransport(Transport):
-    """Real multiprocess execution: one forked worker process per rank.
+    """Real multiprocess execution: one ``os.fork`` per rank per section.
 
     Spawn/join lifecycle is per ``run_spmd`` call (one parallel section):
     fork inherits the driver's full state -- iterators, handle registry,
     resident rank stores, plan cache -- so no program state needs to be
     shipped to start a section; only messages move.  Everything a worker
-    mutates is carried back explicitly (results, metrics, clocks, trace
-    events, :func:`rank_extras`) because the heap is not shared.
+    mutates is carried back explicitly in one outcome frame on its result
+    pipe (results, metrics, clocks, trace events, :func:`rank_extras`)
+    because the heap is not shared.  Nothing outlives the section: every
+    child is reaped and the segment directory removed with whatever the
+    ranks left unread in it.
     """
 
     name = "local"
@@ -365,28 +446,38 @@ class LocalTransport(Transport):
         self.shm_min_bytes = shm_min_bytes
 
     def available(self, nranks: int = 1) -> None:
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
+        if not hasattr(os, "fork"):
+            raise TransportUnavailable("LocalTransport needs os.fork (POSIX only)")
+        # A pipe per ordered rank pair plus a result pipe per rank, all
+        # watched with select(), which stops at descriptor 1024.
+        if 2 * nranks * nranks + 64 > 1024:
             raise TransportUnavailable(
-                "LocalTransport needs the fork start method (POSIX only)"
+                f"LocalTransport: {nranks} ranks need more pipe descriptors "
+                f"than select() can watch"
             )
 
     def execute(
         self, ctx: SimContext, rank_fn: Callable[..., Any], args: Sequence[Any]
     ) -> RunOutcome:
         self.available(ctx.nranks)
-        import multiprocessing as mp
+        ranks = range(ctx.nranks)
+        abort = mmap.mmap(-1, 1)  # anonymous + shared: one flag for all forks
+        seg_dir = tempfile.mkdtemp(prefix="repro-", dir=_SEG_DIR)
+        owned: set[int] = set()  # descriptors the launcher has open
 
-        mpc = mp.get_context("fork")
-        nranks = ctx.nranks
-        inboxes = [mpc.Queue() for _ in range(nranks)]
-        outbox = mpc.Queue()
-        abort = mpc.Event()
-        shm_min = self.shm_min_bytes
+        def new_pipe() -> tuple[int, int]:
+            ends = os.pipe()
+            owned.update(ends)
+            return ends
 
-        def child(rank: int) -> None:
-            table = LocalChannelTable(rank, inboxes, abort, shm_min)
+        def rank_main(rank: int) -> None:  # in the fork: run, flush, report
+            for r, (rfd, wfd) in enumerate(results):
+                os.close(rfd)
+                if r != rank:
+                    os.close(wfd)
+            table = LocalChannelTable(
+                rank, pipes, abort, self.shm_min_bytes, seg_dir, ctx.real_timeout
+            )
             cctx = dataclasses.replace(ctx, channels=table)
             comm = Comm(cctx, rank)
             extras: dict = {}
@@ -397,84 +488,83 @@ class LocalTransport(Transport):
             except SimAborted:
                 status = "aborted"
             except BaseException as exc:  # noqa: BLE001 -- shipped to parent
-                status = "error"
-                payload = _picklable_error(exc)
+                status, payload = "error", _picklable_error(exc)
                 table.fail(exc)
             finally:
                 _rank_extras.reset(token)
             events = list(cctx.trace.events) if cctx.trace is not None else None
-            outbox.put(
-                (rank, status, payload, comm.clock.now, comm.metrics, extras,
-                 events)
-            )
-            outbox.close()
-            outbox.join_thread()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            fd, tail = results[rank][1], (comm.clock.now, comm.metrics)
+            try:
+                _send_frame(fd, (rank, status, payload, *tail, extras, events))
+            except Exception as exc:  # noqa: BLE001 -- does not pickle: rank's error
+                err = _picklable_error(exc)
+                _send_frame(fd, (rank, "error", err, *tail, {}, None))
+            os._exit(0)
 
-        t0 = time.perf_counter()
-        procs = [
-            mpc.Process(target=child, args=(r,), name=f"local-rank-{r}")
-            for r in range(nranks)
-        ]
-        for p in procs:
-            p.start()
-
+        pids: dict[int, int] = {}
         outcomes: dict[int, tuple] = {}
-        deadline_slack = ctx.real_timeout + 30.0
+        sys.stdout.flush()  # or every child would flush its own copy
+        sys.stderr.flush()
+        t0 = time.perf_counter()
         try:
-            for _ in range(nranks):
-                try:
-                    out = outbox.get(timeout=deadline_slack)
-                except _queue.Empty:
-                    abort.set()
+            pipes = {(s, d): new_pipe() for s in ranks for d in ranks if s != d}
+            results = [new_pipe() for _ in ranks]
+            for rank in ranks:
+                pid = os.fork()
+                if pid:
+                    pids[rank] = pid
+                    continue
+                try:  # the child never returns into the caller's stack
+                    rank_main(rank)
+                finally:
+                    os._exit(1)  # reached only if rank_main itself raised
+            waiting = {r: _FrameReader(results[r][0], r) for r in ranks}
+            for fd in owned - {reader.fd for reader in waiting.values()}:
+                os.close(fd)
+                owned.remove(fd)
+            limit = ctx.real_timeout + REPORT_SLACK_S
+            while waiting:
+                left = max(0.0, t0 + limit - time.perf_counter())
+                ready = select.select(list(waiting.values()), [], [], left)[0]
+                if not ready:
                     raise SimDeadlockError(
-                        f"local transport: {nranks - len(outcomes)} rank "
-                        f"process(es) did not report within "
-                        f"{deadline_slack:.0f}s"
+                        f"local transport: {len(waiting)} rank process(es) "
+                        f"did not report within {limit:.0f}s"
                     )
-                outcomes[out[0]] = out
+                for reader in ready:
+                    frames = reader.feed()
+                    if frames:
+                        outcomes[reader.peer] = frames[0]
+                    if frames or frames is None:  # reported, or died silent
+                        del waiting[reader.peer]
         finally:
-            # Unread messages would block the writers' queue feeders at
-            # exit; drain them (and release any shared segments they
-            # reference) before joining.
-            for q in inboxes:
-                while True:
-                    try:
-                        _s, _t, env = q.get_nowait()
-                    except _queue.Empty:
-                        break
-                    if isinstance(env.payload, _ShmRef):
-                        _shm_unlink(env.payload)
-            for p in procs:
-                p.join(timeout=10.0)
-                if p.is_alive():
-                    p.terminate()
-                    p.join()
-        wall = time.perf_counter() - t0
-
-        results: list[Any] = [None] * nranks
-        clocks: list[float] = [0.0] * nranks
-        metrics: list[RankMetrics] = [RankMetrics(rank=r) for r in range(nranks)]
-        extras: list[dict] = [{} for _ in range(nranks)]
-        errors: list[tuple[int, BaseException]] = []
-        for r in range(nranks):
-            rank, status, payload, clock_now, rm, ext, events = outcomes[r]
-            clocks[r] = clock_now
-            metrics[r] = rm
-            extras[r] = ext
-            if status == "ok":
-                results[r] = payload
-            elif status == "error":
-                errors.append((r, payload))
+            for rank, pid in pids.items():
+                if rank not in outcomes:
+                    os.kill(pid, signal.SIGKILL)  # hung, or already a zombie
+                # waitpid, so RUSAGE_CHILDREN accounts for every rank
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                err = RuntimeError(f"rank {rank} died unreported (exit code {code})")
+                outcomes.setdefault(
+                    rank, (rank, "error", err, 0.0, RankMetrics(rank=rank), {}, None)
+                )
+            for fd in owned:
+                os.close(fd)
+            abort.close()
+            shutil.rmtree(seg_dir, ignore_errors=True)  # unread segments included
+        out = RunOutcome([], [], [], wall_seconds=time.perf_counter() - t0)
+        for r in ranks:
+            _, status, payload, clock, metrics, extras, events = outcomes[r]
+            out.results.append(payload if status == "ok" else None)
+            out.clocks.append(clock)
+            out.metrics.append(metrics)
+            out.extras.append(extras)
+            if status == "error":
+                out.errors.append((r, payload))
             if events and ctx.trace is not None:
                 ctx.trace.events.extend(events)
-        return RunOutcome(
-            results=results,
-            clocks=clocks,
-            metrics=metrics,
-            errors=errors,
-            extras=extras,
-            wall_seconds=wall,
-        )
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ from repro.runtime.recovery import (
     classify_failure,
 )
 from repro.runtime.worksteal import work_stealing_makespan
+from repro.serial.arrays import copy_stats, merge_copy_stats
 from repro.serial.sizeof import transitive_size
 
 _CHUNK_TAG = 99
@@ -142,6 +143,32 @@ _node_ctx: contextvars.ContextVar[NodeContext | None] = contextvars.ContextVar(
 _meter_sink: contextvars.ContextVar[meter.CostMeter | None] = (
     contextvars.ContextVar("repro_meter_sink", default=None)
 )
+
+
+def _isolated_rank(rank_body):
+    """Wrap *rank_body* for a process-isolated transport: driver-global
+    state mutated in the rank dies with the worker, so tally into a
+    rank-local meter and capture the plan-cache and copy-counter deltas,
+    published through ``rank_extras()`` -- the meter at rank *start*, so a
+    crashed rank's partial tallies still reach ``_merge_rank_extras``."""
+
+    def rank_fn(comm: Comm):
+        ext = rank_extras()
+        local_meter = meter.CostMeter()
+        if ext is not None:
+            ext["meter"] = local_meter
+        mtok = _meter_sink.set(local_meter)
+        psnap = planner.stats_snapshot()
+        ssnap = copy_stats()
+        try:
+            return rank_body(comm)
+        finally:
+            if ext is not None:
+                ext["planner"] = planner.stats_delta(psnap)
+                ext["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
+            _meter_sink.reset(mtok)
+
+    return rank_fn
 
 
 @dataclass
@@ -304,7 +331,8 @@ class TrioletRuntime:
 
     def _merge_rank_extras(self, extras) -> None:
         """Merge rank-local driver state a non-shared-heap transport
-        carried back: per-rank cost meters and plan-cache deltas."""
+        carried back: per-rank cost meters, plan-cache deltas and
+        serialization copy-counter deltas."""
         for ext in extras or ():
             if not ext:
                 continue
@@ -314,6 +342,9 @@ class TrioletRuntime:
             pd = ext.get("planner")
             if pd is not None:
                 planner.merge_stats(pd)
+            sd = ext.get("serial")
+            if sd is not None:
+                merge_copy_stats(sd)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -839,26 +870,11 @@ class TrioletRuntime:
                         return None
                     return _assemble_build(gathered, block_meta, partition)
 
-            def rank_fn(comm: Comm):
-                if self.transport.shared_heap:
-                    return rank_body(comm)
-                # Process-isolated rank: driver-global state mutated here
-                # dies with the worker.  Tally into a rank-local meter and
-                # capture the plan-cache delta, published through
-                # rank_extras() -- installed at rank *start* so a crashed
-                # rank's partial tallies still travel back to the driver.
-                ext = rank_extras()
-                local_meter = meter.CostMeter()
-                if ext is not None:
-                    ext["meter"] = local_meter
-                mtok = _meter_sink.set(local_meter)
-                psnap = planner.stats_snapshot()
-                try:
-                    return rank_body(comm)
-                finally:
-                    if ext is not None:
-                        ext["planner"] = planner.stats_delta(psnap)
-                    _meter_sink.reset(mtok)
+            rank_fn = (
+                rank_body
+                if self.transport.shared_heap
+                else _isolated_rank(rank_body)
+            )
 
             try:
                 res = run_spmd(

@@ -43,16 +43,14 @@ import numpy as np
 from repro.cluster.comm import Comm
 from repro.cluster.faults import RankFailure
 from repro.cluster.process import run_spmd
-from repro.cluster.transport import rank_extras
 from repro.core import meter
-from repro.core.fusion import planner
 from repro.core.iterators.transforms import iterate
 from repro.obs.spans import active as _obs_active, obs_span as _obs_span
 from repro.partition import block_bounds
 from repro.runtime.driver import (
     _CHUNK_TAG,
     SectionRecord,
-    _meter_sink,
+    _isolated_rank,
     _notify_section,
     _SECTION_OBSERVERS,
 )
@@ -367,20 +365,4 @@ def _make_rank_fn(rt, handle, aid: int, n: int, radius: int, kernel,
         gathered = comm.gather((wlo, whi, rows), root=0)
         return gathered if comm.rank == 0 else None
 
-    def rank_fn(comm: Comm):
-        if rt.transport.shared_heap:
-            return rank_body(comm)
-        ext = rank_extras()
-        local_meter = meter.CostMeter()
-        if ext is not None:
-            ext["meter"] = local_meter
-        mtok = _meter_sink.set(local_meter)
-        psnap = planner.stats_snapshot()
-        try:
-            return rank_body(comm)
-        finally:
-            if ext is not None:
-                ext["planner"] = planner.stats_delta(psnap)
-            _meter_sink.reset(mtok)
-
-    return rank_fn
+    return rank_body if rt.transport.shared_heap else _isolated_rank(rank_body)

@@ -27,6 +27,7 @@ from repro.serial.serializer import (
 from repro.serial.arrays import (
     copy_stats,
     ensure_contiguous,
+    merge_copy_stats,
     new_copy_stats,
     reset_copy_stats,
     use_copy_stats,
@@ -60,6 +61,7 @@ __all__ = [
     "SerializationError",
     "copy_stats",
     "ensure_contiguous",
+    "merge_copy_stats",
     "new_copy_stats",
     "use_copy_stats",
     "reset_copy_stats",

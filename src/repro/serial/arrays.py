@@ -68,6 +68,13 @@ def copy_stats() -> dict:
     return dict(_stats)
 
 
+def merge_copy_stats(delta: dict) -> None:
+    """Fold counter growth tallied in a forked rank (carried back through
+    ``rank_extras``) into the active set, as ``sim`` threads do directly."""
+    for k, v in delta.items():
+        _stats[k] += v
+
+
 def reset_copy_stats() -> None:
     """Zero the *active* counter set (per-run compatibility shim)."""
     for k in _stats:

@@ -1,4 +1,7 @@
 """Failure injection: the simulated cluster under misbehaving programs."""
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,29 @@ class TestDeadlocks:
 
         with pytest.raises(SimDeadlockError):
             run_spmd(MACHINE, main, nranks=2, real_timeout=0.3)
+
+
+    def test_blocked_receiver_wakes_when_its_sender_is_done(self):
+        """A receiver already blocked when its source returns without
+        sending learns so at once, not at the end of a poll quantum."""
+        stamps = {}
+
+        def main(comm):
+            if comm.rank == 0:
+                time.sleep(0.005)  # let rank 1 block first
+                stamps["done"] = time.perf_counter()
+                return
+            try:
+                comm.recv(source=0, tag=42)
+            finally:
+                stamps["woke"] = time.perf_counter()
+
+        lags = []
+        for _ in range(20):
+            with pytest.raises(SimDeadlockError, match="already finished"):
+                run_spmd(MACHINE, main, nranks=2, real_timeout=10.0)
+            lags.append(stamps["woke"] - stamps["done"])
+        assert statistics.median(lags) < 0.020
 
 
 class TestBufferOverflowPropagation:

@@ -97,6 +97,117 @@ class TestPointToPoint:
         assert res.results[2] == ("b", "a1", "a2", "c")
 
 
+def assert_matches_sim(transport, rank_fn, nranks, **kw):
+    """Run *rank_fn* on *transport* and on the oracle: values, virtual
+    makespan, per-rank clocks and byte counts must be equal."""
+    res = run_spmd(machine_for(transport, nranks), rank_fn, nranks=nranks, **kw)
+    ref = sim_reference(rank_fn, nranks, **kw)
+    assert res.results == ref.results
+    assert res.makespan == ref.makespan
+    assert res.final_clocks == ref.final_clocks
+    assert res.metrics.bytes_sent == ref.metrics.bytes_sent
+    assert res.metrics.messages_sent == ref.metrics.messages_sent
+    return res
+
+
+class TestBoundedWire:
+    """Cases a bounded pipe can get wrong where an unbounded in-process
+    queue cannot: every transport must finish them exactly like sim."""
+
+    def test_large_serialized_exchange_before_either_recv(self, transport):
+        """Both ranks ``send`` (serialized, not raw) 2 MiB to each other
+        before either receives: neither may block on the other's read."""
+
+        def rank_fn(comm):
+            peer = 1 - comm.rank
+            blob = np.full(1 << 18, comm.rank + 1.5)  # 2 MiB of float64
+            comm.send({"from": comm.rank, "blob": blob}, peer, tag=2)
+            got = comm.recv(peer, tag=2)
+            return (got["from"], got["blob"].tobytes() == np.full(
+                1 << 18, peer + 1.5).tobytes())
+
+        res = assert_matches_sim(transport, rank_fn, 2)
+        assert res.results == [(1, True), (0, True)]
+
+    def test_flood_of_small_messages_both_ways(self, transport):
+        """20 000 small messages each way, all posted before any is read."""
+        n = 20_000
+
+        def rank_fn(comm):
+            peer = 1 - comm.rank
+            for i in range(n):
+                comm.send(i + comm.rank, peer, tag=i % 3)
+            return sum(comm.recv(peer, tag=i % 3) for i in range(n))
+
+        res = assert_matches_sim(transport, rank_fn, 2, real_timeout=120.0)
+        base = n * (n - 1) // 2
+        assert res.results == [base + n, base]
+
+    def test_self_send(self, transport):
+        def rank_fn(comm):
+            comm.send(("me", comm.rank), comm.rank, tag=4)
+            comm.Send(np.arange(SHM_MIN_BYTES // 8 + 1.0), comm.rank, tag=5)
+            big = comm.Recv(comm.rank, tag=5)
+            return comm.recv(comm.rank, tag=4), float(big.sum())
+
+        res = assert_matches_sim(transport, rank_fn, 2)
+        assert res.results[1][0] == ("me", 1)
+
+    def test_out_of_order_tags_around_a_shm_sized_payload(self, transport):
+        big = np.arange(SHM_MIN_BYTES // 8 + 64, dtype=np.float64)
+
+        def rank_fn(comm):
+            if comm.rank == 0:
+                comm.send("first", 1, tag=1)
+                comm.Send(big, 1, tag=2)
+                comm.send(big[:5000], 1, tag=3)  # serialized, shm-sized too
+                comm.send("last", 1, tag=1)
+                return None
+            c = comm.recv(0, tag=3)
+            b = comm.Recv(0, tag=2)
+            return (c.tobytes() == big[:5000].tobytes(), b.tobytes() == big.tobytes(),
+                    comm.recv(0, tag=1), comm.recv(0, tag=1))
+
+        res = assert_matches_sim(transport, rank_fn, 2)
+        assert res.results[1] == (True, True, "first", "last")
+
+    @pytest.mark.parametrize("nranks", [3, 4])
+    def test_ring_and_collectives_at_more_than_two_ranks(self, transport, nranks):
+        def rank_fn(comm):
+            right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+            comm.Send(np.full(SHM_MIN_BYTES // 8, float(comm.rank)), right, tag=6)
+            comm.send([comm.rank] * 10, left, tag=7)
+            a = comm.Recv(left, tag=6)
+            b = comm.recv(right, tag=7)
+            total = comm.allreduce(float(a[0]) + b[0], op=lambda x, y: x + y)
+            return total, comm.allgather(comm.rank), comm.alltoall(
+                [comm.rank * 10 + d for d in range(comm.size)])
+
+        res = assert_matches_sim(transport, rank_fn, nranks)
+        assert res.results[0][1] == list(range(nranks))
+
+    def test_relay_behind_a_flood(self, transport):
+        """Rank 0 awaits rank 1, which awaits rank 2, which is busy
+        posting more to rank 0 than a pipe holds: a receiver that watched
+        only its awaited source would deadlock all three."""
+        piece = np.zeros(1024)  # 8 KiB serialized: stays on the pipe
+
+        def rank_fn(comm):
+            if comm.rank == 2:
+                for _ in range(64):
+                    comm.send(piece, 0, tag=8)
+                comm.send("go", 1, tag=9)
+                return None
+            if comm.rank == 1:
+                comm.send(comm.recv(2, tag=9) + "!", 0, tag=9)
+                return None
+            word = comm.recv(1, tag=9)
+            return word, sum(comm.recv(2, tag=8).size for _ in range(64))
+
+        res = assert_matches_sim(transport, rank_fn, 3, real_timeout=20.0)
+        assert res.results[0] == ("go!", 64 * 1024)
+
+
 class TestCollectives:
     def test_scatter_gather(self, transport):
         def rank_fn(comm):

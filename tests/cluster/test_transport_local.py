@@ -4,12 +4,19 @@ rank-local state merging, and feature gating.
 These tests are POSIX-only in practice (fork start method) and skip as a
 module where LocalTransport is unavailable.
 """
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from repro.cluster import MachineSpec, TransportUnavailable, run_spmd
+from repro.cluster import transport as transport_mod
+from repro.cluster.channel import SimDeadlockError
 from repro.cluster.faults import FaultPlan, RankCrash
 from repro.cluster.transport import (
+    SHM_MIN_BYTES,
     LocalTransport,
     _shm_read,
     _shm_write,
@@ -88,6 +95,13 @@ class TestSharedMemory:
         assert copy_stats()["noncontiguous_compacted"] == before + 1
         assert _shm_read(ref).tobytes() == np.ascontiguousarray(arr).tobytes()
 
+    def test_serialized_bytes_ride_a_segment_too(self):
+        data = bytes(range(256)) * 300
+        ref = _shm_write(data)
+        assert ref.dtype is None and os.path.exists(ref.name)
+        assert _shm_read(ref) == data
+        assert not os.path.exists(ref.name)  # the reader released it
+
     def test_forced_shm_path_matches_queue_path(self):
         """With the threshold forced to 1 byte every buffer send rides a
         shared-memory segment; payloads must be unchanged."""
@@ -132,6 +146,150 @@ class TestFeatureGates:
             run_spmd(machine(), rank_fn, nranks=2, real_timeout=20.0)
 
 
+    def test_unpicklable_result_is_that_ranks_error(self):
+        def rank_fn(comm):
+            return (lambda: 0) if comm.rank == 1 else comm.rank
+
+        with pytest.raises(Exception, match="pickle|lambda"):
+            run_spmd(machine(), rank_fn, nranks=2, real_timeout=20.0)
+
+    def test_rank_that_dies_silently_is_reported_at_once(self):
+        """A rank process that vanishes (here ``os._exit``) neither hangs
+        its peers -- EOF on its pipes wakes them -- nor the launcher."""
+
+        def rank_fn(comm):
+            if comm.rank == 1:
+                os._exit(3)
+            return comm.recv(1, tag=0)
+
+        t0 = time.perf_counter()
+        with pytest.raises(SimDeadlockError, match="already finished") as ei:
+            run_spmd(machine(), rank_fn, nranks=2, real_timeout=20.0)
+        assert time.perf_counter() - t0 < 5.0
+        failed = {i.rank: i.error for i in ei.value.rank_failures}
+        assert "exit code 3" in str(failed[1])
+
+    def test_rank_counts_beyond_the_descriptor_budget_are_refused(self):
+        LocalTransport().available(16)
+        with pytest.raises(TransportUnavailable, match="descriptors"):
+            LocalTransport().available(64)
+
+
+def _repro_modules():
+    return sorted(m for m in sys.modules if m.startswith("repro"))
+
+
+@register_function
+def _double_publishing_modules(v):
+    rank_extras()["mods"] = _repro_modules()
+    return 2.0 * v
+
+
+class TestNothingIsImportedInARank:
+    """A forked rank that imports a module compiles and executes it on the
+    critical path of every section; the parent must have loaded it all."""
+
+    def test_plain_spmd_body_with_collectives(self):
+        def rank_fn(comm):
+            got = comm.gather(comm.rank, root=0)
+            got = comm.bcast(got, root=0)
+            comm.reduce(sum(got), lambda a, b: a + b, root=0)
+            rank_extras()["mods"] = _repro_modules()
+
+        before = _repro_modules()
+        res = run_spmd(machine(), rank_fn, nranks=2)
+        assert [e["mods"] for e in res.extras] == [before, before]
+
+    def test_runtime_par_section(self):
+        from repro.runtime import triolet_runtime
+        from repro.serial import closure
+
+        seen = []
+        with triolet_runtime(machine()) as rt:
+            h = rt.distribute(np.arange(512.0))
+            merge = rt._merge_rank_extras
+
+            def spy(extras):
+                seen.extend(extras or ())
+                merge(extras)
+
+            rt._merge_rank_extras = spy
+            before = _repro_modules()
+            tri.sum(tri.map(closure(_double_publishing_modules), tri.par(h)))
+        assert [e["mods"] for e in seen] == [before, before]
+
+
+def _host_state():
+    """What a section must leave as it found it: shared-segment entries,
+    the test process's children, its open descriptors."""
+    me = str(os.getpid())
+    kids = set()
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if f.read().rpartition(")")[2].split()[1] == me:
+                    kids.add(pid)
+        except OSError:
+            pass  # raced with an exit
+    shm = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+    return shm, kids, len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+class TestNothingLeaks:
+    BIG = np.arange(SHM_MIN_BYTES // 8 + 64, dtype=np.float64)
+
+    def test_clean_section(self):
+        def rank_fn(comm):
+            if comm.rank == 0:
+                comm.Send(self.BIG, 1, tag=1)
+                return None
+            return float(comm.Recv(0, tag=1).sum())
+
+        before = _host_state()
+        run_spmd(machine(), rank_fn, nranks=2)
+        assert _host_state() == before
+
+    def test_rank_raises_with_an_unread_segment_in_flight(self):
+        def rank_fn(comm):
+            if comm.rank == 0:
+                comm.Send(self.BIG, 1, tag=9)  # never received
+                comm.send(self.BIG, 1, tag=9)
+                raise ValueError("rank 0 exploded")
+            return comm.recv(0, tag=5)  # blocked until rank 0 is gone
+
+        before = _host_state()
+        with pytest.raises(ValueError, match="exploded"):
+            run_spmd(machine(), rank_fn, nranks=2, real_timeout=20.0)
+        assert _host_state() == before
+
+    def test_deadline_expiry_kills_and_reaps(self, monkeypatch):
+        monkeypatch.setattr(transport_mod, "REPORT_SLACK_S", 0.2)
+
+        def rank_fn(comm):
+            if comm.rank == 1:
+                comm.Send(self.BIG, 0, tag=1)  # never received
+                time.sleep(60.0)
+            return comm.rank
+
+        before = _host_state()
+        t0 = time.perf_counter()
+        with pytest.raises(SimDeadlockError, match="1 rank process"):
+            run_spmd(machine(), rank_fn, nranks=2, real_timeout=0.3)
+        assert time.perf_counter() - t0 < 10.0
+        assert _host_state() == before
+
+    def test_two_hundred_sections_leave_the_process_flat(self):
+        def rank_fn(comm):
+            return comm.allreduce(comm.rank, op=lambda a, b: a + b)
+
+        run_spmd(machine(), rank_fn, nranks=2)
+        before = _host_state()
+        for _ in range(200):
+            assert run_spmd(machine(), rank_fn, nranks=2).results == [1, 1]
+        assert _host_state() == before
+
+
 @register_function
 def _double(v):
     return 2.0 * v
@@ -170,16 +328,19 @@ class TestDriverStateMerging:
             with triolet_runtime(m) as rt:
                 h = rt.distribute(data)
                 v = tri.sum(tri.map(closure(_double), tri.par(h)))
-            return v, rt.meter_total, rt.elapsed, rt.last_section.wall_seconds
+            return (v, rt.meter_total, rt.elapsed, rt.last_section.wall_seconds,
+                    copy_stats())
 
         from repro.bench import reset_run_state
 
         reset_run_state()
-        v_sim, m_sim, t_sim, w_sim = run("sim")
+        v_sim, m_sim, t_sim, w_sim, c_sim = run("sim")
         reset_run_state()
-        v_loc, m_loc, t_loc, w_loc = run("local")
+        v_loc, m_loc, t_loc, w_loc, c_loc = run("local")
         assert v_loc == v_sim
         assert m_loc == m_sim
         assert t_loc == t_sim
+        # copy counters tallied in forked ranks travel back as deltas
+        assert c_loc == c_sim and c_sim["arrays"] > 0
         assert w_sim == 0.0  # sim sections never report wall time
         assert w_loc > 0.0  # real transports always do
