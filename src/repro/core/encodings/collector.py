@@ -18,7 +18,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core import meter
-from repro.serial import Closure, closure, register_function
+from repro.serial import Closure, bind, closure, register_function
 from repro.serial.serializer import serializable
 
 
@@ -39,8 +39,10 @@ class Collector:
 
 @register_function
 def _run_indexer_coll(extract, ctx, domain, worker):
-    for i in domain.iter_indices():
-        worker(extract(ctx, i))
+    if domain.size:  # an empty slice binds nothing
+        worker, extract = bind(worker), bind(extract)
+        for i in domain.iter_indices():
+            worker(extract(ctx, i))
     meter.tally_visits(domain.size)
 
 

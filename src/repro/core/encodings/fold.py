@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core import meter
-from repro.serial import Closure, closure, register_function
+from repro.serial import Closure, bind, closure, register_function
 from repro.serial.serializer import serializable
 
 
@@ -39,8 +39,10 @@ def _append_worker(acc: list, value) -> list:
 @register_function
 def _run_indexer_fold(extract, ctx, domain, worker, z):
     acc = z
-    for i in domain.iter_indices():
-        acc = worker(acc, extract(ctx, i))
+    if domain.size:  # an empty slice binds nothing
+        worker, extract = bind(worker), bind(extract)
+        for i in domain.iter_indices():
+            acc = worker(acc, extract(ctx, i))
     meter.tally_visits(domain.size)
     return acc
 

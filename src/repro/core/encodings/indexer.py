@@ -35,7 +35,7 @@ from repro.core.sources import (
     TupleSource,
     WholeObjectSource,
 )
-from repro.serial import Closure, closure, register_function
+from repro.serial import Closure, bind, binds, closure, register_function
 from repro.serial.serializer import serializable
 
 
@@ -93,10 +93,9 @@ class Idx:
         if self.bulk is not None:
             meter.tally_visits(self.domain.size)
             return self.bulk(ctx, self.domain)
-        out = []
-        extract = self.extract
-        for i in self.domain.iter_indices():
-            out.append(extract(ctx, i))
+        # An empty slice binds nothing: it was shipped no shards to resolve.
+        extract = bind(self.extract) if self.domain.size else None
+        out = [extract(ctx, i) for i in self.domain.iter_indices()]
         meter.tally_visits(self.domain.size)
         return out
 
@@ -148,6 +147,12 @@ def _extract_map(f, g, ctx, i):
     return f(g(ctx, i))
 
 
+@binds(_extract_map)
+def _bind_map(f, g):
+    f, g = bind(f), bind(g)
+    return lambda ctx, i: f(g(ctx, i))
+
+
 @register_function
 def _bulk_map(fb, gb, ctx, domain):
     return fb(gb(ctx, domain))
@@ -158,16 +163,52 @@ def _extract_zip(gs, ctx, i):
     return tuple(g(c, i) for g, c in zip(gs, ctx))
 
 
+def _zip_mismatch(gs, ctx):
+    raise ValueError(
+        f"zip extractor over {[getattr(g, 'code_id', g) for g in gs]} "
+        f"got a source context of {len(ctx)} members"
+    )
+
+
+@binds(_extract_zip)
+def _bind_zip(gs):
+    # Unlike the zip() above, never truncates on a short source context.
+    n, bound = len(gs), tuple(bind(g) for g in gs)
+    if n == 2:
+        a, b = bound
+        return lambda c, i: (a(c[0], i), b(c[1], i)) if len(c) == 2 else _zip_mismatch(gs, c)
+    if n == 3:
+        a, b, d = bound
+        return lambda c, i: (
+            (a(c[0], i), b(c[1], i), d(c[2], i)) if len(c) == 3 else _zip_mismatch(gs, c)
+        )
+    return lambda c, i: (
+        tuple([g(k, i) for g, k in zip(bound, c)]) if len(c) == n else _zip_mismatch(gs, c)
+    )
+
+
 @register_function
 def _extract_outer(gu, gv, ctx, yx):
     y, x = yx
     return (gu(ctx[0], y), gv(ctx[1], x))
 
 
+@binds(_extract_outer)
+def _bind_outer(gu, gv):
+    gu, gv = bind(gu), bind(gv)
+    return lambda ctx, yx: (gu(ctx[0], yx[0]), gv(ctx[1], yx[1]))
+
+
 @register_function
 def _extract_gather(g, ctx, i):
     pos, base_ctx = ctx
     return g(base_ctx, int(pos[i]))
+
+
+@binds(_extract_gather)
+def _bind_gather(g):
+    g = bind(g)
+    return lambda ctx, i: g(ctx[1], int(ctx[0][i]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.core import meter
-from repro.serial import Closure, closure, register_function
+from repro.serial import Closure, bind, binds, closure, register_function
 from repro.serial.serializer import serializable
 
 # Step results are transient (never serialized): plain tagged tuples.
@@ -48,7 +48,7 @@ class Step:
     def drive(self) -> Iterator[Any]:
         """Run the stepper to exhaustion, yielding elements."""
         state = self.state0
-        stepf = self.stepf
+        stepf = bind(self.stepf)
         while True:
             meter.tally_steps()
             tag, value, state = stepf(state)
@@ -76,6 +76,12 @@ def _step_indexer(extract, ctx, n, state):
     if i >= n:
         return DONE
     return yield_(extract(ctx, i), i + 1)
+
+
+@binds(_step_indexer)
+def _bind_step_indexer(extract, ctx, n):
+    extract = bind(extract) if n else None  # an empty slice binds nothing
+    return lambda i: DONE if i >= n else (_YIELD, extract(ctx, i), i + 1)
 
 
 @register_function
@@ -203,7 +209,7 @@ def zip_step(s1: Step, s2: Step) -> Step:
 def fold_step(worker: Callable, acc: Any, st: Step) -> Any:
     """Consume a stepper with a fold loop (``sumStep`` et al.)."""
     state = st.state0
-    stepf = st.stepf
+    worker, stepf = bind(worker), bind(st.stepf)
     while True:
         meter.tally_steps()
         tag, value, state = stepf(state)

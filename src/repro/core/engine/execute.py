@@ -33,6 +33,7 @@ import numpy as np
 from repro.core import meter
 from repro.core.domains import Dim2
 from repro.core.fusion import planner
+from repro.serial import bind
 
 _DEFAULT_CHUNK = 1024
 
@@ -103,8 +104,9 @@ def try_reduce(
             for seg in batch.segments():
                 acc = combine(acc, bulk_consume(seg))
         else:
+            fold = bind(op)  # per batch: no batch, nothing bound
             for v in batch.elements():
-                acc = op(acc, v)
+                acc = fold(acc, v)
     return True, acc
 
 

@@ -56,7 +56,7 @@ from repro.core.engine.merge_kernels import (
 )
 from repro.core.iterators.iter_type import IdxFlat, Iter, ParHint
 from repro.core.iterators.transforms import iterate
-from repro.serial import Closure, closure, register_function
+from repro.serial import Closure, bind, closure, register_function
 from repro.serial.closures import _FUNC_TO_ID, resolve_env
 from repro.serial.serializer import serializable
 
@@ -128,7 +128,7 @@ def materialize_index(idx: Idx) -> np.ndarray:
         base = Idx(Seq(int(pos.max()) + 1 if len(pos) else 0),
                    idx.extract.env[0], idx.source.base)
         return materialize_index(base)[pos]
-    extract = idx.extract
+    extract = bind(idx.extract) if n else None
     return as_index_array([extract(ctx, i) for i in range(n)])
 
 

@@ -28,6 +28,7 @@ from typing import Iterator as PyIterator
 from repro.core.domains import Domain
 from repro.core.encodings.indexer import Idx
 from repro.core.encodings.stepper import Step
+from repro.serial import bind
 from repro.serial.serializer import register_type, serializable
 
 
@@ -86,9 +87,10 @@ class IdxFlat(Iter):
     def elements(self) -> PyIterator:
         from repro.core import meter
 
-        ctx = self.idx.source.context()
-        extract = self.idx.extract
-        for i in self.idx.domain.iter_indices():
+        idx = self.idx
+        ctx = idx.source.context()
+        extract = bind(idx.extract) if idx.domain.size else None
+        for i in idx.domain.iter_indices():
             meter.tally_visits()
             yield extract(ctx, i)
 
@@ -130,11 +132,11 @@ class IdxNest(Iter):
         return self.idx.domain
 
     def elements(self) -> PyIterator:
-        ctx = self.idx.source.context()
-        extract = self.idx.extract
-        for i in self.idx.domain.iter_indices():
-            inner = extract(ctx, i)
-            yield from inner.elements()
+        idx = self.idx
+        ctx = idx.source.context()
+        extract = bind(idx.extract) if idx.domain.size else None
+        for i in idx.domain.iter_indices():
+            yield from extract(ctx, i).elements()
 
 
 @serializable

@@ -33,7 +33,7 @@ from repro.core.iterators.iter_type import (
     StepNest,
 )
 from repro.core.iterators.transforms import iterate
-from repro.serial import Closure, closure, register_function
+from repro.serial import Closure, bind, closure, register_function
 
 # ---------------------------------------------------------------------------
 # Generic monoidal reduce
@@ -57,10 +57,11 @@ def _seq_reduce(op, combine, init, bulk_consume, it: Iter):
         if handled:
             return out
         ctx = idx.source.context()
-        extract = idx.extract
         acc = init
-        for i in idx.domain.iter_indices():
-            acc = op(acc, extract(ctx, i))
+        if idx.domain.size:  # an empty slice binds nothing: it was shipped no shards
+            op, extract = bind(op), bind(idx.extract)
+            for i in idx.domain.iter_indices():
+                acc = op(acc, extract(ctx, i))
         meter.tally_visits(idx.domain.size)
         return acc
     if isinstance(it, StepFlat):
@@ -71,15 +72,15 @@ def _seq_reduce(op, combine, init, bulk_consume, it: Iter):
             return out
         idx = it.idx
         ctx = idx.source.context()
-        extract = idx.extract
         acc = init
-        for i in idx.domain.iter_indices():
-            inner = extract(ctx, i)
-            acc = _seq_reduce(op, combine, acc, bulk_consume, inner)
+        if idx.domain.size:
+            op, extract = bind(op), bind(idx.extract)  # the bound op goes down the nest
+            for i in idx.domain.iter_indices():
+                acc = _seq_reduce(op, combine, acc, bulk_consume, extract(ctx, i))
         return acc
     if isinstance(it, StepNest):
         state = it.step.state0
-        stepf = it.step.stepf
+        stepf = bind(it.step.stepf)
         acc = init
         while True:
             meter.tally_steps()

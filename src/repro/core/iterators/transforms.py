@@ -43,7 +43,7 @@ from repro.core.iterators.iter_type import (
     StepFlat,
     StepNest,
 )
-from repro.serial import Closure, closure, register_function
+from repro.serial import Closure, bind, binds, closure, register_function
 
 
 def iterate(source: Any) -> Iter:
@@ -99,6 +99,12 @@ def _filter_inner(pred, inner: Iter) -> Iter:
 @register_function
 def _concat_elem(f, x) -> Iter:
     return iterate(f(x))
+
+
+@binds(_concat_elem)
+def _bind_concat_elem(f):
+    f = bind(f)  # only ever called here, never handed on as data
+    return lambda x: iterate(f(x))
 
 
 @register_function

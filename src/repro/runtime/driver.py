@@ -667,8 +667,8 @@ class TrioletRuntime:
                 it, spec, self.machine.cores_per_node
             )
             self.clock.advance(makespan)
-            osp.set(kind=spec.kind, nodes=1,
-                    cores=self.machine.cores_per_node)
+            osp.set(kind=spec.kind, nodes=1, cores=self.machine.cores_per_node,
+                    loop="engine" if plan is not None else "bound")
         self.sections.append(
             SectionRecord(
                 label="localpar",
@@ -1083,6 +1083,7 @@ class TrioletRuntime:
             dead_ranks=dead,
             makespan=makespan,
             bytes_shipped=res.metrics.bytes_sent,
+            loop="engine" if plan is not None else "bound",
         )
         if self.transport.wall_clock:
             # Real transports also report measured elapsed time; the

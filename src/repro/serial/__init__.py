@@ -35,6 +35,8 @@ from repro.serial.arrays import (
 from repro.serial.sizeof import transitive_size
 from repro.serial.closures import (
     Closure,
+    bind,
+    binds,
     closure,
     register_function,
     resolve_env,
@@ -68,6 +70,8 @@ __all__ = [
     "reset",
     "transitive_size",
     "Closure",
+    "bind",
+    "binds",
     "closure",
     "register_function",
     "resolve_env",

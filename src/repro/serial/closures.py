@@ -24,6 +24,7 @@ split:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.serial import serializer
@@ -49,6 +50,8 @@ def register_function(fn: Callable, code_id: str | None = None) -> Callable:
     which is stable across ranks because all ranks import the same
     modules.
     """
+    if getattr(fn, "_bound", False):
+        raise SerializationError("a bound callable dies with its slice: ship its Closure")
     if code_id is not None:
         existing = _CODE_SEGMENT.get(code_id)
         if existing is not None and existing is not fn:
@@ -87,19 +90,22 @@ def lookup_function(code_id: str) -> Callable:
 # import cycle.
 _ENV_TYPES: tuple = ()
 _ENV_RESOLVER: Callable[[Any], Any] | None = None
+_ENV_EPOCH = 0  # bumped per registration: dates each Closure's cached call state
 
 
 def set_env_resolver(types: tuple, fn: Callable[[Any], Any]) -> None:
     """Register *fn* to resolve environment entries of the given *types*."""
-    global _ENV_TYPES, _ENV_RESOLVER
+    global _ENV_TYPES, _ENV_RESOLVER, _ENV_EPOCH
     _ENV_TYPES, _ENV_RESOLVER = types, fn
+    _ENV_EPOCH += 1
 
 
 def resolve_env(env: tuple) -> tuple:
-    """Resolve handle-typed entries of a closure environment in place.
+    """Return *env* with its handle-typed entries resolved to local data.
 
-    Identity (and allocation-free) when no resolver is registered or the
-    environment carries no handles -- the overwhelmingly common case.
+    Returns *env* itself (no allocation) when no resolver is registered
+    or the environment carries no handles -- the overwhelmingly common
+    case; otherwise a new tuple, the original is never mutated.
     """
     if _ENV_RESOLVER is None or not env:
         return env
@@ -117,13 +123,26 @@ class Closure:
     followed by the call arguments, i.e. ``Closure(f, (a, b))(x)`` computes
     ``f(a, b, x)``.  Environment entries that are data-plane handles are
     resolved to local data at call time (see :func:`set_env_resolver`).
+    Loops call :func:`bind` once instead of this once per element.
     """
 
     code_id: str
     env: tuple = ()
 
+    # (resolver epoch, function, env carries handles) as of the last call.
+    # Not a field: eq, hash, repr, planner key, wire form and pickle skip it.
+    _call = (-1, None, False)
+
     def __call__(self, *args: Any) -> Any:
-        return lookup_function(self.code_id)(*resolve_env(self.env), *args)
+        epoch, fn, handles = self._call
+        if epoch != _ENV_EPOCH:
+            fn = lookup_function(self.code_id)
+            handles = any(isinstance(e, _ENV_TYPES) for e in self.env)
+            object.__setattr__(self, "_call", (_ENV_EPOCH, fn, handles))
+        return fn(*(resolve_env(self.env) if handles else self.env), *args)
+
+    def __reduce__(self):
+        return Closure, (self.code_id, self.env)
 
     def bind(self, *extra: Any) -> "Closure":
         """Partially apply: extend the captured environment."""
@@ -137,6 +156,39 @@ def closure(fn: Callable, *env: Any) -> Closure:
         register_function(fn)
         cid = _FUNC_TO_ID[fn]
     return Closure(cid, env)
+
+
+_BINDERS: dict[Callable, Callable] = {}  # function -> specialiser(*resolved_env)
+
+
+def binds(fn: Callable) -> Callable:
+    """Decorator: the specialiser :func:`bind` uses for closures over *fn*."""
+    return lambda specialiser: _BINDERS.setdefault(fn, specialiser)
+
+
+def bind(f: Any) -> Callable:
+    """Compile a closure tree into one plain callable, once per slice.
+
+    One code-id lookup and one resolution of the environment's handles,
+    against the executing rank's store.  A combinator with a specialiser
+    (:func:`binds`) binds the closures it *calls*; anything else becomes
+    ``partial(fn, *resolved_env)``, so closures a function receives as
+    data (``tmap``'s ``f``) stay closures.  Non-closures pass through.
+
+    The result holds resolved shard views: bind on the executing rank,
+    inside the attempt, for a non-empty slice; never cache, ship or
+    serialize it (:func:`closure` rejects it).
+    """
+    if not isinstance(f, Closure):
+        return f
+    fn = lookup_function(f.code_id)
+    env = resolve_env(f.env)
+    specialiser = _BINDERS.get(fn)
+    if specialiser is None and not env:
+        return fn  # nothing captured: the registered function itself
+    bound = specialiser(*env) if specialiser else partial(fn, *env)
+    bound._bound = True
+    return bound
 
 
 def _encode_closure(obj: Closure, out: bytearray) -> None:

@@ -77,3 +77,112 @@ class TestResidencySmoke:
             f"{second.data_plane['input_bytes']:,} input bytes"
         )
         assert second.data_plane["resident_hits"] == MACHINE.nodes - 1
+
+
+@pytest.mark.perfsmoke
+class TestScalarTierIsBound:
+    """A count, not a stopwatch: a scalar-mode section binds its closure
+    tree once per slice, so ``Closure.__call__`` runs O(sections) times
+    (seq_fn, combine, ...) while the user's element function still runs
+    once per element.  Deterministic; takes milliseconds."""
+
+    CLOSURE_CALLS_MAX = 64
+
+    @pytest.fixture
+    def closure_calls(self, monkeypatch):
+        from repro.serial import Closure
+
+        calls = []
+        unbound_call = Closure.__call__
+
+        def counting(self, *args):
+            calls.append(self.code_id)
+            return unbound_call(self, *args)
+
+        monkeypatch.setattr(Closure, "__call__", counting)
+        return calls
+
+    def _scalar(self, pipeline):
+        from repro.runtime import triolet_runtime
+
+        machine = PAPER_MACHINE.scaled(nodes=2, cores_per_node=1)
+        with use_vectorization(False), triolet_runtime(machine) as rt:
+            out = pipeline(rt)
+        assert all(s.plan is None for s in rt.sections)
+        return out
+
+    def test_map_over_zip3(self, closure_calls):
+        import numpy as np
+
+        import repro.triolet as tri
+
+        seen = []
+
+        def f(t):
+            seen.append(t[0])
+            return t[0] * t[1] + t[2]
+
+        x = np.arange(4096.0)
+        out = self._scalar(
+            lambda rt: tri.sum(tri.par(tri.map(f, tri.zip(x, x + 1.0, x * 2.0))))
+        )
+        assert out == float(np.sum(x * (x + 1.0) + x * 2.0))
+        assert sorted(seen) == list(x)  # exactly once per element
+        assert len(closure_calls) <= self.CLOSURE_CALLS_MAX, len(closure_calls)
+
+    def test_sgemm_outer_pipeline(self, closure_calls):
+        import numpy as np
+
+        import repro.triolet as tri
+
+        dots = []
+
+        def dot(uv):
+            dots.append(1)
+            return float(np.dot(uv[0], uv[1]))
+
+        a = np.arange(64.0 * 8).reshape(64, 8)
+        b = np.arange(64.0 * 8).reshape(64, 8) % 7.0
+        out = self._scalar(
+            lambda rt: tri.build(
+                tri.map(dot, tri.par(tri.outerproduct(tri.rows(a), tri.rows(b))))
+            )
+        )
+        np.testing.assert_array_equal(out, a @ b.T)
+        assert len(dots) == 64 * 64
+        assert len(closure_calls) <= self.CLOSURE_CALLS_MAX, len(closure_calls)
+
+    def test_spmv_row_nest(self, closure_calls):
+        import numpy as np
+
+        import repro.triolet as tri
+        from repro.serial import closure, register_function
+
+        nrows, row_nnz = 256, 16
+        rng = np.random.default_rng(5)
+        cols = rng.integers(0, 512, size=nrows * row_nnz)
+        vals = rng.integers(1, 9, size=nrows * row_nnz).astype(float)
+        xv = rng.integers(1, 9, size=512).astype(float)
+        rows_seen, entries_seen = [], []
+
+        @register_function
+        def entry(x, cv):
+            entries_seen.append(1)
+            return cv[1] * x[cv[0]]
+
+        @register_function
+        def row(x, r):
+            rows_seen.append(r)
+            lo, hi = r * row_nnz, (r + 1) * row_nnz
+            return tri.map(closure(entry, x), tri.zip(cols[lo:hi], vals[lo:hi]))
+
+        def spmv(rt):
+            x = rt.distribute(xv, layout="replicated")
+            return tri.sum(
+                tri.concat_map(closure(row, x), tri.par(tri.iterate(range(nrows))))
+            )
+
+        assert self._scalar(spmv) == float(np.sum(vals * xv[cols]))
+        assert sorted(rows_seen) == list(range(nrows))
+        assert len(entries_seen) == nrows * row_nnz  # 4096 elements
+        assert len(closure_calls) <= self.CLOSURE_CALLS_MAX, len(closure_calls)

@@ -106,6 +106,19 @@ class TestTraceCommand:
         data = load_jsonl(str(jsonl))
         assert data["spans"] and data["events"]
         assert data["counters"]["sections.count"] >= 2
+        # Each section says which loop its ranks ran: an engine plan here.
+        loops = [s["attrs"].get("loop") for s in data["spans"]
+                 if s["kind"] == "section"]
+        assert loops == ["engine", "engine"]
+
+    @pytest.mark.parametrize("vectorize,loop", [(True, "engine"),
+                                                (False, "bound")])
+    def test_section_spans_name_their_loop(self, vectorize, loop):
+        from repro.obs.runapp import capture_app
+
+        rec, run = capture_app("mriq", 2, vectorize=vectorize)
+        sections = [s for s in rec.spans if s.kind == "section"]
+        assert sections and all(s.attrs["loop"] == loop for s in sections)
 
 
 class TestRegress:
