@@ -67,6 +67,8 @@ class SectionShipment:
 
     ops: list[list]  # indexed by destination rank; ops[0] is always []
     stats: dict = field(default_factory=dict)
+    #: the per-rank requirement dicts that were planned (section lineage)
+    reqs: list[dict] = field(default_factory=list)
 
 
 def _req_add(reqs: dict, aid: int, lo: int, hi: int, replicated: bool) -> None:
@@ -295,42 +297,7 @@ class DataPlane:
         """
         if not any(reqs):
             return None
-        rec = _obs_active()
-        nranks = len(reqs)
-        stats = {k: 0 for k in _STAT_KEYS}
-        ops: list[list] = [[] for _ in range(nranks)]
-        pending = self.lineage.pending()
-        for dst in range(1, nranks):
-            self._ensure_rank(dst)
-            before = dict(stats) if rec is not None else None
-            for aid in sorted(reqs[dst]):
-                lo, hi, replicated = reqs[dst][aid]
-                stats["requests"] += 1
-                self._plan_one(dst, aid, lo, hi, replicated, nranks,
-                               migrated, pending, ops[dst], stats)
-            if rec is not None:
-                delta = {k: stats[k] - before[k] for k in _STAT_KEYS
-                         if stats[k] != before[k]}
-                if delta:
-                    if recovery:
-                        delta["recovery"] = True
-                    rec.instant("ship", f"ship->r{dst}", rank=dst,
-                                attrs=delta)
-        self.totals["sections"] += 1
-        for k in _STAT_KEYS:
-            self.totals[k] += stats[k]
-        if rec is not None:
-            # Independent accumulation stream: the conservation check
-            # compares these against self.totals after the run.
-            for k in _STAT_KEYS:
-                if stats[k]:
-                    rec.count(f"plane.{k}", stats[k])
-        self.section_log.append(dict(stats))
-        if pending:
-            # Anything this section did not touch re-materializes through
-            # ordinary placement when a later section needs it.
-            self.lineage.settle()
-        return SectionShipment(ops=ops, stats=stats)
+        return self._plan(reqs, None, migrated, recovery)
 
     def plan_stencil(self, aid: int, bounds: list[tuple[int, int]],
                      radius: int, *, migrated: bool = False,
@@ -350,21 +317,12 @@ class DataPlane:
         exactly its rows.  *migrated* routes post-shrink interiors
         through hull migration; *recovery* tags the obs spans.
         """
-        rec = _obs_active()
-        nranks = len(bounds)
         handle = lookup_handle(aid)
         n = len(handle)
         row_nbytes = handle.row_nbytes()
-        stats = {k: 0 for k in _STAT_KEYS}
-        ops: list[list] = [[] for _ in range(nranks)]
-        pending = self.lineage.pending()
-        for dst in range(1, nranks):
-            self._ensure_rank(dst)
-            before = dict(stats) if rec is not None else None
+
+        def halo(dst: int, out_ops: list, stats: dict) -> None:
             lo, hi = bounds[dst]
-            stats["requests"] += 1
-            self._plan_one(dst, aid, lo, hi, False, nranks, migrated,
-                           pending, ops[dst], stats)
             cache = self._caches[dst]
             for glo, ghi in halo_intervals(lo, hi, radius, n):
                 stats["halo_requests"] += 1
@@ -375,37 +333,62 @@ class DataPlane:
                 nbytes = (ghi - glo) * row_nbytes
                 for old in cache.put(aid, glo, ghi, nbytes, ghost=True):
                     stats["cache_evictions"] += 1
-                    ops[dst].append(["evict", aid_wire(old[0]), old[1],
-                                     old[2]])
-                ops[dst].append(["cache", aid_wire(aid), glo, ghi,
-                                 [(glo, ghi, handle.array[glo:ghi])]])
+                    out_ops.append(["evict", aid_wire(old[0]), old[1],
+                                    old[2]])
+                out_ops.append(["cache", aid_wire(aid), glo, ghi,
+                                [(glo, ghi, handle.array[glo:ghi])]])
                 stats["halo_bytes"] += nbytes
+
+        reqs = [{aid: [lo, hi, False]} for lo, hi in bounds]
+        return self._plan(reqs, halo, migrated, recovery)
+
+    def _plan(self, reqs: list[dict], halo, migrated: bool,
+              recovery: bool) -> SectionShipment:
+        """Plan every destination rank's requirements, then its ghost
+        intervals when a *halo* step ``halo(dst, out_ops, stats)`` is
+        given; fold the section into the totals, the obs streams and the
+        lineage log."""
+        rec = _obs_active()
+        nranks = len(reqs)
+        stats = {k: 0 for k in _STAT_KEYS}
+        ops: list[list] = [[] for _ in range(nranks)]
+        pending = self.lineage.pending()
+        for dst in range(1, nranks):
+            self._ensure_rank(dst)
+            before = dict(stats) if rec is not None else None
+            for aid in sorted(reqs[dst]):
+                lo, hi, replicated = reqs[dst][aid]
+                stats["requests"] += 1
+                self._plan_one(dst, aid, lo, hi, replicated, nranks,
+                               migrated, pending, ops[dst], stats)
+            if halo is not None:
+                halo(dst, ops[dst], stats)
             if rec is not None:
                 delta = {k: stats[k] - before[k] for k in _STAT_KEYS
                          if stats[k] != before[k]}
                 halo_delta = {k: delta.pop(k) for k in _HALO_KEYS
                               if k in delta}
-                if delta:
-                    if recovery:
-                        delta["recovery"] = True
-                    rec.instant("ship", f"ship->r{dst}", rank=dst,
-                                attrs=delta)
-                if halo_delta:
-                    if recovery:
-                        halo_delta["recovery"] = True
-                    rec.instant("halo", f"halo->r{dst}", rank=dst,
-                                attrs=halo_delta)
+                for what, attrs in (("ship", delta), ("halo", halo_delta)):
+                    if attrs:
+                        if recovery:
+                            attrs["recovery"] = True
+                        rec.instant(what, f"{what}->r{dst}", rank=dst,
+                                    attrs=attrs)
         self.totals["sections"] += 1
         for k in _STAT_KEYS:
             self.totals[k] += stats[k]
         if rec is not None:
+            # Independent accumulation stream: the conservation check
+            # compares these against self.totals after the run.
             for k in _STAT_KEYS:
                 if stats[k]:
                     rec.count(f"plane.{k}", stats[k])
         self.section_log.append(dict(stats))
         if pending:
+            # Anything this section did not touch re-materializes through
+            # ordinary placement when a later section needs it.
             self.lineage.settle()
-        return SectionShipment(ops=ops, stats=stats)
+        return SectionShipment(ops=ops, stats=stats, reqs=reqs)
 
     def note_write(self, aid: int, lo: int, hi: int) -> int:
         """An in-place write to rows ``[lo, hi)`` of *aid*: every cached
@@ -442,7 +425,9 @@ class DataPlane:
         another rank just overwrote can never be served stale.  Finally
         every cached slice overlapping a written range is invalidated
         (:meth:`note_write`), which is what makes the next iteration ship
-        only *dirty* halos.
+        only *dirty* halos.  With empty *bounds* (a sweep restored from a
+        checkpoint: no rank of this run computed the pieces) nothing is
+        mirrored and every placement of the array is forgotten.
         """
         handle = lookup_handle(aid)
         nranks = len(bounds)

@@ -15,7 +15,7 @@ Counters are filled through two mechanisms:
   counters at the moment the legacy counter moves, giving a genuinely
   independent accumulation stream;
 * **section adaptation** -- the driver folds each
-  :class:`~repro.runtime.driver.SectionRecord` in at the section
+  :class:`~repro.runtime.section.SectionRecord` in at the section
   boundary.
 
 Because the streams are independent, :func:`conservation_violations`

@@ -1,10 +1,8 @@
 """The Triolet runtime: two-level parallelism over the simulated cluster."""
 from repro.runtime.costs import CostContext, use_costs, current_costs
-from repro.runtime.driver import (
-    TrioletRuntime,
+from repro.runtime.driver import TrioletRuntime, NodeContext, triolet_runtime
+from repro.runtime.section import (
     SectionRecord,
-    NodeContext,
-    triolet_runtime,
     add_section_observer,
     remove_section_observer,
     observing_sections,

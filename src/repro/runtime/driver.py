@@ -35,13 +35,11 @@ from typing import Any
 import numpy as np
 
 from repro.cluster.comm import Comm
-from repro.cluster.faults import FaultPlan, RankFailure
+from repro.cluster.faults import FaultPlan
 from repro.cluster.limits import RuntimeLimits, UNLIMITED
 from repro.cluster.machine import MachineSpec
-from repro.cluster.metrics import RunMetrics
-from repro.cluster.process import run_spmd
 from repro.cluster.simclock import VirtualClock
-from repro.cluster.transport import rank_extras, resolve_transport
+from repro.cluster.transport import resolve_transport
 from repro.core import meter
 from repro.core.domains import Dim2
 from repro.core.engine import execute as _engine
@@ -53,7 +51,6 @@ from repro.core.iterators.iter_type import (
     Iter,
     ParHint,
 )
-from repro.data.handle import bind_store
 from repro.data.plane import DataPlane, chunk_requirements
 from repro.obs.spans import active as _obs_active, obs_span as _obs_span
 from repro.partition import block2d_bounds, block_bounds, grid_shape
@@ -62,59 +59,21 @@ from repro.runtime.costs import CostContext, use_costs
 from repro.runtime.gc_model import BOEHM_GC, AllocatorModel
 from repro.runtime.recovery import (
     DEFAULT_RECOVERY,
-    BudgetExhausted,
     FailureBudget,
-    PermanentFault,
     RecoveryPolicy,
     RecoveryReport,
-    classify_failure,
 )
-from repro.runtime.worksteal import work_stealing_makespan
-from repro.serial.arrays import copy_stats, merge_copy_stats
+from repro.runtime.section import (
+    Parts,
+    SectionKind,
+    SectionRecord,
+    _meter_sink,
+    run_section,
+)
+from repro.runtime.stencil import run_stencil
+from repro.runtime.worksteal import static_for_makespan, work_stealing_makespan
+from repro.serial.arrays import merge_copy_stats
 from repro.serial.sizeof import transitive_size
-
-_CHUNK_TAG = 99
-
-# ---------------------------------------------------------------------------
-# Section observers: callbacks fired at every distributed section boundary
-# with the section's full context (runtime, record, partition bounds,
-# shipping plan).  This is how external invariant checkers -- notably
-# ``repro.testing.invariants`` -- see inside the driver without the driver
-# importing them.  Observers must not mutate the payload.
-
-_SECTION_OBSERVERS: list = []
-
-
-def add_section_observer(fn) -> None:
-    """Register *fn* to be called with a payload dict after every
-    distributed section.  Payload keys: ``runtime``, ``record``,
-    ``iterator``, ``partition``, ``bounds``, ``nchunks``, ``ship``,
-    ``spec``, ``attempts``, ``dead_ranks``, ``survivors``,
-    ``rank_losses``."""
-    _SECTION_OBSERVERS.append(fn)
-
-
-def remove_section_observer(fn) -> None:
-    try:
-        _SECTION_OBSERVERS.remove(fn)
-    except ValueError:
-        pass
-
-
-@contextmanager
-def observing_sections(fn):
-    """Scoped :func:`add_section_observer` (what test fixtures want)."""
-    add_section_observer(fn)
-    try:
-        yield fn
-    finally:
-        remove_section_observer(fn)
-
-
-def _notify_section(payload: dict) -> None:
-    for fn in list(_SECTION_OBSERVERS):
-        fn(payload)
-
 
 @dataclass
 class NodeContext:
@@ -134,81 +93,6 @@ class NodeContext:
 _node_ctx: contextvars.ContextVar[NodeContext | None] = contextvars.ContextVar(
     "repro_node_ctx", default=None
 )
-
-#: Where metered-region tallies merge.  ``None`` means the runtime's own
-#: ``meter_total`` (the shared-heap default).  Process-isolated transports
-#: install a rank-local meter here so forked workers tally into state that
-#: travels back through :func:`repro.cluster.transport.rank_extras`
-#: instead of into a doomed copy of the driver's global meter.
-_meter_sink: contextvars.ContextVar[meter.CostMeter | None] = (
-    contextvars.ContextVar("repro_meter_sink", default=None)
-)
-
-
-def _isolated_rank(rank_body):
-    """Wrap *rank_body* for a process-isolated transport: driver-global
-    state mutated in the rank dies with the worker, so tally into a
-    rank-local meter and capture the plan-cache and copy-counter deltas,
-    published through ``rank_extras()`` -- the meter at rank *start*, so a
-    crashed rank's partial tallies still reach ``_merge_rank_extras``."""
-
-    def rank_fn(comm: Comm):
-        ext = rank_extras()
-        local_meter = meter.CostMeter()
-        if ext is not None:
-            ext["meter"] = local_meter
-        mtok = _meter_sink.set(local_meter)
-        psnap = planner.stats_snapshot()
-        ssnap = copy_stats()
-        try:
-            return rank_body(comm)
-        finally:
-            if ext is not None:
-                ext["planner"] = planner.stats_delta(psnap)
-                ext["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
-            _meter_sink.reset(mtok)
-
-    return rank_fn
-
-
-@dataclass
-class SectionRecord:
-    """One parallel section's ledger."""
-
-    label: str
-    kind: str  # "reduce" | "build" | "seq"
-    hint: str
-    nodes: int
-    cores: int
-    partition: str
-    makespan: float
-    bytes_shipped: int = 0
-    messages: int = 0
-    metrics: RunMetrics | None = None
-    visits: int = 0
-    gc_time: float = 0.0
-    recovery: "RecoveryReport | None" = None  # fault/recovery accounting
-    plan: str | None = None  # compiled bulk-execution plan, if vectorized
-    data_plane: dict | None = None  # shipping stats when handles were used
-    #: real elapsed seconds of the section's SPMD run; nonzero only on
-    #: transports with wall-clock parallelism (sim stays byte-identical)
-    wall_seconds: float = 0.0
-
-    @property
-    def vectorized(self) -> bool:
-        return self.plan is not None
-
-    def utilization(self) -> float:
-        """Fraction of node-seconds spent computing (vs waiting/comm).
-
-        Only meaningful for distributed sections carrying run metrics;
-        the paper's saturation discussions are exactly about this number
-        falling with scale.
-        """
-        if self.metrics is None or self.makespan <= 0 or self.nodes == 0:
-            raise ValueError("utilization needs a distributed section's metrics")
-        busy = sum(m.compute_time for m in self.metrics.per_rank)
-        return busy / (self.nodes * self.makespan)
 
 
 def _elements_of(partial: Any) -> int:
@@ -397,8 +281,6 @@ class TrioletRuntime:
         recovery semantics.  Returns the handle; its master copy holds
         the final state.
         """
-        from repro.runtime.stencil import run_stencil
-
         with self._planner_scope():
             return run_stencil(self, handle, radius, kernel,
                                iterations=iterations, label=label)
@@ -421,50 +303,48 @@ class TrioletRuntime:
 
     # -- sequential glue ---------------------------------------------------
 
-    def run_sequential(self, fn, *args, label: str = "seq", **kwargs) -> Any:
-        """Run plain code at the main rank, charging its metered time."""
-        with self._planner_scope(), _obs_span(
-            "section", label, clock=self.clock
-        ) as osp:
-            with meter.metered() as m:
-                out = fn(*args, **kwargs)
-            self._merge_meter(m)
-            dt = self.costs.task_seconds(m)
-            self.clock.advance(dt)
-            osp.set(kind="seq", visits=m.visits)
+    def _seq_section(self, label: str, kind: str, dt: float,
+                     visits: int, osp) -> None:
+        """Charge *dt* main-rank seconds and append their one-node ledger
+        entry (called inside the section's span *osp*)."""
+        self.clock.advance(dt)
+        osp.set(kind=kind, visits=visits)
         self.sections.append(
             SectionRecord(
                 label=label,
-                kind="seq",
+                kind=kind,
                 hint="seq",
                 nodes=1,
                 cores=1,
                 partition="none",
                 makespan=dt,
-                visits=m.visits,
+                visits=visits,
             )
         )
+
+    def _run_metered(self, label: str, kind: str, fn, *args, **kwargs) -> Any:
+        """Run ``fn`` at the main rank as one sequential section,
+        charging its metered time."""
+        with _obs_span("section", label, clock=self.clock) as osp:
+            with meter.metered() as m:
+                out = fn(*args, **kwargs)
+            self._merge_meter(m)
+            self._seq_section(label, kind, self.costs.task_seconds(m),
+                              m.visits, osp)
         self._obs_section()
         return out
+
+    def run_sequential(self, fn, *args, label: str = "seq", **kwargs) -> Any:
+        """Run plain code at the main rank, charging its metered time."""
+        with self._planner_scope():
+            return self._run_metered(label, "seq", fn, *args, **kwargs)
 
     def charge_visits(self, visits: float, label: str = "seq") -> None:
         """Charge main-rank compute for work done outside the meter."""
         with _obs_span("section", label, clock=self.clock) as osp:
-            dt = self.costs.seconds_for_visits(visits)
-            self.clock.advance(dt)
-            osp.set(kind="seq", visits=int(visits))
-        self.sections.append(
-            SectionRecord(
-                label=label,
-                kind="seq",
-                hint="seq",
-                nodes=1,
-                cores=1,
-                partition="none",
-                makespan=dt,
-                visits=int(visits),
-            )
-        )
+            self._seq_section(label, "seq",
+                              self.costs.seconds_for_visits(visits),
+                              int(visits), osp)
         self._obs_section()
 
     # -- the Executor interface ----------------------------------------------
@@ -590,7 +470,7 @@ class TrioletRuntime:
 
     def _node_execute(
         self, it: Iter, spec: ConsumeSpec, cores: int
-    ) -> tuple[Any, float]:
+    ) -> tuple[Any, float, float]:
         """Run a chunk on one node: real tasks, modelled thread overlap.
 
         Node makespan model for composable work stealing: each task's
@@ -599,14 +479,12 @@ class TrioletRuntime:
         work over cores and by the longest task's critical path, and above
         by greedy list scheduling of (serial + span) task durations.
 
-        Returns ``(combined_result, node_makespan_seconds)``.
+        Returns ``(combined_result, node_makespan_seconds, gc_seconds)``.
         """
         partials, serial, nested, gc_time = self._run_tasks(it, spec, cores)
         total_work = sum(serial) + sum(nested)
         durations = [s + w / cores for s, w in zip(serial, nested)]
         if self.scheduler == "static":
-            from repro.runtime.worksteal import static_for_makespan
-
             listed = static_for_makespan(
                 durations, cores, barrier_overhead=self.machine.thread_spawn_overhead
             )
@@ -686,33 +564,13 @@ class TrioletRuntime:
         return result
 
     def _sequential_fallback(self, it: Iter, spec: ConsumeSpec, label: str) -> Any:
-        with _obs_span("section", label, clock=self.clock) as osp:
-            with meter.metered() as m:
-                out = spec.seq_fn(it)
-            self._merge_meter(m)
-            dt = self.costs.task_seconds(m)
-            self.clock.advance(dt)
-            osp.set(kind=spec.kind, visits=m.visits)
-        self.sections.append(
-            SectionRecord(
-                label=label,
-                kind=spec.kind,
-                hint="seq",
-                nodes=1,
-                cores=1,
-                partition="none",
-                makespan=dt,
-                visits=m.visits,
-            )
-        )
-        self._obs_section()
-        return out
+        return self._run_metered(label, spec.kind, spec.seq_fn, it)
 
     # -- distributed sections ---------------------------------------------
 
     def _partition(
         self, it: Iter, nranks_max: int, *, allow_2d: bool = True
-    ) -> tuple[list[Iter], str, Any, bool]:
+    ) -> Parts:
         """Slice *it* into per-rank chunks (2-D grid when the source
         supports inner slicing, 1-D blocks otherwise).
 
@@ -721,10 +579,10 @@ class TrioletRuntime:
         partials must merge in element order (a 2-D grid's row-major
         block order interleaves rows).
 
-        The last element of the returned tuple flags cost-feedback
-        repartitioning: for handle-backed 1-D sections the data plane's
-        rebalancer may supply weighted bounds, migrating shard
-        boundaries toward faster ranks.
+        1-D partitions take part in cost-feedback repartitioning: for
+        handle-backed sections the data plane's rebalancer may supply
+        weighted bounds, migrating shard boundaries toward faster ranks
+        (``Parts.rebalanced``).
         """
         if allow_2d and self._can_block_2d(it):
             dom: Dim2 = it.domain  # type: ignore[assignment]
@@ -732,7 +590,7 @@ class TrioletRuntime:
             py, px = grid_shape(nchunks, dom.h, dom.w)
             blocks = block2d_bounds(dom.h, dom.w, py, px)
             chunks = [self._reslice_block(it, r, c) for r, c in blocks]
-            return chunks, f"2d {py}x{px}", blocks, False
+            return Parts(f"2d {py}x{px}", blocks, chunks)
         extent = it.domain.outer_extent
         nchunks = min(nranks_max, max(1, extent))
         bounds = None
@@ -743,63 +601,18 @@ class TrioletRuntime:
             bounds = block_bounds(extent, nchunks)
         chunks = [self._reslice(it, lo, hi) for lo, hi in bounds]
         label = f"1d x{nchunks}" + (" rebal" if rebalanced else "")
-        return chunks, label, bounds, rebalanced
+        return Parts(label, bounds, chunks, rebalanced, feedback=True)
 
     def _distributed(self, it: Iter, spec: ConsumeSpec) -> Any:
-        """``par``: nodes via simulated MPI, cores via the threads model.
-
-        Fault tolerance: when an injected rank crash kills an attempt,
-        the section is re-partitioned across the surviving ranks and
-        re-executed -- the sliceable sources re-extract exactly the
-        slices the replacement ranks need (§3.5), so no checkpoint or
-        data shuffle is required.  The failed attempt's virtual time and
-        a backoff are charged to the section's makespan and reported.
-        """
+        """``par``: nodes via simulated MPI, cores via the threads model
+        -- the pipeline-consumer kind of distributed section (see
+        :func:`repro.runtime.section.run_section` for the attempt loop
+        and its fault tolerance)."""
         if not self._partitionable(it):
             # Variable-length outer loops cannot be partitioned (§3.2's
             # whole point is to avoid producing them); run sequentially.
             return self._sequential_fallback(it, spec, "par-unpartitionable")
-        with _obs_span("section", "par", clock=self.clock) as osp:
-            out = self._distributed_body(it, spec, osp)
-        self._obs_section()
-        return out
-
-    def _distributed_body(self, it: Iter, spec: ConsumeSpec, osp) -> Any:
-        """The attempt loop of a distributed section (see
-        :meth:`_distributed`; *osp* is its enclosing section span)."""
-        obs = _obs_active()
-        # Flat topology: one rank per core, no shared-memory level.
-        flat = self.topology == "flat"
-        nranks_max = max(
-            1,
-            (
-                self.machine.nodes * self.machine.cores_per_node
-                if flat
-                else self.machine.nodes
-            )
-            - self.lost_ranks,
-        )
-        seq = self._dist_seq
-        self._dist_seq += 1
-        if self.faults is not None:
-            # Section-gated faults (RankLoss(section=...)) key on program
-            # order, not virtual time, because every section's clocks
-            # restart at zero.
-            self.faults.begin_section(seq)
-        ck = self.checkpoint
-        if ck is not None:
-            hit = ck.store.fetch(ck.job, seq)
-            if hit is not None:
-                # Restart-from-last-checkpoint: this section's output is
-                # already durable; restore it instead of executing.
-                return self._restore_section(seq, hit, spec, osp, nranks_max)
-
-        cores = 1 if flat else self.machine.cores_per_node
-        costs = self.costs
-        machine = self.machine
-        rec = self.recovery
-        plan = self._warm_plan(it)
-
+        cores = 1 if self.topology == "flat" else self.machine.cores_per_node
         # 2-D grid partitioning reorders partials (row-major blocks, not
         # element order): forbid it for order-sensitive reduces, and for
         # builds over nested iterators whose blocks are not rectangular.
@@ -809,388 +622,51 @@ class TrioletRuntime:
             else not spec.ordered
         )
 
-        attempt = 0
-        dead = 0
-        lost_time = 0.0
-        reexecuted = 0
-        reshipped = 0
-        losses = 0  # permanent rank losses absorbed in this section
-        absorb = False  # shrink happened: survivors absorb via migration
-        section_acc: RecoveryReport | None = None
-        while True:
-            chunks, partition, block_meta, rebalanced = self._partition(
-                it, nranks_max - dead, allow_2d=allow_2d
-            )
-            if attempt > 0:
-                reexecuted += len(chunks)
+        def plan_ship(parts: Parts, migrated: bool, recovery: bool):
             # Section-boundary placement planning: what handle rows does
             # each rank's chunk (sources + closure environments) need, and
             # which of them are already resident or cached there?  None
             # when the section touches no handles -- the legacy
-            # ship-the-slice path below is then byte-for-byte unchanged.
-            # After an elastic shrink, ``absorb`` routes the survivors'
-            # grown requirements through the weighted-bounds migration
-            # path (hulls grow to the new blocks, only missing rows ship).
-            reqs = self.plane.requirements(chunks)
-            ship = self.plane.plan_section(
-                reqs, migrated=rebalanced or absorb,
-                recovery=attempt > 0,
-            )
-            if ship is not None and attempt > 0:
-                # Bytes shipped again because a crash invalidated
-                # placement: recovery traffic, not steady-state traffic.
-                reshipped += ship.stats["input_bytes"]
-
-            def rank_body(comm: Comm):
-                if ship is None:
-                    my_chunk = _distribute_chunks(comm, chunks)
-                    store_cm = bind_store(None)
-                else:
-                    my_chunk = _distribute_plane_chunks(
-                        comm, chunks, ship.ops, self.plane
-                    )
-                    store_cm = self.plane.bound_store(comm.rank)
-                with store_cm:
-                    with _obs_span(
-                        "kernel", "node_execute", rank=comm.rank,
-                        clock=comm.clock,
-                    ) as ksp:
-                        result, makespan, gc_time = self._node_execute(
-                            my_chunk, spec, cores
-                        )
-                        comm.compute(makespan)
-                        ksp.set(makespan=makespan, gc_time=gc_time)
-                    comm.metrics.gc_time += gc_time  # already inside makespan
-                    comm.alloc(_result_bytes(result))
-                    if spec.kind == "reduce":
-                        charged = _charged_combine(comm, spec.combine, costs)
-                        return comm.reduce(result, charged, root=0)
-                    gathered = comm.gather(result, root=0)
-                    if comm.rank != 0:
-                        return None
-                    return _assemble_build(gathered, block_meta, partition)
-
-            rank_fn = (
-                rank_body
-                if self.transport.shared_heap
-                else _isolated_rank(rank_body)
+            # ship-the-slice path is then byte-for-byte unchanged.
+            return self.plane.plan_section(
+                self.plane.requirements(parts.work),
+                migrated=migrated, recovery=recovery,
             )
 
-            try:
-                res = run_spmd(
-                    machine,
-                    rank_fn,
-                    nranks=len(chunks),
-                    ranks_per_node=self.machine.cores_per_node if flat else 1,
-                    limits=self.limits,
-                    alloc_cost=self.alloc,
-                    wire_scale=self.costs.wire_scale,
-                    faults=self.faults,
-                    recovery=rec,
-                    trace=obs is not None,
-                    transport=self.transport,
+        def rank_body(comm: Comm, my_chunk: Iter, parts: Parts):
+            with _obs_span(
+                "kernel", "node_execute", rank=comm.rank, clock=comm.clock,
+            ) as ksp:
+                result, makespan, gc_time = self._node_execute(
+                    my_chunk, spec, cores
                 )
-                if obs is not None and res.trace is not None:
-                    obs.absorb_events(res.trace.events, osp)
-                break
-            except BaseException as exc:
-                infos = getattr(exc, "rank_failures", None)
-                crash_trace = getattr(exc, "trace_log", None)
-                if obs is not None and crash_trace is not None:
-                    # The failed attempt's messages and fault stamps stay
-                    # visible in the trace, tied to the same section.
-                    obs.absorb_events(crash_trace.events, osp)
-                if not self.transport.shared_heap:
-                    # A crashed attempt's completed-task tallies are real
-                    # work; sim ranks merge as they run, so merge the
-                    # partial extras the transport saved on the exception.
-                    self._merge_rank_extras(getattr(exc, "rank_extras", None))
-                rank_failed = infos is not None and all(
-                    isinstance(i.error, RankFailure) for i in infos
-                )
-                permanent = [
-                    i
-                    for i in (infos or ())
-                    if getattr(i.error, "permanent", False)
-                ]
-                recoverable = (
-                    rec is not None
-                    and rank_failed
-                    and attempt < rec.max_reexecutions
-                    and len(chunks) - len(infos) >= 1
-                )
-                if recoverable and self.budget is not None:
-                    # Job-level budget: charged per recovery act, across
-                    # sections.  Exhaustion beats further recovery.
-                    try:
-                        self.budget.charge_reexecution()
-                        if permanent:
-                            self.budget.charge_rank_losses(len(permanent))
-                    except BudgetExhausted as bex:
-                        self.recovery_report.failure = "budget"
-                        raise bex from exc
-                if not recoverable:
-                    self.recovery_report.failure = classify_failure(exc)
-                    if rank_failed and permanent:
-                        # An unabsorbable permanent loss is a structured
-                        # job failure, not a substrate error.
-                        raise PermanentFault(str(exc)) from exc
-                    raise
-                # The crashed attempt ran until the failure; its
-                # survivors' progress is discarded, its time is not.
-                partial = getattr(exc, "recovery_report", None)
-                if partial is not None:
-                    partial.attempts = 1
-                    if section_acc is None:
-                        section_acc = RecoveryReport(attempts=0)
-                    section_acc.merge(partial)
-                if permanent:
-                    # The machine shrank for good: later sections
-                    # partition over the survivors only.
-                    self.lost_ranks += len(permanent)
-                    losses += len(permanent)
-                if self.plane.has_state():
-                    if permanent and rec.lineage_recovery:
-                        # Elastic shrink: survivors keep their shards
-                        # under renumbered ranks; only the dead ranks'
-                        # intervals are marked for lineage replay and the
-                        # next attempt re-ships just those rows.
-                        self.plane.shrink([i.rank for i in infos])
-                        absorb = True
-                    else:
-                        # Transient crash (the rank heals): every
-                        # resident shard and cached slice is suspect (the
-                        # re-partition also renumbers ranks), so the data
-                        # plane forgets all placement.  The next attempt
-                        # -- and later sections -- re-materialize from
-                        # the master copy, and those bytes are attributed
-                        # to recovery.
-                        self.plane.invalidate()
-                lost_time += max(i.vtime for i in infos) + rec.backoff(attempt)
-                dead += len(infos)
-                attempt += 1
+                comm.compute(makespan)
+                ksp.set(makespan=makespan, gc_time=gc_time)
+            comm.metrics.gc_time += gc_time  # already inside makespan
+            comm.alloc(_result_bytes(result))
+            if spec.kind == "reduce":
+                charged = _charged_combine(comm, spec.combine, self.costs)
+                return comm.reduce(result, charged, root=0)
+            gathered = comm.gather(result, root=0)
+            if comm.rank != 0:
+                return None
+            return _assemble_build(gathered, parts.bounds, parts.label)
 
-        if not self.transport.shared_heap:
-            # Section-boundary merge of rank-local state (sim ranks share
-            # the heap and merged directly as they ran).
-            self._merge_rank_extras(res.extras)
-            if ship is not None:
-                # Mirror the shipping ops into the driver-side rank
-                # stores: forked workers applied them to fork-private
-                # copies, and the next section's fork must inherit the
-                # resident shards for zero-reship placement to hold.
-                for dst, ops in enumerate(ship.ops):
-                    if ops:
-                        self.plane.worker_store(dst).apply(ops)
-
-        makespan = lost_time + res.makespan
-        # Section checkpointing: persist the output into the simulated
-        # durable store, charging the write to the section's makespan
-        # (ranks write their shares in parallel; durability is not free).
-        ckpt_bytes = 0
-        ckpt_dt = 0.0
-        if ck is not None:
-            nbytes = ck.store.maybe_put(ck.job, seq, res.root_result, ck.policy)
-            if nbytes is not None:
-                ckpt_bytes = nbytes
-                ckpt_dt = ck.policy.write_seconds(nbytes, writers=len(chunks))
-                makespan += ckpt_dt
-                if obs is not None:
-                    obs.instant(
-                        "checkpoint", f"write s{seq}",
-                        attrs={"bytes": nbytes, "seconds": ckpt_dt,
-                               "job": ck.job, "seq": seq},
-                    )
-        # The section starts when the main rank reaches it.
-        self.clock.advance(makespan)
-        if ship is not None:
-            # Section lineage: which handles fed this section (the replay
-            # chain for shards lost to a later permanent rank loss).
-            self.plane.record_section(seq, plan, reqs)
-        section_report = None
-        if (
-            res.recovery is not None
-            or section_acc is not None
-            or reshipped
-            or ckpt_bytes
-        ):
-            # Failed attempts' counters (crashes seen, time lost) belong
-            # to the section alongside the successful attempt's.
-            section_report = section_acc or RecoveryReport(attempts=0)
-            if res.recovery is not None:
-                section_report.merge(res.recovery)
-            section_report.reexecuted_chunks = reexecuted
-            section_report.added_time = lost_time
-            section_report.reshipped_bytes = reshipped
-            section_report.rank_losses = losses
-            if ckpt_bytes:
-                section_report.checkpoints = 1
-                section_report.checkpoint_bytes = ckpt_bytes
-                section_report.checkpoint_time = ckpt_dt
-            if ship is not None:
-                section_report.lineage_replays = ship.stats.get(
-                    "lineage_replays", 0
-                )
-                section_report.replayed_bytes = ship.stats.get(
-                    "replayed_bytes", 0
-                )
-                if absorb:
-                    # The successful attempt's migrations are the
-                    # survivors absorbing the lost rank's partition.
-                    section_report.shrink_migrations = ship.stats.get(
-                        "migrations", 0
-                    )
-                    section_report.shrink_migrated_bytes = ship.stats.get(
-                        "migrated_bytes", 0
-                    )
-            self.recovery_report.merge(section_report)
-        data_plane = None
-        if ship is not None:
-            data_plane = dict(ship.stats)
-            if not partition.startswith("2d"):
-                # Cost feedback: per-rank virtual compute time for the
-                # blocks just executed feeds the rebalancer.
-                self.plane.feedback(
-                    block_meta,
-                    [m.compute_time for m in res.metrics.per_rank],
-                )
-        self.sections.append(
-            SectionRecord(
-                label="par",
-                kind=spec.kind,
-                hint="par",
-                nodes=len(chunks),
-                cores=len(chunks) * cores,
-                partition=partition,
-                makespan=makespan,
-                bytes_shipped=res.metrics.bytes_sent,
-                messages=res.metrics.messages_sent,
-                metrics=res.metrics,
-                gc_time=res.metrics.gc_time,
-                recovery=section_report,
-                plan=plan,
-                data_plane=data_plane,
-                wall_seconds=(
-                    res.wall_seconds if self.transport.wall_clock else 0.0
-                ),
-            )
-        )
-        osp.set(
+        return run_section(self, SectionKind(
             kind=spec.kind,
-            partition=partition,
-            nodes=len(chunks),
-            attempts=attempt + 1,
-            dead_ranks=dead,
-            makespan=makespan,
-            bytes_shipped=res.metrics.bytes_sent,
-            loop="engine" if plan is not None else "bound",
-        )
-        if self.transport.wall_clock:
-            # Real transports also report measured elapsed time; the
-            # virtual makespan above stays the cross-backend invariant.
-            osp.set(wall_seconds=res.wall_seconds, transport=res.transport)
-        if losses:
-            osp.set(rank_losses=losses)
-        if ckpt_bytes:
-            osp.set(checkpoint_bytes=ckpt_bytes)
-        if _SECTION_OBSERVERS:
-            _notify_section(
-                {
-                    "runtime": self,
-                    "record": self.sections[-1],
-                    "iterator": it,
-                    "partition": partition,
-                    "bounds": block_meta,
-                    "nchunks": len(chunks),
-                    "ship": ship,
-                    "spec": spec,
-                    "attempts": attempt + 1,
-                    "dead_ranks": dead,
-                    "survivors": nranks_max - dead,
-                    "rank_losses": losses,
-                }
-            )
-        if self.budget is not None:
-            # The deadline is program time: checked after the section's
-            # ledger entry so a killed job still accounts consistently.
-            try:
-                self.budget.check_deadline(self.clock.now)
-            except BudgetExhausted:
-                self.recovery_report.failure = "budget"
-                raise
-        return res.root_result
-
-    def _restore_section(
-        self, seq: int, hit: tuple[Any, int], spec: ConsumeSpec, osp,
-        nranks: int,
-    ) -> Any:
-        """Serve one distributed section from its durable checkpoint.
-
-        The stored blob round-tripped through the real wire format, so
-        the restored value is bit-identical to the computed one; only the
-        durable read cost (ranks reading in parallel) reaches the clock.
-        """
-        value, nbytes = hit
-        ck = self.checkpoint
-        dt = ck.policy.read_seconds(nbytes, readers=nranks)
-        obs = _obs_active()
-        if obs is not None:
-            obs.instant(
-                "checkpoint", f"restore s{seq}",
-                attrs={"bytes": nbytes, "seconds": dt, "job": ck.job,
-                       "seq": seq},
-            )
-        self.clock.advance(dt)
-        rep = RecoveryReport(attempts=0)
-        rep.restores = 1
-        rep.restored_bytes = nbytes
-        rep.checkpoint_time = dt
-        self.recovery_report.merge(rep)
-        self.sections.append(
-            SectionRecord(
-                label="par-restore",
-                kind=spec.kind,
-                hint="par",
-                nodes=1,
-                cores=1,
-                partition="checkpoint",
-                makespan=dt,
-                recovery=rep,
-            )
-        )
-        osp.set(kind=spec.kind, partition="checkpoint", restored=True,
-                makespan=dt)
-        return value
-
-
-def _distribute_chunks(comm: Comm, chunks: list[Iter]) -> Iter:
-    """Main rank ships every node its sliced chunk (really serialized)."""
-    if comm.rank == 0:
-        for dst in range(1, comm.size):
-            comm.send(chunks[dst], dst, _CHUNK_TAG)
-        return chunks[0]
-    return comm.recv(0, _CHUNK_TAG)
-
-
-def _distribute_plane_chunks(
-    comm: Comm, chunks: list[Iter], ops: list[list], plane: DataPlane
-) -> Iter:
-    """Ship each rank its chunk plus its data-plane shipping ops.
-
-    The chunk's handle-backed sources serialize as ids (a few bytes);
-    the ops carry the rows a rank is actually missing -- nothing when the
-    section's requirements are already resident, which is what makes the
-    second compatible section ship zero input bytes.  Still one message
-    per rank on the same tag, so message counts match the legacy path.
-    """
-    if comm.rank == 0:
-        for dst in range(1, comm.size):
-            comm.send((ops[dst], chunks[dst]), dst, _CHUNK_TAG)
-        return chunks[0]
-    my_ops, chunk = comm.recv(0, _CHUNK_TAG)
-    if my_ops:
-        plane.worker_store(comm.rank).apply(my_ops)
-    return chunk
+            label="par",
+            partition=lambda nranks: self._partition(
+                it, nranks, allow_2d=allow_2d
+            ),
+            plan_ship=plan_ship,
+            rank_body=rank_body,
+            commit=lambda result, parts: result,
+            span_attrs=lambda ship, plan: {
+                "loop": "engine" if plan is not None else "bound"
+            },
+            observe={"iterator": it, "spec": spec},
+            prepare=lambda: self._warm_plan(it),
+        ))
 
 
 def _charged_combine(comm: Comm, combine, costs: CostContext):
@@ -1273,38 +749,9 @@ def _assemble_build(gathered: list[Any], block_meta, partition: str) -> Any:
 
 
 @contextmanager
-def triolet_runtime(
-    machine: MachineSpec,
-    costs: CostContext | None = None,
-    alloc: AllocatorModel = BOEHM_GC,
-    limits: RuntimeLimits = UNLIMITED,
-    task_grain: int = 4,
-    topology: str = "two-level",
-    scheduler: str = "worksteal",
-    faults: FaultPlan | None = None,
-    recovery: RecoveryPolicy | None = DEFAULT_RECOVERY,
-    plane: DataPlane | None = None,
-    budget: FailureBudget | None = None,
-    checkpoint: CheckpointConfig | None = None,
-    transport=None,
-    planner_state=None,
-):
-    """Install a :class:`TrioletRuntime` as the skeleton executor."""
-    rt = TrioletRuntime(
-        machine,
-        costs=costs,
-        alloc=alloc,
-        limits=limits,
-        task_grain=task_grain,
-        topology=topology,
-        scheduler=scheduler,
-        faults=faults,
-        recovery=recovery,
-        plane=plane,
-        budget=budget,
-        checkpoint=checkpoint,
-        transport=transport,
-        planner_state=planner_state,
-    )
+def triolet_runtime(machine: MachineSpec, **kwargs):
+    """Install a :class:`TrioletRuntime` as the skeleton executor
+    (keywords are :class:`TrioletRuntime`'s)."""
+    rt = TrioletRuntime(machine, **kwargs)
     with use_executor(rt), use_costs(rt.costs):
         yield rt

@@ -1,0 +1,557 @@
+"""The section engine: one attempt loop for every distributed section.
+
+The paper's runtime has one notion of a parallel section (§3.4-§3.5):
+partition the outer domain, ship each node exactly its slice, run,
+combine.  :func:`run_section` is that notion, once.  It owns everything
+sections share -- rank-count arithmetic over the surviving machine, the
+section sequence number and fault gating, checkpoint restore and write,
+the SPMD run, failure classification, job-budget charging,
+shrink-vs-invalidate, lost-time accounting, process-isolation
+bookkeeping, the :class:`~repro.runtime.recovery.RecoveryReport`, the
+:class:`SectionRecord`, span attributes and the observer payload.
+
+A section *kind* (:class:`SectionKind`) supplies only what differs: how
+to partition, what to ship, what a rank computes and how the gathered
+result is committed.  Pipeline consumers (:mod:`repro.runtime.driver`)
+and stencil sweeps (:mod:`repro.runtime.stencil`) are the two kinds.
+"""
+from __future__ import annotations
+
+import contextvars
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable
+
+from repro.cluster.comm import Comm
+from repro.cluster.faults import RankFailure
+from repro.cluster.metrics import RunMetrics
+from repro.cluster.process import run_spmd
+from repro.cluster.transport import rank_extras
+from repro.core import meter
+from repro.core.fusion import planner
+from repro.data.handle import bind_store
+from repro.data.plane import SectionShipment
+from repro.obs.spans import active as _obs_active, obs_span as _obs_span
+from repro.runtime.recovery import (
+    BudgetExhausted,
+    PermanentFault,
+    RecoveryReport,
+    classify_failure,
+)
+from repro.serial.arrays import copy_stats
+
+_CHUNK_TAG = 99
+
+# ---------------------------------------------------------------------------
+# Section observers: callbacks fired at every distributed section boundary
+# with the section's full context (runtime, record, partition bounds,
+# shipping plan).  This is how external invariant checkers -- notably
+# ``repro.testing.invariants`` -- see inside the engine without the engine
+# importing them.  Observers must not mutate the payload.
+
+_SECTION_OBSERVERS: list = []
+
+
+def add_section_observer(fn) -> None:
+    """Register *fn* to be called with a payload dict after every
+    distributed section.  Payload keys: ``runtime``, ``record``,
+    ``iterator``, ``partition``, ``bounds``, ``nchunks``, ``ship``,
+    ``spec`` (``None`` for stencil sweeps), ``attempts``, ``dead_ranks``,
+    ``survivors``, ``rank_losses``; stencil sweeps add ``halo``
+    (``aid``, ``radius``, ``row_nbytes``)."""
+    _SECTION_OBSERVERS.append(fn)
+
+
+def remove_section_observer(fn) -> None:
+    try:
+        _SECTION_OBSERVERS.remove(fn)
+    except ValueError:
+        pass
+
+
+@contextmanager
+def observing_sections(fn):
+    """Scoped :func:`add_section_observer` (what test fixtures want)."""
+    add_section_observer(fn)
+    try:
+        yield fn
+    finally:
+        remove_section_observer(fn)
+
+
+@dataclass
+class SectionRecord:
+    """One parallel section's ledger."""
+
+    label: str
+    kind: str  # "reduce" | "build" | "stencil" | "seq"
+    hint: str
+    nodes: int
+    cores: int
+    partition: str
+    makespan: float
+    bytes_shipped: int = 0
+    messages: int = 0
+    metrics: RunMetrics | None = None
+    visits: int = 0
+    gc_time: float = 0.0
+    recovery: "RecoveryReport | None" = None  # fault/recovery accounting
+    plan: str | None = None  # compiled bulk-execution plan, if vectorized
+    data_plane: dict | None = None  # shipping stats when handles were used
+    #: real elapsed seconds of the section's SPMD run; nonzero only on
+    #: transports with wall-clock parallelism (sim stays byte-identical)
+    wall_seconds: float = 0.0
+
+    @property
+    def vectorized(self) -> bool:
+        return self.plan is not None
+
+    def utilization(self) -> float:
+        """Fraction of node-seconds spent computing (vs waiting/comm).
+
+        Only meaningful for distributed sections carrying run metrics;
+        the paper's saturation discussions are exactly about this number
+        falling with scale.
+        """
+        if self.metrics is None or self.makespan <= 0 or self.nodes == 0:
+            raise ValueError("utilization needs a distributed section's metrics")
+        busy = sum(m.compute_time for m in self.metrics.per_rank)
+        return busy / (self.nodes * self.makespan)
+
+
+@dataclass
+class Parts:
+    """One attempt's partition of a section over ``len(bounds)`` ranks."""
+
+    label: str  # SectionRecord.partition
+    bounds: list  # per-rank block: 1-D ``(lo, hi)`` or 2-D ``(rows, cols)``
+    work: list  # per-rank item shipped to the rank (chunk iterator, bounds)
+    #: the bounds came from cost feedback: shard boundaries migrate
+    rebalanced: bool = False
+    #: per-rank compute times of these blocks feed the rebalancer
+    feedback: bool = False
+
+
+@dataclass
+class SectionKind:
+    """What one kind of distributed section supplies to the engine."""
+
+    kind: str  # SectionRecord.kind
+    label: str  # span name and SectionRecord.label
+    #: ``partition(nranks)``: split the domain over at most *nranks* ranks
+    partition: Callable[[int], Parts]
+    #: ``plan_ship(parts, migrated, recovery)``: data-plane shipping for
+    #: one attempt, or None when the section touches no handles
+    plan_ship: Callable[[Parts, bool, bool], SectionShipment | None]
+    #: ``rank_body(comm, mine, parts)``: what a rank computes from its
+    #: received work item; rank 0's return value is the section result
+    rank_body: Callable[[Comm, Any, Parts], Any]
+    #: ``commit(result, parts)``: apply the section's effects and return
+    #: its value.  Also called with ``parts=None`` for a result restored
+    #: from a checkpoint, which no rank of this run computed.
+    commit: Callable[[Any, Parts | None], Any]
+    #: extra span attributes, from the final shipment and the plan
+    span_attrs: Callable[[SectionShipment | None, str | None], dict]
+    #: extra observer-payload entries (``iterator``, ``spec``, ``halo``)
+    observe: dict
+    #: runs once before the first partition (never on a restore); returns
+    #: the bulk-execution plan description recorded on the section
+    prepare: Callable[[], str | None] = lambda: None
+
+
+#: Where metered-region tallies merge.  ``None`` means the runtime's own
+#: ``meter_total`` (the shared-heap default).  Process-isolated transports
+#: install a rank-local meter here so forked workers tally into state that
+#: travels back through :func:`repro.cluster.transport.rank_extras`
+#: instead of into a doomed copy of the driver's global meter.
+_meter_sink: contextvars.ContextVar[meter.CostMeter | None] = (
+    contextvars.ContextVar("repro_meter_sink", default=None)
+)
+
+
+def _isolated_rank(rank_body):
+    """Wrap *rank_body* for a process-isolated transport: driver-global
+    state mutated in the rank dies with the worker, so tally into a
+    rank-local meter and capture the plan-cache and copy-counter deltas,
+    published through ``rank_extras()`` -- the meter at rank *start*, so a
+    crashed rank's partial tallies still reach ``_merge_rank_extras``."""
+
+    def rank_fn(comm: Comm):
+        ext = rank_extras()
+        local_meter = meter.CostMeter()
+        if ext is not None:
+            ext["meter"] = local_meter
+        mtok = _meter_sink.set(local_meter)
+        psnap = planner.stats_snapshot()
+        ssnap = copy_stats()
+        try:
+            return rank_body(comm)
+        finally:
+            if ext is not None:
+                ext["planner"] = planner.stats_delta(psnap)
+                ext["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
+            _meter_sink.reset(mtok)
+
+    return rank_fn
+
+
+def _rank_fn(rt, kind: SectionKind, parts: Parts, ship):
+    """One attempt's SPMD body: ship every rank its work item, bind the
+    rank's store, run the kind's body."""
+
+    def rank_fn(comm: Comm):
+        # One message per rank on one tag, whatever the kind.  The
+        # handle-free path sends the bare (really serialized) work item.
+        # With a shipment, handle-backed sources serialize as ids (a few
+        # bytes) and the ops carry the rows the rank is actually missing
+        # -- nothing when its requirements are already resident, which is
+        # what makes the second compatible section ship zero input bytes.
+        work = parts.work
+        if comm.rank == 0:
+            for dst in range(1, comm.size):
+                comm.send(
+                    work[dst] if ship is None else (ship.ops[dst], work[dst]),
+                    dst, _CHUNK_TAG,
+                )
+            mine = work[0]
+        elif ship is None:
+            mine = comm.recv(0, _CHUNK_TAG)
+        else:
+            my_ops, mine = comm.recv(0, _CHUNK_TAG)
+            if my_ops:
+                rt.plane.worker_store(comm.rank).apply(my_ops)
+        store = bind_store(None) if ship is None else rt.plane.bound_store(comm.rank)
+        with store:
+            return kind.rank_body(comm, mine, parts)
+
+    return rank_fn if rt.transport.shared_heap else _isolated_rank(rank_fn)
+
+
+def run_section(rt, kind: SectionKind) -> Any:
+    """Run one distributed section of *kind* on runtime *rt*.
+
+    Fault tolerance: when an injected rank crash kills an attempt, the
+    section is re-partitioned across the surviving ranks and re-executed
+    -- the sliceable sources re-extract exactly the slices the
+    replacement ranks need (§3.5), so no checkpoint or data shuffle is
+    required.  The failed attempt's virtual time and a backoff are
+    charged to the section's makespan and reported.
+    """
+    with _obs_span("section", kind.label, clock=rt.clock) as osp:
+        out = _run(rt, kind, osp)
+    rt._obs_section()
+    return out
+
+
+def _run(rt, kind: SectionKind, osp) -> Any:
+    """The attempt loop (*osp* is the enclosing section span)."""
+    obs = _obs_active()
+    machine = rt.machine
+    # Flat topology: one rank per core, no shared-memory level.
+    flat = rt.topology == "flat"
+    nranks_max = max(
+        1,
+        (machine.nodes * machine.cores_per_node if flat else machine.nodes)
+        - rt.lost_ranks,
+    )
+    cores = 1 if flat else machine.cores_per_node
+    seq = rt._dist_seq
+    rt._dist_seq += 1
+    if rt.faults is not None:
+        # Section-gated faults (RankLoss(section=...)) key on program
+        # order, not virtual time, because every section's clocks
+        # restart at zero.
+        rt.faults.begin_section(seq)
+    ck = rt.checkpoint
+    if ck is not None:
+        hit = ck.store.fetch(ck.job, seq)
+        if hit is not None:
+            # Restart-from-last-checkpoint: this section's output is
+            # already durable; restore it instead of executing.
+            return _restore(rt, kind, osp, seq, hit, nranks_max)
+
+    rec = rt.recovery
+    shared_heap = rt.transport.shared_heap
+    plan = kind.prepare()
+
+    attempt = 0
+    dead = 0
+    lost_time = 0.0
+    reexecuted = 0
+    reshipped = 0
+    losses = 0  # permanent rank losses absorbed in this section
+    absorb = False  # shrink happened: survivors absorb via migration
+    section_report = RecoveryReport(attempts=0)
+    while True:
+        parts = kind.partition(nranks_max - dead)
+        nparts = len(parts.bounds)
+        if attempt > 0:
+            reexecuted += nparts
+        # After an elastic shrink, ``absorb`` routes the survivors' grown
+        # requirements through the weighted-bounds migration path (hulls
+        # grow to the new blocks, only missing rows ship).
+        ship = kind.plan_ship(parts, parts.rebalanced or absorb, attempt > 0)
+        if ship is not None and attempt > 0:
+            # Bytes shipped again because a crash invalidated placement:
+            # recovery traffic, not steady-state traffic.
+            reshipped += ship.stats["input_bytes"]
+        try:
+            res = run_spmd(
+                machine,
+                _rank_fn(rt, kind, parts, ship),
+                nranks=nparts,
+                ranks_per_node=machine.cores_per_node if flat else 1,
+                limits=rt.limits,
+                alloc_cost=rt.alloc,
+                wire_scale=rt.costs.wire_scale,
+                faults=rt.faults,
+                recovery=rec,
+                trace=obs is not None,
+                transport=rt.transport,
+            )
+            if obs is not None and res.trace is not None:
+                obs.absorb_events(res.trace.events, osp)
+            break
+        except BaseException as exc:
+            infos = getattr(exc, "rank_failures", None)
+            crash_trace = getattr(exc, "trace_log", None)
+            if obs is not None and crash_trace is not None:
+                # The failed attempt's messages and fault stamps stay
+                # visible in the trace, tied to the same section.
+                obs.absorb_events(crash_trace.events, osp)
+            if not shared_heap:
+                # A crashed attempt's completed-task tallies are real
+                # work; sim ranks merge as they run, so merge the
+                # partial extras the transport saved on the exception.
+                rt._merge_rank_extras(getattr(exc, "rank_extras", None))
+            rank_failed = infos is not None and all(
+                isinstance(i.error, RankFailure) for i in infos
+            )
+            permanent = [
+                i for i in (infos or ()) if getattr(i.error, "permanent", False)
+            ]
+            recoverable = (
+                rec is not None
+                and rank_failed
+                and attempt < rec.max_reexecutions
+                and nparts - len(infos) >= 1
+            )
+            if recoverable and rt.budget is not None:
+                # Job-level budget: charged per recovery act, across
+                # sections.  Exhaustion beats further recovery.
+                try:
+                    rt.budget.charge_reexecution()
+                    if permanent:
+                        rt.budget.charge_rank_losses(len(permanent))
+                except BudgetExhausted as bex:
+                    rt.recovery_report.failure = "budget"
+                    raise bex from exc
+            if not recoverable:
+                rt.recovery_report.failure = classify_failure(exc)
+                if rank_failed and permanent:
+                    # An unabsorbable permanent loss is a structured
+                    # job failure, not a substrate error.
+                    raise PermanentFault(str(exc)) from exc
+                raise
+            # The crashed attempt ran until the failure; its survivors'
+            # progress is discarded, its time is not.
+            partial = getattr(exc, "recovery_report", None)
+            if partial is not None:
+                partial.attempts = 1
+                section_report.merge(partial)
+            if permanent:
+                # The machine shrank for good: later sections partition
+                # over the survivors only.
+                rt.lost_ranks += len(permanent)
+                losses += len(permanent)
+            if rt.plane.has_state():
+                if permanent and rec.lineage_recovery:
+                    # Elastic shrink: survivors keep their shards under
+                    # renumbered ranks; only the dead ranks' intervals
+                    # are marked for lineage replay and the next attempt
+                    # re-ships just those rows.
+                    rt.plane.shrink([i.rank for i in infos])
+                    absorb = True
+                else:
+                    # Transient crash (the rank heals): every resident
+                    # shard and cached slice is suspect (the re-partition
+                    # also renumbers ranks), so the data plane forgets
+                    # all placement.  The next attempt -- and later
+                    # sections -- re-materialize from the master copy
+                    # (which commits only completed sections, so a retry
+                    # reads exactly what the dead attempt read), and
+                    # those bytes are attributed to recovery.
+                    rt.plane.invalidate()
+            lost_time += max(i.vtime for i in infos) + rec.backoff(attempt)
+            dead += len(infos)
+            attempt += 1
+
+    if not shared_heap:
+        # Section-boundary merge of rank-local state (sim ranks share
+        # the heap and merged directly as they ran).
+        rt._merge_rank_extras(res.extras)
+        if ship is not None:
+            # Mirror the shipping ops into the driver-side rank stores:
+            # forked workers applied them to fork-private copies, and
+            # the next section's fork must inherit the resident shards
+            # for zero-reship placement to hold.
+            for dst, ops in enumerate(ship.ops):
+                if ops:
+                    rt.plane.worker_store(dst).apply(ops)
+    value = kind.commit(res.root_result, parts)
+
+    makespan = lost_time + res.makespan
+    # Section checkpointing: persist the output into the simulated
+    # durable store, charging the write to the section's makespan
+    # (ranks write their shares in parallel; durability is not free).
+    ckpt_bytes = 0
+    ckpt_dt = 0.0
+    if ck is not None:
+        nbytes = ck.store.maybe_put(ck.job, seq, res.root_result, ck.policy)
+        if nbytes is not None:
+            ckpt_bytes = nbytes
+            ckpt_dt = ck.policy.write_seconds(nbytes, writers=nparts)
+            makespan += ckpt_dt
+            if obs is not None:
+                obs.instant(
+                    "checkpoint", f"write s{seq}",
+                    attrs={"bytes": nbytes, "seconds": ckpt_dt,
+                           "job": ck.job, "seq": seq},
+                )
+    # The section starts when the main rank reaches it.
+    rt.clock.advance(makespan)
+    if ship is not None:
+        # Section lineage: which handles fed this section (the replay
+        # chain for shards lost to a later permanent rank loss).
+        rt.plane.record_section(seq, plan, ship.reqs)
+    if res.recovery is None and not attempt and not ckpt_bytes:
+        section_report = None  # nothing installed, nothing happened
+    else:
+        # Failed attempts' counters (crashes seen, time lost) belong
+        # to the section alongside the successful attempt's.
+        if res.recovery is not None:
+            section_report.merge(res.recovery)
+        section_report.reexecuted_chunks = reexecuted
+        section_report.added_time = lost_time
+        section_report.reshipped_bytes = reshipped
+        section_report.rank_losses = losses
+        if ckpt_bytes:
+            section_report.checkpoints = 1
+            section_report.checkpoint_bytes = ckpt_bytes
+            section_report.checkpoint_time = ckpt_dt
+        if ship is not None:
+            stats = ship.stats
+            section_report.lineage_replays = stats["lineage_replays"]
+            section_report.replayed_bytes = stats["replayed_bytes"]
+            if absorb:
+                # The successful attempt's migrations are the
+                # survivors absorbing the lost rank's partition.
+                section_report.shrink_migrations = stats["migrations"]
+                section_report.shrink_migrated_bytes = stats["migrated_bytes"]
+        rt.recovery_report.merge(section_report)
+    if ship is not None and parts.feedback:
+        # Cost feedback: per-rank virtual compute time for the blocks
+        # just executed feeds the rebalancer.
+        rt.plane.feedback(
+            parts.bounds, [m.compute_time for m in res.metrics.per_rank]
+        )
+    rt.sections.append(
+        SectionRecord(
+            label=kind.label,
+            kind=kind.kind,
+            hint="par",
+            nodes=nparts,
+            cores=nparts * cores,
+            partition=parts.label,
+            makespan=makespan,
+            bytes_shipped=res.metrics.bytes_sent,
+            messages=res.metrics.messages_sent,
+            metrics=res.metrics,
+            gc_time=res.metrics.gc_time,
+            recovery=section_report,
+            plan=plan,
+            data_plane=dict(ship.stats) if ship is not None else None,
+            wall_seconds=res.wall_seconds if rt.transport.wall_clock else 0.0,
+        )
+    )
+    osp.set(
+        kind=kind.kind,
+        partition=parts.label,
+        nodes=nparts,
+        attempts=attempt + 1,
+        dead_ranks=dead,
+        makespan=makespan,
+        bytes_shipped=res.metrics.bytes_sent,
+        **kind.span_attrs(ship, plan),
+    )
+    if rt.transport.wall_clock:
+        # Real transports also report measured elapsed time; the
+        # virtual makespan above stays the cross-backend invariant.
+        osp.set(wall_seconds=res.wall_seconds, transport=res.transport)
+    if losses:
+        osp.set(rank_losses=losses)
+    if ckpt_bytes:
+        osp.set(checkpoint_bytes=ckpt_bytes)
+    if _SECTION_OBSERVERS:
+        payload = {
+            "runtime": rt,
+            "record": rt.sections[-1],
+            "partition": parts.label,
+            "bounds": parts.bounds,
+            "nchunks": nparts,
+            "ship": ship,
+            "attempts": attempt + 1,
+            "dead_ranks": dead,
+            "survivors": nranks_max - dead,
+            "rank_losses": losses,
+            **kind.observe,
+        }
+        for fn in list(_SECTION_OBSERVERS):
+            fn(payload)
+    if rt.budget is not None:
+        # The deadline is program time: checked after the section's
+        # ledger entry so a killed job still accounts consistently.
+        try:
+            rt.budget.check_deadline(rt.clock.now)
+        except BudgetExhausted:
+            rt.recovery_report.failure = "budget"
+            raise
+    return value
+
+
+def _restore(rt, kind: SectionKind, osp, seq: int, hit: tuple[Any, int],
+             nranks: int) -> Any:
+    """Serve one distributed section from its durable checkpoint.
+
+    The stored blob round-tripped through the real wire format, so
+    the restored value is bit-identical to the computed one; only the
+    durable read cost (ranks reading in parallel) reaches the clock.
+    """
+    value, nbytes = hit
+    ck = rt.checkpoint
+    dt = ck.policy.read_seconds(nbytes, readers=nranks)
+    obs = _obs_active()
+    if obs is not None:
+        obs.instant(
+            "checkpoint", f"restore s{seq}",
+            attrs={"bytes": nbytes, "seconds": dt, "job": ck.job, "seq": seq},
+        )
+    rt.clock.advance(dt)
+    rep = RecoveryReport(
+        attempts=0, restores=1, restored_bytes=nbytes, checkpoint_time=dt
+    )
+    rt.recovery_report.merge(rep)
+    rt.sections.append(
+        SectionRecord(
+            label=f"{kind.label}-restore",
+            kind=kind.kind,
+            hint="par",
+            nodes=1,
+            cores=1,
+            partition="checkpoint",
+            makespan=dt,
+            recovery=rep,
+        )
+    )
+    osp.set(kind=kind.kind, partition="checkpoint", restored=True, makespan=dt)
+    return kind.commit(value, None)

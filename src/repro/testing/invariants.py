@@ -1,7 +1,7 @@
 """Runtime invariant checker hooked at driver section boundaries.
 
 An :class:`InvariantChecker` registers as a section observer
-(:func:`repro.runtime.driver.observing_sections`) and validates
+(:func:`repro.runtime.section.observing_sections`) and validates
 conservation laws after every distributed section, while the runtime is
 live:
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.iterators.indexed import IndexedIter
 from repro.partition import halo_bytes_bound
-from repro.runtime import driver
+from repro.runtime.section import observing_sections
 
 
 class InvariantViolation(AssertionError):
@@ -388,5 +388,5 @@ def check_plane(plane) -> None:
 def checking():
     """Install a fresh :class:`InvariantChecker` for the dynamic extent."""
     ck = InvariantChecker()
-    with driver.observing_sections(ck):
+    with observing_sections(ck):
         yield ck

@@ -44,7 +44,7 @@ from repro.core.engine.execute import use_vectorization
 from repro.core.fusion.planner import reset_planner
 from repro.data.handle import drop_handles
 from repro.data.plane import DataPlane
-from repro.runtime import triolet_runtime
+from repro.runtime import FailureBudget, triolet_runtime
 from repro.serial import reset as reset_copy_stats
 from repro.testing import kernels as K
 from repro.testing.gen import build_iter, generate_program, ref_value, run_consumer
@@ -476,13 +476,14 @@ def checkpoint_drill(seed: int) -> CaseResult:
 def stencil_drill(seed: int) -> CaseResult:
     """Deterministic halo-exchange case: an 8-sweep radius-1 Jacobi on
     4x2 losing rank 1 mid-run -- the shrunken job must stay bit-identical
-    to the sequential oracle, with zero interior bytes on clean sweeps
-    and ghost state that survives the invariant checker."""
+    to the sequential oracle, with zero interior bytes on clean sweeps,
+    ghost state that survives the invariant checker, and the loss
+    charged to the job's ``FailureBudget``."""
     out = CaseResult(
         seed=seed,
         case=-4,
         desc=f"stencil drill (seed {seed}): jacobi[256] x8 on 4x2 "
-        f"with RankLoss(rank=1, section=3)",
+        f"with RankLoss(rank=1, section=3), FailureBudget(max_rank_losses=1)",
     )
     rng = np.random.default_rng(seed)
     init = rng.integers(0, 10, size=256).astype(np.float64)
@@ -498,9 +499,11 @@ def stencil_drill(seed: int) -> CaseResult:
         expect = nxt
 
     plan = FaultPlan(faults=(RankLoss(rank=1, at=1e-6, section=3),))
+    budget = FailureBudget(max_rank_losses=1)
     try:
         with checking() as ck:
-            with triolet_runtime(machine, faults=plan, plane=DataPlane()) as rt:
+            with triolet_runtime(machine, faults=plan, plane=DataPlane(),
+                                 budget=budget) as rt:
                 h = rt.distribute(init.copy())
                 rt.stencil(h, radius=1, kernel=kern, iterations=8)
                 got = h.array.copy()
@@ -519,6 +522,11 @@ def stencil_drill(seed: int) -> CaseResult:
         )
     if rep.lineage_replays <= 0:
         out.failures.append("stencil drill replayed nothing through lineage")
+    if budget.rank_losses_used != 1:
+        out.failures.append(
+            f"stencil drill charged {budget.rank_losses_used} rank losses "
+            "to the failure budget (want 1)"
+        )
     clean = [
         s
         for s in rt.sections

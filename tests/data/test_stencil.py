@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import FaultPlan, MachineSpec, RankCrash, RankLoss
 from repro.partition.halo import halo_bytes_bound
-from repro.runtime import triolet_runtime
+from repro.runtime import BudgetExhausted, FailureBudget, triolet_runtime
 from repro.testing.invariants import check_plane, checking
 
 pytestmark = [pytest.mark.views, pytest.mark.dataplane]
@@ -31,8 +31,9 @@ def _sequential(init, radius, kernel, iterations):
     return x
 
 
-def _run(init, radius, kernel, iterations, machine=MACHINE, faults=None):
-    with triolet_runtime(machine, faults=faults) as rt:
+def _run(init, radius, kernel, iterations, machine=MACHINE, faults=None,
+         budget=None):
+    with triolet_runtime(machine, faults=faults, budget=budget) as rt:
         h = rt.distribute(np.array(init, copy=True))
         rt.stencil(h, radius=radius, kernel=kernel, iterations=iterations)
         out = np.array(h.array, copy=True)
@@ -140,6 +141,54 @@ class TestRecovery:
         assert clean_after, "no clean post-loss iterations recorded"
         for s in clean_after:
             assert s.data_plane["input_bytes"] == 0
+
+
+@pytest.mark.recovery
+class TestBudgets:
+    """Sweeps run through the section engine, so the job-level
+    ``FailureBudget`` bounds them like any other section."""
+
+    def _dies(self, fault, budget):
+        with triolet_runtime(MACHINE, faults=FaultPlan(faults=(fault,)),
+                             budget=budget) as rt:
+            h = rt.distribute(INIT.copy())
+            with pytest.raises(BudgetExhausted):
+                rt.stencil(h, radius=1, kernel=_relax, iterations=8)
+        assert rt.recovery_report.failure == "budget"
+        return rt
+
+    def test_rank_loss_budget_exhaustion(self):
+        budget = FailureBudget(max_rank_losses=0)
+        rt = self._dies(RankLoss(rank=1, at=1e-6, section=3), budget)
+        assert budget.rank_losses_used == 1
+        assert len(_stencil_sections(rt)) == 3  # sweeps 0-2 completed
+
+    def test_reexecution_budget_exhaustion(self):
+        budget = FailureBudget(max_reexecutions=0)
+        self._dies(RankCrash(rank=2, at=1e-6, section=2), budget)
+        assert budget.reexecutions_used == 1
+
+    def test_deadline_fires_after_the_sweeps_ledger_entry(self):
+        _got, clean = _run(INIT, 1, _relax, 1)
+        first = clean.sections[0].makespan
+        budget = FailureBudget(deadline=first / 2)
+        with triolet_runtime(MACHINE, budget=budget) as rt:
+            h = rt.distribute(INIT.copy())
+            with pytest.raises(BudgetExhausted):
+                rt.stencil(h, radius=1, kernel=_relax, iterations=8)
+        assert rt.recovery_report.failure == "budget"
+        (only,) = rt.sections  # the killed sweep still accounts
+        assert only.kind == "stencil" and only.makespan == first
+
+    def test_sufficient_budget_is_charged_and_bit_identical(self):
+        want, _rt = _run(INIT, 1, _relax, 8)
+        budget = FailureBudget(max_rank_losses=1)
+        plan = FaultPlan(faults=(RankLoss(rank=1, at=1e-6, section=3),))
+        got, rt = _run(INIT, 1, _relax, 8, faults=plan, budget=budget)
+        assert got.tobytes() == want.tobytes()
+        assert budget.rank_losses_used == 1
+        assert budget.reexecutions_used == 1
+        assert rt.recovery_report.failure is None
 
 
 class TestValidation:

@@ -144,3 +144,91 @@ class TestRestart:
         # checkpoint writes charged to the virtual clock.
         assert ck.elapsed > plain.elapsed
         assert ck.recovery_report.checkpoints == 2
+
+
+def _relax(xpad):
+    return 0.5 * (xpad[:-2] + xpad[2:])
+
+
+FIELD = (np.arange(512.0) * 7.0) % 23.0
+
+
+class TestStencilCheckpoint:
+    """Stencil sweeps are sections of the one engine: checkpointed and
+    restored like pipeline sections, under the same sequence keys."""
+
+    def _sweeps(self, rt, iterations=8):
+        h = rt.distribute(FIELD.copy())
+        rt.stencil(h, radius=1, kernel=_relax, iterations=iterations)
+        return h.array.copy()
+
+    def test_every_sweep_is_checkpointed(self):
+        store = CheckpointStore()
+        with triolet_runtime(
+            MACHINE, checkpoint=CheckpointConfig(store=store, job="s"),
+        ) as rt:
+            self._sweeps(rt)
+        assert rt.recovery_report.checkpoints == 8
+        assert store.puts == 8 and store.last_seq("s") == 7
+
+    def test_restart_restores_completed_sweeps_bit_identically(self):
+        with triolet_runtime(MACHINE) as rt0:
+            oracle = self._sweeps(rt0)
+
+        store = CheckpointStore()
+        plan = FaultPlan(faults=(RankLoss(rank=1, at=1e-6, section=5),))
+
+        def make_rt():
+            return triolet_runtime(
+                MACHINE, faults=plan, recovery=None,
+                checkpoint=CheckpointConfig(store=store, job="s"),
+            )
+
+        value, rt, restarts = run_restartable(make_rt, self._sweeps)
+        assert restarts == 1
+        assert value.tobytes() == oracle.tobytes()
+        rep = rt.recovery_report
+        assert rep.restores == 5 and rep.restored_bytes > 0
+        assert rep.checkpoints == 3 and store.puts == 8
+        assert [s.kind for s in rt.sections] == ["stencil"] * 8
+        # Sweeps 0-4 came back at read cost; 5-7 really executed.
+        assert [s.partition == "checkpoint" for s in rt.sections] == (
+            [True] * 5 + [False] * 3
+        )
+        assert all(s.label == "stencil-restore" for s in rt.sections[:5])
+        assert all(s.makespan == s.recovery.checkpoint_time
+                   for s in rt.sections[:5])
+        assert all("halo r1" in s.partition for s in rt.sections[5:])
+
+    def test_mixed_job_keeps_sequence_keys_aligned(self):
+        def job(rt):
+            h = rt.distribute(FIELD.copy())
+            before = tri.sum(tri.map(k_square, tri.par(h)))
+            rt.stencil(h, radius=1, kernel=_relax, iterations=3)
+            after = tri.sum(tri.map(k_square, tri.par(h)))
+            return before, after, h.array.copy()
+
+        with triolet_runtime(MACHINE) as rt0:
+            oracle = job(rt0)
+
+        store = CheckpointStore()
+        plan = FaultPlan(faults=(RankLoss(rank=1, at=1e-6, section=4),))
+
+        def make_rt():
+            return triolet_runtime(
+                MACHINE, faults=plan, recovery=None,
+                checkpoint=CheckpointConfig(store=store, job="m"),
+            )
+
+        value, rt, restarts = run_restartable(make_rt, job)
+        assert restarts == 1
+        assert value[:2] == oracle[:2]
+        assert value[2].tobytes() == oracle[2].tobytes()
+        # One key per distributed section of either kind, in program order.
+        assert store.puts == 5 and store.last_seq("m") == 4
+        assert rt._dist_seq == 5
+        assert rt.recovery_report.restores == 4
+        assert [(s.kind, s.partition == "checkpoint") for s in rt.sections] == [
+            ("reduce", True), ("stencil", True), ("stencil", True),
+            ("stencil", True), ("reduce", False),
+        ]

@@ -1,0 +1,48 @@
+"""Structure guard: the runtime has exactly one attempt loop.
+
+``repro.runtime.section.run_section`` is the only place that launches an
+SPMD run and classifies its failures; a section kind that grows its own
+copy of that loop (as ``runtime/stencil.py`` once did) fails here.
+"""
+import ast
+from pathlib import Path
+
+RUNTIME = Path(__file__).resolve().parents[2] / "src" / "repro" / "runtime"
+
+
+def _called_name(call: ast.Call) -> str | None:
+    fn = call.func
+    if isinstance(fn, ast.Name):
+        return fn.id
+    if isinstance(fn, ast.Attribute):
+        return fn.attr
+    return None
+
+
+def _imported_names(tree: ast.AST) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.add(alias.name.rsplit(".", 1)[-1])
+                if alias.asname:
+                    names.add(alias.asname)
+    return names
+
+
+def test_one_run_spmd_call_site_under_runtime():
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(RUNTIME.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _called_name(node) == "run_spmd"
+    ]
+    assert len(sites) == 1 and sites[0].startswith("section.py:"), sites
+
+
+def test_stencil_carries_no_attempt_loop_machinery():
+    tree = ast.parse((RUNTIME / "stencil.py").read_text())
+    banned = {"RankFailure", "classify_failure", "PermanentFault", "run_spmd"}
+    assert not banned & _imported_names(tree)
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.While)]
