@@ -8,13 +8,22 @@ in angle -- a monotone relabeling that preserves the computation's shape
 The 3-term dot products are written as explicit component sums (not
 BLAS ``@``) so the scalar, row, and batched-row forms perform the exact
 same float operations in the same order: the vectorized engine's bulk
-forms (``*_bulk``) are bit-identical to per-element evaluation.
+forms (``*_bulk``, ``*_batch``) are bit-identical to per-element
+evaluation, and make a fixed number of NumPy calls per block of
+``_BULK_BUDGET`` pairs, not per element of their batch (the engine's
+call-count rule, see :mod:`repro.core.engine.bulk_forms`).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core import meter
+
+#: Pairs the cross and set-granular forms score per block (of rows, of
+#: whole sets), however many the engine hands them.  Bounds their float
+#: temporaries at 256 KiB each: from 2^16 up a cold allocator page-faults
+#: every block's temporaries in again (EXPERIMENTS.md).
+_BULK_BUDGET = 1 << 15
 
 
 def score(nbins: int, u: np.ndarray, v: np.ndarray) -> int:
@@ -42,12 +51,20 @@ def row_bins(nbins: int, u: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 def _pair_cos_matrix(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """cos(angle) of every (us row, vs row) pair; row *i* performs the
-    same component products and sums as ``row_bins(nbins, us[i], vs)``."""
+    same component products and sums as ``row_bins(nbins, us[i], vs)``.
+    Leading axes (a stack of sets) broadcast: one matrix per set."""
     return (
-        vs[:, 0] * us[:, 0][:, None]
-        + vs[:, 1] * us[:, 1][:, None]
-        + vs[:, 2] * us[:, 2][:, None]
+        vs[..., None, :, 0] * us[..., :, None, 0]
+        + vs[..., None, :, 1] * us[..., :, None, 1]
+        + vs[..., None, :, 2] * us[..., :, None, 2]
     )
+
+
+def _angle_bins(nbins: int, cos: np.ndarray) -> np.ndarray:
+    """Bins of an array of pair cosines: ``row_bins``'s clip, arccos and
+    binning, element for element."""
+    ang = np.arccos(np.clip(cos, -1.0, 1.0))
+    return np.minimum(nbins - 1, (nbins * ang / np.pi).astype(np.int64))
 
 
 def self_pairs_bins_bulk(
@@ -61,14 +78,20 @@ def self_pairs_bins_bulk(
     n = len(rand)
     if len(us) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    cos = _pair_cos_matrix(us, rand)
     keep = np.arange(n) > np.asarray(i_arr)[:, None]
-    cosang = np.clip(cos, -1.0, 1.0)[keep]
-    ang = np.arccos(cosang)
-    vals = np.minimum(nbins - 1, (nbins * ang / np.pi).astype(np.int64))
+    vals = _angle_bins(nbins, _pair_cos_matrix(us, rand)[keep])
     lengths = np.maximum(n - 1 - np.asarray(i_arr), 0).astype(np.int64)
     meter.tally_visits(int(np.maximum(lengths - 1, 0).sum()))
     return vals, lengths
+
+
+def _by_blocks(block_bins, items: np.ndarray, pairs_per_item: int) -> np.ndarray:
+    """``block_bins`` over *items* (rows, or whole sets) in blocks of
+    ``_BULK_BUDGET`` pairs, raveled and concatenated."""
+    step = max(1, _BULK_BUDGET // pairs_per_item)
+    return np.concatenate(
+        [block_bins(items[lo : lo + step]).ravel() for lo in range(0, len(items), step)]
+    )
 
 
 def cross_pairs_bins_bulk(
@@ -77,16 +100,22 @@ def cross_pairs_bins_bulk(
     """Batched cross pair bins: every *us* row against all of *other*."""
     m = len(other)
     if len(us) == 0 or m == 0:
-        lengths = np.zeros(len(us), dtype=np.int64)
-        if len(us):
-            meter.tally_visits(0)
-        return np.empty(0, dtype=np.int64), lengths
-    cosang = np.clip(_pair_cos_matrix(us, other), -1.0, 1.0)
-    ang = np.arccos(cosang)
-    vals = np.minimum(nbins - 1, (nbins * ang / np.pi).astype(np.int64)).ravel()
+        return np.empty(0, dtype=np.int64), np.zeros(len(us), dtype=np.int64)
+    vals = _by_blocks(
+        lambda rows: _angle_bins(nbins, _pair_cos_matrix(rows, other)), us, m
+    )
     lengths = np.full(len(us), m, dtype=np.int64)
     meter.tally_visits(len(us) * max(m - 1, 0))
     return vals, lengths
+
+
+def _per_set(set_bins, sets) -> tuple[np.ndarray, np.ndarray]:
+    """The batch forms' fallback for sets that are not the ``(k, n, 3)``
+    array slice the engine passes (a ragged list): the scalar form on
+    each, so identical by construction."""
+    vals = [set_bins(rand) for rand in sets]
+    lengths = np.array([len(v) for v in vals], dtype=np.int64)
+    return (np.concatenate(vals) if vals else np.empty(0, dtype=np.int64)), lengths
 
 
 def cross_set_bins(nbins: int, other: np.ndarray, rand: np.ndarray) -> np.ndarray:
@@ -107,14 +136,17 @@ def cross_set_bins_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Segmented batch form of :func:`cross_set_bins` over a stack of
     sets: one segment (and one length) per set.  Bit- and meter-identical
-    to ``len(stack)`` scalar calls."""
-    vals, lengths = [], []
-    for rand in stack:
-        v, seg = cross_pairs_bins_bulk(nbins, other, rand)
-        vals.append(v)
-        lengths.append(int(seg.sum()))
-    joined = np.concatenate(vals) if vals else np.empty(0, dtype=np.int64)
-    return joined, np.asarray(lengths, dtype=np.int64)
+    to ``len(stack)`` scalar calls.
+
+    A ``(k, n, 3)`` stack is its ``k*n`` rows to
+    :func:`cross_pairs_bins_bulk`: row ``s*n + j`` of the pair matrix is
+    ``row_bins(nbins, stack[s, j], other)``.
+    """
+    if not (isinstance(stack, np.ndarray) and stack.ndim == 3):
+        return _per_set(lambda rand: cross_set_bins(nbins, other, rand), stack)
+    k, n, width = stack.shape
+    vals, _ = cross_pairs_bins_bulk(nbins, other, stack.reshape(k * n, width))
+    return vals, np.full(k, n * len(other), dtype=np.int64)
 
 
 def self_set_bins(nbins: int, rand: np.ndarray) -> np.ndarray:
@@ -129,15 +161,26 @@ def self_set_bins(nbins: int, rand: np.ndarray) -> np.ndarray:
 def self_set_bins_batch(
     nbins: int, stack: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Segmented batch form of :func:`self_set_bins` over a stack of sets."""
-    vals, lengths = [], []
-    for rand in stack:
-        i_arr = np.arange(len(rand))
-        v, seg = self_pairs_bins_bulk(nbins, rand, i_arr, rand)
-        vals.append(v)
-        lengths.append(int(seg.sum()))
-    joined = np.concatenate(vals) if vals else np.empty(0, dtype=np.int64)
-    return joined, np.asarray(lengths, dtype=np.int64)
+    """Segmented batch form of :func:`self_set_bins` over a stack of sets.
+
+    A ``(k, n, 3)`` stack is scored as one ``(k, n, n)`` pair cube per
+    block of sets, cut to the strict upper triangle -- rows ``i`` against
+    rows ``i+1:``, in row order -- before the clip and arccos.
+    """
+    if not (isinstance(stack, np.ndarray) and stack.ndim == 3):
+        return _per_set(lambda rand: self_set_bins(nbins, rand), stack)
+    k, n = len(stack), stack.shape[1]
+    lengths = np.full(k, n * (n - 1) // 2, dtype=np.int64)
+    if k == 0 or n < 2:
+        return np.empty(0, dtype=np.int64), lengths
+    keep = np.arange(n) > np.arange(n)[:, None]
+    vals = _by_blocks(
+        lambda sets: _angle_bins(nbins, _pair_cos_matrix(sets, sets)[:, keep]),
+        stack,
+        n * n,
+    )
+    meter.tally_visits(k * ((n - 1) * (n - 2) // 2))
+    return vals, lengths
 
 
 def correlate_cross(

@@ -6,6 +6,17 @@ elements.  The two must be bit-identical per element -- the engine's
 whole contract is that switching it on never changes a result, only the
 number of Python-level dispatches.
 
+The other half of the contract is the *call-count rule*: a bulk form's
+NumPy-call count must not grow with the number of elements in its batch.
+A form that loops over its batch is bit-identical and still pays one
+Python dispatch -- and, between rank threads, one GIL hand-off -- per
+element, which is what the engine exists to remove.  A loop over
+fixed-size blocks that bounds temporaries (cutcp's and tpacf's
+``_BULK_BUDGET``) is within the rule, which read exactly is then
+O(1 + work / budget), not O(1): a fixed number of calls per block, and
+one block for any batch under the budget.
+``tests/bench/test_perfsmoke.py`` checks both.
+
 Bulk forms come in two kinds:
 
 * ``ELEMENTWISE``: one output element per input element.  Called as

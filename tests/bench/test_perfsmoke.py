@@ -186,3 +186,95 @@ class TestScalarTierIsBound:
         assert sorted(rows_seen) == list(range(nrows))
         assert len(entries_seen) == nrows * row_nnz  # 4096 elements
         assert len(closure_calls) <= self.CLOSURE_CALLS_MAX, len(closure_calls)
+
+
+@pytest.mark.perfsmoke
+class TestBulkFormCallCount:
+    """The engine's call-count rule (``repro.core.engine.bulk_forms``): a
+    bulk form makes a fixed number of NumPy calls per block of a fixed
+    budget, never per element of its batch.  Counts, not stopwatches."""
+
+    #: Helpers a bulk form may call that do iterate a parameter, each with
+    #: the reason it is outside the rule.
+    ITERATING_HELPERS = {
+        "_per_set": "tpacf's fallback for sets that are not one ndarray "
+        "stack (a ragged list): never what the engine passes",
+    }
+
+    @pytest.mark.parametrize("form", ["cross", "self"])
+    def test_tpacf_batch_forms_make_one_arccos_call_per_block(self, form):
+        from unittest import mock
+
+        import numpy as np
+
+        from repro.apps.tpacf import kernel
+
+        rng = np.random.default_rng(0)
+        other = rng.standard_normal((16, 3))
+        sets_per_block = kernel._BULK_BUDGET // (16 * 16)
+
+        def arccos_calls(k):
+            stack = rng.standard_normal((k, 16, 3))
+            with mock.patch.object(np, "arccos", wraps=np.arccos) as arccos:
+                if form == "cross":
+                    kernel.cross_set_bins_batch(64, other, stack)
+                else:
+                    kernel.self_set_bins_batch(64, stack)
+            return arccos.call_count
+
+        assert arccos_calls(2) == arccos_calls(8) == 1
+        # past the budget the count follows pairs / _BULK_BUDGET, not sets
+        assert arccos_calls(sets_per_block) == 1
+        assert arccos_calls(2 * sets_per_block + 1) == 3
+
+    def test_no_bulk_form_iterates_its_batch(self):
+        """AST guard over every app module: no ``*_bulk`` / ``*_batch``
+        function, nor any same-module helper it calls, has a ``for`` loop
+        or comprehension whose iterable is one of its own parameters (a
+        ``range``-blocked loop over a budget, as in cutcp and tpacf, is
+        fine: its trip count follows the budget, not the elements)."""
+        import ast
+        from pathlib import Path
+
+        import repro.apps
+
+        def calls(fn):
+            return {
+                n.func.id
+                for n in ast.walk(fn)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            }
+
+        offenders, forms = [], 0
+        for path in sorted(Path(repro.apps.__file__).parent.glob("*/*.py")):
+            defs = {
+                fn.name: fn
+                for fn in ast.parse(path.read_text()).body
+                if isinstance(fn, ast.FunctionDef)
+            }
+            todo = [n for n in defs if n.endswith(("_bulk", "_batch"))]
+            forms += len(todo)
+            reached = set()
+            while todo:
+                name = todo.pop()
+                if name in reached or name in self.ITERATING_HELPERS:
+                    continue
+                reached.add(name)
+                todo.extend(calls(defs[name]) & defs.keys())
+            for name in sorted(reached):
+                a = defs[name].args
+                params = {
+                    p.arg
+                    for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg)
+                    if p is not None
+                }
+                for node in ast.walk(defs[name]):
+                    if isinstance(node, (ast.For, ast.comprehension)):
+                        it = node.iter
+                        if isinstance(it, ast.Name) and it.id in params:
+                            offenders.append(
+                                f"{path.parent.name}/{path.name}:{it.lineno} "
+                                f"{name} iterates {it.id!r}"
+                            )
+        assert forms >= 10  # the walk found the forms it is there to check
+        assert not offenders, offenders
