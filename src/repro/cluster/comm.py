@@ -90,12 +90,18 @@ class SimContext:
 class Comm:
     """One rank's endpoint: point-to-point ops, collectives, cost charging."""
 
-    def __init__(self, ctx: SimContext, rank: int):
+    def __init__(self, ctx: SimContext, rank: int, in_launcher: bool = True):
         if not 0 <= rank < ctx.nranks:
             raise ValueError(f"rank {rank} outside communicator of size {ctx.nranks}")
         self.ctx = ctx
         self.rank = rank
         self.size = ctx.nranks
+        #: This rank executes on the heap of the process that launched the
+        #: section, so what it mutates there *is* the driver's state.  Set
+        #: by the transport where it builds the ``Comm`` (``sim``: every
+        #: rank, ``local``: rank 0, ``mpi``: none); a rank that runs
+        #: elsewhere must publish such state through ``rank_extras()``.
+        self.in_launcher = in_launcher
         self.clock = VirtualClock()
         self.metrics = RankMetrics(rank=rank)
         self._coll_seq = 0

@@ -11,8 +11,9 @@ physical core is plenty) and virtual timing is deterministic:
 availability stamps are computed from the causal clocks, never from wall
 time, so the reported makespan is a pure function of the program, the
 data, and the machine model.  The ``local`` transport runs the same rank
-function in forked worker processes -- same virtual timeline (the cost
-model is causal, not scheduled), real wall-clock parallelism.  If any
+function in the calling process (rank 0) and forked worker processes
+(ranks >= 1) -- same virtual timeline (the cost model is causal, not
+scheduled), real wall-clock parallelism.  If any
 rank raises, the run's abort flag wakes every blocked receiver and the
 original exception is re-raised in the caller.
 """
@@ -50,14 +51,20 @@ class SpmdResult:
     #: policy was installed (see repro.runtime.recovery.RecoveryReport)
     recovery: Any = None
     #: per-rank extras dicts published via transport.rank_extras() --
-    #: how process-isolated backends return rank-local driver state
-    #: (cost meters, plan-cache deltas) for section-boundary merging
+    #: how ranks that ran outside the launching process return rank-local
+    #: driver state (cost meters, plan-cache deltas) for section-boundary
+    #: merging
     extras: list[dict] | None = None
     #: name of the transport that executed the run
     transport: str = "sim"
     #: real elapsed seconds of the run (meaningful parallelism only on
     #: transports with ``wall_clock=True``)
     wall_seconds: float = 0.0
+    #: ``wall_seconds`` by launcher phase (see ``RunOutcome``; 0.0 on
+    #: transports that do not take the stamps)
+    launch_s: float = 0.0
+    root_s: float = 0.0
+    join_s: float = 0.0
 
     @property
     def root_result(self) -> Any:
@@ -157,6 +164,9 @@ def run_spmd(
         extras=out.extras,
         transport=tr.name,
         wall_seconds=out.wall_seconds,
+        launch_s=out.launch_s,
+        root_s=out.root_s,
+        join_s=out.join_s,
     )
 
 

@@ -12,8 +12,11 @@ protocol with three backends:
     every existing test and figure is bit-identical.
 
 ``local``
-    Real worker processes, one raw ``os.fork`` per rank per section (no
-    helper threads, nothing imported in a child).  Messages travel as
+    Real worker processes.  The launching process *is* rank 0 (the paper's
+    main process computes its own slice, §3.4-3.5; so does meld's master
+    and our own ``mpi`` world rank 0): a section of n ranks does n-1 raw
+    ``os.fork`` calls (no helper threads, nothing imported in a child)
+    and runs rank 0's body where it was launched.  Messages travel as
     pickle frames over one pipe per ordered rank pair; payloads above a
     threshold -- raw numpy buffers and serialized ``bytes`` alike --
     travel as shared segments (one block copy in, one out -- the
@@ -29,11 +32,23 @@ protocol with three backends:
     :func:`resolve_transport` raises :class:`TransportUnavailable` when
     mpi4py is missing, and the test matrix skips it cleanly.
 
-Process-isolated backends have no shared heap: worker-side mutations of
-driver state (cost meters, plan-cache counters, rank stores) die with the
-worker.  Rank code publishes such state through :func:`rank_extras`; the
-transports carry it back on :class:`RunOutcome.extras` and the driver
-merges it at section boundaries (see ``repro.runtime.driver``).
+Isolation is a property of a *rank*, not of a backend: the transport
+says, where it builds each rank's ``Comm``, whether that rank runs on the
+launching process's heap (``Comm.in_launcher`` -- ``sim``: every rank,
+``local``: rank 0, ``mpi``: none).  What a rank that runs elsewhere
+mutates of the driver's state (cost meters, plan-cache counters, rank
+stores) dies with its process, so rank code publishes such state through
+:func:`rank_extras`; every transport carries the dict back on
+:class:`RunOutcome.extras` and the driver merges it at section boundaries
+(see ``repro.runtime.section``).
+
+What rank code may assume on ``local``: rank 0's side effects land in the
+driver (as on ``sim`` and on ``mpi`` world rank 0) and an exception it
+raises is re-raised as the original object, not a pickled copy; its
+blocking receives stay bounded by ``real_timeout``, but a rank-0 body that
+never returns hangs the driver as it would on ``sim`` -- the launcher's
+kill deadline covers ranks >= 1 only.  A worker that really dies is a
+rank >= 1; the root's death is the job's.
 
 Fault injection (:class:`~repro.cluster.faults.FaultPlan`) is sim-only
 for now: real processes cannot replay a deterministic virtual-time crash
@@ -108,18 +123,22 @@ class RunOutcome:
     errors: list[tuple[int, BaseException]] = field(default_factory=list)
     extras: list[dict] = field(default_factory=list)
     wall_seconds: float = 0.0
+    #: ``wall_seconds`` by phase on ``local`` (0.0 elsewhere): entry -> last
+    #: fork returned, rank 0's body, end of that body -> last child reaped
+    launch_s: float = 0.0
+    root_s: float = 0.0
+    join_s: float = 0.0
 
 
 class Transport:
     """One way of running an SPMD rank function against real channels.
 
     Subclasses define the spawn/join lifecycle (threads, forked
-    processes, MPI world ranks) and the message substrate.  Capability
-    flags tell the runtime what it may assume:
+    processes, MPI world ranks) and the message substrate, and say per
+    rank -- ``Comm.in_launcher``, set where they build the ``Comm`` --
+    whether it shares the launching process's heap.  Capability flags
+    tell the runtime what else it may assume:
 
-    ``shared_heap``
-        Ranks share the caller's address space: worker-side mutations of
-        runtime state (meters, rank stores) are visible to the driver.
     ``wall_clock``
         Wall-clock section times are meaningful (ranks really execute
         concurrently); the driver reports them into obs spans.
@@ -128,7 +147,6 @@ class Transport:
     """
 
     name: str = "?"
-    shared_heap: bool = True
     wall_clock: bool = False
     supports_faults: bool = False
 
@@ -151,7 +169,6 @@ class SimTransport(Transport):
     virtual timing.  Deterministic and the default everywhere."""
 
     name = "sim"
-    shared_heap = True
     wall_clock = False
     supports_faults = True
 
@@ -371,8 +388,8 @@ class LocalChannelTable:
             )
         for reader in ready:
             frames = reader.feed()
-            if frames is None:  # that rank exited: nothing more will arrive
-                del self._inbound[reader.peer]
+            if frames is None:  # that rank finished: nothing more will arrive
+                os.close(self._inbound.pop(reader.peer).fd)
                 continue
             for tag, env in frames:
                 self._pending.setdefault((reader.peer, tag), deque()).append(env)
@@ -413,6 +430,46 @@ class LocalChannelTable:
     def fail(self, exc: BaseException) -> None:
         self.abort[0] = 1
 
+    def close(self) -> None:
+        """Close this rank's pipe ends: from here its peers read EOF and
+        get EPIPE, which is how they know the rank has finished."""
+        for reader in self._inbound.values():
+            os.close(reader.fd)
+        for fd in self._outbound.values():
+            os.close(fd)
+        self._inbound.clear()
+        self._outbound.clear()
+
+
+def _run_rank(
+    ctx: SimContext, table: LocalChannelTable, rank_fn: Callable[..., Any],
+    args: Sequence[Any],
+) -> tuple:
+    """The body of *table*'s rank, in a forked child (ranks >= 1) and in
+    the launcher (rank 0) alike.  Returns ``(status, payload, clock,
+    metrics, extras)``; an ``"error"`` payload is the exception as it was
+    raised, after the run's abort flag was set.  The rank's pipe ends are
+    closed the moment the body is over, whatever else the process still
+    does."""
+    comm = Comm(
+        dataclasses.replace(ctx, channels=table), table.rank,
+        in_launcher=table.rank == 0,
+    )
+    extras: dict = {}
+    token = _rank_extras.set(extras)
+    status, payload = "ok", None
+    try:
+        payload = rank_fn(comm, *args)
+    except SimAborted:
+        status = "aborted"  # secondary failure; the primary one is reported
+    except BaseException as exc:  # noqa: BLE001 -- propagated to the caller
+        status, payload = "error", exc
+        table.fail(exc)
+    finally:
+        _rank_extras.reset(token)
+        table.close()
+    return status, payload, comm.clock.now, comm.metrics, extras
+
 
 def _picklable_error(exc: BaseException) -> BaseException:
     """An exception safe to send through a pipe (some carry live state)."""
@@ -424,21 +481,24 @@ def _picklable_error(exc: BaseException) -> BaseException:
 
 
 class LocalTransport(Transport):
-    """Real multiprocess execution: one ``os.fork`` per rank per section.
+    """Real multiprocess execution: the launcher is rank 0 and forks the
+    other n-1 ranks, once per section (a 1-rank section forks nothing and
+    opens no pipe or segment directory).
 
     Spawn/join lifecycle is per ``run_spmd`` call (one parallel section):
     fork inherits the driver's full state -- iterators, handle registry,
     resident rank stores, plan cache -- so no program state needs to be
-    shipped to start a section; only messages move.  Everything a worker
-    mutates is carried back explicitly in one outcome frame on its result
-    pipe (results, metrics, clocks, trace events, :func:`rank_extras`)
-    because the heap is not shared.  Nothing outlives the section: every
-    child is reaped and the segment directory removed with whatever the
-    ranks left unread in it.
+    shipped to start a section; only messages move.  Rank 0 runs in the
+    launching process after the last fork, in a copy of the caller's
+    context as a ``sim`` rank does; its result, clock, metrics, extras
+    and trace events are used where they are, never pickled.  What a
+    rank >= 1 produces comes back in one outcome frame on its result pipe
+    because its heap is not the driver's.  Nothing outlives the section:
+    every child is reaped and the segment directory removed with whatever
+    the ranks left unread in it.
     """
 
     name = "local"
-    shared_heap = False
     wall_clock = True
     supports_faults = False
 
@@ -448,8 +508,8 @@ class LocalTransport(Transport):
     def available(self, nranks: int = 1) -> None:
         if not hasattr(os, "fork"):
             raise TransportUnavailable("LocalTransport needs os.fork (POSIX only)")
-        # A pipe per ordered rank pair plus a result pipe per rank, all
-        # watched with select(), which stops at descriptor 1024.
+        # A pipe per ordered rank pair plus a result pipe per forked rank,
+        # all watched with select(), which stops at descriptor 1024.
         if 2 * nranks * nranks + 64 > 1024:
             raise TransportUnavailable(
                 f"LocalTransport: {nranks} ranks need more pipe descriptors "
@@ -459,72 +519,77 @@ class LocalTransport(Transport):
     def execute(
         self, ctx: SimContext, rank_fn: Callable[..., Any], args: Sequence[Any]
     ) -> RunOutcome:
+        t0 = time.perf_counter()
         self.available(ctx.nranks)
         ranks = range(ctx.nranks)
+        forked = ranks[1:]
         abort = mmap.mmap(-1, 1)  # anonymous + shared: one flag for all forks
-        seg_dir = tempfile.mkdtemp(prefix="repro-", dir=_SEG_DIR)
-        owned: set[int] = set()  # descriptors the launcher has open
+        seg_dir = tempfile.mkdtemp(prefix="repro-", dir=_SEG_DIR) if forked else None
+        owned: set[int] = set()  # descriptors the launcher has to close
 
         def new_pipe() -> tuple[int, int]:
             ends = os.pipe()
             owned.update(ends)
             return ends
 
-        def rank_main(rank: int) -> None:  # in the fork: run, flush, report
-            for r, (rfd, wfd) in enumerate(results):
+        def new_table(rank: int) -> LocalChannelTable:
+            return LocalChannelTable(
+                rank, pipes, abort, self.shm_min_bytes, seg_dir, ctx.real_timeout
+            )
+
+        def child_main(rank: int) -> None:  # in the fork: run, flush, report
+            for r, (rfd, wfd) in results.items():
                 os.close(rfd)
                 if r != rank:
                     os.close(wfd)
-            table = LocalChannelTable(
-                rank, pipes, abort, self.shm_min_bytes, seg_dir, ctx.real_timeout
+            status, payload, clock, metrics, extras = _run_rank(
+                ctx, new_table(rank), rank_fn, args
             )
-            cctx = dataclasses.replace(ctx, channels=table)
-            comm = Comm(cctx, rank)
-            extras: dict = {}
-            token = _rank_extras.set(extras)
-            status, payload = "ok", None
-            try:
-                payload = rank_fn(comm, *args)
-            except SimAborted:
-                status = "aborted"
-            except BaseException as exc:  # noqa: BLE001 -- shipped to parent
-                status, payload = "error", _picklable_error(exc)
-                table.fail(exc)
-            finally:
-                _rank_extras.reset(token)
-            events = list(cctx.trace.events) if cctx.trace is not None else None
+            if status == "error":
+                payload = _picklable_error(payload)
+            events = list(ctx.trace.events) if ctx.trace is not None else None
             sys.stdout.flush()
             sys.stderr.flush()
-            fd, tail = results[rank][1], (comm.clock.now, comm.metrics)
+            fd = results[rank][1]
             try:
-                _send_frame(fd, (rank, status, payload, *tail, extras, events))
+                _send_frame(fd, (status, payload, clock, metrics, extras, events))
             except Exception as exc:  # noqa: BLE001 -- does not pickle: rank's error
                 err = _picklable_error(exc)
-                _send_frame(fd, (rank, "error", err, *tail, {}, None))
+                _send_frame(fd, ("error", err, clock, metrics, {}, None))
             os._exit(0)
 
         pids: dict[int, int] = {}
         outcomes: dict[int, tuple] = {}
         sys.stdout.flush()  # or every child would flush its own copy
         sys.stderr.flush()
-        t0 = time.perf_counter()
         try:
             pipes = {(s, d): new_pipe() for s in ranks for d in ranks if s != d}
-            results = [new_pipe() for _ in ranks]
-            for rank in ranks:
+            results = {r: new_pipe() for r in forked}
+            for rank in forked:
                 pid = os.fork()
                 if pid:
                     pids[rank] = pid
                     continue
                 try:  # the child never returns into the caller's stack
-                    rank_main(rank)
+                    child_main(rank)
                 finally:
-                    os._exit(1)  # reached only if rank_main itself raised
-            waiting = {r: _FrameReader(results[r][0], r) for r in ranks}
-            for fd in owned - {reader.fd for reader in waiting.values()}:
-                os.close(fd)
-                owned.remove(fd)
-            limit = ctx.real_timeout + REPORT_SLACK_S
+                    os._exit(1)  # reached only if child_main itself raised
+            t_forked = time.perf_counter()
+            # Built after the last fork, so no child inherits it; it closes
+            # every pipe end that is not rank 0's.
+            table = new_table(0)
+            for _, wfd in results.values():
+                os.close(wfd)
+            owned = {rfd for rfd, _ in results.values()}  # all that is left here
+            # Used in place: rank 0's outcome never crosses a pipe (its
+            # trace events are already in ``ctx.trace``).
+            outcomes[0] = (*contextvars.copy_context().run(
+                _run_rank, ctx, table, rank_fn, args), None)
+            t_root = time.perf_counter()
+            waiting = {r: _FrameReader(results[r][0], r) for r in forked}
+            # A rank has the slack to report past whichever comes later:
+            # ``real_timeout``, or the root's own end.
+            limit = max(ctx.real_timeout, t_root - t0) + REPORT_SLACK_S
             while waiting:
                 left = max(0.0, t0 + limit - time.perf_counter())
                 ready = select.select(list(waiting.values()), [], [], left)[0]
@@ -547,15 +612,23 @@ class LocalTransport(Transport):
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 err = RuntimeError(f"rank {rank} died unreported (exit code {code})")
                 outcomes.setdefault(
-                    rank, (rank, "error", err, 0.0, RankMetrics(rank=rank), {}, None)
+                    rank, ("error", err, 0.0, RankMetrics(rank=rank), {}, None)
                 )
+            t_joined = time.perf_counter()
             for fd in owned:
                 os.close(fd)
             abort.close()
-            shutil.rmtree(seg_dir, ignore_errors=True)  # unread segments included
-        out = RunOutcome([], [], [], wall_seconds=time.perf_counter() - t0)
+            if seg_dir is not None:
+                shutil.rmtree(seg_dir, ignore_errors=True)  # unread segments included
+        out = RunOutcome(
+            [], [], [],
+            wall_seconds=time.perf_counter() - t0,
+            launch_s=t_forked - t0,
+            root_s=t_root - t_forked,
+            join_s=t_joined - t_root,
+        )
         for r in ranks:
-            _, status, payload, clock, metrics, extras, events = outcomes[r]
+            status, payload, clock, metrics, extras, events = outcomes[r]
             out.results.append(payload if status == "ok" else None)
             out.clocks.append(clock)
             out.metrics.append(metrics)
@@ -644,7 +717,6 @@ class MPITransport(Transport):
     """
 
     name = "mpi"
-    shared_heap = False
     wall_clock = True
     supports_faults = False
 
@@ -674,7 +746,7 @@ class MPITransport(Transport):
             rank = sub.Get_rank()
             table = MPIChannelTable(sub, rank)
             cctx = dataclasses.replace(ctx, channels=table)
-            comm = Comm(cctx, rank)
+            comm = Comm(cctx, rank, in_launcher=False)
             extras: dict = {}
             token = _rank_extras.set(extras)
             status, payload = "ok", None

@@ -121,12 +121,6 @@ def _extract_range(ctx, i):
 
 
 @register_function
-def _bulk_range(ctx, domain):
-    start, step = ctx
-    return start + step * np.arange(domain.size)
-
-
-@register_function
 def _extract_index(ctx, i):
     outer, inner = ctx
     if isinstance(i, tuple):
@@ -227,12 +221,14 @@ def array_indexer(arr: np.ndarray) -> Idx:
 
 
 def range_indexer(n: int, start: int = 0, step: int = 1) -> Idx:
-    """The integer sequence ``start, start+step, ...`` of length *n*."""
+    """The integer sequence ``start, start+step, ...`` of length *n*.
+
+    No ``bulk`` closure: the engine's range node is this leaf's one
+    vectorized form, so ``eval_all`` yields what the extractor yields."""
     return Idx(
         Seq(n),
         closure(_extract_range),
         RangeSource(start, step),
-        closure(_bulk_range),
     )
 
 

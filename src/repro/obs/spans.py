@@ -226,6 +226,26 @@ class Recorder:
                 d["time"] += base
                 self.events.append(d)
 
+    def absorb_spans(self, rows) -> None:
+        """Adopt spans a rank recorded in another process (its copy of
+        this recorder died with it): *rows* are their ``as_dict()`` forms,
+        everything the rank registered since it started.  They get fresh
+        ``sid``s here; a parent inside the batch is remapped with it, any
+        other parent was registered before the rank left this process
+        (the section span) and is kept."""
+        with self._lock:
+            fresh = {row["sid"]: self._next_sid + i
+                     for i, row in enumerate(rows)}
+            for row in rows:
+                sp = Span(self, row["kind"], row["name"], row["rank"], None,
+                          row["attrs"], False)
+                sp.sid = fresh[row["sid"]]
+                sp.parent = fresh.get(row["parent"], row["parent"])
+                sp.t0, sp.t1 = row["t0"], row["t1"]
+                self.spans.append(sp)
+            self._next_sid += len(rows)
+            Span.allocated += len(rows)
+
     def count(self, name: str, value=1) -> None:
         """Thread-safe registry counter increment."""
         with self._lock:

@@ -64,6 +64,7 @@ from repro.runtime.recovery import (
     RecoveryReport,
 )
 from repro.runtime.section import (
+    ISOLATED,
     Parts,
     SectionKind,
     SectionRecord,
@@ -207,28 +208,26 @@ class TrioletRuntime:
         return planner.use_state(self.planner_state)
 
     def _merge_meter(self, m: meter.CostMeter) -> None:
-        """Fold one metered region into the runtime total -- or, inside a
-        process-isolated rank, into that rank's local meter (carried back
-        and merged for real at the section boundary)."""
+        """Fold one metered region into the runtime total -- or, in a rank
+        that runs outside the launcher, into that rank's local meter
+        (carried back and merged for real at the section boundary)."""
         sink = _meter_sink.get()
         (self.meter_total if sink is None else sink).merge(m)
 
     def _merge_rank_extras(self, extras) -> None:
-        """Merge rank-local driver state a non-shared-heap transport
-        carried back: per-rank cost meters, plan-cache deltas and
-        serialization copy-counter deltas."""
+        """Merge what ranks outside the launcher published of driver
+        state: per-rank cost meters, plan-cache deltas, serialization
+        copy-counter deltas and, under a recorder, their spans."""
+        obs = _obs_active()
         for ext in extras or ():
-            if not ext:
-                continue
-            m = ext.get("meter")
-            if m is not None:
-                self.meter_total.merge(m)
-            pd = ext.get("planner")
-            if pd is not None:
-                planner.merge_stats(pd)
-            sd = ext.get("serial")
-            if sd is not None:
-                merge_copy_stats(sd)
+            state = ext.get(ISOLATED)
+            if state is None:
+                continue  # ran on this heap: already counted, live
+            self.meter_total.merge(state["meter"])
+            planner.merge_stats(state["planner"])
+            merge_copy_stats(state["serial"])
+            if obs is not None and "spans" in state:
+                obs.absorb_spans(state["spans"])
 
     # -- bookkeeping -----------------------------------------------------
 

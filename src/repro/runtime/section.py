@@ -160,36 +160,47 @@ class SectionKind:
 
 
 #: Where metered-region tallies merge.  ``None`` means the runtime's own
-#: ``meter_total`` (the shared-heap default).  Process-isolated transports
-#: install a rank-local meter here so forked workers tally into state that
-#: travels back through :func:`repro.cluster.transport.rank_extras`
-#: instead of into a doomed copy of the driver's global meter.
+#: ``meter_total`` (what every rank on the launcher's heap uses).  A rank
+#: that runs elsewhere gets a rank-local meter here, so it tallies into
+#: state that travels back through
+#: :func:`repro.cluster.transport.rank_extras` instead of into a doomed
+#: copy of the driver's global meter.
 _meter_sink: contextvars.ContextVar[meter.CostMeter | None] = (
     contextvars.ContextVar("repro_meter_sink", default=None)
 )
 
+#: The one ``rank_extras()`` key the engine publishes under; its presence
+#: on a rank's extras is how the driver knows the rank ran elsewhere.
+ISOLATED = "repro.isolated_rank"
+
 
 def _isolated_rank(rank_body):
-    """Wrap *rank_body* for a process-isolated transport: driver-global
-    state mutated in the rank dies with the worker, so tally into a
-    rank-local meter and capture the plan-cache and copy-counter deltas,
-    published through ``rank_extras()`` -- the meter at rank *start*, so a
-    crashed rank's partial tallies still reach ``_merge_rank_extras``."""
+    """Wrap *rank_body* for ranks that do not run on the launcher's heap
+    (``comm.in_launcher`` false): driver-global state mutated there dies
+    with the worker, so tally into a rank-local meter and capture the
+    plan-cache and copy-counter deltas -- and, under a recorder, the spans
+    the rank registered -- published through ``rank_extras()``.  The meter
+    goes in at rank *start*, so a crashed rank's partial tallies still
+    reach ``_merge_rank_extras``.  A rank in the launcher runs the bare
+    body: its tallies land in the live objects, once."""
 
     def rank_fn(comm: Comm):
-        ext = rank_extras()
+        if comm.in_launcher:
+            return rank_body(comm)
         local_meter = meter.CostMeter()
-        if ext is not None:
-            ext["meter"] = local_meter
+        state = rank_extras()[ISOLATED] = {"meter": local_meter}
         mtok = _meter_sink.set(local_meter)
         psnap = planner.stats_snapshot()
         ssnap = copy_stats()
+        obs = _obs_active()
+        nspans = len(obs.spans) if obs is not None else 0
         try:
             return rank_body(comm)
         finally:
-            if ext is not None:
-                ext["planner"] = planner.stats_delta(psnap)
-                ext["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
+            state["planner"] = planner.stats_delta(psnap)
+            state["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
+            if obs is not None:
+                state["spans"] = [s.as_dict() for s in obs.spans[nspans:]]
             _meter_sink.reset(mtok)
 
     return rank_fn
@@ -224,7 +235,7 @@ def _rank_fn(rt, kind: SectionKind, parts: Parts, ship):
         with store:
             return kind.rank_body(comm, mine, parts)
 
-    return rank_fn if rt.transport.shared_heap else _isolated_rank(rank_fn)
+    return _isolated_rank(rank_fn)
 
 
 def run_section(rt, kind: SectionKind) -> Any:
@@ -271,7 +282,6 @@ def _run(rt, kind: SectionKind, osp) -> Any:
             return _restore(rt, kind, osp, seq, hit, nranks_max)
 
     rec = rt.recovery
-    shared_heap = rt.transport.shared_heap
     plan = kind.prepare()
 
     attempt = 0
@@ -319,11 +329,10 @@ def _run(rt, kind: SectionKind, osp) -> Any:
                 # The failed attempt's messages and fault stamps stay
                 # visible in the trace, tied to the same section.
                 obs.absorb_events(crash_trace.events, osp)
-            if not shared_heap:
-                # A crashed attempt's completed-task tallies are real
-                # work; sim ranks merge as they run, so merge the
-                # partial extras the transport saved on the exception.
-                rt._merge_rank_extras(getattr(exc, "rank_extras", None))
+            # A crashed attempt's completed-task tallies are real work;
+            # ranks in the launcher merged as they ran, the others left
+            # partial extras the transport saved on the exception.
+            rt._merge_rank_extras(getattr(exc, "rank_extras", None))
             rank_failed = infos is not None and all(
                 isinstance(i.error, RankFailure) for i in infos
             )
@@ -386,18 +395,17 @@ def _run(rt, kind: SectionKind, osp) -> Any:
             dead += len(infos)
             attempt += 1
 
-    if not shared_heap:
-        # Section-boundary merge of rank-local state (sim ranks share
-        # the heap and merged directly as they ran).
-        rt._merge_rank_extras(res.extras)
-        if ship is not None:
-            # Mirror the shipping ops into the driver-side rank stores:
-            # forked workers applied them to fork-private copies, and
-            # the next section's fork must inherit the resident shards
-            # for zero-reship placement to hold.
-            for dst, ops in enumerate(ship.ops):
-                if ops:
-                    rt.plane.worker_store(dst).apply(ops)
+    # Section-boundary merge of what ranks outside the launcher published
+    # (ranks on its heap merged directly as they ran and published nothing).
+    rt._merge_rank_extras(res.extras)
+    if ship is not None:
+        # Mirror their shipping ops into the driver-side rank stores too:
+        # a forked worker applied them to its fork-private copy, and the
+        # next section's fork must inherit the resident shards for
+        # zero-reship placement to hold.
+        for dst, ops in enumerate(ship.ops):
+            if ops and ISOLATED in res.extras[dst]:
+                rt.plane.worker_store(dst).apply(ops)
     value = kind.commit(res.root_result, parts)
 
     makespan = lost_time + res.makespan
@@ -485,9 +493,11 @@ def _run(rt, kind: SectionKind, osp) -> Any:
         **kind.span_attrs(ship, plan),
     )
     if rt.transport.wall_clock:
-        # Real transports also report measured elapsed time; the
-        # virtual makespan above stays the cross-backend invariant.
-        osp.set(wall_seconds=res.wall_seconds, transport=res.transport)
+        # Real transports also report measured elapsed time and where the
+        # launcher spent it; the virtual makespan above stays the
+        # cross-backend invariant.
+        osp.set(wall_seconds=res.wall_seconds, launch_s=res.launch_s,
+                root_s=res.root_s, join_s=res.join_s, transport=res.transport)
     if losses:
         osp.set(rank_losses=losses)
     if ckpt_bytes:

@@ -278,3 +278,43 @@ class TestBulkFormCallCount:
                             )
         assert forms >= 10  # the walk found the forms it is there to check
         assert not offenders, offenders
+
+
+@pytest.mark.perfsmoke
+class TestLocalSectionForkCount:
+    """The ``local`` launcher is rank 0: a section of n ranks costs n - 1
+    forks, and rank 0's outcome never crosses a pipe.  Counts, not
+    stopwatches (a fork of the benchmark's heap is 2.3 ms; a second one
+    per section was a fifth of ``stencil_local``'s round)."""
+
+    def test_forks_are_sections_times_ranks_minus_one(self):
+        import os
+        from unittest import mock
+
+        from repro.apps import jacobi, tpacf
+        from repro.cluster import MachineSpec
+        from repro.cluster import transport
+        from repro.runtime import observing_sections
+
+        if "local" not in transport.available_transports(nranks=2):
+            pytest.skip("LocalTransport unavailable (no fork)")
+        machine = MachineSpec(nodes=2, cores_per_node=1, transport="local")
+        tp = tpacf.make_problem(m=32, nr=8, nbins=128, seed=1)
+        readers, sections = [], []
+        reader_init = transport._FrameReader.__init__
+
+        def spy_reader(self, fd, peer):
+            readers.append(peer)  # in a child: that child's copy of the list
+            reader_init(self, fd, peer)
+
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                mock.patch.object(transport._FrameReader, "__init__", spy_reader), \
+                observing_sections(sections.append):
+            jacobi.run_triolet(jacobi.make_problem(n=256, iterations=4), machine)
+            tpacf.run_triolet(tp, machine, costs_for("tpacf", "triolet", tp))
+        assert len(sections) == 4 + 3
+        assert all(s["nchunks"] == 2 for s in sections)
+        assert fork.call_count == sum(s["nchunks"] - 1 for s in sections)
+        # the launcher decodes frames from ranks >= 1 only: their messages
+        # to rank 0 and their outcomes, never anything from rank 0
+        assert readers and 0 not in readers

@@ -1,11 +1,14 @@
-"""LocalTransport specifics: process isolation, shared-memory shipping,
-rank-local state merging, and feature gating.
+"""LocalTransport specifics: the launcher is rank 0 and forks the others,
+per-rank isolation, shared-memory shipping, rank-local state merging, and
+feature gating.
 
 These tests are POSIX-only in practice (fork start method) and skip as a
 module where LocalTransport is unavailable.
 """
+import contextvars
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -39,21 +42,24 @@ def machine(nodes: int = 2) -> MachineSpec:
 
 class TestProcessIsolation:
     def test_ranks_cannot_observe_each_others_meter(self):
-        """Rank 0 tallies into a driver-heap meter; rank 1 -- in its own
-        forked address space -- must not see it, and the parent must not
-        see either mutation."""
+        """Isolation is per rank: rank 0 *is* the driver, so its write to a
+        driver-heap meter is the driver's; rank 1 -- in its own forked
+        address space -- sees neither that write nor leaks its own."""
         shared = meter.CostMeter()
 
         def rank_fn(comm):
             if comm.rank == 0:
                 shared.visits += 7
             comm.barrier()  # rank 0's write precedes rank 1's read
-            return shared.visits
+            seen = shared.visits
+            if comm.rank == 1:
+                shared.visits += 100
+            return seen
 
         res = run_spmd(machine(), rank_fn, nranks=2)
         assert res.results[0] == 7  # own write visible to itself
         assert res.results[1] == 0  # peer's write invisible
-        assert shared.visits == 0  # nothing leaks back to the driver
+        assert shared.visits == 7  # rank 0's lands in the driver, rank 1's dies
 
     def test_installed_meter_is_rank_private(self):
         """A meter installed inside one rank collects only that rank's
@@ -77,6 +83,94 @@ class TestProcessIsolation:
 
         res = run_spmd(machine(), rank_fn, nranks=2)
         assert [e["mark"] for e in res.extras] == [1, 3]
+
+
+class TestTheLauncherIsRankZero:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_an_n_rank_section_forks_n_minus_one_times(self, n, monkeypatch):
+        forks, pipes, dirs = [], [], []
+        fork, pipe, mkdtemp = os.fork, os.pipe, tempfile.mkdtemp
+
+        def spy_fork():
+            pid = fork()
+            if pid:  # children append to their own copy of the list
+                forks.append(pid)
+            return pid
+
+        def spy_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        def spy_mkdtemp(*a, **kw):
+            dirs.append(mkdtemp(*a, **kw))
+            return dirs[-1]
+
+        monkeypatch.setattr(os, "fork", spy_fork)
+        monkeypatch.setattr(os, "pipe", spy_pipe)
+        monkeypatch.setattr(tempfile, "mkdtemp", spy_mkdtemp)
+
+        def rank_fn(comm):
+            return (os.getpid(), comm.allreduce(comm.rank, op=lambda a, b: a + b))
+
+        res = run_spmd(machine(n), rank_fn, nranks=n)
+        assert [r[1] for r in res.results] == [n * (n - 1) // 2] * n
+        assert len(forks) == n - 1
+        assert [r[0] for r in res.results] == [os.getpid(), *forks]
+        # a pipe per ordered pair and a result pipe per forked rank; a
+        # lone rank has nobody to talk to and nothing to ship
+        assert len(pipes) == (n - 1) * n + (n - 1)
+        assert len(dirs) == (1 if n > 1 else 0)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_rank_zero_error_is_the_object_it_raised(self):
+        class Boom(Exception):  # a local class: a pickled copy is impossible
+            pass
+
+        boom = Boom("root on fire")
+        big = np.arange(SHM_MIN_BYTES // 8 + 64, dtype=np.float64)
+
+        def rank_fn(comm):
+            if comm.rank == 1:
+                comm.Send(big, 0, tag=9)  # a segment rank 0 never reads
+                return comm.recv(0, tag=5)  # blocked until rank 0 is gone
+            raise boom
+
+        before = _host_state()
+        with pytest.raises(Boom) as ei:
+            run_spmd(machine(), rank_fn, nranks=2, real_timeout=20.0)
+        assert ei.value is boom
+        assert [i.rank for i in ei.value.rank_failures][0] == 0
+        assert _host_state() == before
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_the_body_leaves_no_context_behind(self, raises):
+        """Rank 0 runs in a copy of the caller's context: whatever the
+        body binds (the engine's meter sink and rank store among them) is
+        unbound again when ``execute`` returns or raises."""
+        from repro.data.handle import _CURRENT_STORE
+        from repro.runtime.section import _meter_sink
+
+        probe = contextvars.ContextVar("probe", default="unset")
+        inside = []
+
+        def rank_fn(comm):
+            inside.append(rank_extras())
+            probe.set("set in rank")
+            _meter_sink.set(meter.CostMeter())
+            _CURRENT_STORE.set(object())
+            if raises and comm.rank == 0:
+                raise ValueError("after binding")
+            return comm.rank
+
+        if raises:
+            with pytest.raises(ValueError, match="after binding"):
+                run_spmd(machine(), rank_fn, nranks=2, real_timeout=20.0)
+        else:
+            run_spmd(machine(), rank_fn, nranks=2)
+        assert inside == [{}]  # rank 0 ran here, with a live extras dict
+        assert rank_extras() is None
+        assert probe.get() == "unset"
+        assert _meter_sink.get() is None and _CURRENT_STORE.get() is None
 
 
 class TestSharedMemory:

@@ -11,14 +11,13 @@ equal types *and* equal ``CostMeter`` deltas; the same for the ``op`` /
 consumers.
 """
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import meter
 from repro.core.domains import Dim2, Seq
 from repro.core.encodings.collector import collector_from_indexer
 from repro.core.encodings.fold import fold_from_indexer
 from repro.core.encodings.indexer import (
-    _bulk_range,
     array_indexer,
     gather_idx,
     index_indexer,
@@ -157,10 +156,6 @@ class TestBoundExtractorsEqualUnbound:
         lo = data.draw(st.integers(0, n))
         hi = data.draw(st.integers(lo, n))
         part = idx.slice(lo, hi)
-        # Known mismatch (ROADMAP 5(d)(v)): a bare range leaf evaluates through
-        # ``_bulk_range`` even here and yields np.int64 where the scalar
-        # extract yields int.  Array and handle leaves stay covered.
-        assume(part.bulk != closure(_bulk_range))
         ctx = part.source.context()
         with use_vectorization(False):
             got, m_got = _metered(part.eval_all)

@@ -46,3 +46,17 @@ def test_stencil_carries_no_attempt_loop_machinery():
     assert not banned & _imported_names(tree)
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.While)]
+
+
+def test_the_local_launcher_has_one_fork_site_and_no_transport_wide_heap_flag():
+    """``LocalTransport`` forks ranks >= 1 in one place (no second launcher
+    kept beside it), and the engine asks each rank's ``Comm`` where it
+    runs, never the transport."""
+    transport = RUNTIME.parent / "cluster" / "transport.py"
+    forks = [
+        node.lineno
+        for node in ast.walk(ast.parse(transport.read_text()))
+        if isinstance(node, ast.Call) and _called_name(node) == "fork"
+    ]
+    assert len(forks) == 1, forks
+    assert "shared_heap" not in (RUNTIME / "section.py").read_text()
