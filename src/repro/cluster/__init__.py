@@ -1,7 +1,7 @@
 """Simulated distributed-memory cluster (substrate).
 
 The paper evaluates on 8 nodes x 16 cores with OpenMPI.  This sandbox has
-one core and no MPI, so the cluster is *simulated*: every MPI rank runs as
+two cores and no MPI, so the cluster is *simulated*: every MPI rank runs as
 a real Python thread exchanging really-serialized messages over in-process
 channels, and each rank carries a causal virtual clock advanced by a
 LogGP-style cost model.  Numerical results are therefore real; elapsed

@@ -54,6 +54,10 @@ class ChannelTable:
         self.abort = threading.Event()
         self.abort_reason: BaseException | None = None
         self._done: set[int] = set()
+        #: Set by ``SimTransport`` for a ``run_to_block`` run: the lock a
+        #: rank thread holds whenever it executes rank code.  ``take`` is
+        #: the one place a running rank lets go of it.
+        self.baton: threading.Lock | None = None
 
     def channel(self, src: int, dst: int, tag: int) -> queue.SimpleQueue:
         key = (src, dst, tag)
@@ -100,7 +104,7 @@ class ChannelTable:
             with self._lock:
                 done = src in self._done
             try:
-                env = ch.get_nowait() if done else ch.get(timeout=real_timeout)
+                env = ch.get_nowait() if done else self._wait(ch, real_timeout)
             except queue.Empty:
                 if not done:
                     raise SimDeadlockError(
@@ -116,6 +120,25 @@ class ChannelTable:
                 ) from None
             if env is not _DONE:
                 return env
+
+    def _wait(self, ch: queue.SimpleQueue, real_timeout: float):
+        """Block on *ch*.  Under a baton, what is already queued is taken
+        without letting go; otherwise the rank hands the baton over for
+        exactly as long as it is blocked and holds it again when it
+        returns *or raises* -- a rank that times out was never in any
+        other rank's way."""
+        baton = self.baton
+        if baton is None:
+            return ch.get(timeout=real_timeout)
+        try:
+            return ch.get_nowait()
+        except queue.Empty:
+            pass
+        baton.release()
+        try:
+            return ch.get(timeout=real_timeout)
+        finally:
+            baton.acquire()
 
     def fail(self, exc: BaseException) -> None:
         """Record a rank failure; the failing rank's ``mark_done`` (always

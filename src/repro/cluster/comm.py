@@ -74,6 +74,10 @@ class SimContext:
     #: Consulted only when a fault or limit actually fires, so a run with
     #: a policy but no faults has an unchanged virtual timeline.
     recovery: Any = None
+    #: the rank bodies hold the GIL throughout: ``SimTransport`` runs one
+    #: rank thread at a time (transports whose ranks are processes ignore
+    #: it).  Set by the caller from a fact about the run, not by a user.
+    run_to_block: bool = False
 
     def node_of(self, rank: int) -> int:
         return rank // self.ranks_per_node

@@ -5,16 +5,19 @@
 common outcome: per-rank results, merged metrics, the virtual makespan,
 and structured failure propagation.
 
-On the default ``sim`` transport each rank executes in a real OS thread
-(they spend nearly all their time blocked on channel receives, so one
-physical core is plenty) and virtual timing is deterministic:
-availability stamps are computed from the causal clocks, never from wall
-time, so the reported makespan is a pure function of the program, the
-data, and the machine model.  The ``local`` transport runs the same rank
-function in the calling process (rank 0) and forked worker processes
-(ranks >= 1) -- same virtual timeline (the cost model is causal, not
-scheduled), real wall-clock parallelism.  If any
-rank raises, the run's abort flag wakes every blocked receiver and the
+On the default ``sim`` transport each rank executes in a real OS thread.
+Ranks of engine-compiled sections spend their time in NumPy kernels that
+release the GIL, so they overlap on as many cores as the host has; ranks
+whose bodies are pure Python cannot overlap at all, and for those the
+caller passes ``run_to_block`` (one runnable rank thread at a time,
+handed over at blocking receives -- see ``SimTransport``).  Either way
+virtual timing is deterministic: availability stamps are computed from
+the causal clocks, never from wall time, so the reported makespan is a
+pure function of the program, the data, and the machine model.  The
+``local`` transport runs the same rank function in the calling process
+(rank 0) and forked worker processes (ranks >= 1) -- same virtual
+timeline (the cost model is causal, not scheduled), real wall-clock
+parallelism.  If any rank raises, the run's abort flag wakes every blocked receiver and the
 original exception is re-raised in the caller.
 """
 from __future__ import annotations
@@ -85,6 +88,7 @@ def run_spmd(
     faults: FaultPlan | None = None,
     recovery: Any = None,
     transport: "Transport | str | None" = None,
+    run_to_block: bool = False,
 ) -> SpmdResult:
     """Run ``rank_fn(comm, *args)`` on *nranks* ranks.
 
@@ -92,8 +96,10 @@ def run_spmd(
     node runtimes like Triolet's, ``cores_per_node`` for Eden's flat
     process model).  ``transport`` overrides the machine's backend
     (default: ``machine.transport``, which defaults to the deterministic
-    in-process simulator).  Returns per-rank results, the virtual
-    makespan and merged metrics.
+    in-process simulator).  ``run_to_block``: the rank bodies cannot
+    overlap (pure Python, GIL held), so ``sim`` runs one rank thread at a
+    time; other transports ignore it and nothing virtual depends on it.
+    Returns per-rank results, the virtual makespan and merged metrics.
     """
     if nranks < 1:
         raise ValueError("need at least one rank")
@@ -115,6 +121,7 @@ def run_spmd(
         trace=TraceLog() if trace else None,
         faults=faults,
         recovery=recovery,
+        run_to_block=run_to_block,
     )
     ctx.validate()
 

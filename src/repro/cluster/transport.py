@@ -166,7 +166,13 @@ class Transport:
 
 class SimTransport(Transport):
     """The original backend: one thread per rank, queue channels,
-    virtual timing.  Deterministic and the default everywhere."""
+    virtual timing.  Deterministic and the default everywhere.
+
+    Rank threads run free unless the run says ``run_to_block`` (rank
+    bodies that hold the GIL throughout cannot overlap, only fight over
+    it): then exactly one is runnable at a time, and it hands over only
+    where it blocks in a receive.  Wall clock only -- nothing virtual can
+    tell the two schedulings apart."""
 
     name = "sim"
     wall_clock = False
@@ -186,6 +192,11 @@ class SimTransport(Transport):
         # which would silently disable nested parallel sections inside
         # rank code.
         caller_context = contextvars.copy_context()
+        # One per run: held by whichever rank is executing, let go of in
+        # ``ChannelTable.take`` alone.
+        baton = ctx.channels.baton = (
+            threading.Lock() if ctx.run_to_block and nranks > 1 else None
+        )
 
         def worker(rank: int) -> None:
             def call():
@@ -195,6 +206,8 @@ class SimTransport(Transport):
                 finally:
                     _rank_extras.reset(token)
 
+            if baton is not None:
+                baton.acquire()
             try:
                 results[rank] = caller_context.copy().run(call)
             except SimAborted:
@@ -207,6 +220,8 @@ class SimTransport(Transport):
                 # After the last possible post: receivers blocked on this
                 # rank now abort deterministically (see ChannelTable).
                 ctx.channels.mark_done(rank)
+                if baton is not None:
+                    baton.release()
 
         t0 = time.perf_counter()
         if nranks == 1:

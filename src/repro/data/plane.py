@@ -176,7 +176,6 @@ class DataPlane:
         self._placement: dict[tuple[int, int], tuple[int, int]] = {}
         self._caches: dict[int, SliceCache] = {}
         self._stores: dict[int, RankStore] = {}
-        self.section_log: list[dict] = []
         self.invalidations = 0
         self.shrinks = 0
         self.lineage = LineageLog()
@@ -383,7 +382,6 @@ class DataPlane:
             for k in _STAT_KEYS:
                 if stats[k]:
                     rec.count(f"plane.{k}", stats[k])
-        self.section_log.append(dict(stats))
         if pending:
             # Anything this section did not touch re-materializes through
             # ordinary placement when a later section needs it.

@@ -651,6 +651,10 @@ class TrioletRuntime:
                 return None
             return _assemble_build(gathered, parts.bounds, parts.label)
 
+        def bound(plan: str | None) -> bool:
+            # no bulk plan: ranks walk the bound closure tree per element
+            return plan is None
+
         return run_section(self, SectionKind(
             kind=spec.kind,
             label="par",
@@ -661,10 +665,11 @@ class TrioletRuntime:
             rank_body=rank_body,
             commit=lambda result, parts: result,
             span_attrs=lambda ship, plan: {
-                "loop": "engine" if plan is not None else "bound"
+                "loop": "bound" if bound(plan) else "engine"
             },
             observe={"iterator": it, "spec": spec},
             prepare=lambda: self._warm_plan(it),
+            run_to_block=bound,
         ))
 
 

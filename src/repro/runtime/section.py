@@ -157,6 +157,10 @@ class SectionKind:
     #: runs once before the first partition (never on a restore); returns
     #: the bulk-execution plan description recorded on the section
     prepare: Callable[[], str | None] = lambda: None
+    #: ``run_to_block(plan)``: the rank bodies are Python calls that hold
+    #: the GIL, so ``sim`` should run its rank threads one at a time (see
+    #: ``run_spmd``).  A fact about the section, never a setting.
+    run_to_block: Callable[[str | None], bool] = lambda plan: False
 
 
 #: Where metered-region tallies merge.  ``None`` means the runtime's own
@@ -318,6 +322,7 @@ def _run(rt, kind: SectionKind, osp) -> Any:
                 recovery=rec,
                 trace=obs is not None,
                 transport=rt.transport,
+                run_to_block=kind.run_to_block(plan),
             )
             if obs is not None and res.trace is not None:
                 obs.absorb_events(res.trace.events, osp)

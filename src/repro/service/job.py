@@ -52,13 +52,28 @@ class JobContext:
 
 
 @dataclass
+class JobResult:
+    """Where a job's value or error lands.  Owned by the job's
+    :class:`JobHandle`: a result lives exactly as long as somebody holds
+    the handle, never as long as the server."""
+
+    value: Any = None
+    error: BaseException | None = None
+
+
+@dataclass
 class JobRecord:
-    """One submitted job's ledger entry (owned by the server)."""
+    """One submitted job's ledger entry (owned by the server, for the
+    server's lifetime -- so it keeps names, times and metrics, and lets
+    go of the job's closure and result the moment the job is over)."""
 
     seq: int
     name: str
     tenant: str
-    fn: Callable[[JobContext], Any]
+    #: the job body and the handle's result slot; both ``None`` once the
+    #: job has finished (see :meth:`release`)
+    fn: Callable[[JobContext], Any] | None
+    result: JobResult | None
     costs: Any = None
     faults: Any = None
     recovery: Any = None
@@ -68,8 +83,6 @@ class JobRecord:
     submit_vtime: float = 0.0
     start_vtime: float | None = None
     finish_vtime: float | None = None
-    value: Any = None
-    error: BaseException | None = None
     #: per-job isolated accounting: visits, virtual seconds, shipped
     #: bytes, plan-cache and data-plane deltas, recovery report
     metrics: dict = field(default_factory=dict)
@@ -81,6 +94,11 @@ class JobRecord:
             return None
         return self.finish_vtime - self.submit_vtime
 
+    def release(self) -> None:
+        """The job is over: let go of its closure and its result."""
+        self.fn = None
+        self.result = None
+
 
 class JobHandle:
     """Asynchronous submission handle: the caller's view of one job."""
@@ -88,6 +106,7 @@ class JobHandle:
     def __init__(self, server, record: JobRecord):
         self._server = server
         self._record = record
+        self._result = record.result
 
     @property
     def name(self) -> str:
@@ -114,11 +133,11 @@ class JobHandle:
         rec = self._record
         self._server._run_until(rec)
         if rec.status is JobStatus.DONE:
-            return rec.value
+            return self._result.value
         if rec.status is JobStatus.CANCELLED:
             raise JobCancelled(f"job {rec.name!r} was cancelled")
-        assert rec.error is not None
-        raise rec.error
+        assert self._result.error is not None
+        raise self._result.error
 
     def cancel(self) -> bool:
         """Withdraw a still-queued job.  Returns False once it ran."""

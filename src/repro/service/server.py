@@ -48,6 +48,7 @@ from repro.service.job import (
     JobContext,
     JobHandle,
     JobRecord,
+    JobResult,
     JobStatus,
 )
 from repro.service.scheduler import FairShareScheduler
@@ -180,6 +181,7 @@ class JobServer:
             name=name if name is not None else f"job-{self._seq}",
             tenant=tenant,
             fn=fn,
+            result=JobResult(),
             costs=costs,
             faults=faults,
             recovery=recovery if recovery is not None else self.recovery,
@@ -218,6 +220,7 @@ class JobServer:
             return False
         rec.status = JobStatus.CANCELLED
         rec.finish_vtime = self.now
+        rec.release()
         return True
 
     # -- dispatch ----------------------------------------------------------
@@ -229,9 +232,10 @@ class JobServer:
             tenant.check_dispatch()  # quota gate: BudgetExhausted
         except JobFailure as exc:
             rec.status = JobStatus.FAILED
-            rec.error = exc
+            rec.result.error = exc
             rec.finish_vtime = self.now
             rec.metrics = {"refused": True}
+            rec.release()
             return
         rec.status = JobStatus.RUNNING
 
@@ -259,14 +263,14 @@ class JobServer:
             try:
                 with serial.use_copy_stats(self.serial_stats), \
                         use_executor(rt), use_costs(rt.costs):
-                    rec.value = rec.fn(ctx)
+                    rec.result.value = rec.fn(ctx)
             except Exception as exc:
                 # Futures semantics: cluster faults (JobFailure) and
                 # programming errors alike are captured here and
                 # re-raised from ``result()``; the server's ledgers and
                 # timeline stay consistent either way.
                 failed = True
-                rec.error = exc
+                rec.result.error = exc
             osp.set(status="failed" if failed else "done",
                     virtual_seconds=rt.elapsed)
 
@@ -310,6 +314,9 @@ class JobServer:
         self.now += elapsed
         rec.finish_vtime = self.now
         rec.status = JobStatus.FAILED if failed else JobStatus.DONE
+        # ``records`` is a ledger that lives as long as the server: the
+        # result now belongs to whoever holds the handle.
+        rec.release()
 
     # -- reporting ---------------------------------------------------------
 

@@ -318,3 +318,53 @@ class TestLocalSectionForkCount:
         # the launcher decodes frames from ranks >= 1 only: their messages
         # to rank 0 and their outcomes, never anything from rank 0
         assert readers and 0 not in readers
+
+
+@pytest.mark.perfsmoke
+class TestBoundSectionsRunToBlock:
+    """On ``sim`` the ranks of a scalar-tier op take turns (they could only
+    fight over the GIL), and the ranks of a vectorized op do not (their
+    NumPy kernels overlap).  A count, not a stopwatch: the most ranks ever
+    inside ``_node_execute`` at once, at the sizes of ``benchmarks/e2e``."""
+
+    SMALL = {  # benchmarks/e2e/workloads.py
+        "cutcp": dict(na=240, grid=(16, 16, 16), cutoff=2.0),
+        "tpacf": dict(m=32, nr=8, nbins=128),
+    }
+    DENSE_MRIQ = dict(npix=6144, nk=64)
+
+    def _run(self, app, params, vectorize):
+        from repro.cluster import MachineSpec
+
+        problem = APPS[app].make_problem(**params)
+        with use_vectorization(vectorize):
+            run = APPS[app].runners["triolet"](
+                problem, MachineSpec(nodes=2, cores_per_node=1),
+                costs_for(app, "triolet", problem),
+            )
+        assert run.ok
+
+    @pytest.mark.parametrize("app", ["cutcp", "tpacf"])
+    def test_scalar_op_has_one_rank_in_node_execute_at_a_time(
+        self, app, monkeypatch, overlap_probe
+    ):
+        from repro.runtime import observing_sections
+        from repro.runtime.driver import TrioletRuntime
+
+        node_execute = TrioletRuntime._node_execute
+
+        def probed(self, *args, **kw):
+            with overlap_probe:
+                return node_execute(self, *args, **kw)
+
+        monkeypatch.setattr(TrioletRuntime, "_node_execute", probed)
+        sections = []
+        with observing_sections(lambda payload: sections.append(payload["record"])):
+            self._run(app, self.SMALL[app], vectorize=False)
+        assert sections and all(s.plan is None and s.nodes == 2 for s in sections)
+        assert overlap_probe.entries == 2 * len(sections)
+        assert overlap_probe.max == 1
+
+    def test_vectorized_mriq_is_launched_free_running(self, section_launches):
+        self._run("mriq", self.DENSE_MRIQ, vectorize=True)
+        assert section_launches and not any(section_launches)

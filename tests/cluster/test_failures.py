@@ -112,16 +112,22 @@ class TestDeadlocks:
             run_spmd(MACHINE, main, nranks=2, real_timeout=0.3)
 
 
-    def test_blocked_receiver_wakes_when_its_sender_is_done(self):
+    def test_blocked_receiver_wakes_when_its_sender_is_done(self, run_to_block=False):
         """A receiver already blocked when its source returns without
         sending learns so at once, not at the end of a poll quantum."""
         stamps = {}
 
         def main(comm):
             if comm.rank == 0:
+                if run_to_block:
+                    # rank 1 runs only once this rank blocks: wait for its
+                    # word, by which time it is about to block on tag 42
+                    comm.recv(source=1, tag=41)
                 time.sleep(0.005)  # let rank 1 block first
                 stamps["done"] = time.perf_counter()
                 return
+            if run_to_block:
+                comm.send("about to block", 0, tag=41)
             try:
                 comm.recv(source=0, tag=42)
             finally:
@@ -130,9 +136,40 @@ class TestDeadlocks:
         lags = []
         for _ in range(20):
             with pytest.raises(SimDeadlockError, match="already finished"):
-                run_spmd(MACHINE, main, nranks=2, real_timeout=10.0)
+                run_spmd(MACHINE, main, nranks=2, real_timeout=10.0,
+                         run_to_block=run_to_block)
             lags.append(stamps["woke"] - stamps["done"])
         assert statistics.median(lags) < 0.020
+
+    def test_blocked_receiver_wakes_under_run_to_block(self):
+        """The same under the baton: the woken receiver has to get the
+        baton back from a rank that is already gone."""
+        self.test_blocked_receiver_wakes_when_its_sender_is_done(run_to_block=True)
+
+    def test_a_timed_out_receiver_holds_nobody_up(self):
+        """Run-to-block: the rank that waits for a message nobody sends
+        is not holding the baton while it waits, so the others run to
+        completion and only then does it give up."""
+        finished = []
+
+        def main(comm):
+            if comm.rank == 2:
+                for dst in (0, 1):
+                    comm.send("waiting from here on", dst, tag=1)
+                comm.recv(source=0, tag=42)  # nobody sends tag 42
+            comm.recv(source=2, tag=1)
+            peer = 1 - comm.rank
+            comm.send(comm.rank, peer, tag=7)
+            got = comm.recv(source=peer, tag=7)
+            time.sleep(0.3)  # work that outlasts rank 2's deadline
+            finished.append((comm.rank, got))
+
+        t0 = time.perf_counter()
+        with pytest.raises(SimDeadlockError, match="rank 2 waited"):
+            run_spmd(MACHINE, main, nranks=3, real_timeout=0.2,
+                     run_to_block=True)
+        assert sorted(finished) == [(0, 1), (1, 0)]
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestBufferOverflowPropagation:

@@ -8,9 +8,12 @@ cross-backend contract: identical results, identical *virtual* timing
 from wall time), and identical driver-observable state for a full app
 run.
 """
+import functools
+
 import numpy as np
 import pytest
 
+from repro import cluster
 from repro.bench.calibrate import costs_for
 from repro.bench.harness import APPS
 from repro.cluster import MachineSpec, run_spmd
@@ -21,9 +24,18 @@ pytestmark = pytest.mark.transport
 TRANSPORTS = available_transports(nranks=4)
 
 
-@pytest.fixture(params=TRANSPORTS)
-def transport(request):
-    return request.param
+@pytest.fixture(params=TRANSPORTS + ["sim-run_to_block"])
+def transport(request, monkeypatch):
+    """Every backend, plus ``sim`` scheduled run-to-block: for that case
+    every ``run_spmd`` call of the test passes ``run_to_block=True``, and
+    the oracle below stays the free-running simulator."""
+    name, _, run_to_block = request.param.partition("-")
+    if run_to_block:
+        monkeypatch.setitem(
+            globals(), "run_spmd",
+            functools.partial(cluster.run_spmd, run_to_block=True),
+        )
+    return name
 
 
 def machine_for(transport: str, nodes: int = 4) -> MachineSpec:
@@ -32,7 +44,9 @@ def machine_for(transport: str, nodes: int = 4) -> MachineSpec:
 
 def sim_reference(rank_fn, nranks, **kw):
     """The same program on the sim backend (the conformance oracle)."""
-    return run_spmd(machine_for("sim", nranks), rank_fn, nranks=nranks, **kw)
+    return cluster.run_spmd(
+        machine_for("sim", nranks), rank_fn, nranks=nranks, **kw
+    )
 
 
 class TestPointToPoint:

@@ -1,4 +1,7 @@
 """Suite-wide configuration."""
+import sys
+import threading
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -35,3 +38,54 @@ def _fresh_engine_state():
     reset_planner()
     serial.reset()
     force_disable()
+
+
+class OverlapProbe:
+    """Counts threads inside a region: ``with probe:`` around the code of
+    interest, ``probe.max`` is the most that were ever in it at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.inside = 0
+        self.max = 0
+        self.entries = 0
+
+    def __enter__(self):
+        with self._lock:
+            self.inside += 1
+            self.entries += 1
+            self.max = max(self.max, self.inside)
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self.inside -= 1
+
+
+@pytest.fixture
+def overlap_probe():
+    """An :class:`OverlapProbe` under a 50 us GIL switch interval, so two
+    runnable Python threads interleave hundreds of times per millisecond
+    of work: regions that *can* overlap do."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5e-5)
+    try:
+        yield OverlapProbe()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def section_launches(monkeypatch):
+    """The ``run_to_block`` keyword of every ``run_spmd`` call the section
+    engine makes while the test runs, in order."""
+    from repro.runtime import section
+
+    run_spmd = section.run_spmd
+    seen = []
+
+    def spy(*args, **kw):
+        seen.append(kw["run_to_block"])
+        return run_spmd(*args, **kw)
+
+    monkeypatch.setattr(section, "run_spmd", spy)
+    return seen

@@ -18,6 +18,7 @@ from repro.cluster import (
     TransientSendError,
 )
 from repro.cluster.limits import EDEN_LIMITS
+from repro.core.engine import register_bulk
 from repro.runtime import (
     DEFAULT_RECOVERY,
     BudgetExhausted,
@@ -29,6 +30,7 @@ from repro.runtime import (
     classify_failure,
     triolet_runtime,
 )
+from repro.serial import closure, register_function
 
 MACHINE = MachineSpec(nodes=4, cores_per_node=4)
 XS = np.arange(2000.0)
@@ -37,6 +39,20 @@ EXPECTED = float(np.sum(XS * XS))
 
 def squares_sum():
     return tri.sum(tri.map(lambda x: x * x, tri.par(XS)))
+
+
+@register_function
+def _square(x):
+    return x * x
+
+
+register_bulk(_square, lambda xs: xs * xs)
+
+
+def squares_sum_engine():
+    """``squares_sum`` with a bulk form: an engine-compiled section, whose
+    ``sim`` rank threads run free (the lambda's run to block)."""
+    return tri.sum(tri.map(closure(_square), tri.par(XS)))
 
 
 class TestRetry:
@@ -360,6 +376,14 @@ class TestElasticShrink:
             MACHINE.nodes - 1
 
     def test_concurrent_losses_absorb_in_one_attempt_deterministically(self):
+        # A lambda has no bulk form: the ranks of this section run to block.
+        assert self._concurrent_losses(squares_sum).sections[-1].plan is None
+
+    def test_concurrent_losses_with_free_running_ranks(self):
+        rt = self._concurrent_losses(squares_sum_engine)
+        assert rt.sections[-1].plan is not None
+
+    def _concurrent_losses(self, squares_sum):
         # Two losses due within the same attempt: the survivors must keep
         # executing their own instruction streams after the first failure
         # (draining posted messages, applying shipping ops), so the
@@ -382,6 +406,7 @@ class TestElasticShrink:
         assert out == pytest.approx(EXPECTED)
         assert losses == 2
         assert attempts == 2  # one failed attempt absorbed both losses
+        return rt
 
     def test_loss_without_recovery_raises_permanent_fault(self):
         with triolet_runtime(MACHINE, faults=self._loss(),

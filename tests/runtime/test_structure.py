@@ -60,3 +60,33 @@ def test_the_local_launcher_has_one_fork_site_and_no_transport_wide_heap_flag():
     ]
     assert len(forks) == 1, forks
     assert "shared_heap" not in (RUNTIME / "section.py").read_text()
+
+
+def test_the_rank_baton_is_sims_alone_and_the_runtime_takes_no_lock():
+    """How ``sim`` schedules its rank threads is the transport's business:
+    every ``threading.Lock(`` of ``cluster/transport.py`` sits inside
+    ``SimTransport`` (ranks that are processes share no GIL and get no
+    baton), and the runtime -- which only says whether a section's ranks
+    could overlap -- never touches a lock itself."""
+    tree = ast.parse((RUNTIME.parent / "cluster" / "transport.py").read_text())
+
+    def lock_sites(node: ast.AST) -> list[int]:
+        return [
+            n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Call) and _called_name(n) in ("Lock", "RLock")
+        ]
+
+    (sim,) = [
+        n for n in tree.body
+        if isinstance(n, ast.ClassDef) and n.name == "SimTransport"
+    ]
+    assert lock_sites(sim) and lock_sites(sim) == lock_sites(tree)
+    for path in sorted(RUNTIME.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert "threading" not in _imported_names(tree), path.name
+        taken = [
+            f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and _called_name(n) in ("Lock", "RLock", "acquire", "release")
+        ]
+        assert not taken, taken
