@@ -17,8 +17,17 @@ pure function of the program, the data, and the machine model.  The
 ``local`` transport runs the same rank function in the calling process
 (rank 0) and forked worker processes (ranks >= 1) -- same virtual
 timeline (the cost model is causal, not scheduled), real wall-clock
-parallelism.  If any rank raises, the run's abort flag wakes every blocked receiver and the
-original exception is re-raised in the caller.
+parallelism.  If any rank raises, no other rank is killed asynchronously.
+On ``sim`` each keeps executing its own instruction stream until it
+blocks on a receive from a rank whose thread has ended: ``mark_done``
+queues a wake token behind that rank's last message on each of its
+channels, which is what wakes an already-blocked receiver, and the run's
+abort flag only decides what the woken receiver raises (``SimAborted``
+rather than a deadlock).  On ``local`` a rank stops at its next post or
+empty receive once the shared abort flag is set.  The original exception
+is then re-raised in the caller, carrying every rank's final clock and
+what the ranks published (``final_clocks``, ``rank_extras``): a failed
+run's survivors did real, timed work.
 """
 from __future__ import annotations
 
@@ -149,6 +158,7 @@ def run_spmd(
             exc.rank_failures = infos
             exc.trace_log = ctx.trace  # crashed attempts stay observable
             exc.rank_extras = out.extras  # partial rank-local state
+            exc.final_clocks = out.clocks  # how long each rank really ran
             if faults is not None or recovery is not None:
                 exc.recovery_report = _build_report(metrics)
         except (AttributeError, TypeError):

@@ -38,7 +38,9 @@ class ConsumeSpec:
         whole iterator gives the sequential semantics; running it on
         slices gives per-task partials.
     combine
-        Associative merge of two partials (reduce kinds only).
+        Associative merge of two partials (reduce kinds only).  It must
+        not modify its arguments: a rank that survives a failed attempt
+        keeps the partial it finished and folds it in again in the next.
     ordered
         The combine is associative but *not* commutative (list concat,
         string append): partials must merge in ascending outer-position

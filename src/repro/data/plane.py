@@ -127,15 +127,17 @@ def _walk_source(src: Any, reqs: dict) -> None:
 
 
 def chunk_requirements(chunk) -> dict:
-    """Handle rows one rank's chunk touches: sources + closure envs."""
+    """Handle rows one rank's chunk -- or list of chunks, merged per array
+    into one interval -- touches: sources + closure envs."""
     reqs: dict = {}
-    idx = getattr(chunk, "idx", None)
-    if idx is None:
-        return reqs
-    _walk_source(idx.source, reqs)
-    _walk_env(idx.extract, reqs)
-    if idx.bulk is not None:
-        _walk_env(idx.bulk, reqs)
+    for c in chunk if isinstance(chunk, list) else (chunk,):
+        idx = getattr(c, "idx", None)
+        if idx is None:
+            continue
+        _walk_source(idx.source, reqs)
+        _walk_env(idx.extract, reqs)
+        if idx.bulk is not None:
+            _walk_env(idx.bulk, reqs)
     return reqs
 
 

@@ -42,6 +42,13 @@ def summarize(data: dict) -> dict:
         kind_time[s["kind"]] = kind_time.get(s["kind"], 0.0) + (t1 - s["t0"])
         if s["rank"] >= 0:
             ranks.add(s["rank"])
+    # Sections that needed more than one attempt: their attempts and the
+    # recovery acts between them, in order, under the section's span.
+    by_sid = {s["sid"]: s for s in spans}
+    recovered: dict[int, list[dict]] = {}
+    for s in spans:
+        if s["kind"] in ("attempt", "recover"):
+            recovered.setdefault(s["parent"], []).append(s)
     return {
         "spans": len(spans),
         "events": len(events),
@@ -53,6 +60,17 @@ def summarize(data: dict) -> dict:
              "makespan": sec.get("makespan"),
              "bytes_shipped": sec.get("bytes_shipped")}
             for sec in data.get("sections", [])
+        ],
+        "recovered_sections": [
+            {
+                "section": f"{by_sid[sid]['name']}#{sid}",
+                "steps": [
+                    {"name": s["name"], "t0": s["t0"],
+                     "virtual_s": s["t1"] - s["t0"], **s["attrs"]}
+                    for s in sorted(steps, key=lambda s: s["t0"])
+                ],
+            }
+            for sid, steps in sorted(recovered.items())
         ],
         "counters": dict(sorted(counters.items())),
     }
@@ -75,6 +93,22 @@ def render_summary(summary: dict) -> str:
             lines.append(
                 f"{str(sec['label'])[:27]:<28}{str(sec['kind']):<10}"
                 f"{sec['makespan']:>12.6f}{sec['bytes_shipped']:>12}"
+            )
+    for sec in summary.get("recovered_sections", ()):
+        lines += ["", f"attempts of section {sec['section']}:",
+                  f"  {'step':<12}{'virtual s':>12}{'wall ms':>10}"
+                  f"{'ranks':>7}{'blocks':>8}{'kept':>6}  outcome"]
+        for st in sec["steps"]:
+            if "outcome" not in st:  # a recovery act between two attempts
+                lines.append(f"  {st['name']:<12}{'':>12}{'':>10}{'':>7}"
+                             f"{'':>8}{'':>6}  lost_rows="
+                             f"{st.get('lost_rows', 0)}")
+                continue
+            wall_ms = (st["wall_ns1"] - st["wall_ns0"]) / 1e6
+            lines.append(
+                f"  {st['name']:<12}{st['virtual_s']:>12.6f}{wall_ms:>10.3f}"
+                f"{st['nranks']:>7}{st['blocks']:>8}{st['salvaged']:>6}"
+                f"  {st['outcome']}"
             )
     lines += ["", "counters:"]
     for name, value in summary["counters"].items():

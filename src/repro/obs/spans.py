@@ -41,8 +41,10 @@ from repro.obs.registry import MetricsRegistry
 #: ``halo`` spans are instants marking ghost-cell (stencil halo)
 #: exchanges, one per destination rank -- kept apart from ``ship`` so
 #: interior placement bytes and halo bytes stay separately auditable.
+#: ``attempt`` spans are the attempts of a section that needed more than
+#: one, ``recover`` instants the shrink or invalidation between two.
 SPAN_KINDS = ("phase", "section", "plan", "ship", "halo", "kernel",
-              "collective", "checkpoint")
+              "collective", "checkpoint", "attempt", "recover")
 
 #: Lane number for main-rank/driver spans (exported as tid 0).
 DRIVER_LANE = -1
@@ -213,12 +215,25 @@ class Recorder:
         sp.__exit__()
         return sp
 
-    def absorb_events(self, events, parent: Span | None) -> None:
+    @contextmanager
+    def later(self, dt: float):
+        """Spans on section-local clocks opened inside start *dt* later
+        on the driver timeline: a section's retry attempts, whose rank
+        clocks restart at zero (rank threads copy the caller's context)."""
+        token = _base.set(_base.get() + dt)
+        try:
+            yield
+        finally:
+            _base.reset(token)
+
+    def absorb_events(self, events, parent: Span | None,
+                      offset: float = 0.0) -> None:
         """Fold a :class:`~repro.cluster.trace.TraceLog`'s CommEvents in,
         linked to the enclosing section span and rebased from the
-        section-local rank timeline onto the driver timeline."""
+        section-local rank timeline onto the driver timeline (*offset*:
+        how far into the section the attempt they belong to started)."""
         psid = parent.sid if parent is not None else None
-        base = parent.t0 if parent is not None else 0.0
+        base = (parent.t0 if parent is not None else 0.0) + offset
         with self._lock:
             for e in events:
                 d = e.as_dict() if hasattr(e, "as_dict") else dict(e)

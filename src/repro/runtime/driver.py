@@ -28,8 +28,10 @@ Numerical results are always real; only elapsed time is virtual.
 from __future__ import annotations
 
 import contextvars
+import functools
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -39,7 +41,7 @@ from repro.cluster.faults import FaultPlan
 from repro.cluster.limits import RuntimeLimits, UNLIMITED
 from repro.cluster.machine import MachineSpec
 from repro.cluster.simclock import VirtualClock
-from repro.cluster.transport import resolve_transport
+from repro.cluster.transport import rank_extras, resolve_transport
 from repro.core import meter
 from repro.core.domains import Dim2
 from repro.core.engine import execute as _engine
@@ -64,6 +66,7 @@ from repro.runtime.recovery import (
     RecoveryReport,
 )
 from repro.runtime.section import (
+    FINISHED,
     ISOLATED,
     Parts,
     SectionKind,
@@ -621,6 +624,16 @@ class TrioletRuntime:
             else not spec.ordered
         )
 
+        cover = _Cover(
+            it, lambda sub, nranks: self._partition(
+                sub, nranks, allow_2d=allow_2d
+            )
+        )
+        # Pieces of an ordered reduce must fold in element order, which a
+        # rank folding what it holds into what it computes would break:
+        # such a section keeps nothing and is re-executed whole.
+        salvage = not (spec.kind == "reduce" and spec.ordered)
+
         def plan_ship(parts: Parts, migrated: bool, recovery: bool):
             # Section-boundary placement planning: what handle rows does
             # each rank's chunk (sources + closure environments) need, and
@@ -628,28 +641,51 @@ class TrioletRuntime:
             # when the section touches no handles -- the legacy
             # ship-the-slice path is then byte-for-byte unchanged.
             return self.plane.plan_section(
-                self.plane.requirements(parts.work),
+                self.plane.requirements(
+                    [[c for _, c in _todo(w, r)]
+                     for r, w in enumerate(parts.work)]
+                ),
                 migrated=migrated, recovery=recovery,
             )
 
-        def rank_body(comm: Comm, my_chunk: Iter, parts: Parts):
-            with _obs_span(
-                "kernel", "node_execute", rank=comm.rank, clock=comm.clock,
-            ) as ksp:
-                result, makespan, gc_time = self._node_execute(
-                    my_chunk, spec, cores
-                )
-                comm.compute(makespan)
-                ksp.set(makespan=makespan, gc_time=gc_time)
-            comm.metrics.gc_time += gc_time  # already inside makespan
-            comm.alloc(_result_bytes(result))
+        def rank_body(comm: Comm, mine, parts: Parts):
+            finished = []
+            for key, chunk in _todo(mine, comm.rank):
+                with _obs_span(
+                    "kernel", "node_execute", rank=comm.rank, clock=comm.clock,
+                ) as ksp:
+                    result, makespan, gc_time = self._node_execute(
+                        chunk, spec, cores
+                    )
+                    comm.compute(makespan)
+                    ksp.set(makespan=makespan, gc_time=gc_time)
+                comm.metrics.gc_time += gc_time  # already inside makespan
+                comm.alloc(_result_bytes(result))
+                finished.append((key, result))
+            if salvage and self.faults is not None:
+                # Before the collective, where a rank may die or block for
+                # good: what it finished outlives the attempt.
+                rank_extras()[FINISHED] = finished
+            if parts.held:
+                # What this rank kept from failed attempts goes to the root
+                # from here, at this rank's cost -- folded in below
+                # (reduce) or inside its gather message (build).
+                finished = parts.held[comm.rank] + finished
             if spec.kind == "reduce":
                 charged = _charged_combine(comm, spec.combine, self.costs)
-                return comm.reduce(result, charged, root=0)
-            gathered = comm.gather(result, root=0)
+                return comm.reduce(
+                    functools.reduce(charged, [p for _, p in finished]),
+                    charged, root=0,
+                )
+            gathered = comm.gather(
+                finished if parts.held else finished[0][1], root=0
+            )
             if comm.rank != 0:
                 return None
-            return _assemble_build(gathered, parts.bounds, parts.label)
+            return cover.assemble(
+                dict(chain.from_iterable(gathered)) if parts.held
+                else {(r,): g for r, g in enumerate(gathered)}
+            )
 
         def bound(plan: str | None) -> bool:
             # no bulk plan: ranks walk the bound closure tree per element
@@ -658,9 +694,7 @@ class TrioletRuntime:
         return run_section(self, SectionKind(
             kind=spec.kind,
             label="par",
-            partition=lambda nranks: self._partition(
-                it, nranks, allow_2d=allow_2d
-            ),
+            partition=lambda nranks: cover.residual([], nranks),
             plan_ship=plan_ship,
             rank_body=rank_body,
             commit=lambda result, parts: result,
@@ -670,7 +704,110 @@ class TrioletRuntime:
             observe={"iterator": it, "spec": spec},
             prepare=lambda: self._warm_plan(it),
             run_to_block=bound,
+            residual=cover.residual if salvage else None,
         ))
+
+
+def _todo(work, rank: int) -> list:
+    """One rank's work item as ``(key, chunk)`` pairs: a residual attempt
+    ships them as such, an ordinary one ships the bare chunk of block
+    ``(rank,)``."""
+    return work if isinstance(work, list) else [((rank,), work)]
+
+
+def _shifted(block, origin):
+    """*block* of the sub-iterator over the block *origin*, in the
+    coordinates *origin* is given in."""
+    if isinstance(block[0], tuple):  # 2-D: (rows, cols)
+        return tuple(
+            (lo + o, hi + o) for (lo, hi), (o, _) in zip(block, origin)
+        )
+    return (block[0] + origin[0], block[1] + origin[0])
+
+
+class _Cover:
+    """How a pipeline section's domain gets covered, attempt by attempt.
+
+    ``grids[path]`` is the ordinary partition of the block at *path* --
+    ``()`` the whole domain, ``(2,)`` block 2 of its partition, ``(2, 0)``
+    block 0 of the partition of that block (§3.5: a block's chunk *is*
+    the sliceable sub-iterator over it) -- and the key of a finished
+    partial is the path of its block.  After a failed attempt the largest
+    blocks nobody holds any part of are partitioned afresh over the
+    survivors; when that is the whole domain, the attempt is an ordinary
+    one.  The root assembles a build inside out: each partitioned block
+    from its own grid, then the grid it sits in with it in place.
+    """
+
+    def __init__(self, it: Iter, partition):
+        self.it = it
+        self.partition = partition  # (sub-iterator, nranks) -> Parts
+        self.grids: dict[tuple, Parts] = {}
+
+    def _missing(self, path: tuple, holders: dict) -> list | None:
+        """The largest blocks under *path* nobody holds a part of
+        (``None``: *path* itself is one)."""
+        if path in holders:
+            return []
+        if path not in self.grids:
+            return None
+        subs = [
+            self._missing(path + (k,), holders)
+            for k in range(len(self.grids[path].bounds))
+        ]
+        if all(sub is None for sub in subs):
+            return None
+        return [
+            p for k, sub in enumerate(subs)
+            for p in ([path + (k,)] if sub is None else sub)
+        ]
+
+    def _where(self, key: tuple):
+        """The block *key* names, in the section's coordinates."""
+        block = self.grids[key[:-1]].bounds[key[-1]]
+        return _shifted(block, self._where(key[:-1])) if key[1:] else block
+
+    def residual(self, held: list, nranks: int) -> Parts:
+        """See ``SectionKind.residual``."""
+        while held and not held[-1]:
+            held = held[:-1]  # survivors the failed attempt never reached
+        holders = {key: r for r, pairs in enumerate(held) for key, _ in pairs}
+        todo = self._missing((), holders) or [()]
+        for path in todo:
+            for stale in [p for p in self.grids if p[:len(path)] == path]:
+                del self.grids[stale]
+            sub = self.grids[path[:-1]].work[path[-1]] if path else self.it
+            self.grids[path] = self.partition(sub, nranks)
+        fresh = [self.grids[path] for path in todo]
+        if not holders:
+            return fresh[0]
+        work: list = [
+            [] for _ in range(max(len(held), *(len(p.work) for p in fresh)))
+        ]
+        for path, parts in zip(todo, fresh):
+            for k, chunk in enumerate(parts.work):
+                work[k].append((path + (k,), chunk))
+        return Parts(
+            f"{fresh[0].label} +{len(holders)} kept",
+            [self._where(key) for todo_r in work for key, _ in todo_r],
+            work,
+            rebalanced=any(p.rebalanced for p in fresh),
+            held=held + [[] for _ in range(len(work) - len(held))],
+            salvaged=[(r, self._where(key)) for key, r in holders.items()],
+        )
+
+    def assemble(self, values: dict, path: tuple = ()) -> Any:
+        """The build over the block at *path* from the finished partials
+        *values* (by key)."""
+        parts = self.grids[path]
+        return _assemble_build(
+            [
+                values[path + (k,)] if path + (k,) in values
+                else self.assemble(values, path + (k,))
+                for k in range(len(parts.bounds))
+            ],
+            parts.label,
+        )
 
 
 def _charged_combine(comm: Comm, combine, costs: CostContext):
@@ -713,11 +850,12 @@ def _concat_build(partials: list[Any]) -> Any:
     return out
 
 
-def _assemble_build(gathered: list[Any], block_meta, partition: str) -> Any:
-    """Assemble per-node build partials at the root."""
+def _assemble_build(gathered: list[Any], partition: str) -> Any:
+    """Assemble the build partials of the blocks of one partition (in
+    block order; *partition* is its ``Parts.label``) at the root."""
     if partition.startswith("2d"):
-        # gathered[k] is the (rows x cols[, elem...]) block for
-        # block_meta[k], row-major over the process grid.  Concatenate
+        # gathered[k] is the (rows x cols[, elem...]) block k of the
+        # partition, row-major over the process grid.  Concatenate
         # explicitly along the two *domain* axes -- np.block joins along
         # the trailing axes, which scrambles element values that are
         # themselves arrays (pair-valued builds).
@@ -733,14 +871,13 @@ def _assemble_build(gathered: list[Any], block_meta, partition: str) -> Any:
                 else g
                 for g in gathered
             ]
-        row_starts = sorted({r[0] for r, _c in block_meta})
+        # Row-major over a py x px grid, px blocks to a grid row.  Not
+        # grouped by row interval: with more grid rows than rows, empty
+        # intervals repeat or share a start with the next one.
+        px = int(partition.split()[1].split("x")[1])
         grid_rows: list[np.ndarray] = []
-        for rs in row_starts:
-            row_blocks = [
-                g
-                for g, (r, _c) in zip(gathered, block_meta)
-                if r[0] == rs
-            ]
+        for k in range(0, len(gathered), px):
+            row_blocks = gathered[k:k + px]
             grid_rows.append(
                 row_blocks[0]
                 if len(row_blocks) == 1

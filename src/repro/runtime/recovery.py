@@ -6,11 +6,13 @@ this module decides what the runtime does about them:
 * **retry** -- transient send failures are retried with capped
   exponential backoff charged to the sender's virtual clock;
 * **re-execution** -- when an injected :class:`~repro.cluster.faults.
-  RankFailure` kills a rank mid-section, the driver re-partitions the
-  section's iterator across the surviving ranks and re-executes it.  The
-  paper's sliceable data sources (§3.5) make this cheap to express: a
-  replacement rank re-extracts exactly the slice it needs, no
-  checkpointing required;
+  RankFailure` kills a rank mid-section, the survivors keep the partials
+  they finished and the driver re-partitions only the blocks nobody
+  holds across them.  The paper's sliceable data sources (§3.5) make
+  this cheap to express: any sub-block of a section can be re-extracted
+  and shipped on its own, no checkpointing required.  A kind that cannot
+  finish from partials (ordered reduces, stencil sweeps) re-executes the
+  whole section, which is the same thing with nothing held;
 * **graceful degradation** -- a message rejected by the runtime's
   byte cap (:class:`~repro.cluster.limits.BufferOverflowError`) is
   fragmented into limit-sized pieces instead of failing the run.  The
@@ -207,12 +209,17 @@ class RecoveryReport:
     retries: int = 0
     backoff_time: float = 0.0
     reexecuted_chunks: int = 0
+    #: blocks whose partial a survivor of a failed attempt kept, so the
+    #: retry did not compute them again (0: everything was re-executed)
+    salvaged_chunks: int = 0
     rejected_messages: int = 0
     fragmented_messages: int = 0
     fragments_sent: int = 0
     speculations: int = 0
     straggler_time: float = 0.0
-    #: virtual seconds lost to failed attempts + re-execution backoff
+    #: virtual seconds of attempts that did not complete the section, plus
+    #: re-execution backoff -- part of that work may be kept, see
+    #: ``salvaged_chunks``
     added_time: float = 0.0
     #: data-plane bytes shipped again because a crash invalidated
     #: resident placement (recovery traffic, not steady-state traffic)
@@ -289,7 +296,8 @@ class RecoveryReport:
             f"send retries: {self.retries} "
             f"(backoff {self.backoff_time * 1e3:.3f}ms)",
             f"re-executed chunks: {self.reexecuted_chunks} "
-            f"over {self.attempts} attempt(s)",
+            f"over {self.attempts} attempt(s), "
+            f"{self.salvaged_chunks} kept from failed attempts",
             f"data-plane bytes re-shipped for recovery: "
             f"{self.reshipped_bytes:,}",
             f"permanent rank losses absorbed: {self.rank_losses} "
@@ -304,8 +312,8 @@ class RecoveryReport:
             f"{self.fragmented_messages} ({self.fragments_sent} fragments)",
             f"speculative backups: {self.speculations} "
             f"(straggler time {self.straggler_time * 1e3:.3f}ms)",
-            f"virtual time added by faults & recovery: "
-            f"{self.added_time * 1e3:.3f}ms",
+            f"virtual time of failed attempts + backoff: "
+            f"{self.added_time * 1e3:.3f}ms (kept work included)",
         ]
         if self.failure is not None:
             lines.append(f"job failed: {self.failure}")

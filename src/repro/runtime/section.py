@@ -18,8 +18,9 @@ and stencil sweeps (:mod:`repro.runtime.stencil`) are the two kinds.
 from __future__ import annotations
 
 import contextvars
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster.comm import Comm
@@ -31,7 +32,11 @@ from repro.core import meter
 from repro.core.fusion import planner
 from repro.data.handle import bind_store
 from repro.data.plane import SectionShipment
-from repro.obs.spans import active as _obs_active, obs_span as _obs_span
+from repro.obs.spans import (
+    NULL_SPAN as _NULL_SPAN,
+    active as _obs_active,
+    obs_span as _obs_span,
+)
 from repro.runtime.recovery import (
     BudgetExhausted,
     PermanentFault,
@@ -57,8 +62,14 @@ def add_section_observer(fn) -> None:
     distributed section.  Payload keys: ``runtime``, ``record``,
     ``iterator``, ``partition``, ``bounds``, ``nchunks``, ``ship``,
     ``spec`` (``None`` for stencil sweeps), ``attempts``, ``dead_ranks``,
-    ``survivors``, ``rank_losses``; stencil sweeps add ``halo``
-    (``aid``, ``radius``, ``row_nbytes``)."""
+    ``survivors``, ``rank_losses``, ``salvaged``; stencil sweeps add
+    ``halo`` (``aid``, ``radius``, ``row_nbytes``).
+
+    ``bounds`` are the blocks the *final* attempt computed on its
+    ``nchunks`` ranks and ``salvaged`` the ``(rank, block)`` pairs of the
+    partials that attempt's ranks kept from failed ones (empty for a
+    fault-free or fully re-executed section), all in the coordinates of
+    the section's own domain: together they cover it exactly once."""
     _SECTION_OBSERVERS.append(fn)
 
 
@@ -121,15 +132,23 @@ class SectionRecord:
 
 @dataclass
 class Parts:
-    """One attempt's partition of a section over ``len(bounds)`` ranks."""
+    """One attempt's partition of a section over ``len(work)`` ranks."""
 
     label: str  # SectionRecord.partition
-    bounds: list  # per-rank block: 1-D ``(lo, hi)`` or 2-D ``(rows, cols)``
+    #: the blocks this attempt computes, 1-D ``(lo, hi)`` or 2-D ``(rows,
+    #: cols)`` in the section's own coordinates: one per rank, unless the
+    #: attempt is a residual one (``held``)
+    bounds: list
     work: list  # per-rank item shipped to the rank (chunk iterator, bounds)
     #: the bounds came from cost feedback: shard boundaries migrate
     rebalanced: bool = False
     #: per-rank compute times of these blocks feed the rebalancer
     feedback: bool = False
+    #: per rank, the ``(key, partial)`` pairs it keeps from failed
+    #: attempts; empty when no rank holds anything
+    held: list = field(default_factory=list)
+    #: the ``(rank, block)`` behind every held pair, for observers
+    salvaged: list = field(default_factory=list)
 
 
 @dataclass
@@ -161,6 +180,15 @@ class SectionKind:
     #: the GIL, so ``sim`` should run its rank threads one at a time (see
     #: ``run_spmd``).  A fact about the section, never a setting.
     run_to_block: Callable[[str | None], bool] = lambda plan: False
+    #: ``residual(held, nranks)``: the attempt after a failed one.  *held*
+    #: lists, per survivor in its new rank order, the ``(key, partial)``
+    #: pairs it holds -- what the rank bodies published under
+    #: :data:`FINISHED`; the result partitions exactly the blocks nobody
+    #: holds over at most *nranks* ranks and carries *held* to the ranks
+    #: (``Parts.held``).  ``None``: the kind cannot finish from partials,
+    #: publishes none, and every retry is ``partition`` over again --
+    #: which is what ``residual`` amounts to when nothing is held.
+    residual: Callable[[list, int], Parts] | None = None
 
 
 #: Where metered-region tallies merge.  ``None`` means the runtime's own
@@ -176,6 +204,12 @@ _meter_sink: contextvars.ContextVar[meter.CostMeter | None] = (
 #: The one ``rank_extras()`` key the engine publishes under; its presence
 #: on a rank's extras is how the driver knows the rank ran elsewhere.
 ISOLATED = "repro.isolated_rank"
+
+#: The ``rank_extras()`` key a rank body publishes its finished ``(key,
+#: partial)`` pairs under, before it enters its collective -- in a run that
+#: carries a ``FaultPlan`` only, so no fault-free outcome frame grows by a
+#: byte.  The engine takes them off again at the end of every attempt.
+FINISHED = "repro.finished_partials"
 
 
 def _isolated_rank(rank_body):
@@ -208,6 +242,18 @@ def _isolated_rank(rank_body):
             _meter_sink.reset(mtok)
 
     return rank_fn
+
+
+def _step(kind: str, name: str, t0: float, **attrs) -> dict:
+    """One row of a section's attempt log, in ``Recorder.absorb_spans``
+    form (*t0*: virtual seconds into the section)."""
+    return {"kind": kind, "name": name, "rank": -1, "t0": t0, "t1": t0,
+            "attrs": attrs}
+
+
+def _close(step: dict, t1: float, outcome: str) -> None:
+    step["t1"] = t1
+    step["attrs"].update(outcome=outcome, wall_ns1=time.perf_counter_ns())
 
 
 def _rank_fn(rt, kind: SectionKind, parts: Parts, ship):
@@ -245,12 +291,19 @@ def _rank_fn(rt, kind: SectionKind, parts: Parts, ship):
 def run_section(rt, kind: SectionKind) -> Any:
     """Run one distributed section of *kind* on runtime *rt*.
 
-    Fault tolerance: when an injected rank crash kills an attempt, the
-    section is re-partitioned across the surviving ranks and re-executed
-    -- the sliceable sources re-extract exactly the slices the
-    replacement ranks need (§3.5), so no checkpoint or data shuffle is
-    required.  The failed attempt's virtual time and a backoff are
-    charged to the section's makespan and reported.
+    Fault tolerance: when an injected rank failure kills an attempt, the
+    ranks that did not fail keep the partials they finished, and the
+    next attempt computes only the blocks nobody holds, re-partitioned
+    across the survivors (``SectionKind.residual``) -- the sliceable
+    sources re-extract exactly the slices those blocks need (§3.5), so
+    no checkpoint or data shuffle is required.  A held partial reaches
+    the root inside the next attempt's collective, from the rank that
+    holds it.  Nothing held -- the root died before it shipped anything,
+    or the kind cannot finish from partials -- makes that next attempt
+    the whole section over again.  The failed attempt's virtual time (up
+    to the final clock of its last rank when any of its work is kept, up
+    to the failure when none is) and a backoff are charged to the
+    section's makespan and reported.
     """
     with _obs_span("section", kind.label, clock=rt.clock) as osp:
         out = _run(rt, kind, osp)
@@ -296,11 +349,12 @@ def _run(rt, kind: SectionKind, osp) -> Any:
     losses = 0  # permanent rank losses absorbed in this section
     absorb = False  # shrink happened: survivors absorb via migration
     section_report = RecoveryReport(attempts=0)
+    steps: list[dict] = []  # under a recorder: attempts and recovery acts
+    parts = kind.partition(nranks_max)
     while True:
-        parts = kind.partition(nranks_max - dead)
-        nparts = len(parts.bounds)
+        nparts = len(parts.work)
         if attempt > 0:
-            reexecuted += nparts
+            reexecuted += len(parts.bounds)
         # After an elastic shrink, ``absorb`` routes the survivors' grown
         # requirements through the weighted-bounds migration path (hulls
         # grow to the new blocks, only missing rows ship).
@@ -309,23 +363,34 @@ def _run(rt, kind: SectionKind, osp) -> Any:
             # Bytes shipped again because a crash invalidated placement:
             # recovery traffic, not steady-state traffic.
             reshipped += ship.stats["input_bytes"]
+        if obs is not None:
+            steps.append(_step(
+                "attempt", f"attempt {attempt + 1}", lost_time,
+                nranks=nparts, blocks=len(parts.bounds),
+                salvaged=len(parts.salvaged),
+                wall_ns0=time.perf_counter_ns(),
+            ))
         try:
-            res = run_spmd(
-                machine,
-                _rank_fn(rt, kind, parts, ship),
-                nranks=nparts,
-                ranks_per_node=machine.cores_per_node if flat else 1,
-                limits=rt.limits,
-                alloc_cost=rt.alloc,
-                wire_scale=rt.costs.wire_scale,
-                faults=rt.faults,
-                recovery=rec,
-                trace=obs is not None,
-                transport=rt.transport,
-                run_to_block=kind.run_to_block(plan),
-            )
+            # A later attempt's rank clocks restart at zero: under a
+            # recorder its spans and events start where it does.
+            with (obs.later(lost_time) if obs is not None and attempt
+                  else _NULL_SPAN):
+                res = run_spmd(
+                    machine,
+                    _rank_fn(rt, kind, parts, ship),
+                    nranks=nparts,
+                    ranks_per_node=machine.cores_per_node if flat else 1,
+                    limits=rt.limits,
+                    alloc_cost=rt.alloc,
+                    wire_scale=rt.costs.wire_scale,
+                    faults=rt.faults,
+                    recovery=rec,
+                    trace=obs is not None,
+                    transport=rt.transport,
+                    run_to_block=kind.run_to_block(plan),
+                )
             if obs is not None and res.trace is not None:
-                obs.absorb_events(res.trace.events, osp)
+                obs.absorb_events(res.trace.events, osp, lost_time)
             break
         except BaseException as exc:
             infos = getattr(exc, "rank_failures", None)
@@ -333,11 +398,19 @@ def _run(rt, kind: SectionKind, osp) -> Any:
             if obs is not None and crash_trace is not None:
                 # The failed attempt's messages and fault stamps stay
                 # visible in the trace, tied to the same section.
-                obs.absorb_events(crash_trace.events, osp)
+                obs.absorb_events(crash_trace.events, osp, lost_time)
             # A crashed attempt's completed-task tallies are real work;
             # ranks in the launcher merged as they ran, the others left
             # partial extras the transport saved on the exception.
-            rt._merge_rank_extras(getattr(exc, "rank_extras", None))
+            extras = getattr(exc, "rank_extras", None) or ()
+            rt._merge_rank_extras(extras)
+            # Take what the ranks finished off the exception and leave
+            # nothing else on it, whatever happens next: it sits on a
+            # reference cycle (its ``rank_failures`` point back at it),
+            # and what hangs there lives until a full collection.
+            finished = [ext.pop(FINISHED, ()) for ext in extras]
+            for ext in extras:
+                ext.clear()
             rank_failed = infos is not None and all(
                 isinstance(i.error, RankFailure) for i in infos
             )
@@ -367,24 +440,42 @@ def _run(rt, kind: SectionKind, osp) -> Any:
                     # job failure, not a substrate error.
                     raise PermanentFault(str(exc)) from exc
                 raise
-            # The crashed attempt ran until the failure; its survivors'
-            # progress is discarded, its time is not.
             partial = getattr(exc, "recovery_report", None)
             if partial is not None:
                 partial.attempts = 1
                 section_report.merge(partial)
+            # The ranks that did not fail ran their instruction streams
+            # to the end (see ``ChannelTable``): each keeps what it held
+            # and what it finished, under its new rank number.  A failed
+            # rank's partials are gone, whatever it published before it
+            # died -- the next attempt computes those blocks again.
+            failed = {i.rank for i in infos}
+            held, kept = [], False
+            for r, new in enumerate(finished):
+                if r not in failed:
+                    old = parts.held[r] if parts.held else []
+                    held.append(old + list(new))
+                    kept = kept or bool(new)
+            # An attempt whose work is kept lasted until its last rank
+            # stopped; one that leaves nothing behind is over, for every
+            # rank, the moment it fails.
+            ended = (
+                max(exc.final_clocks) if kept
+                else max(i.vtime for i in infos)
+            )
             if permanent:
                 # The machine shrank for good: later sections partition
                 # over the survivors only.
                 rt.lost_ranks += len(permanent)
                 losses += len(permanent)
+            act = None
             if rt.plane.has_state():
                 if permanent and rec.lineage_recovery:
                     # Elastic shrink: survivors keep their shards under
                     # renumbered ranks; only the dead ranks' intervals
                     # are marked for lineage replay and the next attempt
                     # re-ships just those rows.
-                    rt.plane.shrink([i.rank for i in infos])
+                    act = "shrink", rt.plane.shrink(sorted(failed))
                     absorb = True
                 else:
                     # Transient crash (the rank heals): every resident
@@ -395,14 +486,38 @@ def _run(rt, kind: SectionKind, osp) -> Any:
                     # (which commits only completed sections, so a retry
                     # reads exactly what the dead attempt read), and
                     # those bytes are attributed to recovery.
-                    rt.plane.invalidate()
-            lost_time += max(i.vtime for i in infos) + rec.backoff(attempt)
+                    act = "invalidate", rt.plane.invalidate()
+            if steps:
+                _close(steps[-1], lost_time + ended, "failed")
+                if act is not None:
+                    steps.append(_step("recover", act[0], lost_time + ended,
+                                       **act[1]))
+            lost_time += ended + rec.backoff(attempt)
             dead += len(infos)
             attempt += 1
+            # Exactly the blocks nobody holds, over the survivors; with
+            # nothing held that is the whole section again.
+            parts = (
+                kind.residual(held, nranks_max - dead)
+                if kind.residual is not None
+                else kind.partition(nranks_max - dead)
+            )
+            # Recovered from: nobody will print this traceback, and it
+            # pins every frame the failure passed through -- this one
+            # included, with the partials in its locals.
+            exc.__traceback__ = None
 
     # Section-boundary merge of what ranks outside the launcher published
     # (ranks on its heap merged directly as they ran and published nothing).
     rt._merge_rank_extras(res.extras)
+    for ext in res.extras:
+        ext.pop(FINISHED, None)  # the section is complete: nothing to keep
+    if attempt and steps:
+        _close(steps[-1], lost_time + res.makespan, "ok")
+        for i, st in enumerate(steps):
+            st.update(sid=-1 - i, parent=osp.sid, t0=st["t0"] + osp.t0,
+                      t1=st["t1"] + osp.t0)
+        obs.absorb_spans(steps)
     if ship is not None:
         # Mirror their shipping ops into the driver-side rank stores too:
         # a forked worker applied them to its fork-private copy, and the
@@ -445,6 +560,7 @@ def _run(rt, kind: SectionKind, osp) -> Any:
         if res.recovery is not None:
             section_report.merge(res.recovery)
         section_report.reexecuted_chunks = reexecuted
+        section_report.salvaged_chunks = len(parts.salvaged)
         section_report.added_time = lost_time
         section_report.reshipped_bytes = reshipped
         section_report.rank_losses = losses
@@ -503,6 +619,10 @@ def _run(rt, kind: SectionKind, osp) -> Any:
         # cross-backend invariant.
         osp.set(wall_seconds=res.wall_seconds, launch_s=res.launch_s,
                 root_s=res.root_s, join_s=res.join_s, transport=res.transport)
+    if attempt:
+        # how many blocks the retries did not have to compute again
+        # (0: the kind keeps nothing, or nobody held anything)
+        osp.set(salvaged=len(parts.salvaged))
     if losses:
         osp.set(rank_losses=losses)
     if ckpt_bytes:
@@ -519,6 +639,7 @@ def _run(rt, kind: SectionKind, osp) -> Any:
             "dead_ranks": dead,
             "survivors": nranks_max - dead,
             "rank_losses": losses,
+            "salvaged": parts.salvaged,
             **kind.observe,
         }
         for fn in list(_SECTION_OBSERVERS):

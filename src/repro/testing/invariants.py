@@ -8,12 +8,18 @@ live:
 * **Tiling** -- partition bounds tile the outer domain exactly: 1-D
   blocks are contiguous, non-overlapping and cover ``[0, extent)``; 2-D
   grids are the row-major cross product of row/column interval sets that
-  each tile their axis.
+  each tile their axis.  When a section finished from partials kept
+  across a failed attempt, the law is about the union: kept blocks and
+  the final attempt's residual blocks cover the domain exactly once,
+  and every kept block is held by a rank of that final attempt -- never
+  by one that died.
 * **Plane conservation** -- every chunk requirement is served by exactly
   one outcome, so ``requests == resident_hits + placements + migrations
-  + cache_hits + cache_misses`` per section, and the slice cache's
-  global hit/miss counters advance by exactly the section's planned
-  hits/misses.
+  + cache_hits + cache_misses`` per section -- where ``requests`` is the
+  number of requirements the shipped chunks (the residual ones, after a
+  failure) really have -- and the slice cache's global hit/miss counters
+  advance by exactly the section's planned hits/misses.  The placement
+  mirror agrees with what the rank stores hold.
 * **Reshipped monotonicity** -- ``recovery_report.reshipped_bytes``
   never decreases, and only grows in a section that actually re-executed
   chunks after a crash.
@@ -86,9 +92,23 @@ class InvariantChecker:
 
     def _check_tiling(self, payload: dict) -> None:
         bounds = payload["bounds"]
+        salvaged = payload.get("salvaged", ())
         it = payload["iterator"]
+        for rank, block in salvaged:
+            if not 0 <= rank < payload["nchunks"]:
+                _fail(
+                    f"kept block {block} is held by rank {rank}, not one of "
+                    f"the final attempt's {payload['nchunks']} ranks",
+                    payload,
+                )
+        # kept blocks and residual blocks together are what must tile
+        blocks = list(bounds) + [block for _rank, block in salvaged]
         if payload["partition"].startswith("2d"):
             dom = it.domain
+            if salvaged:
+                # Residual grids sit inside lost blocks: no cross product.
+                self._tile_rects(blocks, dom.h, dom.w, payload)
+                return
             row_ivals = sorted({r for r, _c in bounds})
             col_ivals = sorted({c for _r, c in bounds})
             self._tile_axis(row_ivals, dom.h, "row", payload)
@@ -101,10 +121,32 @@ class InvariantChecker:
                     payload,
                 )
         else:
-            self._tile_axis(list(bounds), it.domain.outer_extent, "outer", payload)
-        if len(bounds) != payload["nchunks"]:
+            self._tile_axis(
+                sorted(blocks) if salvaged else blocks,
+                it.domain.outer_extent, "outer", payload,
+            )
+        if not salvaged and len(bounds) != payload["nchunks"]:
             _fail(
                 f"{len(bounds)} partition bounds for {payload['nchunks']} chunks",
+                payload,
+            )
+
+    def _tile_rects(self, rects, h: int, w: int, payload: dict) -> None:
+        """Rectangles cover ``h x w`` exactly once: inside it, pairwise
+        disjoint, areas adding up."""
+        solid = [(r, c) for r, c in rects if r[1] > r[0] and c[1] > c[0]]
+        for r, c in rects:
+            if not (0 <= r[0] <= r[1] <= h and 0 <= c[0] <= c[1] <= w):
+                _fail(f"block {(r, c)} escapes the {h}x{w} domain", payload)
+        for i, (r, c) in enumerate(solid):
+            for r2, c2 in solid[i + 1:]:
+                if r[0] < r2[1] and r2[0] < r[1] and c[0] < c2[1] and c2[0] < c[1]:
+                    _fail(f"blocks {(r, c)} and {(r2, c2)} overlap", payload)
+        area = sum((r[1] - r[0]) * (c[1] - c[0]) for r, c in solid)
+        if area != h * w:
+            _fail(
+                f"kept and residual blocks cover {area} of the {h}x{w} "
+                f"domain's {h * w} elements",
                 payload,
             )
 
@@ -131,9 +173,10 @@ class InvariantChecker:
         """Indexed partitions conserve ``(index, value)`` pairs.
 
         When the sectioned iterator is an :class:`IndexedIter`, re-slice
-        it at the section's own partition bounds: every rank slice must
-        hold exactly ``hi - lo`` pairs, and the concatenation of the
-        slices' key sets must reproduce the unsliced key set -- strictly
+        it at the section's own partition bounds (kept blocks and
+        residual blocks alike, in domain order): every slice must hold
+        exactly ``hi - lo`` pairs, and the concatenation of the slices'
+        key sets must reproduce the unsliced key set -- strictly
         increasing, no pair lost, duplicated, or reordered.  (This is the
         law a non-monotone gather position array breaks.)
         """
@@ -149,7 +192,8 @@ class InvariantChecker:
                 payload,
             )
         pieces = []
-        for lo, hi in payload["bounds"]:
+        kept = [block for _rank, block in payload.get("salvaged", ())]
+        for lo, hi in sorted(list(payload["bounds"]) + kept):
             ks = type(it)(it.idx.slice(lo, hi)).key_array()
             if len(ks) != hi - lo:
                 _fail(
@@ -199,6 +243,18 @@ class InvariantChecker:
                 f"cache {s['cache_hits']}h/{s['cache_misses']}m)",
                 payload,
             )
+        # ... and they are the requests of the chunks that were shipped:
+        # one per array a non-root rank of the final attempt reads.
+        reqs = getattr(ship, "reqs", None)  # absent from synthetic payloads
+        if reqs is not None:
+            wanted = sum(len(r) for r in reqs[1:])
+            if len(reqs) != payload["nchunks"] or s["requests"] != wanted:
+                _fail(
+                    f"section planned {s['requests']} requests over "
+                    f"{len(reqs)} ranks, but its {payload['nchunks']} "
+                    f"ranks' chunks have {wanted} requirements",
+                    payload,
+                )
         if s["placed_bytes"] > s["input_bytes"]:
             _fail(
                 f"placed_bytes {s['placed_bytes']} exceeds input_bytes "
@@ -343,6 +399,18 @@ def check_plane(plane) -> None:
         if handle is not None and not (0 <= lo <= hi <= len(handle)):
             raise InvariantViolation(
                 f"hull [{lo}, {hi}) escapes handle [0, {len(handle)})"
+            )
+        # The mirror is what the rank's store really holds -- also after a
+        # shrink that renumbered the survivors of a failed attempt, some
+        # of which had not applied their shipping ops when it died.
+        try:
+            held = plane.worker_store(rank).resident_bounds(aid)
+        except KeyError:
+            held = None  # no such store at all
+        if held != (lo, hi):
+            raise InvariantViolation(
+                f"placement says rank {rank} holds [{lo}, {hi}) of array "
+                f"{aid}, its store holds {held}"
             )
     cs = plane.cache_stats()
     for key, val in cs.items():

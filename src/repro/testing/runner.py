@@ -21,7 +21,9 @@ The invariant checker observes every distributed section throughout.
 
 :func:`crash_drill` is the deterministic guarantee that at least one run
 per suite exercises crash re-execution (random fault sampling alone
-could miss it when the crash rank exceeds the chunk count).
+could miss it when the crash rank exceeds the chunk count);
+:func:`salvage_drill` the one that a section finishes from the partials
+the survivors of a failed attempt kept, 1-D reduce and 2-D build alike.
 """
 from __future__ import annotations
 
@@ -149,13 +151,21 @@ def _meter_triple(m: meter.CostMeter) -> tuple:
 # -- fault sampling ----------------------------------------------------------
 
 
-def sample_fault_plan(rng: random.Random, nodes: int) -> FaultPlan:
-    """One or two faults drawn over all five fault kinds."""
+def sample_fault_plan(rng: random.Random, nodes: int,
+                      makespan: float = 0.0) -> FaultPlan:
+    """One or two faults drawn over all five fault kinds.
+
+    A rank dies either at once (before it computes anything) or somewhere
+    in *makespan*, the fault-free section's: mid-compute, inside its
+    collective after it published its partial, or -- past its own last
+    instruction -- not at all.
+    """
     faults = []
     for _ in range(rng.choice([1, 1, 2])):
         kind = rng.randrange(5)
+        at = rng.choice([1e-7, rng.random() * makespan])
         if kind == 0 and nodes > 1:
-            faults.append(RankCrash(rank=rng.randrange(1, nodes), at=1e-7))
+            faults.append(RankCrash(rank=rng.randrange(1, nodes), at=at))
         elif kind == 1:
             faults.append(
                 SendFault(
@@ -170,7 +180,7 @@ def sample_fault_plan(rng: random.Random, nodes: int) -> FaultPlan:
         elif nodes > 2:
             # Permanent loss: the job must finish degraded via elastic
             # shrink, still bit-identical to the oracle.
-            faults.append(RankLoss(rank=rng.randrange(1, nodes), at=1e-7))
+            faults.append(RankLoss(rank=rng.randrange(1, nodes), at=at))
         else:
             faults.append(SlowNode(node=rng.randrange(nodes), factor=3.0))
     return FaultPlan(faults=tuple(faults))
@@ -299,7 +309,7 @@ def _distributed_paths(prog, machine, prng, v_scalar, m_scalar, fails):
     check_plane(rt_h.plane)
 
     # 4. under a sampled fault plan (values only; retries re-tally meters)
-    plan = sample_fault_plan(prng, nodes)
+    plan = sample_fault_plan(prng, nodes, pv.makespan)
     use_handles = prng.random() < 0.5
     with use_vectorization(True), triolet_runtime(
         machine, faults=plan, plane=DataPlane()
@@ -355,6 +365,63 @@ def crash_drill(seed: int) -> CaseResult:
         out.failures.append("crash drill attributed no reshipped bytes")
     if not out.crash_exercised:
         out.failures.append("invariant checker saw no crash section")
+    return out
+
+
+def salvage_drill(seed: int) -> CaseResult:
+    """Deterministic kept-partial case: on 4x2, a handle-backed sum loses
+    rank 2 and a ``Dim2`` build (on the three survivors) has rank 1 crash,
+    each in the middle of its section.  Both must finish from what the
+    other ranks had finished -- only the dead rank's block is computed
+    again -- bit-identical to the oracle, with the checker's union tiling
+    law (kept blocks + residual blocks) active."""
+    out = CaseResult(
+        seed=seed,
+        case=-5,
+        desc=f"salvage drill (seed {seed}): sum(square(par(handle[512]))) "
+        f"then build(prod(par(outer[12x10]))) on 4x2 with mid-section "
+        f"RankLoss(rank=2, section=0), RankCrash(rank=1, section=1)",
+    )
+    xs = np.arange(512, dtype=np.float64) % 10
+    u, v = np.arange(12.0) % 5, np.arange(10.0) % 7
+    machine = MachineSpec(nodes=4, cores_per_node=2)
+
+    def job(rt, hint):
+        return (
+            tri.sum(tri.map(K.k_square, hint(rt.distribute(xs)))),
+            tri.build(tri.map(K.k_pair_prod, hint(tri.outerproduct(u, v)))),
+        )
+
+    with triolet_runtime(machine, plane=DataPlane()) as clean:
+        expect = job(clean, tri.seq)
+        job(clean, tri.par)
+    t0, t1 = (s.makespan for s in clean.sections[-2:])
+    plan = FaultPlan(faults=(RankLoss(rank=2, at=0.5 * t0, section=0),
+                             RankCrash(rank=1, at=0.5 * t1, section=1)))
+    try:
+        with checking() as ck:
+            with triolet_runtime(machine, faults=plan, plane=DataPlane()) as rt:
+                got = job(rt, tri.par)
+            out.sections = ck.sections
+            out.crash_exercised = ck.crash_sections > 0
+            check_plane(rt.plane)
+    except InvariantViolation as exc:
+        out.failures.append(f"invariant violation: {exc}")
+        return out
+    if not bits_equal(expect[0], got[0]) or not bits_equal(expect[1], got[1]):
+        out.failures.append(f"salvage drill value drift: {got!r} vs {expect!r}")
+    kept = [s.recovery.salvaged_chunks if s.recovery else 0
+            for s in rt.sections]
+    if kept != [3, 2]:
+        out.failures.append(
+            f"salvage drill kept {kept} partials (want [3, 2]: every "
+            "survivor's)"
+        )
+    if "2d" not in rt.sections[1].partition:
+        out.failures.append(
+            f"the build was partitioned {rt.sections[1].partition!r}, "
+            "not on a 2-D grid"
+        )
     return out
 
 
@@ -564,10 +631,11 @@ def run_suite(
     if only is None:
         # Guarantee the acceptance properties: every suite exercises
         # transient crash re-execution, permanent-loss lineage recovery,
-        # restart-from-checkpoint, and mid-run loss under the stencil's
-        # halo exchange, with the checker active.
-        for drill_fn in (crash_drill, loss_drill, checkpoint_drill,
-                         stencil_drill):
+        # finishing from kept partials, restart-from-checkpoint, and
+        # mid-run loss under the stencil's halo exchange, with the
+        # checker active.
+        for drill_fn in (crash_drill, loss_drill, salvage_drill,
+                         checkpoint_drill, stencil_drill):
             drill = drill_fn(seed)
             suite.results.append(drill)
             if progress is not None:

@@ -368,3 +368,71 @@ class TestBoundSectionsRunToBlock:
     def test_vectorized_mriq_is_launched_free_running(self, section_launches):
         self._run("mriq", self.DENSE_MRIQ, vectorize=True)
         assert section_launches and not any(section_launches)
+
+
+@pytest.mark.perfsmoke
+class TestRecoveryComputesNothingTwice:
+    """``faulted_sim`` as a count: with the benchmark's plan (the last of 3
+    ``sim`` ranks lost at t = 0 of the app's largest section) an op visits
+    exactly as many elements as it does fault-free -- the survivors keep
+    the two thirds they finished, the retry computes the lost third.  At
+    the parent the retry recomputed everything: 2,999,175 visits a round
+    where 1,856,109 do."""
+
+    MID = {  # benchmarks/e2e/workloads.py
+        "mriq": dict(npix=8192, nk=64),
+        "sgemm": dict(n=96),
+        "tpacf": dict(m=64, nr=32, nbins=1024),
+        "cutcp": dict(na=4000, grid=(32, 32, 32), cutoff=2.0),
+    }
+    LOSS_SECTION = {"mriq": 0, "sgemm": 0, "tpacf": 2, "cutcp": 0}
+
+    @pytest.mark.parametrize("app", sorted(MID))
+    def test_a_faulted_op_tallies_the_fault_free_visits(self, app):
+        from repro.cluster.faults import FaultPlan, RankLoss
+        from repro.runtime import FailureBudget, RecoveryPolicy
+
+        machine = PAPER_MACHINE.scaled(nodes=3, cores_per_node=1)
+        problem = APPS[app].make_problem(seed=7, **self.MID[app])
+        costs = costs_for(app, "triolet", problem)
+        run = APPS[app].runners["triolet"]
+        clean = run(problem, machine, costs)
+        loss = RankLoss(rank=2, at=0.0, section=self.LOSS_SECTION[app])
+        faulted = run(
+            problem, machine, costs, faults=FaultPlan(faults=(loss,)),
+            recovery=RecoveryPolicy(), budget=FailureBudget(max_rank_losses=2),
+        )
+        assert clean.ok and faulted.ok
+        rep = faulted.detail["recovery"]
+        assert (rep.rank_losses, rep.salvaged_chunks) == (1, 2)
+        assert faulted.detail["meter"].visits == clean.detail["meter"].visits
+        assert APPS[app].same_value(faulted.value, clean.value)
+
+    def test_without_a_plan_no_partial_rides_an_outcome_frame(self):
+        # The standing rule: what recovery needs costs nothing when no
+        # fault can fire.  On ``local`` a rank's extras are pickled into
+        # its outcome frame, so a published partial would be real bytes.
+        from repro.cluster import MachineSpec, transport
+        from repro.runtime import TrioletRuntime
+        from repro.runtime.section import ISOLATED
+
+        if "local" not in transport.available_transports(nranks=2):
+            pytest.skip("LocalTransport unavailable (no fork)")
+        problem = APPS["sgemm"].make_problem(seed=7, n=32)
+        merge = TrioletRuntime._merge_rank_extras
+        seen = []
+
+        def spy(self, extras):
+            seen.extend(set(ext) for ext in extras or ())
+            return merge(self, extras)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TrioletRuntime, "_merge_rank_extras", spy)
+            run = APPS["sgemm"].runners["triolet"](
+                problem, MachineSpec(nodes=2, cores_per_node=1,
+                                     transport="local"),
+                costs_for("sgemm", "triolet", problem),
+            )
+        assert run.ok
+        # per section: rank 0 ran in the launcher, rank 1 in a fork
+        assert seen and seen == [set(), {ISOLATED}] * (len(seen) // 2)

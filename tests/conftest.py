@@ -89,3 +89,35 @@ def section_launches(monkeypatch):
 
     monkeypatch.setattr(section, "run_spmd", spy)
     return seen
+
+
+@pytest.fixture
+def launches(monkeypatch):
+    """Every ``run_spmd`` call the section engine makes while the test
+    runs, in order: the ``SpmdResult`` it returned or the exception it
+    raised, each with ``published`` -- per rank, whether it had published
+    finished partials (read before the engine takes them).
+    ``launches.kw`` overrides the engine's keywords."""
+    from repro.runtime import section
+
+    class Log(list):
+        kw: dict = {}
+
+    log = Log()
+    run_spmd = section.run_spmd
+
+    def spy(*args, **kw):
+        try:
+            out = run_spmd(*args, **{**kw, **log.kw})
+        except BaseException as exc:
+            out = exc
+            raise
+        finally:
+            extras = getattr(out, "rank_extras", None) or getattr(
+                out, "extras", None)
+            out.published = [section.FINISHED in ext for ext in extras or ()]
+            log.append(out)
+        return out
+
+    monkeypatch.setattr(section, "run_spmd", spy)
+    return log

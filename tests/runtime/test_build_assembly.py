@@ -121,3 +121,22 @@ class TestOrderedCollect:
         with triolet_runtime(WIDE) as rt:
             tri.collect_list(tri.map(_pair_sum, tri.par(tri.outerproduct(u, v))))
         assert all(not s.partition.startswith("2d") for s in rt.sections)
+
+
+class TestMoreGridRowsThanRows:
+    """A 4x2 domain on 5 or 7 ranks is a 5x1 / 7x1 grid: some row
+    intervals are empty and share their start with the next one, so
+    grouping blocks into grid rows *by row start* concatenated a 0-row and
+    a 1-row block side by side.  Fault-free it took a prime rank count;
+    the residual partition of a lost block (few elements, every survivor)
+    gets there routinely."""
+
+    @pytest.mark.parametrize("nodes", [5, 7])
+    def test_tall_grid_with_empty_row_blocks(self, nodes):
+        u, v = np.arange(4.0), np.arange(2.0)
+        seq_val = tri.build(tri.seq(tri.outerproduct(u, v)))
+        with triolet_runtime(MachineSpec(nodes=nodes, cores_per_node=1)) as rt:
+            dist_val = tri.build(tri.par(tri.outerproduct(u, v)))
+        assert rt.last_section.partition == f"2d {nodes}x1"
+        assert dist_val.tobytes() == seq_val.tobytes()
+        assert dist_val.shape == seq_val.shape == (4, 2, 2)

@@ -1,4 +1,6 @@
 """The fault-tolerant Triolet runtime: retry, re-execution, degradation."""
+import gc
+import weakref
 from dataclasses import fields as dc_fields
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.cluster.limits import EDEN_LIMITS
 from repro.core.engine import register_bulk
 from repro.runtime import (
     DEFAULT_RECOVERY,
+    TrioletRuntime,
     BudgetExhausted,
     CostContext,
     FailureBudget,
@@ -140,6 +143,81 @@ class TestReexecution:
             times.append(rt.elapsed)
         assert outs[0] == outs[1]
         assert times[0] == times[1]
+
+
+class TestKeptPartials:
+    """The survivors of a failed attempt keep what they finished."""
+
+    def test_retry_computes_only_the_lost_block(self):
+        with triolet_runtime(MACHINE) as clean:
+            baseline = squares_sum_engine()
+        plan = FaultPlan(faults=(RankCrash(rank=1, at=0.0),))
+        with triolet_runtime(MACHINE, faults=plan) as rt:
+            out = squares_sum_engine()
+        assert out == baseline
+        assert rt.meter_total.visits == clean.meter_total.visits == len(XS)
+        report = rt.recovery_report
+        assert report.salvaged_chunks == 3  # of 4: all but the dead rank's
+        assert report.reexecuted_chunks == 3  # its block, over 3 survivors
+        assert "3 kept from failed attempts" in report.describe()
+
+    def test_added_time_is_the_failed_attempts_real_duration(self):
+        # Not the failure instant (t = 0 here): the survivors' work is
+        # kept, so the attempt is charged until the last of them stopped.
+        with triolet_runtime(MACHINE) as clean:
+            squares_sum_engine()
+        plan = FaultPlan(faults=(RankLoss(rank=3, at=0.0),))
+        with triolet_runtime(MACHINE, faults=plan) as rt:
+            squares_sum_engine()
+        added = rt.recovery_report.added_time
+        assert added > DEFAULT_RECOVERY.backoff(0) + 0.5 * clean.elapsed
+        assert rt.elapsed > added
+
+    def test_no_plan_no_published_partial(self, launches):
+        with triolet_runtime(MACHINE):
+            squares_sum_engine()
+        with triolet_runtime(MACHINE, faults=FaultPlan()):
+            squares_sum_engine()
+        assert [res.published for res in launches] \
+            == [[False] * 4, [True] * 4]
+
+
+class TestNothingOutlivesTheSection:
+    """A failed attempt's exception sits on a reference cycle (its
+    ``rank_failures`` point back at it) and pins every frame it passed
+    through: whatever still hangs on it when the engine has recovered
+    lives until a full collection.  The engine takes the partials off it
+    and lets the traceback go, so plain reference counting frees them."""
+
+    @pytest.fixture
+    def partials(self, monkeypatch):
+        """Weak references to every array a node execution returned."""
+        refs = []
+        node_execute = TrioletRuntime._node_execute
+
+        def spy(self, it, spec, cores):
+            out = node_execute(self, it, spec, cores)
+            refs.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(TrioletRuntime, "_node_execute", spy)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        yield refs
+        if was_enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("faults", [(RankLoss(rank=2, at=0.0),), ()],
+                             ids=["faulted", "first-time"])
+    def test_partials_are_dead_when_the_section_returns(self, partials,
+                                                        faults):
+        with triolet_runtime(MACHINE, faults=FaultPlan(faults=faults)) as rt:
+            out = tri.build(tri.map(closure(_square), tri.par(XS)))
+            alive = [ref() is not None for ref in partials]
+        assert out.tobytes() == (XS * XS).tobytes()
+        # the survivors' 3 blocks and the 3 residual ones, or all 4: gone
+        assert alive == [False] * (6 if faults else 4)
+        assert rt.recovery_report.salvaged_chunks == (3 if faults else 0)
 
 
 class TestSpeculation:

@@ -185,6 +185,85 @@ class TestRejectsCorruptedSections:
         with pytest.raises(InvariantViolation, match="escapes handle"):
             check_plane(plane)
 
+    def test_placement_mirror_must_be_what_the_store_holds(self):
+        with triolet_runtime(MachineSpec(nodes=3, cores_per_node=1)) as rt:
+            h = rt.distribute(np.arange(300.0))
+            tri.sum(tri.par(h))
+        check_plane(rt.plane)
+        rt.plane._placement[(1, h.array_id)] = (100, 250)  # store: [100, 200)
+        with pytest.raises(InvariantViolation, match="its store holds"):
+            check_plane(rt.plane)
+        rt.plane._placement[(7, h.array_id)] = (0, 10)  # no such store
+        del rt.plane._placement[(1, h.array_id)]
+        with pytest.raises(InvariantViolation, match="store holds None"):
+            check_plane(rt.plane)
+
+
+class TestSalvagedSections:
+    """After a failed attempt the tiling law is about the union: kept
+    blocks and the final attempt's residual blocks cover the domain
+    exactly once, and live ranks hold the kept ones."""
+
+    def _salvaged(self, **over):
+        # rank 1 of 3 died: ranks 0 and 2 (now 1) kept their blocks, and
+        # the lost block [3, 7) was split over the two survivors
+        base = dict(
+            attempts=2, dead_ranks=1, survivors=2, partition="1d x2 +2 kept",
+            bounds=[(3, 5), (5, 7)], salvaged=[(0, (0, 3)), (1, (7, 10))],
+        )
+        base.update(over)
+        return _payload(**base)
+
+    def test_kept_and_residual_blocks_tile_together(self):
+        InvariantChecker()(self._salvaged())
+
+    def test_real_salvaged_sections_pass(self):
+        from repro.cluster import FaultPlan, RankLoss
+
+        u, v = np.arange(6.0), np.arange(5.0)
+        plan = FaultPlan(faults=(RankLoss(rank=1, at=0.0, section=0),
+                                 RankLoss(rank=2, at=0.0, section=1)))
+        with checking() as ck:
+            with triolet_runtime(MachineSpec(nodes=4, cores_per_node=2),
+                                 faults=plan) as rt:
+                tri.sum(tri.map(_twice, tri.par(rt.distribute(np.arange(99.0)))))
+                tri.build(tri.par(tri.outerproduct(u, v)))
+        assert ck.crash_sections == 2
+        assert [s.recovery.salvaged_chunks for s in rt.sections] == [3, 2]
+        check_plane(rt.plane)
+
+    def test_residual_blocks_alone_do_not_cover_the_domain(self):
+        with pytest.raises(InvariantViolation, match="do not tile"):
+            InvariantChecker()(self._salvaged(salvaged=[]))
+
+    def test_a_block_both_kept_and_recomputed_rejected(self):
+        with pytest.raises(InvariantViolation, match="do not tile"):
+            InvariantChecker()(self._salvaged(
+                salvaged=[(0, (0, 3)), (1, (5, 10))]))
+
+    def test_a_block_kept_by_no_live_rank_rejected(self):
+        with pytest.raises(InvariantViolation, match="held by rank 2"):
+            InvariantChecker()(self._salvaged(
+                salvaged=[(0, (0, 3)), (2, (7, 10))]))
+
+    def test_2d_union_checks_overlap_and_area(self):
+        it = tri.par(tri.outerproduct(np.arange(4.0), np.arange(6.0)))
+        grid = dict(
+            iterator=it, partition="2d 1x2 +2 kept", nchunks=2,
+            record=SimpleNamespace(partition="2d 1x2 +2 kept",
+                                   data_plane=None, recovery=None),
+            # the lost block rows [2, 4) x cols [0, 3), split in two
+            bounds=[((2, 4), (0, 1)), ((2, 4), (1, 3))],
+        )
+        kept = [(0, ((0, 2), (0, 3))), (0, ((0, 2), (3, 6))),
+                (1, ((2, 4), (3, 6)))]
+        InvariantChecker()(self._salvaged(**grid, salvaged=kept))
+        with pytest.raises(InvariantViolation, match="cover 18 of"):
+            InvariantChecker()(self._salvaged(**grid, salvaged=kept[1:]))
+        with pytest.raises(InvariantViolation, match="overlap"):
+            InvariantChecker()(self._salvaged(
+                **grid, salvaged=kept + [(1, ((1, 3), (2, 4)))]))
+
 
 @pytest.mark.sparse
 class TestIndexedAssembly:

@@ -2,7 +2,13 @@
 import pytest
 
 from repro.testing import __main__ as cli
-from repro.testing.runner import crash_drill, run_case, run_suite
+from repro.testing.runner import (
+    crash_drill,
+    run_case,
+    run_suite,
+    salvage_drill,
+    sample_fault_plan,
+)
 
 
 class TestRunCase:
@@ -29,6 +35,28 @@ class TestCrashDrill:
         assert r.ok, r.failures
         assert r.crash_exercised
         assert r.sections >= 2
+
+
+class TestSalvageDrill:
+    def test_drill_finishes_from_kept_partials_under_checker(self):
+        r = salvage_drill(0)
+        assert r.ok, r.failures
+        assert r.crash_exercised
+        assert r.sections == 2
+
+    def test_fault_times_are_drawn_from_the_section_makespan(self):
+        import random
+
+        from repro.cluster.faults import RankCrash, RankLoss
+
+        rng = random.Random(5)
+        ats = [f.at for _ in range(200)
+               for f in sample_fault_plan(rng, 4, makespan=2.0).faults
+               if isinstance(f, (RankCrash, RankLoss))]
+        late = [at for at in ats if at != 1e-7]
+        assert late and len(late) < len(ats)  # both kinds of death
+        assert all(0.0 <= at < 2.0 for at in late)
+        assert min(late) < 0.5 and max(late) > 1.5
 
 
 class TestSuite:
