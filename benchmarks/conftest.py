@@ -2,8 +2,10 @@
 
 Scaling series are computed once per session and cached; each benchmark
 asserts the paper's qualitative claims against the cached series and
-times one representative cell with pytest-benchmark.  Rendered tables are
-written to ``benchmarks/_generated/`` (EXPERIMENTS.md quotes them).
+times one representative cell with pytest-benchmark.  Rendered tables go
+to a temporary directory; ``--regen`` rewrites the tracked copies under
+``benchmarks/_generated/`` instead (EXPERIMENTS.md prints them, and
+``tests/bench/test_paper_figures.py`` holds the three equal).
 """
 from __future__ import annotations
 
@@ -19,15 +21,29 @@ GENERATED = pathlib.Path(__file__).parent / "_generated"
 FIGURE_NODES = (1, 2, 4, 8)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regen", action="store_true",
+        help="rewrite the tracked tables under benchmarks/_generated/",
+    )
+
+
 @pytest.fixture(scope="session")
-def series_cache():
+def generated(request, tmp_path_factory) -> pathlib.Path:
+    """Where this run's rendered tables go."""
+    if request.config.getoption("--regen"):
+        return GENERATED
+    return tmp_path_factory.mktemp("generated")
+
+
+@pytest.fixture(scope="session")
+def series_cache(generated):
     cache: dict[str, dict] = {}
 
     def get(app: str):
         if app not in cache:
             cache[app] = scaling_series(app, node_counts=FIGURE_NODES)
-            GENERATED.mkdir(exist_ok=True)
-            out = GENERATED / f"{app}_scaling.txt"
+            out = generated / f"{app}_scaling.txt"
             out.write_text(render_series(app, cache[app]) + "\n")
         return cache[app]
 

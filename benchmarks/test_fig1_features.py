@@ -144,10 +144,7 @@ def test_fig1_conversions_downward_only(benchmark):
     assert benchmark(probe)
 
 
-def test_fig1_rendering(benchmark):
+def test_fig1_rendering(benchmark, generated):
     text = benchmark(render_figure1)
     assert "Indexer" in text and "slow" in text
-    from conftest import GENERATED
-
-    GENERATED.mkdir(exist_ok=True)
-    (GENERATED / "fig1_features.txt").write_text(text + "\n")
+    (generated / "fig1_features.txt").write_text(text + "\n")

@@ -13,20 +13,13 @@ import json
 
 import pytest
 
-from conftest import GENERATED
-from repro.bench import figure3_rows
+from repro.bench import figure3_rows, render_figure3
 
 
 @pytest.fixture(scope="module")
-def rows():
+def rows(generated):
     data = figure3_rows()
-    GENERATED.mkdir(exist_ok=True)
-    lines = [f"{'app':<8}{'C':>10}{'Eden':>10}{'Triolet':>10}   (virtual seconds)"]
-    for r in data:
-        lines.append(
-            f"{r['app']:<8}{r['c']:>10.1f}{r['eden']:>10.1f}{r['triolet']:>10.1f}"
-        )
-    (GENERATED / "fig3_sequential.txt").write_text("\n".join(lines) + "\n")
+    (generated / "fig3_sequential.txt").write_text(render_figure3(data) + "\n")
     return {r["app"]: r for r in data}
 
 

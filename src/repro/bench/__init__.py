@@ -17,6 +17,7 @@ from repro.bench.harness import (
     run_point,
     scaling_series,
     sequential_seconds,
+    render_figure3,
     render_series,
 )
 
@@ -51,5 +52,6 @@ __all__ = [
     "run_point",
     "scaling_series",
     "sequential_seconds",
+    "render_figure3",
     "render_series",
 ]

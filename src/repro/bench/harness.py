@@ -201,6 +201,16 @@ def figure3_rows(apps: tuple[str, ...] = ("tpacf", "mriq", "sgemm", "cutcp")):
     return rows
 
 
+def render_figure3(rows: list[dict]) -> str:
+    """Text rendering of :func:`figure3_rows`."""
+    lines = [f"{'app':<8}{'C':>10}{'Eden':>10}{'Triolet':>10}   (virtual seconds)"]
+    lines += [
+        f"{r['app']:<8}{r['c']:>10.1f}{r['eden']:>10.1f}{r['triolet']:>10.1f}"
+        for r in rows
+    ]
+    return "\n".join(lines)
+
+
 def render_series(app: str, series: dict[str, list[SpeedupPoint]]) -> str:
     """Text rendering of one scalability figure (paper layout: speedup
     over sequential C vs. cores, plus the linear-speedup reference)."""
