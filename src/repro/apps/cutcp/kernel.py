@@ -100,8 +100,7 @@ def atoms_contribution_bulk(
     ey = np.maximum(yhi - ylo + 1, 0)
     ex = np.maximum(xhi - xlo + 1, 0)
     nonempty = (ez > 0) & (ey > 0) & (ex > 0)
-    examined = np.where(nonempty, ez * ey * ex, 0)
-    meter.tally_visits(int((examined[nonempty] - 1).sum()))
+    meter.tally_each(np.where(nonempty, ez * ey * ex - 1, 0))
 
     box_elems = max(1, int(ez.max() * ey.max() * ex.max()))
     block = max(1, _BULK_BUDGET // box_elems)

@@ -70,5 +70,5 @@ def q_for_pixels_bulk(
     out = np.empty(n, dtype=complex)
     out.real = np.sum(np.cos(phase) * mag, axis=1)
     out.imag = np.sum(np.sin(phase) * mag, axis=1)
-    meter.tally_visits(n * max(len(kx) - 1, 0))
+    meter.tally_uniform(n, max(len(kx) - 1, 0))
     return out

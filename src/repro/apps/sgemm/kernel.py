@@ -33,7 +33,7 @@ def row_dot(u: np.ndarray, v: np.ndarray, alpha: float) -> float:
 def row_dots_bulk(us: np.ndarray, vs: np.ndarray, alpha: float) -> np.ndarray:
     """Batched :func:`row_dot` over paired rows; meters identically."""
     us = np.asarray(us)
-    meter.tally_visits(len(us) * max(us.shape[1] - 1 if us.ndim == 2 else 0, 0))
+    meter.tally_uniform(len(us), max(us.shape[1] - 1 if us.ndim == 2 else 0, 0))
     return alpha * np.sum(us * vs, axis=1)
 
 

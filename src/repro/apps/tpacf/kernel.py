@@ -10,8 +10,9 @@ BLAS ``@``) so the scalar, row, and batched-row forms perform the exact
 same float operations in the same order: the vectorized engine's bulk
 forms (``*_bulk``, ``*_batch``) are bit-identical to per-element
 evaluation, and make a fixed number of NumPy calls per block of
-``_BULK_BUDGET`` pairs, not per element of their batch (the engine's
-call-count rule, see :mod:`repro.core.engine.bulk_forms`).
+``_BULK_BUDGET`` pairs, not per element of their batch, and tally per
+element of it (the engine's call-count and tally rules, see
+:mod:`repro.core.engine.bulk_forms`).
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ def self_pairs_bins_bulk(
     keep = np.arange(n) > np.asarray(i_arr)[:, None]
     vals = _angle_bins(nbins, _pair_cos_matrix(us, rand)[keep])
     lengths = np.maximum(n - 1 - np.asarray(i_arr), 0).astype(np.int64)
-    meter.tally_visits(int(np.maximum(lengths - 1, 0).sum()))
+    meter.tally_each(np.maximum(lengths - 1, 0))
     return vals, lengths
 
 
@@ -94,26 +95,39 @@ def _by_blocks(block_bins, items: np.ndarray, pairs_per_item: int) -> np.ndarray
     )
 
 
+def _cross_rows_bins(nbins: int, other: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Bins of every *us* row against all of *other*, in row order: what
+    the row-level and the set-level cross forms share (the pair matrix,
+    its blocking); each tallies for its own elements."""
+    if len(us) == 0 or len(other) == 0:
+        return np.empty(0, dtype=np.int64)
+    return _by_blocks(
+        lambda rows: _angle_bins(nbins, _pair_cos_matrix(rows, other)),
+        us,
+        len(other),
+    )
+
+
 def cross_pairs_bins_bulk(
     nbins: int, other: np.ndarray, us: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched cross pair bins: every *us* row against all of *other*."""
     m = len(other)
-    if len(us) == 0 or m == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(len(us), dtype=np.int64)
-    vals = _by_blocks(
-        lambda rows: _angle_bins(nbins, _pair_cos_matrix(rows, other)), us, m
-    )
-    lengths = np.full(len(us), m, dtype=np.int64)
-    meter.tally_visits(len(us) * max(m - 1, 0))
-    return vals, lengths
+    meter.tally_uniform(len(us), max(m - 1, 0))
+    return _cross_rows_bins(nbins, other, us), np.full(len(us), m, dtype=np.int64)
 
 
 def _per_set(set_bins, sets) -> tuple[np.ndarray, np.ndarray]:
     """The batch forms' fallback for sets that are not the ``(k, n, 3)``
     array slice the engine passes (a ragged list): the scalar form on
-    each, so identical by construction."""
-    vals = [set_bins(rand) for rand in sets]
+    each under a meter of its own, so identical by construction and
+    tallied per set."""
+    vals, visits = [], []
+    for rand in sets:
+        with meter.metered() as m:
+            vals.append(set_bins(rand))
+        visits.append(m.visits)
+    meter.tally_each(np.array(visits, dtype=np.int64))
     lengths = np.array([len(v) for v in vals], dtype=np.int64)
     return (np.concatenate(vals) if vals else np.empty(0, dtype=np.int64)), lengths
 
@@ -145,7 +159,8 @@ def cross_set_bins_batch(
     if not (isinstance(stack, np.ndarray) and stack.ndim == 3):
         return _per_set(lambda rand: cross_set_bins(nbins, other, rand), stack)
     k, n, width = stack.shape
-    vals, _ = cross_pairs_bins_bulk(nbins, other, stack.reshape(k * n, width))
+    meter.tally_uniform(k, n * max(len(other) - 1, 0))
+    vals = _cross_rows_bins(nbins, other, stack.reshape(k * n, width))
     return vals, np.full(k, n * len(other), dtype=np.int64)
 
 
@@ -179,7 +194,7 @@ def self_set_bins_batch(
         stack,
         n * n,
     )
-    meter.tally_visits(k * ((n - 1) * (n - 2) // 2))
+    meter.tally_uniform(k, (n - 1) * (n - 2) // 2)
     return vals, lengths
 
 

@@ -166,11 +166,18 @@ def cross_sets_correlation(size: int, obs, rands) -> np.ndarray:
     sharded handle; the SEGMENTED kernel emits every pair bin of a set
     as one segment, and the histogram consumer scatters whole chunks.
     One flat pipeline, so the engine compiles it (``unsupported == 0``)
-    and every rank still ships only its own row span.
+    and every rank still ships only its own row span.  Fig. 6's two
+    hints both stand: ``par`` over the sets, ``localpar`` over the rows
+    of a set -- the work a set's element function does -- so a node with
+    fewer sets than cores still spreads a set over them.
     """
     sets = tri.indexed(rands)
     return correlation(
-        size, tri.map(closure(_cross_set_bins, size, obs), tri.par(sets))
+        size,
+        tri.map(
+            closure(_cross_set_bins, size, obs),
+            tri.par(sets, inner=tri.localpar),
+        ),
     )
 
 
@@ -178,7 +185,8 @@ def self_sets_correlation(size: int, rands) -> np.ndarray:
     """RR as one segmented indexed stream (triangular pairs per set)."""
     sets = tri.indexed(rands)
     return correlation(
-        size, tri.map(closure(_self_set_bins, size), tri.par(sets))
+        size,
+        tri.map(closure(_self_set_bins, size), tri.par(sets, inner=tri.localpar)),
     )
 
 

@@ -91,13 +91,16 @@ class Idx:
         """Evaluate every element (bulk path if available)."""
         ctx = self.source.context()
         if self.bulk is not None:
-            meter.tally_visits(self.domain.size)
+            for lo, hi in meter.batches(self.domain, max(1, self.domain.size)):
+                meter.tally_elements(hi - lo)  # one batch: evaluated at once
             return self.bulk(ctx, self.domain)
         # An empty slice binds nothing: it was shipped no shards to resolve.
         extract = bind(self.extract) if self.domain.size else None
-        out = [extract(ctx, i) for i in self.domain.iter_indices()]
-        meter.tally_visits(self.domain.size)
-        return out
+        return [
+            extract(ctx, i)
+            for span in meter.task_spans(self.domain)
+            for i in span
+        ]
 
 
 # ---------------------------------------------------------------------------

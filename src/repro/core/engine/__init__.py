@@ -12,7 +12,7 @@ performance half of the story in pure NumPy:
   boolean mask and ``concatMap`` as segment expansion;
 * :mod:`execute` -- runs a plan chunk-by-chunk under the same consumer
   contract as the scalar loops, with batch-aware meter accounting (one
-  ``tally_visits(n)`` per chunk) so the measured loop statistics -- and
+  per-element tally per chunk) so the measured loop statistics -- and
   therefore the simulated timeline -- are bit-identical to the scalar
   path.
 

@@ -17,6 +17,17 @@ O(1 + work / budget), not O(1): a fixed number of calls per block, and
 one block for any batch under the budget.
 ``tests/bench/test_perfsmoke.py`` checks both.
 
+The third part is the *tally rule*: a bulk form tallies per element --
+``meter.tally_uniform(n, per)`` / ``meter.tally_each(counts)``, lengths
+equal to its batch; stage forms over flattened values tally per value
+and the engine folds them to outer elements by ``lengths``.  A rank runs
+one engine pass per core while its node model times ``cores *
+task_grain`` tasks, so a batch that spans a task boundary is split
+exactly by element; a scalar ``tally_visits`` / ``tally_inner`` cannot
+be, and while a bulk form runs it raises
+:class:`repro.core.meter.TallyError` naming the form's code id, whether
+a ledger is installed or not.
+
 Bulk forms come in two kinds:
 
 * ``ELEMENTWISE``: one output element per input element.  Called as

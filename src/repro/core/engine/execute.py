@@ -18,9 +18,9 @@ Bit-identity rules (why each consumption mode exists):
   come from vectorized extraction, but reduction order (and therefore
   float bit patterns) matches the scalar loop exactly.
 
-Metering is batch-aware: one ``tally_visits(n)`` / ``tally_steps(n)``
-per chunk, with the increments computed by the plan to equal what the
-scalar loop would have tallied (see :mod:`repro.core.engine.plan`).
+Metering is batch-aware: one per-element tally per chunk (``_tally``),
+equal element by element to what the scalar loop would have tallied
+(see :mod:`repro.core.engine.plan`), so a per-task ledger can split it.
 """
 from __future__ import annotations
 
@@ -76,9 +76,13 @@ def _plan(it):
 
 
 def _tally(batch) -> None:
-    meter.tally_visits(batch.visits)
-    if batch.steps:
-        meter.tally_steps(batch.steps)
+    if not batch.nest:
+        meter.tally_elements(batch.n_outer)
+    else:  # the inner loops' tallies, which the producer's element makes
+        meter.tally_each(batch.lengths)
+        m = meter.current_meter()
+        if batch.steps_per and m is not None:
+            m.spread(batch.n_outer, 0, batch.steps_per)
 
 
 def try_reduce(
@@ -105,8 +109,10 @@ def try_reduce(
                 acc = combine(acc, bulk_consume(seg))
         else:
             fold = bind(op)  # per batch: no batch, nothing bound
-            for v in batch.elements():
-                acc = fold(acc, v)
+            lengths = batch.lengths if batch.nest else None
+            for span in meter.folded(batch.elements(), lengths):
+                for v in span:
+                    acc = fold(acc, v)
     return True, acc
 
 

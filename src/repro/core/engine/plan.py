@@ -47,6 +47,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.core import meter
 from repro.core.domains import Dim2, Seq
 from repro.core.encodings import indexer as _ix
 from repro.core.engine.bulk_forms import (
@@ -147,6 +148,26 @@ class _IndexNode:
         return pos + outer
 
 
+def _apply(bf: BulkForm, cl: Closure, batch, lengths=None):
+    """Run closure *cl*'s bulk form over *batch*.  While it runs, a scalar
+    tally is an error naming ``cl.code_id``; a stage form over flattened
+    values passes their per-element *lengths*, by which its per-value
+    tallies are folded."""
+    m = meter.current_meter()
+    if m is None:
+        return bf.fn(*resolve_env(cl.env), batch)
+    led = m.ledger
+    prev, m.form = m.form, cl.code_id
+    if led is not None:
+        led.lengths = lengths
+    try:
+        return bf.fn(*resolve_env(cl.env), batch)
+    finally:
+        m.form = prev
+        if led is not None:
+            led.lengths = None
+
+
 @dataclass(frozen=True)
 class _MapNode:
     bulk: BulkForm
@@ -154,7 +175,7 @@ class _MapNode:
 
     def eval(self, ctx, cl, pos):
         f_cl, g_cl = cl.env[0], cl.env[1]
-        return self.bulk.fn(*resolve_env(f_cl.env), self.child.eval(ctx, g_cl, pos))
+        return _apply(self.bulk, f_cl, self.child.eval(ctx, g_cl, pos))
 
 
 @dataclass(frozen=True)
@@ -199,16 +220,16 @@ class Batch:
 
     ``vals`` holds the chunk's values, concatenated for segmented
     shapes; ``lengths`` gives per-outer-element counts when elements are
-    variable-length.  ``visits``/``steps`` are the meter increments the
-    scalar loop would have tallied for this chunk (the element kernels'
-    own inner tallies excluded -- bulk forms perform those themselves).
+    variable-length.  The scalar loop tallies one visit per element of a
+    flat chunk, ``lengths[i]`` visits (and ``steps_per`` stepper steps)
+    for element *i* of a nest's; the element kernels' own inner tallies
+    are the bulk forms' to make.
     """
 
     vals: Any
     lengths: np.ndarray | None
     n_outer: int
-    visits: int
-    steps: int = 0
+    steps_per: int = 0
     segmented: bool = False  # vals concatenated; elements() yields segments
     nest: bool = False  # vals flattened; elements() yields single values
     segment_consume_ok: bool = False  # per-segment bulk_consume == scalar
@@ -274,18 +295,14 @@ class Plan:
             yield from self._run_nest(idx, ctx, chunk)
 
     def _run_idx_bulk(self, idx, chunk):
-        n_total = idx.domain.size
-        for lo in range(0, n_total, chunk):
-            hi = min(lo + chunk, n_total)
+        for lo, hi in meter.batches(idx.domain, chunk):
             sub = idx.slice(lo, hi)
             vals = sub.bulk(sub.source.context(), sub.domain)
-            yield Batch(vals, None, hi - lo, visits=hi - lo)
+            yield Batch(vals, None, hi - lo)
 
     def _run_flat_seq(self, idx, ctx, chunk):
-        n_total = idx.domain.size
         extract = idx.extract
-        for lo in range(0, n_total, chunk):
-            hi = min(lo + chunk, n_total)
+        for lo, hi in meter.batches(idx.domain, chunk):
             out = self.root.eval(ctx, extract, slice(lo, hi))
             if self.segmented:
                 vals, lengths = out
@@ -293,23 +310,20 @@ class Plan:
                     vals,
                     np.asarray(lengths, dtype=np.int64),
                     hi - lo,
-                    visits=hi - lo,
                     segmented=True,
                 )
             else:
-                yield Batch(out, None, hi - lo, visits=hi - lo)
+                yield Batch(out, None, hi - lo)
 
     def _run_flat_dim2(self, idx, ctx, chunk):
         dom = idx.domain
         w = dom.w
-        n_total = dom.size
         extract = idx.extract
-        for lo in range(0, n_total, chunk):
-            hi = min(lo + chunk, n_total)
+        for lo, hi in meter.batches(dom, chunk):
             flat = np.arange(lo, hi)
             pos = (flat // w, flat % w)
             vals = self.root.eval(ctx, extract, pos)
-            yield Batch(vals, None, hi - lo, visits=hi - lo)
+            yield Batch(vals, None, hi - lo)
 
     def _run_nest(self, idx, ctx, chunk):
         # Peel the live closure chain to the stage/producer environments.
@@ -320,30 +334,23 @@ class Plan:
             cl = cl.env[1]
         prod_cl = cl.env[0].env[0]  # pred / f inside _filter_unit / _concat_elem
         base_cl = cl.env[1]
-        n_total = idx.domain.size
-        for lo in range(0, n_total, chunk):
-            hi = min(lo + chunk, n_total)
-            n = hi - lo
+        filtering = self.producer_kind == "filter"
+        for lo, hi in meter.batches(idx.domain, chunk):
             base = self.root.eval(ctx, base_cl, slice(lo, hi))
-            if self.producer_kind == "filter":
-                mask = np.asarray(
-                    self.producer.fn(*resolve_env(prod_cl.env), base), dtype=bool
-                )
+            if filtering:
+                mask = np.asarray(_apply(self.producer, prod_cl, base), dtype=bool)
                 vals = select_vals(base, mask)
                 lengths = mask.astype(np.int64)
-                visits, steps = int(mask.sum()), 2 * n
             else:
-                vals, lengths = self.producer.fn(*resolve_env(prod_cl.env), base)
+                vals, lengths = _apply(self.producer, prod_cl, base)
                 lengths = np.asarray(lengths, dtype=np.int64)
-                visits, steps = int(lengths.sum()), 0
             for stage_cl, bf in zip(reversed(stage_cls), reversed(self.stage_bulks)):
-                vals = bf.fn(*resolve_env(stage_cl.env), vals)
+                vals = _apply(bf, stage_cl, vals, lengths)
             yield Batch(
                 vals,
                 lengths,
-                n,
-                visits=visits,
-                steps=steps,
+                hi - lo,
+                steps_per=2 if filtering else 0,  # unit stepper: test + exhaust
                 nest=True,
                 segment_consume_ok=(
                     self.producer_kind == "concat" and self.n_stages == 0

@@ -36,7 +36,9 @@ class ConsumeSpec:
     seq_fn
         The fused sequential loop: ``Iter -> partial``.  Running it on the
         whole iterator gives the sequential semantics; running it on
-        slices gives per-task partials.
+        slices gives per-**thread** partials (a node runs it once per
+        core, over that core's block of tasks; task durations come from
+        the pass's meter ledger, not from running it per task).
     combine
         Associative merge of two partials (reduce kinds only).  It must
         not modify its arguments: a rank that survives a failed attempt

@@ -190,7 +190,7 @@ def prefix_sum(xs: np.ndarray, nblocks: int = 16) -> np.ndarray:
     bounds = block_bounds(len(xs), min(nblocks, len(xs)))
     # Pass 1: per-block sums (parallelizable; temporaries materialize).
     block_sums = np.array([xs[lo:hi].sum() for lo, hi in bounds])
-    meter.tally_visits(xs.size)
+    meter.tally_uniform(xs.size, 1)
     meter.tally_pass()
     meter.tally_materialization(transitive_size(block_sums))
     offsets = np.concatenate([[0.0], np.cumsum(block_sums)[:-1]])
@@ -198,7 +198,7 @@ def prefix_sum(xs: np.ndarray, nblocks: int = 16) -> np.ndarray:
     out = np.empty_like(xs)
     for (lo, hi), base in zip(bounds, offsets):
         out[lo:hi] = base + np.cumsum(xs[lo:hi])
-    meter.tally_visits(xs.size)
+    meter.tally_uniform(xs.size, 1)
     meter.tally_pass()
     return out
 

@@ -33,11 +33,31 @@ from repro.serial.serializer import register_type, serializable
 
 
 class ParHint(IntEnum):
-    """How a skeleton should execute this iterator's outer loop."""
+    """How a skeleton should execute this iterator's outer loop -- and,
+    for the ``*_INNER`` values, that the work of each element's function
+    is itself a ``localpar`` loop (Fig. 6's ``corr1`` inside ``par``):
+    fused into one loop with the outer level, each level keeps its own
+    hint, and the node model may spread an element's work over idle
+    cores.  One value, so a sliced chunk carries it at no wire cost (and
+    a zip, which takes the largest, keeps it)."""
 
     SEQ = 0  # sequential (the default)
     LOCAL = 1  # threads within one node (``localpar``)
     PAR = 2  # distributed across nodes + threads (``par``)
+    SEQ_INNER = 4  # a dealt chunk of a PAR_INNER loop
+    PAR_INNER = 6  # ``par(..., inner=localpar)``
+
+    @property
+    def outer(self) -> "ParHint":
+        """The hint on the iterator's own loop."""
+        return ParHint(self & 3)
+
+    @property
+    def of_elements(self) -> "ParHint":
+        """What is left of the hint once the outer loop has been dealt
+        out: a chunk's own loop is sequential, its elements' work is not
+        (``SEQ_INNER``, true) unless it never was (``SEQ``, false)."""
+        return ParHint(self & 4)
 
 
 def _encode_hint(obj: "ParHint", out: bytearray) -> None:
@@ -90,9 +110,10 @@ class IdxFlat(Iter):
         idx = self.idx
         ctx = idx.source.context()
         extract = bind(idx.extract) if idx.domain.size else None
-        for i in idx.domain.iter_indices():
-            meter.tally_visits()
-            yield extract(ctx, i)
+        for span in meter.task_spans(idx.domain, visits=False):
+            for i in span:
+                meter.tally_visits()  # as consumed: the caller may stop early
+                yield extract(ctx, i)
 
 
 @serializable

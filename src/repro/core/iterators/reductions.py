@@ -60,9 +60,9 @@ def _seq_reduce(op, combine, init, bulk_consume, it: Iter):
         acc = init
         if idx.domain.size:  # an empty slice binds nothing: it was shipped no shards
             op, extract = bind(op), bind(idx.extract)
-            for i in idx.domain.iter_indices():
+        for span in meter.task_spans(idx.domain):
+            for i in span:
                 acc = op(acc, extract(ctx, i))
-        meter.tally_visits(idx.domain.size)
         return acc
     if isinstance(it, StepFlat):
         return fold_step(op, init, it.step)
@@ -75,7 +75,8 @@ def _seq_reduce(op, combine, init, bulk_consume, it: Iter):
         acc = init
         if idx.domain.size:
             op, extract = bind(op), bind(idx.extract)  # the bound op goes down the nest
-            for i in idx.domain.iter_indices():
+        for span in meter.task_spans(idx.domain, visits=False):
+            for i in span:
                 acc = _seq_reduce(op, combine, acc, bulk_consume, extract(ctx, i))
         return acc
     if isinstance(it, StepNest):

@@ -49,6 +49,22 @@ def summarize(data: dict) -> dict:
     for s in spans:
         if s["kind"] in ("attempt", "recover"):
             recovered.setdefault(s["parent"], []).append(s)
+    # What the ranks of each section executed: one engine pass per core,
+    # timed as so many tasks, so much of it stealable (an inner localpar).
+    kernels: dict[int, dict] = {}
+    for s in spans:
+        if s["kind"] != "kernel" or "passes" not in s["attrs"]:
+            continue
+        sec = s
+        while sec["kind"] != "section" and sec["parent"] in by_sid:
+            sec = by_sid[sec["parent"]]
+        row = kernels.setdefault(sec["sid"], {
+            "section": f"{sec['name']}#{sec['sid']}", "ranks": 0,
+            "passes": 0, "tasks": 0, "nested_s": 0.0,
+        })
+        row["ranks"] += 1
+        for key in ("passes", "tasks", "nested_s"):
+            row[key] += s["attrs"].get(key, 0)
     return {
         "spans": len(spans),
         "events": len(events),
@@ -61,6 +77,7 @@ def summarize(data: dict) -> dict:
              "bytes_shipped": sec.get("bytes_shipped")}
             for sec in data.get("sections", [])
         ],
+        "kernels": [kernels[sid] for sid in sorted(kernels)],
         "recovered_sections": [
             {
                 "section": f"{by_sid[sid]['name']}#{sid}",
@@ -93,6 +110,14 @@ def render_summary(summary: dict) -> str:
             lines.append(
                 f"{str(sec['label'])[:27]:<28}{str(sec['kind']):<10}"
                 f"{sec['makespan']:>12.6f}{sec['bytes_shipped']:>12}"
+            )
+    if summary.get("kernels"):
+        lines += ["", f"{'kernels of section':<28}{'ranks':>7}{'passes':>8}"
+                      f"{'tasks':>7}{'nested s':>12}"]
+        for row in summary["kernels"]:
+            lines.append(
+                f"{row['section'][:27]:<28}{row['ranks']:>7}{row['passes']:>8}"
+                f"{row['tasks']:>7}{row['nested_s']:>12.6f}"
             )
     for sec in summary.get("recovered_sections", ()):
         lines += ["", f"attempts of section {sec['section']}:",

@@ -45,13 +45,15 @@ class CostContext:
         return elements * self.wire_scale * self.combine_time_per_element
 
     def task_seconds(self, m: CostMeter) -> float:
-        """Virtual compute seconds for a task with meter reading *m*."""
-        return (
-            m.visits * self.unit_time + m.steps * self.step_overhead
-        ) * self.compute_scale
+        """Virtual compute seconds for a region with meter reading *m*."""
+        return self.seconds_for_visits(m.visits, m.steps)
 
-    def seconds_for_visits(self, visits: float) -> float:
-        return visits * self.unit_time * self.compute_scale
+    def seconds_for_visits(self, visits: float, steps: float = 0) -> float:
+        """Virtual compute seconds of *visits* element visits and *steps*
+        stepper steps (one task's row of a ledger, or a meter's totals)."""
+        return (
+            visits * self.unit_time + steps * self.step_overhead
+        ) * self.compute_scale
 
 
 _current: contextvars.ContextVar[CostContext] = contextvars.ContextVar(

@@ -11,17 +11,19 @@ Execution of one hinted consumer ("a parallel section"):
 2. the main rank slices the *iterator* per node; slicing the iterator
    slices its data sources, so serializing the chunk ships exactly the
    data subset (§3.5) -- over the *simulated* network, with real bytes;
-3. each node splits its chunk into core tasks, really executes each task's
-   fused loop under a cost meter, and models TBB-style work stealing to
-   get the node's virtual makespan;
+3. each node cuts its chunk into core tasks, really executes one fused
+   loop per core over that core's block of tasks under a cost meter
+   whose ledger keeps the tasks' tallies apart, and models TBB-style
+   work stealing over the tasks to get the node's virtual makespan;
 4. partials flow back through a tree reduction (reduce consumers) or a
    gather plus block assembly (build consumers);
 5. the section's makespan advances the program's virtual clock.
 
 Nested hints compose: a ``localpar`` loop encountered inside a node task
-re-enters the same machinery with the cores available to that task,
-giving the paper's "different inter-node and intra-node parallelization
-strategies".
+re-enters the same machinery with the cores available to that task, and
+an *inner* ``localpar`` hint on a nest fused into one level marks its
+elements' work as such a loop, giving the paper's "different inter-node
+and intra-node parallelization strategies".
 
 Numerical results are always real; only elapsed time is virtual.
 """
@@ -81,17 +83,19 @@ from repro.serial.sizeof import transitive_size
 
 @dataclass
 class NodeContext:
-    """Ambient state while a node task executes (nested-hint support).
+    """Ambient state while a node pass executes (nested-hint support).
 
-    ``nested_work`` accumulates the *sequential* virtual seconds of nested
-    parallel regions (``localpar`` loops inside this task).  TBB-style
-    work stealing is composable: nested tasks go into the same per-node
+    ``nested_work[t]`` accumulates the *sequential* virtual seconds of the
+    nested parallel regions (``localpar`` loops) that task *t* of the pass
+    ran -- the task its ``ledger`` says the pass is in.  TBB-style work
+    stealing is composable: nested tasks go into the same per-node
     deques, so the scheduler model treats nested work as a stealable pool
-    shared by all cores rather than confining it to this task's core.
+    shared by all cores rather than confining it to the task's core.
     """
 
-    cores: int  # cores of the node this task runs on (split granularity)
-    nested_work: float = 0.0  # sequential seconds of nested regions
+    cores: int  # cores of the node this pass runs on (split granularity)
+    ledger: meter.TaskLedger
+    nested_work: list[float]  # sequential seconds of nested regions, per task
 
 
 _node_ctx: contextvars.ContextVar[NodeContext | None] = contextvars.ContextVar(
@@ -360,11 +364,11 @@ class TrioletRuntime:
         if nc is not None:
             # Nested hint inside a node task: feed the node's work pool.
             result, seq_work = self._nested_execute(it, spec, nc.cores)
-            nc.nested_work += seq_work
+            nc.nested_work[nc.ledger.task] += seq_work
             return result
-        if it.hint is ParHint.LOCAL:
+        if it.hint.outer is ParHint.LOCAL:
             return self._toplevel_local(it, spec)
-        if it.hint is ParHint.PAR:
+        if it.hint.outer is ParHint.PAR:
             return self._distributed(it, spec)
         return spec.seq_fn(it)
 
@@ -376,20 +380,21 @@ class TrioletRuntime:
 
     @staticmethod
     def _reslice(it: Iter, lo: int, hi: int) -> Iter:
-        """A hint-free sub-iterator over outer positions [lo, hi).
+        """A sub-iterator over outer positions [lo, hi): no hint on its
+        own loop any more, the inner one (its elements' work) kept.
 
         Constructs ``type(it)`` rather than the base constructor so
         refined iterators (``IndexedIter``) keep their structural plan
         key: every rank's slice must *hit* the plan the driver warmed.
         """
         if isinstance(it, (IdxFlat, IdxNest)):
-            return type(it)(it.idx.slice(lo, hi))
+            return type(it)(it.idx.slice(lo, hi), it.hint.of_elements)
         raise TypeError(f"cannot slice {type(it).__name__}")
 
     @staticmethod
     def _reslice_block(it: Iter, rows, cols) -> Iter:
         if isinstance(it, (IdxFlat, IdxNest)):
-            return type(it)(it.idx.slice_block(rows, cols))
+            return type(it)(it.idx.slice_block(rows, cols), it.hint.of_elements)
         raise TypeError(f"cannot slice {type(it).__name__}")
 
     def _can_block_2d(self, it: Iter) -> bool:
@@ -406,58 +411,68 @@ class TrioletRuntime:
 
     # -- node-level execution (threads model) --------------------------------
 
-    def _split_for_cores(self, it: Iter, cores: int) -> list[Iter]:
-        """Split a chunk into core tasks (work-stealing granularity)."""
-        if not self._partitionable(it):
-            return [it]
-        extent = it.domain.outer_extent
-        if extent <= 1:
-            return [it]
-        ntasks = min(extent, max(1, cores) * self.task_grain)
-        return [
-            self._reslice(it, lo, hi)
-            for lo, hi in block_bounds(extent, ntasks)
-            if hi > lo
-        ]
-
     def _run_tasks(
         self, it: Iter, spec: ConsumeSpec, cores: int
     ) -> tuple[list[Any], list[float], list[float], float]:
-        """Execute a chunk's tasks for real; return partials and timings.
+        """Execute a chunk for real, one pass per core; return the
+        threads' partials and the tasks' timings.
+
+        The chunk is cut into ``cores * task_grain`` tasks (work-stealing
+        granularity) and each core's contiguous block of them is one
+        ``spec.seq_fn`` pass: a thread's partial is the sequential fold of
+        its block ("sequentially builds one histogram per thread", §3.4).
+        The task is a unit of *time* only, read off the pass's per-task
+        ledger (:class:`repro.core.meter.TaskLedger`).
 
         Returns ``(partials, serial_durations, nested_works, gc_time)``:
         ``serial_durations[i]`` is task *i*'s own (unstealable) compute
         time, ``nested_works[i]`` the sequential total of its nested
-        parallel regions (stealable by any core), and ``gc_time`` the
-        total allocator/GC time for the tasks' private results -- kept
-        separate because collections are stop-the-world and do not
-        parallelize across the node's cores (§4.3, §4.5).
+        parallel regions and of what its elements' function tallied under
+        an inner ``localpar`` hint (stealable by any core), and
+        ``gc_time`` the total allocator/GC time for the private results
+        -- kept separate because collections are stop-the-world and do
+        not parallelize across the node's cores (§4.3, §4.5).
         """
-        subits = self._split_for_cores(it, cores)
+        dom = it.domain
+        extent = dom.outer_extent
+        tasks = block_bounds(
+            extent, max(1, min(extent, max(1, cores) * self.task_grain))
+        )
+        inner = bool(it.hint.of_elements)
+        seconds = self.costs.seconds_for_visits
         serial: list[float] = []
         nested: list[float] = []
         partials: list[Any] = []
         gc_time = 0.0
-        # Reduce consumers keep one private accumulator per *thread*
-        # ("sequentially builds one histogram per thread", §3.4); build
-        # consumers materialize every block.  Charge allocations
-        # accordingly, paper-scaled (§4.3/§4.5 GC overhead).
-        alloc_cap = min(cores, len(subits)) if spec.kind == "reduce" else len(subits)
-        for i, sub in enumerate(subits):
-            nc = NodeContext(cores=cores)
+        for a, b in block_bounds(len(tasks), min(cores, len(tasks))):
+            lo, hi = tasks[a][0], tasks[b - 1][1]
+            sub = it if hi - lo == extent else self._reslice(it, lo, hi)
+            ledger = meter.TaskLedger(
+                [dom.outer_block(lo, end).size for _, end in tasks[a:b]],
+                sub.domain,
+                inner,
+            )
+            nc = NodeContext(cores, ledger, [0.0] * (b - a))
             token = _node_ctx.set(nc)
             try:
                 with meter.metered() as m:
+                    m.ledger = ledger
                     partials.append(spec.seq_fn(sub))
             finally:
                 _node_ctx.reset(token)
             self._merge_meter(m)
-            if i < alloc_cap:
-                gc_time += self.alloc(
-                    int(_result_bytes(partials[-1]) * self.costs.wire_scale)
-                )
-            serial.append(self.costs.task_seconds(m))
-            nested.append(nc.nested_work)
+            # One private result per thread; a build materializes every
+            # task's block of it (the allocator model is affine: k blocks
+            # cost one allocation of their total plus k - 1 empty ones).
+            # Paper-scaled (§4.3/§4.5 GC overhead).
+            gc_time += self.alloc(
+                int(_result_bytes(partials[-1]) * self.costs.wire_scale)
+            )
+            if spec.kind == "build":
+                gc_time += (b - a - 1) * self.alloc(0)
+            for own, elem, regions in zip(ledger.own, ledger.elem, nc.nested_work):
+                serial.append(seconds(*own))
+                nested.append(regions + seconds(*elem) if inner else regions)
         return partials, serial, nested, gc_time
 
     def _combine_partials(self, spec: ConsumeSpec, partials: list[Any]) -> tuple[Any, float]:
@@ -472,8 +487,8 @@ class TrioletRuntime:
 
     def _node_execute(
         self, it: Iter, spec: ConsumeSpec, cores: int
-    ) -> tuple[Any, float, float]:
-        """Run a chunk on one node: real tasks, modelled thread overlap.
+    ) -> tuple[Any, float, float, dict]:
+        """Run a chunk on one node: real passes, modelled thread overlap.
 
         Node makespan model for composable work stealing: each task's
         serial part occupies one core; its nested parallel regions spill
@@ -481,9 +496,14 @@ class TrioletRuntime:
         work over cores and by the longest task's critical path, and above
         by greedy list scheduling of (serial + span) task durations.
 
-        Returns ``(combined_result, node_makespan_seconds, gc_seconds)``.
+        Returns ``(combined_result, node_makespan_seconds, gc_seconds,
+        shape)``, *shape* being what the rank's kernel span says of the
+        execution: its passes, its tasks and, if any, its stealable work.
         """
         partials, serial, nested, gc_time = self._run_tasks(it, spec, cores)
+        shape = {"passes": len(partials), "tasks": len(serial)}
+        if any(nested):
+            shape["nested_s"] = sum(nested)
         total_work = sum(serial) + sum(nested)
         durations = [s + w / cores for s, w in zip(serial, nested)]
         if self.scheduler == "static":
@@ -501,7 +521,7 @@ class TrioletRuntime:
             # GC is stop-the-world: allocator time serializes on the node.
             makespan = max(listed, total_work / cores) + gc_time
         result, combine_dt = self._combine_partials(spec, partials)
-        return result, makespan + combine_dt, gc_time
+        return result, makespan + combine_dt, gc_time, shape
 
     def _nested_execute(
         self, it: Iter, spec: ConsumeSpec, cores: int
@@ -543,7 +563,7 @@ class TrioletRuntime:
             return self._sequential_fallback(it, spec, "localpar-unpartitionable")
         with _obs_span("section", "localpar", clock=self.clock) as osp:
             plan = self._warm_plan(it)
-            result, makespan, gc_time = self._node_execute(
+            result, makespan, gc_time, _ = self._node_execute(
                 it, spec, self.machine.cores_per_node
             )
             self.clock.advance(makespan)
@@ -654,11 +674,11 @@ class TrioletRuntime:
                 with _obs_span(
                     "kernel", "node_execute", rank=comm.rank, clock=comm.clock,
                 ) as ksp:
-                    result, makespan, gc_time = self._node_execute(
+                    result, makespan, gc_time, shape = self._node_execute(
                         chunk, spec, cores
                     )
                     comm.compute(makespan)
-                    ksp.set(makespan=makespan, gc_time=gc_time)
+                    ksp.set(makespan=makespan, gc_time=gc_time, **shape)
                 comm.metrics.gc_time += gc_time  # already inside makespan
                 comm.alloc(_result_bytes(result))
                 finished.append((key, result))

@@ -3,9 +3,9 @@
 Triolet's runtime "uses Threading Building Blocks for thread parallelism"
 -- i.e. dynamic work stealing within a node -- while the C+OpenMP
 baseline uses static ``parallel for`` scheduling.  Both are modelled as
-makespan computations over per-task virtual durations: tasks really
-execute (sequentially, producing real results and real meters); only the
-overlap is modelled.
+makespan computations over per-task virtual durations: the tasks' work
+really executes (one sequential pass per core, producing real results
+and a real per-task meter ledger); only the overlap is modelled.
 
 ``work_stealing_makespan`` is greedy list scheduling (earliest-free core
 takes the next task plus a steal overhead) -- within a factor of 2 of

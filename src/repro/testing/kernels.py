@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import meter
 from repro.core.engine.bulk_forms import SEGMENTED, register_bulk
 from repro.serial import register_function
 from repro.serial.closures import closure
@@ -220,6 +221,29 @@ def _e_evens_bulk(b):
 
 
 register_bulk(e_evens, _e_evens_bulk, SEGMENTED)
+
+
+# -- set -> int64 segment: the inner loop of a nest fused into one level -------
+
+
+@register_function
+def e_rowbins(nbins, rows):
+    """Bin of every row of one set (its sum mod *nbins*): what a nested
+    list ``[bin(r) for s in sets for r in s]`` does per ``s``.  Tallies a
+    visit per row, like the loop it stands for."""
+    for _ in rows:
+        meter.tally_visits()
+    return np.sum(rows, axis=1).astype(np.int64) % nbins
+
+
+def _e_rowbins_bulk(nbins, stack):
+    k, n = stack.shape[:2]
+    meter.tally_uniform(k, n)
+    bins = np.sum(stack, axis=2).astype(np.int64) % nbins
+    return bins.ravel(), np.full(k, n, dtype=np.int64)
+
+
+register_bulk(e_rowbins, _e_rowbins_bulk, SEGMENTED)
 
 
 # -- consumer helpers --------------------------------------------------------

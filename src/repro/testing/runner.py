@@ -23,7 +23,10 @@ The invariant checker observes every distributed section throughout.
 per suite exercises crash re-execution (random fault sampling alone
 could miss it when the crash rank exceeds the chunk count);
 :func:`salvage_drill` the one that a section finishes from the partials
-the survivors of a failed attempt kept, 1-D reduce and 2-D build alike.
+the survivors of a failed attempt kept, 1-D reduce and 2-D build alike;
+:func:`nest_drill` the one that a ``par`` outer / ``localpar`` inner nest
+gets faster with cores per node (the property whose absence hid a
+flattened Fig. 7 for ten PRs).
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ from repro.core.fusion.planner import reset_planner
 from repro.data.handle import drop_handles
 from repro.data.plane import DataPlane
 from repro.runtime import FailureBudget, triolet_runtime
-from repro.serial import reset as reset_copy_stats
+from repro.serial import closure, reset as reset_copy_stats
 from repro.testing import kernels as K
 from repro.testing.gen import build_iter, generate_program, ref_value, run_consumer
 from repro.testing.invariants import InvariantViolation, check_plane, checking
@@ -609,6 +612,62 @@ def stencil_drill(seed: int) -> CaseResult:
     return out
 
 
+def nest_drill(seed: int) -> CaseResult:
+    """Deterministic two-level case: the nested list ``[bin(r) for s in
+    sets for r in s]`` as ONE fused level -- ``par`` over the sets, the
+    rows of a set the ``localpar`` work of its element -- on 2 nodes with
+    at most 4 sets each.  Every path histograms to the oracle's bits;
+    scalar and vectorized ranks take the same virtual time; and that time
+    falls strictly from 1 to 4 to 16 cores a node (the inner level is
+    what there is to spread), while at 1 core the inner hint is free."""
+    rng = np.random.default_rng(seed)
+    nsets, nrows = 2 * int(rng.integers(2, 5)), int(rng.integers(6, 20))
+    out = CaseResult(
+        seed=seed,
+        case=-6,
+        desc=f"nest drill (seed {seed}): histogram(rowbins(par(sets"
+        f"[{nsets}x{nrows}], inner=localpar))) on 2x1, 2x4, 2x16",
+    )
+    sets = rng.integers(0, 10, size=(nsets, nrows, 3)).astype(np.float64)
+    bins = closure(K.e_rowbins, 16)
+    expect = np.bincount(
+        [int(sum(r)) % 16 for s in sets for r in s], minlength=16
+    ).astype(np.float64)
+
+    def makespan(cores, inner, vectorize):
+        machine = MachineSpec(nodes=2, cores_per_node=cores)
+        with use_vectorization(vectorize), triolet_runtime(machine) as rt:
+            got = tri.histogram(16, tri.map(bins, tri.par(sets, inner=inner)))
+        if not bits_equal(expect, got):
+            out.failures.append(
+                f"nest drill value drift at 2x{cores} (inner={inner}, "
+                f"vectorize={vectorize}): {got!r} vs {expect!r}"
+            )
+        return rt.last_section.makespan
+
+    try:
+        with checking() as ck:
+            spans = [makespan(c, tri.localpar, True) for c in (1, 4, 16)]
+            scalar = [makespan(c, tri.localpar, False) for c in (1, 4, 16)]
+            plain = makespan(1, None, True)
+            out.sections = ck.sections
+    except InvariantViolation as exc:
+        out.failures.append(f"invariant violation: {exc}")
+        return out
+    if spans != scalar:
+        out.failures.append(f"nest drill makespans: {spans} vs scalar {scalar}")
+    if not spans[0] > spans[1] > spans[2]:
+        out.failures.append(
+            f"nest drill makespan did not fall with cores per node: {spans}"
+        )
+    if abs(spans[0] - plain) > 1e-12 * plain:
+        out.failures.append(
+            f"nest drill: the inner hint moved the 1-core makespan "
+            f"{plain!r} -> {spans[0]!r}"
+        )
+    return out
+
+
 # -- suites ------------------------------------------------------------------
 
 
@@ -631,11 +690,12 @@ def run_suite(
     if only is None:
         # Guarantee the acceptance properties: every suite exercises
         # transient crash re-execution, permanent-loss lineage recovery,
-        # finishing from kept partials, restart-from-checkpoint, and
-        # mid-run loss under the stencil's halo exchange, with the
-        # checker active.
+        # finishing from kept partials, restart-from-checkpoint, mid-run
+        # loss under the stencil's halo exchange, and a two-level nest
+        # whose makespan falls with cores per node, with the checker
+        # active.
         for drill_fn in (crash_drill, loss_drill, salvage_drill,
-                         checkpoint_drill, stencil_drill):
+                         checkpoint_drill, stencil_drill, nest_drill):
             drill = drill_fn(seed)
             suite.results.append(drill)
             if progress is not None:

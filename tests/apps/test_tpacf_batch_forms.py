@@ -138,3 +138,30 @@ def test_ragged_sets_take_the_iterating_fallback():
     assert lengths.tolist() == [10, 0, 0, 36, 1]
     check_cross(128, _unit(rng, 4), [])
     check_self(128, [])
+
+
+def test_ragged_sets_go_through_the_engine_under_a_task_ledger():
+    """The fallback runs inside a bulk form the engine evaluates, where a
+    scalar tally is an error: it tallies per set, so a node's per-task
+    durations (and so its makespan) equal the scalar loop's."""
+    from repro.apps.tpacf import triolet as program
+    from repro.cluster.machine import MachineSpec
+    from repro.core.engine import use_vectorization
+    from repro.core.fusion import planner_stats
+    from repro.runtime import CostContext, triolet_runtime
+
+    rng = np.random.default_rng(6)
+    ragged = np.empty(5, dtype=object)
+    ragged[:] = [_unit(rng, n) for n in (5, 0, 1, 9, 2)]
+    obs = _unit(rng, 4)
+    runs = []
+    for vectorize in (True, False):
+        with use_vectorization(vectorize), triolet_runtime(
+            MachineSpec(nodes=1, cores_per_node=2), costs=CostContext(unit_time=1e-3)
+        ) as rt:
+            rr = program.self_sets_correlation(16, ragged)
+            dr = program.cross_sets_correlation(16, obs, ragged)
+        runs.append((rr.tobytes(), dr.tobytes(), rt.elapsed, rt.meter_total))
+    assert planner_stats().unsupported == 0  # the engine did run them
+    assert runs[0] == runs[1]
+    assert rr.sum() == sum(n * (n - 1) // 2 for n in (5, 0, 1, 9, 2))

@@ -198,7 +198,8 @@ class TestBulkFormCallCount:
     #: the reason it is outside the rule.
     ITERATING_HELPERS = {
         "_per_set": "tpacf's fallback for sets that are not one ndarray "
-        "stack (a ragged list): never what the engine passes",
+        "stack (a ragged object array): the scalar form per set, each "
+        "under a meter of its own whose visits it tallies per set",
     }
 
     @pytest.mark.parametrize("form", ["cross", "self"])
@@ -278,6 +279,90 @@ class TestBulkFormCallCount:
                             )
         assert forms >= 10  # the walk found the forms it is there to check
         assert not offenders, offenders
+
+    def test_no_bulk_form_reaches_a_scalar_tally(self):
+        """AST guard for the tally rule: no ``*_bulk`` / ``*_batch``
+        function of an app module, nor any same-module helper it calls,
+        calls ``tally_visits`` / ``tally_inner`` / ``tally_steps`` -- a
+        bulk form says which element a tally is for (``tally_uniform``,
+        ``tally_each``), or a per-task ledger could not split its batch.
+        What is handed to an ``ITERATING_HELPERS`` fallback is the scalar
+        form itself and is not followed."""
+        import ast
+        from pathlib import Path
+
+        import repro.apps
+
+        scalar = {"tally_visits", "tally_inner", "tally_steps"}
+
+        def called(node, out):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call):
+                    name = getattr(child.func, "id", None) or getattr(
+                        child.func, "attr", None
+                    )
+                    if name in self.ITERATING_HELPERS:
+                        continue
+                    out.add(name)
+                called(child, out)
+            return out
+
+        offenders, tallying = [], 0
+        for path in sorted(Path(repro.apps.__file__).parent.glob("*/*.py")):
+            defs = {
+                fn.name: fn
+                for fn in ast.parse(path.read_text()).body
+                if isinstance(fn, ast.FunctionDef)
+            }
+            todo = [n for n in defs if n.endswith(("_bulk", "_batch"))]
+            reached = set()
+            while todo:
+                name = todo.pop()
+                if name not in reached:
+                    reached.add(name)
+                    todo.extend(called(defs[name], set()) & defs.keys())
+            for name in sorted(reached):
+                names = called(defs[name], set())
+                tallying += bool(names & {"tally_uniform", "tally_each"})
+                offenders += [
+                    f"{path.parent.name}/{path.name} {name} calls {bad}"
+                    for bad in sorted(names & scalar)
+                ]
+        assert tallying >= 7  # mriq, sgemm, cutcp and tpacf's four
+        assert not offenders, offenders
+
+
+@pytest.mark.perfsmoke
+class TestOnePassPerCore:
+    """A ``dense_sim``-shaped round as a count: the four apps on 2 ranks x
+    1 core, cold plan cache per op as a one-shot script pays it.  Every
+    rank runs ONE engine pass per section (one plan lookup each), however
+    many tasks the node model times it as: 13 hits a round, where one
+    pass per task made 52."""
+
+    MID = {  # benchmarks/e2e/workloads.py
+        "mriq": dict(npix=8192, nk=64),
+        "sgemm": dict(n=96),
+        "tpacf": dict(m=64, nr=32, nbins=1024),
+        "cutcp": dict(na=4000, grid=(32, 32, 32), cutoff=2.0),
+    }
+
+    def test_a_round_is_thirteen_plan_lookups(self):
+        from repro.core.fusion import planner_stats, reset_planner
+
+        machine = PAPER_MACHINE.scaled(nodes=2, cores_per_node=1)
+        hits = misses = unsupported = 0
+        for app in sorted(self.MID):
+            problem = APPS[app].make_problem(seed=7, **self.MID[app])
+            reset_planner()
+            run = APPS[app].runners["triolet"](
+                problem, machine, costs_for(app, "triolet", problem)
+            )
+            assert run.ok
+            stats = planner_stats()
+            hits, misses = hits + stats.hits, misses + stats.misses
+            unsupported += stats.unsupported
+        assert (hits, misses, unsupported) == (13, 7, 0)
 
 
 @pytest.mark.perfsmoke

@@ -111,6 +111,22 @@ class TestTraceCommand:
                  if s["kind"] == "section"]
         assert loops == ["engine", "engine"]
 
+    def test_summarize_prints_each_sections_kernels(self, tmp_path, capsys):
+        """Per section: how many passes its ranks ran (one per core), how
+        many tasks they were timed as, how much of it was stealable."""
+        jsonl = tmp_path / "run.jsonl"
+        assert main(["trace", "--app", "tpacf", "--nodes", "2",
+                     "--chrome", "", "--jsonl", str(jsonl)]) == 0
+        capsys.readouterr()
+        dd, dr, rr = summarize(load_jsonl(str(jsonl)))["kernels"]
+        # 2 ranks x 16 cores, one pass a core; a task per row of dd's 64
+        # and per set of dr's and rr's 32
+        assert (dd["ranks"], dd["passes"], dd["tasks"]) == (2, 32, 64)
+        assert (dr["ranks"], dr["passes"], dr["tasks"]) == (2, 32, 32)
+        assert dd["nested_s"] == 0 and dr["nested_s"] > rr["nested_s"] > 0
+        assert main(["summarize", str(jsonl)]) == 0
+        assert "kernels of section" in capsys.readouterr().out
+
     @pytest.mark.parametrize("vectorize,loop", [(True, "engine"),
                                                 (False, "bound")])
     def test_section_spans_name_their_loop(self, vectorize, loop):

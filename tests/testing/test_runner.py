@@ -4,6 +4,7 @@ import pytest
 from repro.testing import __main__ as cli
 from repro.testing.runner import (
     crash_drill,
+    nest_drill,
     run_case,
     run_suite,
     salvage_drill,
@@ -35,6 +36,14 @@ class TestCrashDrill:
         assert r.ok, r.failures
         assert r.crash_exercised
         assert r.sections >= 2
+
+
+class TestNestDrill:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_two_level_nest_gets_faster_with_cores_per_node(self, seed):
+        r = nest_drill(seed)
+        assert r.ok, r.failures
+        assert r.sections == 7
 
 
 class TestSalvageDrill:
