@@ -3,8 +3,9 @@
 Not a paper benchmark -- the paper's four apps are all single-pass
 pipelines -- but the canonical exercise for the halo-exchange machinery:
 a radius-1 Jacobi sweep re-reads every rank's block each iteration, so
-from the second sweep on the data plane must ship *only* the dirty ghost
-rows (zero interior bytes) for the skeleton to be worth having.  Both the
+from the second iteration on *only* ghost rows may move (zero interior
+bytes, and those rows from the rank that wrote them to the rank that
+reads them) for the skeleton to be worth having.  Both the
 1-D rod and the 2-D plate run as row stencils; the plate's column
 neighbours live inside each row, so rows stay the halo unit.
 """

@@ -4,10 +4,13 @@ The program is one line::
 
     rt.stencil(field, radius=1, kernel=jacobi_step, iterations=k)
 
-Each sweep is a distributed section over the field's resident blocks;
-the interesting number is in ``detail["data_plane"]``: from the second
-sweep on, ``input_bytes`` stays flat (zero interior re-ship) and only
-``halo_bytes`` grows -- the dirty ghost rows.
+The whole relaxation is one distributed section over the field's blocks:
+each rank iterates on its own window and trades ghost rows with its
+neighbours between iterations, the root gathers once.  The interesting
+numbers are in ``detail["sections"]``: ``input_bytes`` is the one
+placement of the blocks, ``exchange_bytes`` the ghost rows the ranks sent
+each other (``iterations - 1`` times two rows per interior boundary), and
+``halo_bytes`` those plus the first ghosts shipped with the blocks.
 """
 from __future__ import annotations
 
@@ -52,8 +55,8 @@ def run_triolet(
         recovery=recovery,
         budget=budget,
     ) as rt:
-        # The field shards by rows once; every sweep reuses the resident
-        # placement and ships only dirty halos.
+        # The field shards by rows once; the sweep's iterations run where
+        # the blocks are and move only ghost rows, rank to rank.
         field = rt.distribute(np.array(p.init, copy=True))
         with _obs_span("phase", "jacobi_relax"):
             rt.stencil(

@@ -51,20 +51,34 @@ def summarize(data: dict) -> dict:
             recovered.setdefault(s["parent"], []).append(s)
     # What the ranks of each section executed: one engine pass per core,
     # timed as so many tasks, so much of it stealable (an inner localpar).
+    # A stencil sweep is one section of so many supersteps: each rank
+    # records one ``stencil_kernel`` span per superstep, the section span
+    # says how deep the sweep was and what its ranks exchanged.
     kernels: dict[int, dict] = {}
+    sweeps: dict[int, dict] = {}
     for s in spans:
-        if s["kind"] != "kernel" or "passes" not in s["attrs"]:
+        if s["kind"] != "kernel":
             continue
         sec = s
         while sec["kind"] != "section" and sec["parent"] in by_sid:
             sec = by_sid[sec["parent"]]
-        row = kernels.setdefault(sec["sid"], {
-            "section": f"{sec['name']}#{sec['sid']}", "ranks": 0,
-            "passes": 0, "tasks": 0, "nested_s": 0.0,
-        })
-        row["ranks"] += 1
-        for key in ("passes", "tasks", "nested_s"):
-            row[key] += s["attrs"].get(key, 0)
+        name = f"{sec['name']}#{sec['sid']}"
+        if "passes" in s["attrs"]:
+            row = kernels.setdefault(sec["sid"], {
+                "section": name, "ranks": 0,
+                "passes": 0, "tasks": 0, "nested_s": 0.0,
+            })
+            row["ranks"] += 1
+            for key in ("passes", "tasks", "nested_s"):
+                row[key] += s["attrs"].get(key, 0)
+        elif "iterations" in sec["attrs"]:
+            row = sweeps.setdefault(sec["sid"], {
+                "section": name, "supersteps": 0,
+                **{k: sec["attrs"].get(k, 0)
+                   for k in ("nodes", "iterations", "exchange_bytes",
+                             "halo_bytes")},
+            })
+            row["supersteps"] += 1
     return {
         "spans": len(spans),
         "events": len(events),
@@ -78,6 +92,7 @@ def summarize(data: dict) -> dict:
             for sec in data.get("sections", [])
         ],
         "kernels": [kernels[sid] for sid in sorted(kernels)],
+        "sweeps": [sweeps[sid] for sid in sorted(sweeps)],
         "recovered_sections": [
             {
                 "section": f"{by_sid[sid]['name']}#{sid}",
@@ -118,6 +133,15 @@ def render_summary(summary: dict) -> str:
             lines.append(
                 f"{row['section'][:27]:<28}{row['ranks']:>7}{row['passes']:>8}"
                 f"{row['tasks']:>7}{row['nested_s']:>12.6f}"
+            )
+    if summary.get("sweeps"):
+        lines += ["", f"{'stencil sweep':<28}{'ranks':>7}{'iters':>7}"
+                      f"{'steps':>7}{'exchanged B':>13}{'halo B':>10}"]
+        for row in summary["sweeps"]:
+            lines.append(
+                f"{row['section'][:27]:<28}{row['nodes']:>7}"
+                f"{row['iterations']:>7}{row['supersteps']:>7}"
+                f"{row['exchange_bytes']:>13}{row['halo_bytes']:>10}"
             )
     for sec in summary.get("recovered_sections", ()):
         lines += ["", f"attempts of section {sec['section']}:",

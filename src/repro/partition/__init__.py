@@ -13,11 +13,14 @@ from repro.partition.block import (
 )
 from repro.partition.block2d import grid_shape, block2d_bounds
 from repro.partition.halo import (
+    exchange_rows,
     flatten_intervals,
     halo_bytes_bound,
+    halo_exchange,
     halo_intervals,
     halo_rows,
     section_halos,
+    written_rows,
 )
 
 __all__ = [
@@ -32,4 +35,7 @@ __all__ = [
     "flatten_intervals",
     "halo_rows",
     "halo_bytes_bound",
+    "written_rows",
+    "halo_exchange",
+    "exchange_rows",
 ]

@@ -279,13 +279,15 @@ class TrioletRuntime:
                 label: str = "stencil"):
         """Run an iterative halo-exchange stencil over *handle*.
 
-        Each iteration is one distributed section whose block interiors
-        reuse the handle's resident placement (zero interior bytes from
-        iteration 2 on) and whose ghost rows ship as first-class halo
-        placements -- only the *dirty* ones after the first exchange.
-        See :mod:`repro.runtime.stencil` for the kernel contract and
-        recovery semantics.  Returns the handle; its master copy holds
-        the final state.
+        The call is one distributed section: block interiors reuse the
+        handle's resident placement, the first ghost rows ship as
+        first-class halo placements (only the *dirty* ones once placed),
+        and between iterations the ranks hand each other the ghost rows
+        they wrote; the root gathers once, after the last.  See
+        :mod:`repro.runtime.stencil` for the kernel contract and
+        recovery semantics (the call is the unit of commit, recovery and
+        checkpoint).  Returns the handle; its master copy holds the
+        final state.
         """
         with self._planner_scope():
             return run_stencil(self, handle, radius, kernel,

@@ -63,7 +63,8 @@ def add_section_observer(fn) -> None:
     ``iterator``, ``partition``, ``bounds``, ``nchunks``, ``ship``,
     ``spec`` (``None`` for stencil sweeps), ``attempts``, ``dead_ranks``,
     ``survivors``, ``rank_losses``, ``salvaged``; stencil sweeps add
-    ``halo`` (``aid``, ``radius``, ``row_nbytes``).
+    ``halo`` (``aid``, ``radius``, ``row_nbytes``, ``extent``,
+    ``iterations``).
 
     ``bounds`` are the blocks the *final* attempt computed on its
     ``nchunks`` ranks and ``salvaged`` the ``(rank, block)`` pairs of the

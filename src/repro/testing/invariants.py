@@ -27,12 +27,16 @@ live:
   map never references a rank outside the surviving set, and every
   resident hull stays inside its handle's bounds.
 * **Halo conservation** -- ghost traffic has its own law: per section
-  ``halo_requests == halo_hits + halo_refreshes``; stencil sections
-  additionally bound ``halo_bytes`` by the interval-arithmetic ceiling
-  ``2 * radius * ranks * row_nbytes``
-  (:func:`~repro.partition.halo.halo_bytes_bound`), and every live ghost
-  placement must cover an interval inside its handle's bounds with its
-  bytes actually present in the rank's store.
+  ``halo_requests == halo_hits + halo_refreshes``; a stencil section's
+  ``halo_bytes`` are the first ghosts the plan ships -- under the
+  interval-arithmetic ceiling ``2 * radius * ranks * row_nbytes``
+  (:func:`~repro.partition.halo.halo_bytes_bound`) -- plus what its
+  ranks' exchange schedule (:func:`~repro.partition.halo.halo_exchange`)
+  moves in ``iterations - 1`` supersteps, and the final attempt's
+  ``RankMetrics`` agree: per rank exactly the ship, exchange and gather
+  messages, in total exactly those payload bytes plus envelopes.  Every
+  live ghost placement must cover an interval inside its handle's bounds
+  with its bytes actually present in the rank's store.
 
 Any violation raises :class:`InvariantViolation` (an ``AssertionError``
 subclass, so it fails pytest naturally).  Usage from any test::
@@ -50,8 +54,19 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.core.iterators.indexed import IndexedIter
-from repro.partition import halo_bytes_bound
+from repro.partition import (
+    exchange_rows,
+    halo_bytes_bound,
+    halo_exchange,
+    written_rows,
+)
 from repro.runtime.section import observing_sections
+
+
+#: What one message may weigh beyond the rows it carries (type tags,
+#: shapes, block bounds, op headers): generous, and still far below a row
+#: block shipped where ghost rows were planned.
+_ENVELOPE_BYTES = 256
 
 
 class InvariantViolation(AssertionError):
@@ -295,19 +310,33 @@ class InvariantChecker:
         halo = payload.get("halo")
         if halo is None:
             return
-        # Stencil sections: the section's ghost traffic can never exceed
-        # the interval-arithmetic ceiling (two clamped radius-row ghosts
-        # per destination rank).
-        bound = halo_bytes_bound(
-            halo["radius"], payload["nchunks"], halo["row_nbytes"]
+        # Stencil sections: halo bytes are every ghost row on the wire.
+        # The first iteration's, shipped with the blocks, stay under the
+        # interval-arithmetic ceiling (two clamped radius-row ghosts per
+        # destination rank); the rest are what the ranks' exchange
+        # schedule says, recomputed here from the bounds alone.
+        iterations, row_nbytes = halo["iterations"], halo["row_nbytes"]
+        bound = halo_bytes_bound(halo["radius"], payload["nchunks"], row_nbytes)
+        exchanged = row_nbytes * exchange_rows(
+            payload["bounds"], halo["radius"], halo["extent"], iterations
         )
-        if s is not None and s.get("halo_bytes", 0) > bound:
+        if s["exchange_bytes"] != exchanged:
             _fail(
-                f"halo bytes {s['halo_bytes']} exceed the "
-                f"2*radius*ranks*rowbytes ceiling {bound} "
-                f"(radius {halo['radius']}, {payload['nchunks']} ranks)",
+                f"section reports {s['exchange_bytes']} exchanged "
+                f"halo bytes, its schedule moves {exchanged}",
                 payload,
             )
+        if not (0 <= s["halo_bytes"] - exchanged <= bound
+                and s["halo_bytes"] <= iterations * bound):
+            _fail(
+                f"halo bytes {s['halo_bytes']} ({exchanged} exchanged) exceed "
+                f"the 2*radius*ranks*rowbytes ceiling {bound} per iteration "
+                f"(radius {halo['radius']}, {payload['nchunks']} ranks, "
+                f"{iterations} iterations)",
+                payload,
+            )
+        if getattr(record, "metrics", None) is not None:  # synthetic: none
+            self._check_halo_wire(payload, s, halo)
         # Ghost placement liveness: every ghost entry the planner tracks
         # must sit inside its handle's bounds, on a live rank, with its
         # bytes actually present in that rank's store (the section's ops
@@ -337,6 +366,42 @@ class InvariantChecker:
                         f"backing bytes in the rank store",
                         payload,
                     )
+
+    def _check_halo_wire(self, payload: dict, s: dict, halo: dict) -> None:
+        """The final attempt's ranks sent the ship, the exchange and the
+        gather, and nothing else: message counts exact per rank, bytes the
+        planned payload plus at most an envelope per message."""
+        per_rank = payload["record"].metrics.per_rank
+        if any(m.messages_fragmented for m in per_rank):
+            return  # a byte cap split messages: counts are the cap's
+        bounds, n, steps = payload["bounds"], payload["nchunks"], halo["iterations"] - 1
+        planned = s["input_bytes"] + s["halo_bytes"]
+        for rank, m in enumerate(per_rank):
+            sends, recvs = halo_exchange(
+                bounds, rank, halo["radius"], halo["extent"])
+            # the root ships n - 1 items and gathers n - 1; the others mirror
+            base = n - 1 if rank == 0 else 1
+            want = base + steps * len(sends), base + steps * len(recvs)
+            if (m.messages_sent, m.messages_received) != want:
+                _fail(
+                    f"rank {rank} sent/received {m.messages_sent}/"
+                    f"{m.messages_received} messages, the sweep's schedule "
+                    f"says {want[0]}/{want[1]}",
+                    payload,
+                )
+            if rank:  # its written rows, gathered
+                wlo, whi = written_rows(*bounds[rank], halo["radius"], halo["extent"])
+                planned += max(0, whi - wlo) * halo["row_nbytes"]
+        sent = sum(m.bytes_sent for m in per_rank)
+        slack = _ENVELOPE_BYTES * sum(m.messages_sent for m in per_rank)
+        if not (planned <= sent <= planned + slack
+                and sent == sum(m.bytes_received for m in per_rank)):
+            _fail(
+                f"ranks sent {sent} bytes (received "
+                f"{sum(m.bytes_received for m in per_rank)}); blocks + halos "
+                f"+ gathered rows are {planned}, envelopes at most {slack}",
+                payload,
+            )
 
     # -- recovery accounting ------------------------------------------------
 

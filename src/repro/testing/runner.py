@@ -544,16 +544,19 @@ def checkpoint_drill(seed: int) -> CaseResult:
 
 
 def stencil_drill(seed: int) -> CaseResult:
-    """Deterministic halo-exchange case: an 8-sweep radius-1 Jacobi on
-    4x2 losing rank 1 mid-run -- the shrunken job must stay bit-identical
-    to the sequential oracle, with zero interior bytes on clean sweeps,
-    ghost state that survives the invariant checker, and the loss
-    charged to the job's ``FailureBudget``."""
+    """Deterministic halo-exchange case: 8 iterations of a radius-1
+    Jacobi on 4x2 as three sweeps (3 + 3 + 2), losing rank 1 inside the
+    second -- where the loss meets resident shards, so the retry replays
+    the dead rank's rows through lineage.  The shrunken job must stay
+    bit-identical to the sequential oracle, with zero interior bytes on
+    the clean sweep after it, ghost state and wire counts that survive
+    the invariant checker, and the loss charged to the job's
+    ``FailureBudget``."""
     out = CaseResult(
         seed=seed,
         case=-4,
-        desc=f"stencil drill (seed {seed}): jacobi[256] x8 on 4x2 "
-        f"with RankLoss(rank=1, section=3), FailureBudget(max_rank_losses=1)",
+        desc=f"stencil drill (seed {seed}): jacobi[256] x(3+3+2) on 4x2 "
+        f"with RankLoss(rank=1, section=1), FailureBudget(max_rank_losses=1)",
     )
     rng = np.random.default_rng(seed)
     init = rng.integers(0, 10, size=256).astype(np.float64)
@@ -568,14 +571,15 @@ def stencil_drill(seed: int) -> CaseResult:
         nxt[1:-1] = kern(expect)
         expect = nxt
 
-    plan = FaultPlan(faults=(RankLoss(rank=1, at=1e-6, section=3),))
+    plan = FaultPlan(faults=(RankLoss(rank=1, at=1e-6, section=1),))
     budget = FailureBudget(max_rank_losses=1)
     try:
         with checking() as ck:
             with triolet_runtime(machine, faults=plan, plane=DataPlane(),
                                  budget=budget) as rt:
                 h = rt.distribute(init.copy())
-                rt.stencil(h, radius=1, kernel=kern, iterations=8)
+                for iterations in (3, 3, 2):
+                    rt.stencil(h, radius=1, kernel=kern, iterations=iterations)
                 got = h.array.copy()
             out.sections = ck.sections
             out.crash_exercised = ck.crash_sections > 0

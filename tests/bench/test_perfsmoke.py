@@ -397,12 +397,31 @@ class TestLocalSectionForkCount:
                 observing_sections(sections.append):
             jacobi.run_triolet(jacobi.make_problem(n=256, iterations=4), machine)
             tpacf.run_triolet(tp, machine, costs_for("tpacf", "triolet", tp))
-        assert len(sections) == 4 + 3
+        assert len(sections) == 1 + 3  # a 4-iteration sweep is one section
         assert all(s["nchunks"] == 2 for s in sections)
         assert fork.call_count == sum(s["nchunks"] - 1 for s in sections)
         # the launcher decodes frames from ranks >= 1 only: their messages
         # to rank 0 and their outcomes, never anything from rank 0
         assert readers and 0 not in readers
+
+    def test_a_sweep_forks_once_per_rank_whatever_its_depth(self):
+        """Eight iterations on 3 ranks: 2 forks (one section whose ranks
+        trade ghost rows), not the 16 of a section per iteration."""
+        import os
+        from unittest import mock
+
+        from repro.apps import jacobi
+        from repro.cluster import MachineSpec
+        from repro.cluster import transport
+
+        if "local" not in transport.available_transports(nranks=3):
+            pytest.skip("LocalTransport unavailable (no fork)")
+        machine = MachineSpec(nodes=3, cores_per_node=1, transport="local")
+        p = jacobi.make_problem(n=256, iterations=8)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            run = jacobi.run_triolet(p, machine)
+        assert fork.call_count == 2
+        assert run.value.tobytes() == jacobi.solve_ref(p).tobytes()
 
 
 @pytest.mark.perfsmoke

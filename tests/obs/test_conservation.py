@@ -108,3 +108,51 @@ class TestConservation:
         rec.registry.inc("cluster.bytes_sent", 1)
         v = conservation_violations(rec, rt)
         assert v and any("cluster.bytes_sent" in s for s in v)
+
+
+class TestStencilSweep:
+    """A k-iteration sweep is one section span carrying ``iterations`` and
+    ``exchange_bytes``, one ``stencil_kernel`` span per rank per
+    superstep, and halo bytes that reconcile across the three streams
+    (halo instants, live counters, plane totals) although the exchanged
+    share never passes through the planner."""
+
+    def _capture(self, transport="sim"):
+        machine = MachineSpec(nodes=3, cores_per_node=1, transport=transport)
+        with capture() as rec:
+            with triolet_runtime(machine, plane=DataPlane()) as rt:
+                h = rt.distribute(np.arange(96.0) % 7)
+                rt.stencil(h, radius=1, iterations=4,
+                           kernel=lambda x: 0.5 * (x[:-2] + x[2:]))
+        return rec, rt
+
+    @pytest.mark.parametrize("transport", ["sim", "local"])
+    def test_spans_and_streams(self, transport):
+        rec, rt = self._capture(transport)
+        assert conservation_violations(rec, rt) == []
+        (sec,) = rec.spans_of_kind("section")
+        # 2 boundaries x 2 directions x 8 B x 3 exchanges; + 3 first ghosts
+        assert sec.attrs["iterations"] == 4
+        assert sec.attrs["exchange_bytes"] == 96
+        assert sec.attrs["halo_bytes"] == 96 + 24
+        assert rt.plane.totals["halo_bytes"] == 96 + 24
+        steps = sorted((s.rank, s.attrs["step"])
+                       for s in rec.spans_of_kind("kernel"))
+        assert steps == [(r, k) for r in range(3) for k in range(4)]
+        (exchange,) = [s for s in rec.spans_of_kind("halo")
+                       if s.name == "exchange"]
+        assert exchange.attrs == {"halo_bytes": 96, "iterations": 4}
+
+    def test_summarize_prints_the_sweep(self, tmp_path):
+        from repro.obs.export import load_jsonl, write_jsonl
+        from repro.obs.report import render_summary, summarize
+
+        rec, _rt = self._capture()
+        path = tmp_path / "run.jsonl"
+        write_jsonl(rec, str(path))
+        summary = summarize(load_jsonl(str(path)))
+        (row,) = summary["sweeps"]
+        assert (row["nodes"], row["iterations"], row["supersteps"],
+                row["exchange_bytes"], row["halo_bytes"]) == (3, 4, 12, 96, 120)
+        text = render_summary(summary)
+        assert "stencil sweep" in text and "exchanged B" in text

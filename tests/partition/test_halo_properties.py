@@ -12,11 +12,14 @@ from hypothesis import given, strategies as st
 from repro.data.views import slice_view, zip_view
 from repro.partition import block_bounds
 from repro.partition.halo import (
+    exchange_rows,
     flatten_intervals,
     halo_bytes_bound,
+    halo_exchange,
     halo_intervals,
     halo_rows,
     section_halos,
+    written_rows,
 )
 
 pytestmark = pytest.mark.views
@@ -217,3 +220,105 @@ class TestSectionBounds:
         assert total <= halo_bytes_bound(radius, nranks, row_nbytes)
         for (blo, bhi), per in zip(bounds, halos):
             assert _rows(per) == _brute_ghosts([(blo, bhi)], radius, n)
+
+
+@st.composite
+def _tilings(draw):
+    """A sorted tiling of ``[0, extent)`` by up to 9 blocks -- even ones
+    (``block_bounds``) or arbitrary cuts, so empty blocks and blocks
+    narrower than the radius turn up -- with a stencil radius."""
+    extent = draw(st.integers(0, 64))
+    nranks = draw(st.integers(1, 9))
+    radius = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        bounds = block_bounds(extent, max(1, min(nranks, extent)))
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, extent),
+                                    min_size=nranks - 1, max_size=nranks - 1)))
+        bounds = list(zip([0] + cuts, cuts + [extent]))
+    return bounds, radius, extent
+
+
+class TestExchangeSchedule:
+    """Who sends which rows to whom between two iterations of a sweep,
+    against the row-set definition: a rank receives the rows it reads but
+    does not write, from whoever writes them."""
+
+    @staticmethod
+    def _windows(bounds, radius, extent):
+        writes, reads = [], []
+        for lo, hi in bounds:
+            wlo, whi = written_rows(lo, hi, radius, extent)
+            w = set(range(wlo, whi))
+            writes.append(w)
+            reads.append(set(range(wlo - radius, whi + radius)) if w else set())
+        return writes, reads
+
+    @given(_tilings())
+    def test_receives_are_read_minus_written_rows_somebody_writes(self, case):
+        bounds, radius, extent = case
+        writes, reads = self._windows(bounds, radius, extent)
+        written_by_anyone = set().union(*writes)
+        for rank in range(len(bounds)):
+            _sends, recvs = halo_exchange(bounds, rank, radius, extent)
+            want = (reads[rank] - writes[rank]) & written_by_anyone
+            assert _rows([(lo, hi) for _src, lo, hi in recvs]) == want
+            assert sum(hi - lo for _src, lo, hi in recvs) == len(want)  # disjoint
+            assert all(lo < hi for _src, lo, hi in recvs)
+            assert recvs == sorted(recvs, key=lambda m: m[1])
+            assert [src for src, _, _ in recvs] == sorted(
+                {src for src, _, _ in recvs})  # one message per peer, in order
+            for src, lo, hi in recvs:
+                assert src != rank and set(range(lo, hi)) <= writes[src]
+            assert reads[rank] <= set(range(extent))  # the window fits the array
+
+    @given(_tilings())
+    def test_sends_mirror_receives(self, case):
+        bounds, radius, extent = case
+        plans = [halo_exchange(bounds, r, radius, extent)
+                 for r in range(len(bounds))]
+        sent = sorted((s, d, lo, hi)
+                      for s, (sends, _) in enumerate(plans)
+                      for d, lo, hi in sends)
+        received = sorted((s, d, lo, hi)
+                          for d, (_, recvs) in enumerate(plans)
+                          for s, lo, hi in recvs)
+        assert sent == received
+
+    @given(_tilings())
+    def test_rows_nobody_writes_never_travel(self, case):
+        bounds, radius, extent = case
+        moved = set()
+        for rank in range(len(bounds)):
+            sends, recvs = halo_exchange(bounds, rank, radius, extent)
+            moved |= _rows([(lo, hi) for _p, lo, hi in sends + recvs])
+        fixed = set(range(min(radius, extent))) | set(
+            range(max(0, extent - radius), extent))
+        assert not moved & fixed
+
+    @given(_tilings(), st.integers(0, 6), st.sampled_from([1, 8, 80]))
+    def test_a_superstep_fits_under_the_bytes_bound(self, case, k, row_nbytes):
+        bounds, radius, extent = case
+        per_step = sum(
+            hi - lo
+            for r in range(len(bounds))
+            for _src, lo, hi in halo_exchange(bounds, r, radius, extent)[1]
+        )
+        assert per_step * row_nbytes <= halo_bytes_bound(
+            radius, len(bounds), row_nbytes)
+        assert exchange_rows(bounds, radius, extent, k) == max(0, k - 1) * per_step
+
+    @given(st.integers(0, 64), st.integers(1, 4), st.integers(0, 6))
+    def test_one_rank_or_one_iteration_schedules_nothing(self, extent, radius, k):
+        assert halo_exchange([(0, extent)], 0, radius, extent) == ([], [])
+        assert exchange_rows([(0, extent)], radius, extent, k) == 0
+        for nranks in (2, 5, 9):
+            bounds = block_bounds(extent, max(1, min(nranks, extent)))
+            assert exchange_rows(bounds, radius, extent, 0) == 0
+            assert exchange_rows(bounds, radius, extent, 1) == 0
+
+    def test_a_block_narrower_than_the_radius_hears_from_several_ranks(self):
+        bounds = block_bounds(12, 6)  # 2-row blocks, radius 3
+        sends, recvs = halo_exchange(bounds, 2, 3, 12)
+        assert recvs == [(1, 3, 4), (3, 6, 8), (4, 8, 9)]
+        assert sends == [(1, 4, 6), (3, 4, 6), (4, 5, 6)]  # rank 4 writes row 8 only

@@ -155,12 +155,37 @@ FIELD = (np.arange(512.0) * 7.0) % 23.0
 
 class TestStencilCheckpoint:
     """Stencil sweeps are sections of the one engine: checkpointed and
-    restored like pipeline sections, under the same sequence keys."""
+    restored like pipeline sections, under the same sequence keys.  The
+    *call* is the checkpoint unit, so a job that wants one every ``c``
+    iterations makes ``c``-iteration calls (here mostly ``c = 1``)."""
 
-    def _sweeps(self, rt, iterations=8):
+    def _sweeps(self, rt, calls=8, iterations=1):
         h = rt.distribute(FIELD.copy())
-        rt.stencil(h, radius=1, kernel=_relax, iterations=iterations)
+        for _ in range(calls):
+            rt.stencil(h, radius=1, kernel=_relax, iterations=iterations)
         return h.array.copy()
+
+    def test_a_call_is_one_checkpoint_whatever_its_depth(self):
+        with triolet_runtime(MACHINE) as rt0:
+            oracle = self._sweeps(rt0)
+
+        store = CheckpointStore()
+        plan = FaultPlan(faults=(RankLoss(rank=1, at=1e-6, section=2),))
+
+        def make_rt():
+            return triolet_runtime(
+                MACHINE, faults=plan, recovery=None,
+                checkpoint=CheckpointConfig(store=store, job="c"),
+            )
+
+        value, rt, restarts = run_restartable(
+            make_rt, lambda rt: self._sweeps(rt, calls=4, iterations=2))
+        assert restarts == 1
+        assert value.tobytes() == oracle.tobytes()
+        # calls 0-1 (iterations 0-3) came back, 2-3 really ran
+        assert rt.recovery_report.restores == 2
+        assert rt.recovery_report.checkpoints == 2 and store.puts == 4
+        assert len(rt.sections) == 4
 
     def test_every_sweep_is_checkpointed(self):
         store = CheckpointStore()
@@ -204,7 +229,8 @@ class TestStencilCheckpoint:
         def job(rt):
             h = rt.distribute(FIELD.copy())
             before = tri.sum(tri.map(k_square, tri.par(h)))
-            rt.stencil(h, radius=1, kernel=_relax, iterations=3)
+            for _ in range(3):
+                rt.stencil(h, radius=1, kernel=_relax, iterations=1)
             after = tri.sum(tri.map(k_square, tri.par(h)))
             return before, after, h.array.copy()
 

@@ -48,6 +48,35 @@ def test_stencil_carries_no_attempt_loop_machinery():
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.While)]
 
 
+def test_a_stencil_call_is_one_section_with_no_second_path():
+    """``run_stencil`` calls ``run_section`` exactly once and never under
+    a loop (the iterations are supersteps *inside* the section), and how
+    the halos travel is not a setting: no ``fused`` / ``exchange``
+    argument, here or on ``rt.stencil``."""
+    tree = ast.parse((RUNTIME / "stencil.py").read_text())
+    (fn,) = [n for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef) and n.name == "run_stencil"]
+    calls = [n for n in ast.walk(fn)
+             if isinstance(n, ast.Call) and _called_name(n) == "run_section"]
+    assert len(calls) == 1
+    looped = [
+        call.lineno
+        for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and _called_name(call) == "run_section"
+    ]
+    assert not looped
+    assert [a.arg for a in fn.args.args] == [
+        "rt", "handle", "radius", "kernel", "iterations", "label"]
+    assert not fn.args.kwonlyargs and fn.args.kwarg is None
+    driver = ast.parse((RUNTIME / "driver.py").read_text())
+    (method,) = [n for n in ast.walk(driver)
+                 if isinstance(n, ast.FunctionDef) and n.name == "stencil"]
+    assert [a.arg for a in method.args.args] == [
+        "self", "handle", "radius", "kernel", "iterations", "label"]
+    assert "environ" not in (RUNTIME / "stencil.py").read_text()
+
+
 def test_the_local_launcher_has_one_fork_site_and_no_transport_wide_heap_flag():
     """``LocalTransport`` forks ranks >= 1 in one place (no second launcher
     kept beside it), and the engine asks each rank's ``Comm`` where it

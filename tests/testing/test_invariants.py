@@ -343,6 +343,7 @@ def _halo_stats(**over):
         requests=0, resident_hits=0, placements=0, migrations=0,
         cache_hits=0, cache_misses=0, input_bytes=0, placed_bytes=0,
         halo_requests=0, halo_hits=0, halo_refreshes=0, halo_bytes=0,
+        exchange_bytes=0,
     )
     stats.update(over)
     return stats
@@ -362,14 +363,54 @@ class TestRejectsCorruptedHalos:
                 MachineSpec(nodes=4, cores_per_node=2), faults=plan
             ) as rt:
                 h = rt.distribute(init)
-                rt.stencil(
-                    h, radius=1,
-                    kernel=lambda x: 0.5 * (x[:-2] + x[2:]),
-                    iterations=4,
-                )
+                for iterations in (1, 1, 1, 4):  # the loss: in the third call
+                    rt.stencil(
+                        h, radius=1,
+                        kernel=lambda x: 0.5 * (x[:-2] + x[2:]),
+                        iterations=iterations,
+                    )
         assert ck.sections == 4
         assert ck.crash_sections == 1
         check_plane(rt.plane)
+
+    def _observed_sweep(self, iterations=3):
+        """The observer payload of one clean sweep on 3 ranks."""
+        from repro.runtime import observing_sections
+
+        seen = []
+        with observing_sections(seen.append), triolet_runtime(
+            MachineSpec(nodes=3, cores_per_node=1)
+        ) as rt:
+            rt.stencil(
+                rt.distribute(np.arange(4800.0) % 7), radius=1,
+                kernel=lambda x: 0.5 * (x[:-2] + x[2:]), iterations=iterations,
+            )
+        (payload,) = seen
+        InvariantChecker()(payload)  # as observed: clean
+        return payload
+
+    def test_exchange_bytes_off_the_schedule_rejected(self):
+        payload = self._observed_sweep()
+        stats = payload["record"].data_plane
+        # 2 boundaries x 2 directions x 8 bytes x 2 exchanges, + 3 first ghosts
+        assert (stats["exchange_bytes"], stats["halo_bytes"]) == (64, 64 + 24)
+        stats["exchange_bytes"] += 8
+        with pytest.raises(InvariantViolation, match="its schedule moves 64"):
+            InvariantChecker()(payload)
+
+    def test_a_message_the_schedule_does_not_know_rejected(self):
+        payload = self._observed_sweep()
+        payload["record"].metrics.per_rank[1].messages_sent += 1
+        with pytest.raises(InvariantViolation, match="rank 1 sent/received"):
+            InvariantChecker()(payload)
+
+    def test_blocks_on_the_wire_where_ghost_rows_were_planned_rejected(self):
+        payload = self._observed_sweep()
+        for m in payload["record"].metrics.per_rank[:2]:
+            m.bytes_sent += 1600 * 8 * 2  # a block per exchange, not a row
+            m.bytes_received += 1600 * 8 * 2
+        with pytest.raises(InvariantViolation, match="ranks sent"):
+            InvariantChecker()(payload)
 
     def test_halo_conservation_broken_rejected(self):
         stats = _halo_stats(halo_requests=2, halo_hits=1)
@@ -392,7 +433,8 @@ class TestRejectsCorruptedHalos:
             record=SimpleNamespace(
                 partition="1d x2 halo r1", data_plane=stats, recovery=None
             ),
-            halo={"aid": 0, "radius": 1, "row_nbytes": 8},
+            halo={"aid": 0, "radius": 1, "row_nbytes": 8, "extent": 10,
+                  "iterations": 1},
         )
         with pytest.raises(InvariantViolation, match="ceiling"):
             InvariantChecker()(payload)
@@ -416,7 +458,8 @@ class TestRejectsCorruptedHalos:
                 data_plane=_halo_stats(),
                 recovery=SimpleNamespace(reexecuted_chunks=1),
             ),
-            halo={"aid": h.array_id, "radius": 1, "row_nbytes": 8},
+            halo={"aid": h.array_id, "radius": 1, "row_nbytes": 8,
+                  "extent": 10, "iterations": 1},
         )
         with pytest.raises(InvariantViolation, match="outside the live"):
             InvariantChecker()(payload)

@@ -8,6 +8,7 @@ from repro.testing.runner import (
     run_case,
     run_suite,
     salvage_drill,
+    stencil_drill,
     sample_fault_plan,
 )
 
@@ -36,6 +37,14 @@ class TestCrashDrill:
         assert r.ok, r.failures
         assert r.crash_exercised
         assert r.sections >= 2
+
+
+class TestStencilDrill:
+    def test_the_loss_meets_resident_shards_in_the_second_sweep(self):
+        r = stencil_drill(0)
+        assert r.ok, r.failures
+        assert r.crash_exercised
+        assert r.sections == 3  # three calls, one section each
 
 
 class TestNestDrill:
