@@ -5,11 +5,13 @@
 common outcome: per-rank results, merged metrics, the virtual makespan,
 and structured failure propagation.
 
-On the default ``sim`` transport each rank executes in a real OS thread.
+On the default ``sim`` transport the calling thread is rank 0 and ranks
+>= 1 execute on its resident crew, real OS threads that outlive the run
+(see ``SimTransport``; nothing virtual can tell which thread ran a rank).
 Ranks of engine-compiled sections spend their time in NumPy kernels that
 release the GIL, so they overlap on as many cores as the host has; ranks
 whose bodies are pure Python cannot overlap at all, and for those the
-caller passes ``run_to_block`` (one runnable rank thread at a time,
+caller passes ``run_to_block`` (one runnable rank at a time,
 handed over at blocking receives -- see ``SimTransport``).  Either way
 virtual timing is deterministic: availability stamps are computed from
 the causal clocks, never from wall time, so the reported makespan is a
@@ -106,8 +108,8 @@ def run_spmd(
     process model).  ``transport`` overrides the machine's backend
     (default: ``machine.transport``, which defaults to the deterministic
     in-process simulator).  ``run_to_block``: the rank bodies cannot
-    overlap (pure Python, GIL held), so ``sim`` runs one rank thread at a
-    time; other transports ignore it and nothing virtual depends on it.
+    overlap (pure Python, GIL held), so ``sim`` runs one rank at a time;
+    other transports ignore it and nothing virtual depends on it.
     Returns per-rank results, the virtual makespan and merged metrics.
     """
     if nranks < 1:

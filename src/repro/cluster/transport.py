@@ -7,9 +7,10 @@ the SPMD launcher.  This module factors that seam into a :class:`Transport`
 protocol with three backends:
 
 ``sim``
-    The original deterministic in-process simulator: one OS thread per
-    rank, queue-based channels, virtual LogGP timing.  Stays the default;
-    every existing test and figure is bit-identical.
+    The original deterministic in-process simulator: the launching
+    thread is rank 0, ranks >= 1 run on its resident crew of threads,
+    queue-based channels, virtual LogGP timing.  Stays the default; every
+    existing test and figure is bit-identical.
 
 ``local``
     Real worker processes.  The launching process *is* rank 0 (the paper's
@@ -61,6 +62,7 @@ import dataclasses
 import mmap
 import os
 import pickle
+import queue
 import select
 import shutil
 import signal
@@ -165,18 +167,63 @@ class Transport:
 
 
 class SimTransport(Transport):
-    """The original backend: one thread per rank, queue channels,
-    virtual timing.  Deterministic and the default everywhere.
+    """The original backend: queue channels, virtual timing, every rank on
+    the launcher's heap.  Deterministic and the default everywhere.
 
-    Rank threads run free unless the run says ``run_to_block`` (rank
-    bodies that hold the GIL throughout cannot overlap, only fight over
-    it): then exactly one is runnable at a time, and it hands over only
-    where it blocks in a receive.  Wall clock only -- nothing virtual can
-    tell the two schedulings apart."""
+    The thread that calls ``execute`` is rank 0 (as on ``local``); ranks
+    >= 1 run on its **resident crew**: daemon threads that outlive the
+    section and take the next run's ranks -- they share the heap, there
+    is nothing to send them -- so a program in steady state starts no
+    thread.  Nothing virtual can tell: the whole life of a rank is
+    ``worker``, whichever thread calls it.
+
+    One crew per launching thread, and only its idle threads are listed:
+    a run takes what it needs off the list, hires the rest, and hands all
+    of them back when its last rank is over, so a rank body that launches
+    a run of its own never waits behind the run it is part of.  An idle
+    thread holds nothing of a finished run, and a forked child -- only
+    the forking thread lives on in it -- starts with no crew.  **Bound:**
+    a run that used k threads leaves at most 2k idle, the longest idle
+    retiring first: a crew shrinks with its program, and a program that
+    loses up to half its ranks and grows back (elastic recovery) hires
+    nobody.  No timer, no size setting; a crew goes with its owner.
+
+    Ranks run free unless the run says ``run_to_block`` (rank bodies that
+    hold the GIL throughout cannot overlap, only fight over it): then
+    exactly one is runnable at a time, and it hands over only where it
+    blocks in a receive.  Wall clock only -- nothing virtual can tell the
+    two schedulings apart."""
 
     name = "sim"
     wall_clock = False
     supports_faults = True
+
+    class _Crew:
+        """One launching thread's idle rank threads, by their inboxes."""
+
+        def __init__(self) -> None:
+            self.pid = os.getpid()
+            self.idle: list[queue.SimpleQueue] = []
+
+        def keep(self, n: int) -> None:
+            """Retire all but the *n* most recently used idle threads."""
+            while len(self.idle) > n:
+                self.idle.pop(0).put(None)
+
+        def __del__(self) -> None:  # the owning thread is over
+            self.keep(0)
+
+    _resident = threading.local()
+
+    @staticmethod
+    def _serve(inbox: queue.SimpleQueue) -> None:
+        """Life of a crew thread.  The run is let go of *before* the
+        launcher is told, so nothing outlives ``execute`` here."""
+        for worker, rank, done in iter(inbox.get, None):
+            worker(rank)
+            del worker
+            done.put(rank)
+            del done
 
     def execute(
         self, ctx: SimContext, rank_fn: Callable[..., Any], args: Sequence[Any]
@@ -187,10 +234,10 @@ class SimTransport(Transport):
         extras: list[dict] = [{} for _ in range(nranks)]
         errors: list[tuple[int, BaseException]] = []
         errors_lock = threading.Lock()
-        # Rank threads inherit the caller's context (installed executor,
-        # cost context, ...): a fresh thread starts with an empty context,
-        # which would silently disable nested parallel sections inside
-        # rank code.
+        # Every rank runs in a copy of the caller's context (installed
+        # executor, cost context, ...): a crew thread has an empty one of
+        # its own, which would silently disable nested parallel sections
+        # inside rank code.
         caller_context = contextvars.copy_context()
         # One per run: held by whichever rank is executing, let go of in
         # ``ChannelTable.take`` alone.
@@ -224,17 +271,32 @@ class SimTransport(Transport):
                     baton.release()
 
         t0 = time.perf_counter()
-        if nranks == 1:
+        crew = getattr(self._resident, "crew", None)
+        if crew is None or crew.pid != os.getpid():  # new thread, or a fork
+            crew = self._resident.crew = self._Crew()
+        done = queue.SimpleQueue()
+        hired = []
+        for rank in range(1, nranks):
+            if crew.idle:
+                inbox = crew.idle.pop()
+            else:
+                inbox = queue.SimpleQueue()
+                threading.Thread(
+                    target=self._serve, args=(inbox,), name=f"sim-rank-{rank}",
+                    daemon=True,
+                ).start()
+            inbox.put((worker, rank, done))
+            hired.append(inbox)
+        try:
             worker(0)
-        else:
-            threads = [
-                threading.Thread(target=worker, args=(r,), name=f"sim-rank-{r}")
-                for r in range(nranks)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            for _ in hired:
+                done.get()
+        except BaseException:  # interrupted in the wait: nobody will hand
+            for inbox in hired:  # the busy threads back, so they retire
+                inbox.put(None)  # when their rank is over
+            raise
+        crew.idle.extend(reversed(hired))  # rank 1's is the next one taken
+        crew.keep(2 * len(hired))
         return RunOutcome(
             results=results,
             clocks=[c.clock.now for c in comms],

@@ -425,6 +425,78 @@ class TestLocalSectionForkCount:
 
 
 @pytest.mark.perfsmoke
+class TestSimSectionThreadCount:
+    """The ``sim`` launcher is rank 0 and ranks >= 1 run on its resident
+    crew: a program in steady state starts no thread (a thread per rank
+    per section was 12 starts a ``dense_sim`` round, 26 a ``faulted_sim``
+    one), and a crew is bounded by the last run it served -- at most twice
+    the threads that run used.  Counts, not stopwatches."""
+
+    TPACF = dict(m=64, nr=32, nbins=1024)  # benchmarks/e2e/workloads.py DENSE
+
+    def _op(self, nodes, **kw):
+        from repro.cluster import MachineSpec
+        from repro.runtime import observing_sections
+
+        problem = APPS["tpacf"].make_problem(**self.TPACF)
+        sections = []
+        with observing_sections(sections.append):
+            run = APPS["tpacf"].runners["triolet"](
+                problem, MachineSpec(nodes=nodes, cores_per_node=1),
+                costs_for("tpacf", "triolet", problem), **kw,
+            )
+        assert run.ok
+        assert APPS["tpacf"].same_value(
+            run.value, APPS["tpacf"].solve_ref(problem))
+        return sections
+
+    def test_a_warmed_op_starts_no_thread(self, thread_starts):
+        self._op(2)
+        del thread_starts[:]
+        sections = self._op(2)
+        assert [s["nchunks"] for s in sections] == [2, 2, 2]
+        assert thread_starts == []
+
+    def test_an_op_that_loses_a_rank_and_grows_back_starts_no_thread(
+        self, thread_starts
+    ):
+        """3 ranks, 2 after the loss, 3 again for the next op: half the
+        crew may sit a run out and still be there."""
+        from repro.cluster.faults import FaultPlan, RankLoss
+        from repro.runtime import FailureBudget, RecoveryPolicy
+
+        def lossy():
+            loss = RankLoss(rank=2, at=0.0, section=2)
+            return self._op(
+                3, faults=FaultPlan(faults=(loss,)), recovery=RecoveryPolicy(),
+                budget=FailureBudget(max_rank_losses=2),
+            )
+
+        lossy()
+        del thread_starts[:]
+        sections = lossy()
+        assert [s["attempts"] for s in sections] == [1, 1, 2]
+        assert thread_starts == []
+
+    def test_a_wide_flat_run_does_not_pin_its_threads(self, sim_crew):
+        """The Eden baseline's shape -- 128 flat ranks -- then a 2-rank
+        section: at most 2 ``sim-rank-*`` threads are left."""
+        from repro.cluster import MachineSpec, run_spmd
+
+        def rank_fn(comm):
+            return comm.allreduce(1, op=lambda a, b: a + b)
+
+        flat = MachineSpec(nodes=8, cores_per_node=16)
+        run_spmd(flat, rank_fn, nranks=1)
+        assert sim_crew.settles(0)  # from nobody resident
+        assert run_spmd(flat, rank_fn, nranks=128, ranks_per_node=16,
+                        real_timeout=30.0).results == [128] * 128
+        assert len(sim_crew.names()) == 127
+        assert run_spmd(flat, rank_fn, nranks=2).results == [2, 2]
+        assert sim_crew.settles(2)
+
+
+@pytest.mark.perfsmoke
 class TestBoundSectionsRunToBlock:
     """On ``sim`` the ranks of a scalar-tier op take turns (they could only
     fight over the GIL), and the ranks of a vectorized op do not (their

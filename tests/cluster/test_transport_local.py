@@ -373,6 +373,28 @@ class TestNothingLeaks:
         assert time.perf_counter() - t0 < 10.0
         assert _host_state() == before
 
+    def test_a_forked_rank_starts_with_no_sim_crew(self):
+        """Only the forking thread lives on in a fork: the launcher's
+        resident ``sim`` threads are not there to take a rank, and a
+        nested ``sim`` run that handed them one would wait for ever."""
+        def inner(comm):
+            return comm.allreduce(comm.rank + 1, op=lambda a, b: a + b)
+
+        def rank_fn(comm):
+            if comm.rank == 1:
+                return run_spmd(machine(), inner, nranks=2, transport="sim",
+                                real_timeout=5.0).results
+            return os.getpid()
+
+        sim = MachineSpec(nodes=2, cores_per_node=1)
+        assert run_spmd(sim, inner, nranks=2).results == [3, 3]  # a crew of one
+        before = _host_state()
+        t0 = time.perf_counter()
+        res = run_spmd(machine(), rank_fn, nranks=2, real_timeout=5.0)
+        assert time.perf_counter() - t0 < 2.5
+        assert res.results == [os.getpid(), [3, 3]]
+        assert _host_state() == before
+
     def test_two_hundred_sections_leave_the_process_flat(self):
         def rank_fn(comm):
             return comm.allreduce(comm.rank, op=lambda a, b: a + b)

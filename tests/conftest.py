@@ -1,6 +1,7 @@
 """Suite-wide configuration."""
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -38,6 +39,58 @@ def _fresh_engine_state():
     reset_planner()
     serial.reset()
     force_disable()
+
+
+class SimCrew:
+    """The live resident ``sim`` rank threads of this process."""
+
+    @staticmethod
+    def names() -> list[str]:
+        return [t.name for t in threading.enumerate()
+                if t.name.startswith("sim-rank-")]
+
+    @classmethod
+    def settles(cls, at_most: int, seconds: float = 10.0) -> bool:
+        """Retired threads end on their own time: poll, bounded."""
+        deadline = time.monotonic() + seconds
+        while len(cls.names()) > at_most and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return len(cls.names()) <= at_most
+
+
+@pytest.fixture
+def sim_crew():
+    return SimCrew
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_thread_outlives_the_suite():
+    """At the end of the session nothing but daemons is left beside this
+    thread, and every resident ``sim`` rank thread is accounted for: a
+    1-rank run leaves this thread's crew at twice nobody, the crews their
+    members own go with them, and whoever is still there after that was
+    orphaned or belongs to a launcher that never ended."""
+    yield
+    from repro.cluster import MachineSpec, run_spmd
+
+    assert not [t.name for t in threading.enumerate()
+                if t is not threading.current_thread() and not t.daemon]
+    run_spmd(MachineSpec(nodes=1, cores_per_node=1), lambda comm: None, nranks=1)
+    assert SimCrew.settles(0), SimCrew.names()
 
 
 class OverlapProbe:

@@ -91,6 +91,36 @@ def test_the_local_launcher_has_one_fork_site_and_no_transport_wide_heap_flag():
     assert "shared_heap" not in (RUNTIME / "section.py").read_text()
 
 
+def test_sim_has_one_thread_start_site_one_launcher_and_no_setting():
+    """``SimTransport`` hires its resident crew in one place -- the only
+    ``threading.Thread(`` of ``cluster/transport.py`` -- with no launcher
+    that starts a thread per rank per section kept beside it, and how many
+    threads stay is a stated rule, not a setting: ``execute`` takes what
+    every transport's does, the class takes nothing, and the file reads
+    no environment."""
+    source = (RUNTIME.parent / "cluster" / "transport.py").read_text()
+    tree = ast.parse(source)
+
+    def thread_sites(node: ast.AST) -> list[int]:
+        return [
+            n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Call) and _called_name(n) == "Thread"
+        ]
+
+    (sim,) = [
+        n for n in tree.body
+        if isinstance(n, ast.ClassDef) and n.name == "SimTransport"
+    ]
+    assert len(thread_sites(sim)) == 1 and thread_sites(tree) == thread_sites(sim)
+    methods = {n.name: n for n in sim.body if isinstance(n, ast.FunctionDef)}
+    assert "__init__" not in methods
+    assert [a.arg for a in methods["execute"].args.args] == [
+        "self", "ctx", "rank_fn", "args"]
+    assert not [n for n in ast.walk(sim) if isinstance(n, ast.Call)
+                and _called_name(n) in ("join", "Timer")]
+    assert "environ" not in source and "getenv" not in source
+
+
 def test_the_rank_baton_is_sims_alone_and_the_runtime_takes_no_lock():
     """How ``sim`` schedules its rank threads is the transport's business:
     every ``threading.Lock(`` of ``cluster/transport.py`` sits inside
