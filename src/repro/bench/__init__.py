@@ -23,13 +23,12 @@ from repro.bench.harness import (
 
 
 def reset_run_state() -> None:
-    """Reset every piece of process-global engine state a bench cell can
+    """Reset every piece of process-global engine state a run can
     observe: the fusion-plan caches, the serialization copy counters, the
     distributed-array handle registry, and any stale observability
-    recorder.  Called before each cell so every measurement reports
-    deltas for *that* run -- in particular each transport cell of
-    ``python -m repro.bench --transport`` starts from the same state its
-    sim baseline did.
+    recorder.  Called before a run whose counters are compared with
+    another's, so each reports deltas for *that* run -- the workloads of
+    ``benchmarks/e2e`` and the cross-transport conformance test.
     """
     from repro.core.fusion.planner import reset_planner
     from repro.data.handle import drop_handles

@@ -5,17 +5,11 @@ Options::
     python -m repro.bench                  # everything (Fig. 3,4,5,7,8)
     python -m repro.bench fig3             # sequential-time table
     python -m repro.bench mriq sgemm       # specific scalability figures
-    python -m repro.bench --nodes 1,2,4,8  # node counts (default 1..8)
-    python -m repro.bench --json           # wall-clock engine benchmark
-                                           # -> BENCH_apps.json
-    python -m repro.bench --transport local  # transport scaling cell
-                                           # -> BENCH_transport.json
-    python -m repro.bench --service        # resident job-service bench
-                                           # -> BENCH_service.json
-    python -m repro.bench --views          # views/stencil halo bench
-                                           # -> BENCH_views.json
-    python -m repro.bench --sparse         # indexed/sparse stream bench
-                                           # -> BENCH_sparse.json
+    python -m repro.bench mriq --nodes 1,2,4,8  # node counts (default 1..8)
+    python -m repro.bench tpacf --plot     # with an ASCII speedup chart
+
+The figures are virtual seconds from the calibrated cost model.  Wall
+clock is measured by ``benchmarks/e2e/run.py`` (see ``BENCHMARK.json``).
 """
 from __future__ import annotations
 
@@ -74,152 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="also render ASCII speedup charts",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="run the wall-clock engine benchmark and write a JSON report",
-    )
-    parser.add_argument(
-        "--transport",
-        default=None,
-        metavar="NAME[,NAME...]",
-        help="run the transport scaling bench on the named backends "
-        "(sim is always the baseline; unavailable backends are "
-        "skipped) and write BENCH_transport.json",
-    )
-    parser.add_argument(
-        "--ranks",
-        default="1,2,4",
-        help="with --transport / --service / --views / --sparse: "
-        "comma-separated rank counts",
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="run the resident job-service bench (mixed multi-tenant "
-        "app stream) and write BENCH_service.json",
-    )
-    parser.add_argument(
-        "--views",
-        action="store_true",
-        help="run the views/stencil bench (halo bytes vs. full re-ship, "
-        "slab-view slice-cache reuse) and write BENCH_views.json",
-    )
-    parser.add_argument(
-        "--sparse",
-        action="store_true",
-        help="run the indexed/sparse-stream bench (spMV + fused tpacf, "
-        "vectorized vs scalar fallback) and write BENCH_sparse.json",
-    )
-    parser.add_argument(
-        "--recovery",
-        action="store_true",
-        help="run the durable-recovery bench (escalating permanent "
-        "losses) and write BENCH_recovery.json",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="with --recovery: also write a Chrome trace of one "
-        "recovered run to PATH",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output path for the --json / --recovery report",
-    )
     args = parser.parse_args(argv)
-    if args.transport:
-        from repro.bench.transport import (
-            render,
-            run_transport_bench,
-            write_json,
-        )
-
-        try:
-            rank_counts = tuple(int(n) for n in args.ranks.split(","))
-        except ValueError:
-            parser.error(f"bad --ranks value: {args.ranks!r}")
-        names = tuple(t.strip() for t in args.transport.split(",") if t.strip())
-        out = args.out or "BENCH_transport.json"
-        payload = run_transport_bench(names, rank_counts=rank_counts)
-        write_json(payload, out)
-        print(render(payload))
-        print(f"wrote {out}")
-        return 0
-    if args.service:
-        from repro.bench.service import (
-            render,
-            run_service_bench,
-            write_json,
-        )
-
-        try:
-            rank_counts = tuple(int(n) for n in args.ranks.split(","))
-        except ValueError:
-            parser.error(f"bad --ranks value: {args.ranks!r}")
-        out = args.out or "BENCH_service.json"
-        payload = run_service_bench(rank_counts)
-        write_json(payload, out)
-        print(render(payload))
-        print(f"wrote {out}")
-        return 0
-    if args.views:
-        from repro.bench.views import render, run_views_bench, write_json
-
-        try:
-            rank_counts = tuple(int(n) for n in args.ranks.split(","))
-        except ValueError:
-            parser.error(f"bad --ranks value: {args.ranks!r}")
-        out = args.out or "BENCH_views.json"
-        payload = run_views_bench(rank_counts)
-        write_json(payload, out)
-        print(render(payload))
-        print(f"wrote {out}")
-        return 0
-    if args.sparse:
-        from repro.bench.sparse import render, run_sparse_bench, write_json
-
-        try:
-            rank_counts = tuple(int(n) for n in args.ranks.split(","))
-        except ValueError:
-            parser.error(f"bad --ranks value: {args.ranks!r}")
-        out = args.out or "BENCH_sparse.json"
-        payload = run_sparse_bench(rank_counts)
-        write_json(payload, out)
-        print(render(payload))
-        print(f"wrote {out}")
-        return 0
-    if args.recovery:
-        from repro.bench.recovery import (
-            render,
-            run_recovery_bench,
-            write_json,
-            write_recovered_trace,
-        )
-
-        out = args.out or "BENCH_recovery.json"
-        payload = run_recovery_bench()
-        write_json(payload, out)
-        print(render(payload))
-        print(f"wrote {out}")
-        if args.trace:
-            info = write_recovered_trace(args.trace)
-            print(
-                f"wrote {args.trace} (recovered {info['app']} run, "
-                f"{info['rank_losses']} loss, "
-                f"{info['lineage_replays']} lineage replays)"
-            )
-        return 0
-    if args.json:
-        from repro.bench.wallclock import render, run_bench, write_json
-
-        payload = run_bench()
-        write_json(payload, args.out or "BENCH_apps.json")
-        print(render(payload))
-        print(f"wrote {args.out or 'BENCH_apps.json'}")
-        return 0
     try:
         node_counts = tuple(int(n) for n in args.nodes.split(","))
     except ValueError:

@@ -4,7 +4,7 @@ One spine over the runtime's five counter families and its virtual
 timeline: hierarchical span tracing (:mod:`repro.obs.spans`), the
 :class:`~repro.obs.registry.MetricsRegistry` with conservation checks
 (:mod:`repro.obs.registry`), Chrome trace-event / JSONL exporters
-(:mod:`repro.obs.export`), and run summaries / diffs / bench gates
+(:mod:`repro.obs.export`), and run summaries / diffs
 (:mod:`repro.obs.report`).  ``python -m repro.obs`` is the CLI.
 
 This ``__init__`` must stay lightweight: the instrumented runtime
@@ -23,7 +23,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.registry import MetricsRegistry, conservation_violations
-from repro.obs.report import check_bench, diff_runs, summarize
+from repro.obs.report import diff_runs, summarize
 from repro.obs.spans import (
     DRIVER_LANE,
     NULL_SPAN,
@@ -46,7 +46,6 @@ __all__ = [
     "Span",
     "active",
     "capture",
-    "check_bench",
     "check_event_causality",
     "chrome_trace",
     "conservation_violations",

@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.obs`` -- trace, summarize, diff, regress.
+"""CLI: ``python -m repro.obs`` -- trace, summarize, diff.
 
 Examples::
 
@@ -6,7 +6,6 @@ Examples::
         --chrome trace.json --jsonl run.jsonl
     python -m repro.obs summarize run.jsonl
     python -m repro.obs diff base.jsonl new.jsonl       # exit 1 on regression
-    python -m repro.obs regress BENCH_apps.json         # exit 1 on violation
 """
 from __future__ import annotations
 
@@ -25,9 +24,7 @@ from repro.obs.export import (
 )
 from repro.obs.report import (
     DEFAULT_THRESHOLD,
-    check_bench,
     diff_runs,
-    load_bench,
     render_diff,
     render_summary,
     summarize,
@@ -77,22 +74,10 @@ def _cmd_diff(args) -> int:
     return 1 if diff["regressions"] else 0
 
 
-def _cmd_regress(args) -> int:
-    problems = check_bench(load_bench(args.bench),
-                           max_overhead=args.max_overhead)
-    if problems:
-        print("bench regression gate FAILED:")
-        for p in problems:
-            print(f"  {p}")
-        return 1
-    print("bench regression gate passed")
-    return 0
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Observability: trace a run, summarize, diff, gate.",
+        description="Observability: trace a run, summarize, diff.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -120,11 +105,6 @@ def main(argv=None) -> int:
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_diff)
-
-    p = sub.add_parser("regress", help="gate a BENCH_apps.json payload")
-    p.add_argument("bench", nargs="?", default="BENCH_apps.json")
-    p.add_argument("--max-overhead", type=float, default=0.05)
-    p.set_defaults(fn=_cmd_regress)
 
     args = ap.parse_args(argv)
     return args.fn(args)

@@ -1,4 +1,4 @@
-"""Run summaries, run-to-run diffs, and bench regression gates.
+"""Run summaries and run-to-run diffs.
 
 These operate on the flat JSONL export (:func:`repro.obs.export.
 load_jsonl`), so two runs captured weeks apart on different machines can
@@ -7,7 +7,6 @@ be compared offline: the virtual timeline makes the key quantities
 """
 from __future__ import annotations
 
-import json
 from numbers import Number
 
 #: Counters whose growth between two runs counts as a perf regression
@@ -220,32 +219,3 @@ def render_diff(diff: dict) -> str:
             lines.append(f"  {c['counter']}: {c['base']} -> {c['other']}")
     return "\n".join(lines)
 
-
-def check_bench(payload: dict, max_overhead: float = 0.05) -> list[str]:
-    """Gate a ``BENCH_apps.json`` payload: parity cells must hold and the
-    observability overhead cell must stay under *max_overhead*."""
-    problems: list[str] = []
-    for r in payload.get("results", []):
-        where = f"{r.get('app')}@{r.get('nodes')}"
-        for cell in ("value_bit_identical", "meter_equal",
-                     "virtual_seconds_equal", "bytes_shipped_equal"):
-            if cell in r and not r[cell]:
-                problems.append(f"{where}: {cell} is false")
-    obs = payload.get("obs_overhead")
-    if obs is None:
-        problems.append("payload has no obs_overhead cell")
-    else:
-        overhead = obs.get("overhead")
-        if not isinstance(overhead, Number):
-            problems.append("obs_overhead.overhead is not a number")
-        elif overhead >= max_overhead:
-            problems.append(
-                f"obs overhead {overhead * 100:.2f}% >= "
-                f"{max_overhead * 100:.0f}% budget"
-            )
-    return problems
-
-
-def load_bench(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

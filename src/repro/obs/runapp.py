@@ -1,53 +1,27 @@
 """Run one benchmark app under an observability capture.
 
-Shared by the ``python -m repro.obs trace`` CLI, the overhead bench
-cell, and the golden-trace tests.  Imports of the heavyweight app
-harness are deferred so importing :mod:`repro.obs` (which the
-instrumented runtime modules do) never drags the apps in.
+Shared by the ``python -m repro.obs trace`` CLI and the observability
+tests.  Imports of the heavyweight app harness are deferred so importing
+:mod:`repro.obs` (which the instrumented runtime modules do) never drags
+the apps in.
 """
 from __future__ import annotations
 
 
 def capture_app(app: str = "sgemm", nodes: int = 2, *,
-                vectorize: bool = True, params: dict | None = None):
-    """Run *app*'s Triolet runner under a capture.
-
-    Returns ``(recorder, app_run)``.  Problem parameters default to the
-    harness sandbox sizes; *params* overrides individual ones.
-    """
+                vectorize: bool = True):
+    """Run *app*'s Triolet runner, at the harness sandbox size, under a
+    capture.  Returns ``(recorder, app_run)``."""
     from repro.bench.calibrate import costs_for
-    from repro.bench.harness import APPS
+    from repro.bench.harness import APPS, make_problem
     from repro.cluster.machine import PAPER_MACHINE
     from repro.core.engine import use_vectorization
     from repro.obs.spans import capture
 
-    spec = APPS[app]
-    p = dict(spec.sandbox_params)
-    if params:
-        p.update(params)
-    problem = spec.make_problem(**p)
+    problem = make_problem(app)
     machine = PAPER_MACHINE.scaled(nodes=nodes)
     costs = costs_for(app, "triolet", problem)
     with capture() as rec:
         with use_vectorization(vectorize):
-            run = spec.runners["triolet"](problem, machine, costs)
+            run = APPS[app].runners["triolet"](problem, machine, costs)
     return rec, run
-
-
-def plain_app(app: str = "sgemm", nodes: int = 2, *,
-              vectorize: bool = True, params: dict | None = None):
-    """The same run with observability off (overhead baselines)."""
-    from repro.bench.calibrate import costs_for
-    from repro.bench.harness import APPS
-    from repro.cluster.machine import PAPER_MACHINE
-    from repro.core.engine import use_vectorization
-
-    spec = APPS[app]
-    p = dict(spec.sandbox_params)
-    if params:
-        p.update(params)
-    problem = spec.make_problem(**p)
-    machine = PAPER_MACHINE.scaled(nodes=nodes)
-    costs = costs_for(app, "triolet", problem)
-    with use_vectorization(vectorize):
-        return spec.runners["triolet"](problem, machine, costs)

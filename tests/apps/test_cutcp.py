@@ -10,6 +10,7 @@ from repro.apps.cutcp import (
     solve_ref,
 )
 from repro.apps.cutcp.kernel import atom_contribution
+from repro.apps.cutcp.sweeps import run_sweeps
 from repro.bench.calibrate import costs_for
 from repro.cluster.machine import MachineSpec
 
@@ -97,3 +98,28 @@ class TestFrameworks:
             make_problem(na=0)
         with pytest.raises(ValueError):
             make_problem(grid=(1, 4, 4))
+
+
+class TestSlabSweeps:
+    """``run_sweeps``: base / offset / offset-again slab views over one
+    resident atom array.  Re-running a decomposition already seen is free;
+    shifting it ships only the rows that changed rank."""
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, problem, reference):
+        run = run_sweeps(problem, MACHINE)
+        np.testing.assert_allclose(run.value, reference, rtol=1e-9, atol=1e-12)
+        per_sweep = run.detail["per_sweep"]
+        assert [s["sweep"] for s in per_sweep] == [
+            "base", "offset", "offset-again"]
+        return per_sweep
+
+    def test_repeat_sweep_is_served_from_residents_and_cache(self, sweeps):
+        _base, _offset, repeat = sweeps
+        assert repeat["requests"] > 0
+        assert repeat["resident_hits"] + repeat["cache_hits"] == repeat["requests"]
+        assert repeat["input_bytes"] == repeat["placements"] == 0
+
+    def test_offset_sweep_ships_less_than_base(self, sweeps):
+        base, offset, _repeat = sweeps
+        assert 0 < offset["input_bytes"] < base["input_bytes"]

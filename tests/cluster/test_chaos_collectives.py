@@ -10,8 +10,7 @@ bit-identical to the unconstrained fault-free run -- and the metrics
 must show both mechanisms actually fired (fragmented messages, retried
 sends).
 
-Marked ``chaos`` so CI sweeps it across its seed matrix alongside the
-app-level storm in :mod:`tests.test_chaos`.
+Marked ``chaos``, like the app-level storm in :mod:`tests.test_chaos`.
 """
 import random
 

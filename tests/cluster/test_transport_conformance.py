@@ -280,7 +280,7 @@ class TestHandles:
 
 
 class TestFullApp:
-    @pytest.mark.parametrize("app", ["mriq", "tpacf"])
+    @pytest.mark.parametrize("app", ["mriq", "sgemm", "tpacf", "cutcp"])
     def test_app_bit_identical_to_sim(self, transport, app):
         """A whole driver run -- partitioning, data plane, collectives,
         meters -- is bit-identical across backends."""
@@ -312,6 +312,7 @@ class TestFullApp:
             ).tobytes()
         # The virtual timeline and the merged driver state match too.
         assert got.elapsed == ref.elapsed
+        assert got.bytes_shipped == ref.bytes_shipped
         assert got.detail["meter"] == ref.detail["meter"]
         assert got.detail["data_plane"] == ref.detail["data_plane"]
 

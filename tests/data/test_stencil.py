@@ -170,6 +170,17 @@ class TestHaloTraffic:
                 totals["halo_hits"] + totals["halo_refreshes"]
             )
 
+    def test_single_rank_ships_no_halo(self):
+        """One rank has no neighbour: no call, first or steady, moves a
+        ghost row or any other byte."""
+        machine = MachineSpec(nodes=1, cores_per_node=2)
+        _got, rt = _run(INIT, 1, _relax, 3, machine=machine, calls=2)
+        sections = _stencil_sections(rt)
+        assert len(sections) == 2
+        for s in sections:
+            assert s.bytes_shipped == s.data_plane["halo_bytes"] == 0
+            assert s.data_plane["halo_refreshes"] == 0
+
     def test_partition_string_names_the_halo(self):
         _got, rt = _run(INIT, 2, _relax_r2, 1)
         (s,) = _stencil_sections(rt)

@@ -1,26 +1,21 @@
-"""The ``python -m repro.obs`` CLI: trace, summarize, diff, regress.
+"""The ``python -m repro.obs`` CLI: trace, summarize, diff.
 
 The diff fixtures under ``fixtures/`` seed a known perf regression
 (makespan +50%, bytes doubled, reshipped bytes appearing from zero);
-``diff`` must exit 1 on it and 0 on identical runs.  ``regress`` gates
-the checked-in ``BENCH_apps.json``.
+``diff`` must exit 1 on it and 0 on identical runs.
 """
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.obs.__main__ import main
 from repro.obs.export import load_jsonl
-from repro.obs.report import check_bench, diff_runs, summarize
+from repro.obs.report import diff_runs, summarize
 
 pytestmark = pytest.mark.obs
 
 FIXTURES = Path(__file__).parent / "fixtures"
-REPO = Path(__file__).resolve().parents[2]
 
 
 class TestDiff:
@@ -136,39 +131,3 @@ class TestTraceCommand:
         sections = [s for s in rec.spans if s.kind == "section"]
         assert sections and all(s.attrs["loop"] == loop for s in sections)
 
-
-class TestRegress:
-    def test_checked_in_bench_passes_gate(self, capsys):
-        rc = main(["regress", str(REPO / "BENCH_apps.json")])
-        assert rc == 0
-        assert "passed" in capsys.readouterr().out
-
-    def test_seeded_bad_payload_fails_gate(self, tmp_path, capsys):
-        bad = json.loads((REPO / "BENCH_apps.json").read_text())
-        bad["obs_overhead"]["overhead"] = 0.2
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(bad))
-        rc = main(["regress", str(p)])
-        assert rc == 1
-        assert "FAILED" in capsys.readouterr().out
-
-    def test_missing_overhead_cell_fails_gate(self):
-        payload = json.loads((REPO / "BENCH_apps.json").read_text())
-        del payload["obs_overhead"]
-        assert any("obs_overhead" in p for p in check_bench(payload))
-
-    def test_broken_parity_cell_fails_gate(self):
-        payload = json.loads((REPO / "BENCH_apps.json").read_text())
-        payload["results"][0]["meter_equal"] = False
-        problems = check_bench(payload)
-        assert any("meter_equal" in p for p in problems)
-
-    def test_module_entrypoint_runs(self):
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "regress",
-             "BENCH_apps.json"],
-            cwd=str(REPO), capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "passed" in proc.stdout

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.triolet as tri
+from repro.bench.calibrate import costs_for
+from repro.bench.harness import APPS, make_problem
 from repro.cluster import (
     BufferOverflowError,
     FaultPlan,
@@ -501,6 +503,69 @@ class TestElasticShrink:
             with pytest.raises(PermanentFault):
                 squares_sum()
         assert rt.recovery_report.failure == "permanent"
+
+
+@pytest.mark.recovery
+class TestEscalation:
+    """mriq (one section) and tpacf (three) on 4 x 16 cores under 0, 1 and
+    2 permanent losses, staggered in virtual time so each fires against
+    the already-shrunken machine, recovered by lineage replay and by full
+    invalidation (``lineage_recovery=False``).  The first loss fires at
+    30 % of the fault-free makespan: mid-compute, when survivors hold
+    their shards and partials."""
+
+    MACHINE = MachineSpec(nodes=4, cores_per_node=16)
+    ESCALATED = ("mriq", "tpacf")
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """``(app, losses, lineage) -> AppRun``; 0 losses is fault-free."""
+        out = {}
+        for app in self.ESCALATED:
+            run = APPS[app].runners["triolet"]
+            p = make_problem(app)
+            costs = costs_for(app, "triolet", p)
+            clean = out[app, 0, True] = run(p, self.MACHINE, costs)
+            at = 0.3 * clean.elapsed
+            for n, lineage in ((1, True), (1, False), (2, True), (2, False)):
+                out[app, n, lineage] = run(
+                    p, self.MACHINE, costs,
+                    faults=FaultPlan(faults=tuple(
+                        RankLoss(rank=1 + i, at=at * (1.0 + 0.25 * i))
+                        for i in range(n))),
+                    recovery=RecoveryPolicy(lineage_recovery=lineage),
+                    budget=FailureBudget(max_rank_losses=3),
+                )
+        return out
+
+    @staticmethod
+    def _bits(value):
+        if isinstance(value, dict):  # tpacf's histograms
+            return {k: np.asarray(v).tobytes() for k, v in value.items()}
+        return np.asarray(value).tobytes()
+
+    def test_every_loss_count_completes_bit_identically(self, runs):
+        for (app, n, _lineage), run in runs.items():
+            assert run.ok, run.failed
+            assert self._bits(run.value) == self._bits(runs[app, 0, True].value)
+            if n:
+                assert run.detail["recovery"].rank_losses == n
+
+    def test_makespan_overhead_grows_with_losses(self, runs):
+        """Every failed attempt is charged the same honest way, so the
+        virtual makespan grows with each loss: a model that charges some
+        attempts differently from others breaks the order."""
+        for app in self.ESCALATED:
+            clean, one, two = (runs[app, n, True].elapsed for n in (0, 1, 2))
+            assert clean < one < two, (app, clean, one, two)
+
+    def test_lineage_ships_strictly_fewer_bytes(self, runs):
+        for app in self.ESCALATED:
+            for n in (1, 2):
+                lin = runs[app, n, True].detail["recovery"]
+                inv = runs[app, n, False].detail["recovery"]
+                assert 0 < lin.reshipped_bytes < inv.reshipped_bytes
+                assert lin.lineage_replays > 0 and inv.lineage_replays == 0
 
 
 @pytest.mark.recovery
