@@ -17,9 +17,10 @@ virtual timing is deterministic: availability stamps are computed from
 the causal clocks, never from wall time, so the reported makespan is a
 pure function of the program, the data, and the machine model.  The
 ``local`` transport runs the same rank function in the calling process
-(rank 0) and forked worker processes (ranks >= 1) -- same virtual
-timeline (the cost model is causal, not scheduled), real wall-clock
-parallelism.  If any rank raises, no other rank is killed asynchronously.
+(rank 0) and on its resident crew of forked processes (ranks >= 1), which
+are sent the rank function when it pickles and are forked for it when it
+does not -- same virtual timeline (the cost model is causal, not
+scheduled), real wall-clock parallelism.  If any rank raises, no other rank is killed asynchronously.
 On ``sim`` each keeps executing its own instruction stream until it
 blocks on a receive from a rank whose thread has ended: ``mark_done``
 queues a wake token behind that rank's last message on each of its

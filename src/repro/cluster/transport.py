@@ -15,13 +15,14 @@ protocol with three backends:
 ``local``
     Real worker processes.  The launching process *is* rank 0 (the paper's
     main process computes its own slice, §3.4-3.5; so does meld's master
-    and our own ``mpi`` world rank 0): a section of n ranks does n-1 raw
-    ``os.fork`` calls (no helper threads, nothing imported in a child)
-    and runs rank 0's body where it was launched.  Messages travel as
-    pickle frames over one pipe per ordered rank pair; payloads above a
-    threshold -- raw numpy buffers and serialized ``bytes`` alike --
-    travel as shared segments (one block copy in, one out -- the
-    buffer-based contiguity-checked discipline of gpaw's MPI layer).
+    and our own ``mpi`` world rank 0) and ranks >= 1 run on its resident
+    crew of forked members, which are *sent* each run -- hired by a raw
+    ``os.fork`` only when a run cannot be sent (no helper threads, nothing
+    imported in a member).  Messages travel as pickle frames over one pipe
+    per ordered rank pair; payloads above a threshold -- raw numpy buffers
+    and serialized ``bytes`` alike -- travel as shared segments (one block
+    copy in, one out -- the buffer-based contiguity-checked discipline of
+    gpaw's MPI layer).
     Because ranks really execute in parallel, wall-clock time scales with
     cores while the *virtual* timeline -- computed causally from the same
     cost model -- stays bit-identical to ``sim``.
@@ -38,7 +39,7 @@ says, where it builds each rank's ``Comm``, whether that rank runs on the
 launching process's heap (``Comm.in_launcher`` -- ``sim``: every rank,
 ``local``: rank 0, ``mpi``: none).  What a rank that runs elsewhere
 mutates of the driver's state (cost meters, plan-cache counters, rank
-stores) dies with its process, so rank code publishes such state through
+stores) never reaches the driver, so rank code publishes such state through
 :func:`rank_extras`; every transport carries the dict back on
 :class:`RunOutcome.extras` and the driver merges it at section boundaries
 (see ``repro.runtime.section``).
@@ -48,8 +49,10 @@ driver (as on ``sim`` and on ``mpi`` world rank 0) and an exception it
 raises is re-raised as the original object, not a pickled copy; its
 blocking receives stay bounded by ``real_timeout``, but a rank-0 body that
 never returns hangs the driver as it would on ``sim`` -- the launcher's
-kill deadline covers ranks >= 1 only.  A worker that really dies is a
-rank >= 1; the root's death is the job's.
+kill deadline covers ranks >= 1 only.  A rank >= 1 of a run that was
+sent starts in an empty context: the run state its code reads comes with
+the rank function (the section engine's ``RankProgram`` carries it).  A
+worker that really dies is a rank >= 1; the root's death is the job's.
 
 Fault injection (:class:`~repro.cluster.faults.FaultPlan`) is sim-only
 for now: real processes cannot replay a deterministic virtual-time crash
@@ -63,7 +66,7 @@ import mmap
 import os
 import pickle
 import queue
-import select
+import selectors
 import shutil
 import signal
 import struct
@@ -80,7 +83,9 @@ import numpy as np
 from repro.cluster.channel import Envelope, SimAborted, SimDeadlockError
 from repro.cluster.comm import Comm, SimContext
 from repro.cluster.metrics import RankMetrics
+from repro.cluster.trace import TraceLog
 from repro.serial.arrays import ensure_contiguous
+from repro.serial.closures import _CODE_SEGMENT
 
 __all__ = [
     "Transport",
@@ -125,8 +130,8 @@ class RunOutcome:
     errors: list[tuple[int, BaseException]] = field(default_factory=list)
     extras: list[dict] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: ``wall_seconds`` by phase on ``local`` (0.0 elsewhere): entry -> last
-    #: fork returned, rank 0's body, end of that body -> last child reaped
+    #: ``wall_seconds`` by phase on ``local`` (0.0 elsewhere): entry -> run
+    #: sent (or members hired), rank 0's body, its end -> last rank reported
     launch_s: float = 0.0
     root_s: float = 0.0
     join_s: float = 0.0
@@ -308,7 +313,7 @@ class SimTransport(Transport):
 
 
 # ---------------------------------------------------------------------------
-# local: forked ranks over per-pair pipes + shared segments
+# local: a resident crew of forked ranks over per-pair pipes + shared segments
 
 
 #: Payloads at or above this size -- raw numpy buffers and serialized
@@ -324,6 +329,11 @@ REPORT_SLACK_S = 30.0
 _SEG_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
 
 _FRAME_LEN = struct.Struct("<Q")
+
+#: Every pipe end this process holds for a crew -- its members' ends too,
+#: while they are being hired: what a new member closes first, so that it
+#: holds its own crew's descriptors and nothing else.
+_CREW_FDS: set[int] = set()
 
 
 @dataclass(frozen=True)
@@ -383,20 +393,16 @@ def _send_frame(fd: int, obj: Any, on_full: Callable[[], None] | None = None) ->
 
 
 class _FrameReader:
-    """Incremental decoder of the frames rank *peer* writes to one pipe;
-    ``select`` takes it as it is."""
+    """Incremental decoder of the frames rank *peer* writes to one pipe."""
 
     def __init__(self, fd: int, peer: int) -> None:
         self.fd = fd
         self.peer = peer
         self._buf = bytearray()
 
-    def fileno(self) -> int:
-        return self.fd
-
     def feed(self) -> list | None:
         """One ``os.read``: the frames it completed, or ``None`` at EOF
-        (the writer has exited)."""
+        (every writer has exited)."""
         data = os.read(self.fd, 1 << 16)
         if not data:
             return None
@@ -414,21 +420,23 @@ class _FrameReader:
 
 
 class LocalChannelTable:
-    """One process-rank's endpoint: its ends of the per-pair pipes (one
-    writer each, so per-source FIFO needs no lock), (src, tag) matching
-    with MPI's non-overtaking guarantee, and the run's shared abort flag.
-    Same ``post``/``take``/``fail`` surface as the simulator's
-    :class:`~repro.cluster.channel.ChannelTable`.
+    """One process-rank's endpoint for one run: its ends of the per-pair
+    pipes among the run's ranks (one writer each, so per-source FIFO needs
+    no lock), (src, tag) matching with MPI's non-overtaking guarantee, and
+    the crew's shared abort flag.  Same ``post``/``take``/``fail`` surface
+    as the simulator's :class:`~repro.cluster.channel.ChannelTable`.
 
-    Pipes are bounded where the simulator's queues are not, so every wait
-    -- for write space or for a message -- services *all* inbound pipes
-    into memory: two ranks flooding each other, or a receiver whose
-    awaited sender is stuck posting to a third rank, finish as on ``sim``.
+    The pipes outlive the run: a rank's last frame on each is a *done*
+    frame (``None``), and EOF means its process died.  Pipes are bounded
+    where the simulator's queues are not, so every wait -- for write space
+    or for a message -- services *all* inbound pipes into memory: two ranks
+    flooding each other, or a receiver whose awaited sender is stuck
+    posting to a third rank, finish as on ``sim``.
     """
 
     def __init__(
-        self, rank: int, pipes: dict, abort: mmap.mmap, shm_min: int,
-        seg_dir: str, real_timeout: float,
+        self, rank: int, inbound: dict, outbound: dict, abort, shm_min: int,
+        seg_dir: str | None, real_timeout: float,
     ) -> None:
         self.rank = rank
         self.abort = abort
@@ -438,37 +446,38 @@ class LocalChannelTable:
         # (src, tag) -> envelopes that arrived before they were asked for;
         # pipe order is kept, so matching is deterministic as on sim.
         self._pending: dict[tuple[int, int], deque] = {}
-        # This rank's ends: src -> reader (until EOF), dst -> write fd.
-        # Every other end is closed, so that EOF / EPIPE on a pipe mean
-        # "that rank has exited" and nothing else.
-        self._inbound: dict[int, _FrameReader] = {}
-        self._outbound: dict[int, int] = {}
-        for (s, d), (r, w) in pipes.items():
-            if d == rank:
-                self._inbound[s] = _FrameReader(r, s)
-            elif s == rank:
-                self._outbound[d] = w
-                os.set_blocking(w, False)
-            for fd, mine in ((r, d == rank), (w, s == rank)):
-                if not mine:
-                    os.close(fd)
+        # src -> reader (until that rank is done), dst -> write fd
+        self._inbound = {s: _FrameReader(fd, s) for s, fd in inbound.items()}
+        self._outbound = outbound
+        self._sel = selectors.DefaultSelector()
+        for reader in self._inbound.values():
+            self._sel.register(reader.fd, selectors.EVENT_READ, reader)
 
     def _progress(self, what: str, timeout: float, wfd: int | None = None) -> None:
         """Block until an inbound pipe delivered (into ``_pending``) or
         *wfd* has room; a silent *timeout* is a deadlock."""
-        ready, room, _ = select.select(
-            list(self._inbound.values()), [] if wfd is None else [wfd], [], timeout
-        )
-        if not ready and not room:
+        if wfd is not None:
+            self._sel.register(wfd, selectors.EVENT_WRITE)
+        try:
+            ready = self._sel.select(timeout)
+        finally:
+            if wfd is not None:
+                self._sel.unregister(wfd)
+        if not ready:
             raise SimDeadlockError(
                 f"rank {self.rank} waited {timeout:.0f}s (real) {what}; deadlock?"
             )
-        for reader in ready:
+        for key, _ in ready:
+            reader = key.data
+            if reader is None:
+                continue  # room to write
             frames = reader.feed()
-            if frames is None:  # that rank finished: nothing more will arrive
-                os.close(self._inbound.pop(reader.peer).fd)
-                continue
-            for tag, env in frames:
+            for frame in [None] if frames is None else frames:
+                if frame is None:  # done (or dead): nothing more will arrive
+                    self._sel.unregister(reader.fd)
+                    del self._inbound[reader.peer]
+                    break
+                tag, env = frame
                 self._pending.setdefault((reader.peer, tag), deque()).append(env)
 
     def post(self, src: int, dst: int, tag: int, env: Envelope) -> None:
@@ -480,11 +489,12 @@ class LocalChannelTable:
         p = env.payload
         if (p.nbytes if isinstance(p, np.ndarray) else len(p)) >= self._shm_min:
             env = dataclasses.replace(env, payload=_shm_write(p, self._seg_dir))
+        self._send(dst, (tag, env))
+
+    def _send(self, dst: int, frame: Any) -> None:
         fd = self._outbound[dst]
         wait = f"for pipe space to rank {dst}"
-        _send_frame(
-            fd, (tag, env), lambda: self._progress(wait, self._real_timeout, fd)
-        )
+        _send_frame(fd, frame, lambda: self._progress(wait, self._real_timeout, fd))
 
     def take(self, src: int, dst: int, tag: int, real_timeout: float) -> Envelope:
         key = (src, tag)
@@ -507,27 +517,39 @@ class LocalChannelTable:
     def fail(self, exc: BaseException) -> None:
         self.abort[0] = 1
 
-    def close(self) -> None:
-        """Close this rank's pipe ends: from here its peers read EOF and
-        get EPIPE, which is how they know the rank has finished."""
-        for reader in self._inbound.values():
-            os.close(reader.fd)
-        for fd in self._outbound.values():
-            os.close(fd)
-        self._inbound.clear()
-        self._outbound.clear()
+    def done(self) -> None:
+        """This rank's body is over: a done frame to every peer."""
+        for dst in self._outbound:
+            try:
+                self._send(dst, None)
+            except SimDeadlockError:
+                pass  # that peer is stuck: the launcher's deadline is its
+
+    def drain(self, deadline: float) -> bool:
+        """Read every peer's pipe up to its done frame, dropping what this
+        rank never took, so nothing of the run is left for the next one.
+        False if a peer still runs at *deadline* (``time.perf_counter``)."""
+        try:
+            while self._inbound:
+                self._progress("for the run's last frames",
+                               max(0.0, deadline - time.perf_counter()))
+            return True
+        except SimDeadlockError:
+            return False
+        finally:
+            self._sel.close()
 
 
 def _run_rank(
     ctx: SimContext, table: LocalChannelTable, rank_fn: Callable[..., Any],
     args: Sequence[Any],
 ) -> tuple:
-    """The body of *table*'s rank, in a forked child (ranks >= 1) and in
+    """The body of *table*'s rank, in a crew member (ranks >= 1) and in
     the launcher (rank 0) alike.  Returns ``(status, payload, clock,
     metrics, extras)``; an ``"error"`` payload is the exception as it was
-    raised, after the run's abort flag was set.  The rank's pipe ends are
-    closed the moment the body is over, whatever else the process still
-    does."""
+    raised, after the run's abort flag was set.  The rank's peers are told
+    it is done the moment the body is over, whatever else the process
+    still does."""
     comm = Comm(
         dataclasses.replace(ctx, channels=table), table.rank,
         in_launcher=table.rank == 0,
@@ -544,7 +566,7 @@ def _run_rank(
         table.fail(exc)
     finally:
         _rank_extras.reset(token)
-        table.close()
+        table.done()
     return status, payload, comm.clock.now, comm.metrics, extras
 
 
@@ -557,22 +579,85 @@ def _picklable_error(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-class LocalTransport(Transport):
-    """Real multiprocess execution: the launcher is rank 0 and forks the
-    other n-1 ranks, once per section (a 1-rank section forks nothing and
-    opens no pipe or segment directory).
+def _ends(ends: tuple, nranks: int) -> tuple:
+    """A rank's (inbound, outbound) pipe ends among the first *nranks*."""
+    return tuple({p: fd for p, fd in e.items() if p < nranks} for e in ends)
 
-    Spawn/join lifecycle is per ``run_spmd`` call (one parallel section):
-    fork inherits the driver's full state -- iterators, handle registry,
-    resident rank stores, plan cache -- so no program state needs to be
-    shipped to start a section; only messages move.  Rank 0 runs in the
-    launching process after the last fork, in a copy of the caller's
-    context as a ``sim`` rank does; its result, clock, metrics, extras
-    and trace events are used where they are, never pickled.  What a
-    rank >= 1 produces comes back in one outcome frame on its result pipe
-    because its heap is not the driver's.  Nothing outlives the section:
-    every child is reaped and the segment directory removed with whatever
-    the ranks left unread in it.
+
+def _member(rank: int, ends: tuple, control: int, result: int, abort,
+            shm_min: int, job: tuple) -> None:
+    """The life of crew member *rank*, in the fork: the run it was hired
+    for, then every run its control pipe brings, each reported on its
+    result pipe, until the launcher closes the control pipe."""
+    jobs = _FrameReader(control, 0)
+    run = contextvars.copy_context().run  # the hiring run goes on as forked
+    while True:
+        ctx, rank_fn, args, seg_dir = job
+        table = LocalChannelTable(rank, *_ends(ends, ctx.nranks), abort,
+                                  shm_min, seg_dir, ctx.real_timeout)
+        status, payload, clock, metrics, extras = run(
+            _run_rank, ctx, table, rank_fn, args)
+        # What it holds for the next run: nothing if a peer never finished
+        # this one (the launcher kills that peer and retires the crew).
+        holding = getattr(rank_fn, "holding", None)
+        held = table.drain(time.perf_counter() + ctx.real_timeout) and (
+            len(_CODE_SEGMENT), holding and holding(rank))
+        if status == "error":
+            payload = _picklable_error(payload)
+        events = list(ctx.trace.events) if ctx.trace is not None else None
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            _send_frame(result, (status, payload, clock, metrics, extras,
+                                 events, held))
+        except Exception as exc:  # noqa: BLE001 -- does not pickle: rank's error
+            _send_frame(result, ("error", _picklable_error(exc), clock,
+                                 metrics, {}, None, None))
+        # Let the run go (a program's handles die with it) before waiting.
+        del ctx, rank_fn, args, payload, extras, job, holding
+        frames: list | None = []
+        while frames == []:
+            frames = jobs.feed()
+        if frames is None:  # the crew retired
+            os._exit(0)
+        ctx, traced, rank_fn, args, seg_dir = pickle.loads(frames[0])
+        job = (dataclasses.replace(ctx, trace=TraceLog() if traced else None),
+               rank_fn, args, seg_dir)
+        run = contextvars.Context().run  # nothing of the last run's context
+
+
+class LocalTransport(Transport):
+    """Real multiprocess execution: the launcher is rank 0 and ranks >= 1
+    run on its **resident crew** of forked members (a 1-rank run touches
+    no crew and opens no pipe or segment directory).
+
+    A member is hired by ``os.fork`` -- the hire step, as
+    ``threading.Thread`` is ``sim``'s -- into the run it was hired for,
+    inheriting its program, and stays: a later run is *sent* to it, one
+    pickle frame on its control pipe holding the rank function and its
+    arguments by reference, as the paper's ranks are sent closures.  Rank 0
+    runs in the launching process in a copy of the caller's context; its
+    result, clock, metrics, extras and trace events are used where they
+    are.  A member's come back in one outcome frame on its result pipe.
+    Ranks talk over persistent pipes, one per ordered pair; a run ends
+    with a done frame on each, read by every rank, so no frame, segment
+    (each run has its own directory) or abort flag reaches the next run.
+
+    **Freshness.**  A run goes to the crew when it pickles with plain
+    ``pickle`` and every member it needs is fresh for it: the code segment
+    has not grown since the member last reported, and the member holds
+    what the rank function's optional ``holding(rank)`` names (the section
+    engine: its copy of the rank store at the version of the driver's
+    mirror).  Otherwise the crew retires and the run hires its own.
+
+    **Bound and lifetime.**  A crew is the size of the last run it was
+    hired for and serves smaller runs from its low ranks; a member keeps
+    one plane's rank store, the last it served.  A run in which a rank
+    raises or a member dies or outlives the deadline retires the crew
+    (stragglers killed, every member reaped), as does a member found dead
+    before a run is sent.  One crew per launching thread, going with it
+    (members exit at EOF on their control pipes); none in a forked child;
+    a member holds its own crew's descriptors only.  No timer, no setting.
     """
 
     name = "local"
@@ -585,116 +670,190 @@ class LocalTransport(Transport):
     def available(self, nranks: int = 1) -> None:
         if not hasattr(os, "fork"):
             raise TransportUnavailable("LocalTransport needs os.fork (POSIX only)")
-        # A pipe per ordered rank pair plus a result pipe per forked rank,
-        # all watched with select(), which stops at descriptor 1024.
-        if 2 * nranks * nranks + 64 > 1024:
+        import resource
+
+        # A pipe per ordered rank pair, a control and a result pipe a member
+        soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+        if soft != resource.RLIM_INFINITY and 2 * nranks * (nranks + 1) + 64 > soft:
             raise TransportUnavailable(
                 f"LocalTransport: {nranks} ranks need more pipe descriptors "
-                f"than select() can watch"
+                f"than RLIMIT_NOFILE ({soft}) allows"
             )
+
+    class _Crew:
+        """One launching thread's members: member r is rank r of every run
+        the crew serves."""
+
+        def __init__(self, ends, pids, controls, results, abort) -> None:
+            self.pid = os.getpid()
+            self.ends = ends  # rank 0's (inbound, outbound) pipe ends
+            self.pids, self.controls, self.results = pids, controls, results
+            self.abort = abort  # shared by the crew; cleared per run
+            self.held: dict = {}  # rank -> what it last reported it holds
+
+        def serves(self, nranks: int, rank_fn) -> bool:
+            """Members 1..nranks-1 are alive and fresh for *rank_fn*."""
+            holding = getattr(rank_fn, "holding", None)
+            for r in range(1, nranks):
+                held, need = self.held.get(r), holding and holding(r)
+                if (not held or held[0] != len(_CODE_SEGMENT)
+                        or need not in (None, held[1])):
+                    return False
+                if os.waitpid(self.pids[r], os.WNOHANG)[0]:  # died idle
+                    del self.pids[r]
+                    return False
+            return True
+
+        def retire(self, kill=()) -> dict:
+            """Let every member go, SIGKILLing those in *kill* first;
+            returns the exit codes by rank."""
+            if self.pid != os.getpid():
+                return {}  # a fork's copy of its parent's crew
+            self.pid = None
+            for fd in self.controls.values():
+                os.close(fd)  # an idle member exits at EOF
+            codes = {}
+            for r, pid in self.pids.items():
+                if r in kill:
+                    os.kill(pid, signal.SIGKILL)
+                # waitpid, so RUSAGE_CHILDREN accounts for every member
+                codes[r] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            fds = {*self.ends[0].values(), *self.ends[1].values(),
+                   *self.controls.values(), *self.results.values()}
+            for fd in fds - set(self.controls.values()):
+                os.close(fd)
+            _CREW_FDS.difference_update(fds)
+            self.abort.close()
+            return codes
+
+        def __del__(self) -> None:  # the launching thread is over
+            self.retire()
+
+    _resident = threading.local()
+
+    def _hire(self, nranks: int, job: tuple) -> "LocalTransport._Crew":
+        """Fork members 1..nranks-1 into *job*; each stays on after it."""
+        ranks = range(nranks)
+        pipes = {(s, d): os.pipe() for s in ranks for d in ranks if s != d}
+        control = {r: os.pipe() for r in ranks[1:]}
+        result = {r: os.pipe() for r in ranks[1:]}
+        every = {fd for p in (*pipes.values(), *control.values(),
+                              *result.values()) for fd in p}
+        _CREW_FDS.update(every)
+        for _, w in pipes.values():
+            os.set_blocking(w, False)
+        abort = mmap.mmap(-1, 1)  # anonymous + shared: one flag for the crew
+
+        def ends(rank: int) -> tuple:
+            return ({s: pipes[s, rank][0] for s in ranks if s != rank},
+                    {d: pipes[rank, d][1] for d in ranks if d != rank})
+
+        pids = {}
+        for rank in ranks[1:]:
+            pid = os.fork()
+            if pid:
+                pids[rank] = pid
+                continue
+            try:  # the child never returns into the caller's stack
+                mine = ends(rank)
+                own = {*mine[0].values(), *mine[1].values(),
+                       control[rank][0], result[rank][1]}
+                for fd in _CREW_FDS - own:
+                    os.close(fd)
+                _CREW_FDS.intersection_update(own)
+                self._resident.crew = None  # its parent's, not its own
+                _member(rank, mine, control[rank][0], result[rank][1], abort,
+                        self.shm_min_bytes, job)
+            finally:
+                os._exit(1)  # reached only if the member itself raised
+        crew = self._Crew(ends(0), pids, {r: w for r, (_, w) in control.items()},
+                          {r: rd for r, (rd, _) in result.items()}, abort)
+        theirs = every - {*crew.ends[0].values(), *crew.ends[1].values(),
+                          *crew.controls.values(), *crew.results.values()}
+        for fd in theirs:
+            os.close(fd)
+        _CREW_FDS.difference_update(theirs)
+        return crew
 
     def execute(
         self, ctx: SimContext, rank_fn: Callable[..., Any], args: Sequence[Any]
     ) -> RunOutcome:
         t0 = time.perf_counter()
         self.available(ctx.nranks)
-        ranks = range(ctx.nranks)
-        forked = ranks[1:]
-        abort = mmap.mmap(-1, 1)  # anonymous + shared: one flag for all forks
-        seg_dir = tempfile.mkdtemp(prefix="repro-", dir=_SEG_DIR) if forked else None
-        owned: set[int] = set()  # descriptors the launcher has to close
-
-        def new_pipe() -> tuple[int, int]:
-            ends = os.pipe()
-            owned.update(ends)
-            return ends
-
-        def new_table(rank: int) -> LocalChannelTable:
-            return LocalChannelTable(
-                rank, pipes, abort, self.shm_min_bytes, seg_dir, ctx.real_timeout
-            )
-
-        def child_main(rank: int) -> None:  # in the fork: run, flush, report
-            for r, (rfd, wfd) in results.items():
-                os.close(rfd)
-                if r != rank:
-                    os.close(wfd)
-            status, payload, clock, metrics, extras = _run_rank(
-                ctx, new_table(rank), rank_fn, args
-            )
-            if status == "error":
-                payload = _picklable_error(payload)
-            events = list(ctx.trace.events) if ctx.trace is not None else None
-            sys.stdout.flush()
-            sys.stderr.flush()
-            fd = results[rank][1]
-            try:
-                _send_frame(fd, (status, payload, clock, metrics, extras, events))
-            except Exception as exc:  # noqa: BLE001 -- does not pickle: rank's error
-                err = _picklable_error(exc)
-                _send_frame(fd, ("error", err, clock, metrics, {}, None))
-            os._exit(0)
-
-        pids: dict[int, int] = {}
+        members = range(1, ctx.nranks)
+        crew = getattr(self._resident, "crew", None)
+        if crew is not None and crew.pid != os.getpid():
+            crew = None  # a fork's copy of its parent's crew
+        seg_dir = tempfile.mkdtemp(prefix="repro-", dir=_SEG_DIR) if members else None
         outcomes: dict[int, tuple] = {}
-        sys.stdout.flush()  # or every child would flush its own copy
+        waiting: dict[int, _FrameReader] = {}
+        sys.stdout.flush()  # or every new member would flush its own copy
         sys.stderr.flush()
         try:
-            pipes = {(s, d): new_pipe() for s in ranks for d in ranks if s != d}
-            results = {r: new_pipe() for r in forked}
-            for rank in forked:
-                pid = os.fork()
-                if pid:
-                    pids[rank] = pid
-                    continue
-                try:  # the child never returns into the caller's stack
-                    child_main(rank)
-                finally:
-                    os._exit(1)  # reached only if child_main itself raised
+            ends, abort = ({}, {}), bytearray(1)
+            if members:
+                try:
+                    job = pickle.dumps((
+                        dataclasses.replace(ctx, channels=None, trace=None),
+                        ctx.trace is not None, rank_fn, args, seg_dir,
+                    ), protocol=5)
+                except (pickle.PicklingError, TypeError, AttributeError):
+                    job = None  # cannot be sent: the run hires its members
+                if job is not None and crew is not None and crew.serves(
+                        ctx.nranks, rank_fn):
+                    crew.abort[0] = 0
+                    for r in members:
+                        _send_frame(crew.controls[r], job)
+                else:
+                    if crew is not None:
+                        crew.retire()
+                    crew = self._resident.crew = self._hire(
+                        ctx.nranks, (ctx, rank_fn, args, seg_dir))
+                ends, abort = _ends(crew.ends, ctx.nranks), crew.abort
             t_forked = time.perf_counter()
-            # Built after the last fork, so no child inherits it; it closes
-            # every pipe end that is not rank 0's.
-            table = new_table(0)
-            for _, wfd in results.values():
-                os.close(wfd)
-            owned = {rfd for rfd, _ in results.values()}  # all that is left here
+            table = LocalChannelTable(0, *ends, abort, self.shm_min_bytes,
+                                      seg_dir, ctx.real_timeout)
             # Used in place: rank 0's outcome never crosses a pipe (its
             # trace events are already in ``ctx.trace``).
             outcomes[0] = (*contextvars.copy_context().run(
                 _run_rank, ctx, table, rank_fn, args), None)
             t_root = time.perf_counter()
-            waiting = {r: _FrameReader(results[r][0], r) for r in forked}
             # A rank has the slack to report past whichever comes later:
             # ``real_timeout``, or the root's own end.
             limit = max(ctx.real_timeout, t_root - t0) + REPORT_SLACK_S
-            while waiting:
-                left = max(0.0, t0 + limit - time.perf_counter())
-                ready = select.select(list(waiting.values()), [], [], left)[0]
-                if not ready:
-                    raise SimDeadlockError(
-                        f"local transport: {len(waiting)} rank process(es) "
-                        f"did not report within {limit:.0f}s"
-                    )
-                for reader in ready:
-                    frames = reader.feed()
-                    if frames:
-                        outcomes[reader.peer] = frames[0]
-                    if frames or frames is None:  # reported, or died silent
-                        del waiting[reader.peer]
+            table.drain(t0 + limit)
+            waiting = {r: _FrameReader(crew.results[r], r) for r in members}
+            with selectors.DefaultSelector() as sel:
+                for reader in waiting.values():
+                    sel.register(reader.fd, selectors.EVENT_READ, reader)
+                while waiting:
+                    ready = sel.select(max(0.0, t0 + limit - time.perf_counter()))
+                    if not ready:
+                        raise SimDeadlockError(
+                            f"local transport: {len(waiting)} rank process(es) "
+                            f"did not report within {limit:.0f}s"
+                        )
+                    for key, _ in ready:
+                        reader = key.data
+                        frames = reader.feed()
+                        if frames:
+                            *outcomes[reader.peer], crew.held[reader.peer] = frames[0]
+                        if frames or frames is None:  # reported, or died silent
+                            sel.unregister(reader.fd)
+                            del waiting[reader.peer]
         finally:
-            for rank, pid in pids.items():
-                if rank not in outcomes:
-                    os.kill(pid, signal.SIGKILL)  # hung, or already a zombie
-                # waitpid, so RUSAGE_CHILDREN accounts for every rank
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                err = RuntimeError(f"rank {rank} died unreported (exit code {code})")
-                outcomes.setdefault(
-                    rank, ("error", err, 0.0, RankMetrics(rank=rank), {}, None)
-                )
+            if members and crew is not None and (
+                len(outcomes) < ctx.nranks
+                or any(o[0] == "error" for o in outcomes.values())
+            ):
+                codes = crew.retire(kill=waiting)
+                self._resident.crew = None
+                for r in members:
+                    err = RuntimeError(
+                        f"rank {r} died unreported (exit code {codes.get(r)})")
+                    outcomes.setdefault(
+                        r, ("error", err, 0.0, RankMetrics(rank=r), {}, None))
             t_joined = time.perf_counter()
-            for fd in owned:
-                os.close(fd)
-            abort.close()
             if seg_dir is not None:
                 shutil.rmtree(seg_dir, ignore_errors=True)  # unread segments included
         out = RunOutcome(
@@ -704,7 +863,7 @@ class LocalTransport(Transport):
             root_s=t_root - t_forked,
             join_s=t_joined - t_root,
         )
-        for r in ranks:
+        for r in range(ctx.nranks):
             status, payload, clock, metrics, extras, events = outcomes[r]
             out.results.append(payload if status == "ok" else None)
             out.clocks.append(clock)

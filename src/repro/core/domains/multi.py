@@ -62,10 +62,6 @@ def outerproduct(u: Any, v: Any) -> Iter:
     return IdxFlat(outer_product_idx(ui.idx, vi.idx))
 
 
-def seq_domain(n: int) -> Seq:
-    return Seq(n)
-
-
 def array_range(lo: tuple | int, hi: tuple | int | None = None) -> Iter:
     """Iterate over all indices of a (possibly multidimensional) range.
 

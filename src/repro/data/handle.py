@@ -161,9 +161,23 @@ class DistArray:
             closure(_ix._bulk_array),
         )
 
+    def __reduce__(self):
+        # Pickled -- in a program sent to a rank process -- a handle is its
+        # metadata: the master copy never leaves the driver.
+        return _handle, (self.array_id, self.shape, self.dtype.str, self.layout)
+
     def __repr__(self) -> str:
         return (f"DistArray(id={self.array_id}, shape={self.array.shape}, "
                 f"dtype={self.array.dtype}, layout={self.layout!r})")
+
+
+def _handle(aid: int, shape: tuple, dtype: str, layout: str) -> DistArray:
+    """Handle *aid* as this process knows it, or a stand-in with its
+    metadata whose ``array`` holds no rows (a zero-stride view)."""
+    h = _HANDLES.get(aid)
+    if h is None:
+        h = DistArray(np.broadcast_to(np.zeros((), dtype), shape), layout, aid)
+    return h
 
 
 def drop_handles() -> None:

@@ -31,6 +31,7 @@ shipping operations:
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,7 +44,7 @@ from repro.core.sources import (
     TupleSource,
     WholeObjectSource,
 )
-from repro.data.handle import DistArray, HandleSource, bind_store, lookup_handle
+from repro.data.handle import DistArray, HandleSource, lookup_handle
 from repro.data.views import SegmentedSource, TransposeSource
 from repro.obs.spans import active as _obs_active
 from repro.data.lineage import LineageLog
@@ -166,11 +167,17 @@ _HALO_KEYS = ("halo_requests", "halo_hits", "halo_refreshes", "halo_bytes")
 # so the keys stay outside the served sum.
 
 
+#: Plane keys: never reused in a process, so a rank store kept between
+#: runs is never taken for another plane's.
+_KEYS = itertools.count()
+
+
 class DataPlane:
     """Main-rank placement planner + per-rank store registry."""
 
     def __init__(self, cache_bytes: int = DEFAULT_CACHE_BYTES,
                  rebalancer: Rebalancer | None = None):
+        self.key = next(_KEYS)
         self.cache_bytes = cache_bytes
         self.rebalancer = rebalancer if rebalancer is not None else Rebalancer()
         self.handles: dict[int, DistArray] = {}
@@ -260,10 +267,6 @@ class DataPlane:
     # -- store access -------------------------------------------------------
     def worker_store(self, rank: int) -> RankStore:
         return self._stores[rank]
-
-    def bound_store(self, rank: int):
-        """Context manager binding rank *rank*'s store (rank 0: master)."""
-        return bind_store(self._stores.get(rank) if rank != 0 else None)
 
     def _ensure_rank(self, rank: int) -> None:
         if rank not in self._stores:

@@ -186,6 +186,8 @@ class RankStore:
         self._resident: dict[int, tuple[int, int, np.ndarray]] = {}
         # (aid, lo, hi) -> rows buffer.
         self._cached: dict[tuple[int, int, int], np.ndarray] = {}
+        #: mutations so far: two copies that applied the same ops agree
+        self.version = 0
 
     # -- reads --------------------------------------------------------------
     def resident_bounds(self, aid: int) -> tuple[int, int] | None:
@@ -210,6 +212,7 @@ class RankStore:
 
     # -- writes (shipping ops only) ----------------------------------------
     def apply(self, ops: list) -> None:
+        self.version += 1
         for op in ops:
             kind, aid = op[0], _aid_of(op[1])
             if kind == "resident":
@@ -246,9 +249,11 @@ class RankStore:
 
     def drop_cached(self, key: tuple[int, int, int]) -> bool:
         """Forget one cached slice's bytes (ghost invalidation)."""
+        self.version += 1
         return self._cached.pop(key, None) is not None
 
     def invalidate(self, aid: int | None = None) -> None:
+        self.version += 1
         if aid is None:
             self._resident.clear()
             self._cached.clear()

@@ -25,8 +25,6 @@ order).
 """
 from __future__ import annotations
 
-from numbers import Number
-
 
 class MetricsRegistry:
     """Flat named counters/gauges plus per-section snapshots."""
@@ -153,18 +151,3 @@ def conservation_violations(rec, runtime) -> list[str]:
         _check(v, f"planner.{k}", reg.get(f"planner.{k}"), legacy,
                "PlannerStats")
     return v
-
-
-def fold_meter(registry: MetricsRegistry, m, prefix: str = "meter") -> None:
-    """Adapt a :class:`~repro.core.meter.CostMeter` into gauges."""
-    registry.gauge(f"{prefix}.visits", m.visits)
-    registry.gauge(f"{prefix}.steps", m.steps)
-    registry.gauge(f"{prefix}.lookups", m.lookups)
-    registry.gauge(f"{prefix}.materializations", m.materializations)
-    registry.gauge(f"{prefix}.materialized_bytes", m.materialized_bytes)
-    registry.gauge(f"{prefix}.passes", m.passes)
-
-
-def numeric_counters(counters: dict) -> dict:
-    """The numeric subset of a counter mapping (diff-able values)."""
-    return {k: v for k, v in counters.items() if isinstance(v, Number)}

@@ -405,6 +405,31 @@ def capture():
         rec.finish()
 
 
+def snapshot():
+    """What a rank in another process needs to record as it would here:
+    ``None`` with no recorder on, else where the recorder's span ids, the
+    enclosing span and the timeline base stand."""
+    rec = _ACTIVE
+    return None if rec is None else (rec._next_sid, _parent.get(), _base.get())
+
+
+@contextmanager
+def resumed(snap):
+    """In a rank process, in a context of its own: record into a fresh
+    recorder picking up where *snap* (a :func:`snapshot`) stood -- or, for
+    ``None``, record nothing.  The driver adopts what the rank registers."""
+    global _ACTIVE
+    prev, _ACTIVE = _ACTIVE, None if snap is None else Recorder()
+    if snap is not None:
+        _ACTIVE._next_sid, parent, base = snap
+        _parent.set(parent)
+        _base.set(base)
+    try:
+        yield
+    finally:
+        _ACTIVE = prev
+
+
 def force_disable() -> None:
     """Drop any installed recorder (test-suite hygiene only)."""
     global _ACTIVE

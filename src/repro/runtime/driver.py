@@ -112,6 +112,174 @@ def _elements_of(partial: Any) -> int:
     return 1
 
 
+class NodeModel:
+    """How one node runs a chunk (§3.4's second level): each core's pass
+    for real, their overlap modelled.  It is the executor inside every
+    rank on every transport -- a hint met in a node task is a nested
+    region feeding the node's work pool -- and it pickles: a rank in
+    another process is sent it with its program."""
+
+    def __init__(self, rt: "TrioletRuntime"):
+        self.costs = rt.costs
+        self.alloc = rt.alloc
+        self.task_grain = rt.task_grain
+        self.scheduler = rt.scheduler
+        self.machine = rt.machine
+        self.meter_total = rt.meter_total
+
+    def __getstate__(self) -> dict:
+        # The runtime's total stays home: a rank elsewhere tallies into the
+        # rank-local meter its program installs as the sink.
+        return {**self.__dict__, "meter_total": None}
+
+    def _merge_meter(self, m: meter.CostMeter) -> None:
+        """Fold one metered region into the runtime total -- or, in a rank
+        that runs outside the launcher, into that rank's local meter
+        (carried back and merged for real at the section boundary)."""
+        sink = _meter_sink.get()
+        (self.meter_total if sink is None else sink).merge(m)
+
+    def execute(self, it: Iter, spec: ConsumeSpec) -> Any:
+        """A hinted consumer met inside a rank: in a node task it is a
+        nested region, elsewhere the rank runs it in place."""
+        nc = _node_ctx.get()
+        if nc is None:
+            return spec.seq_fn(it)
+        result, seq_work = self._nested_execute(it, spec, nc.cores)
+        nc.nested_work[nc.ledger.task] += seq_work
+        return result
+
+    def _run_tasks(
+        self, it: Iter, spec: ConsumeSpec, cores: int
+    ) -> tuple[list[Any], list[float], list[float], float]:
+        """Execute a chunk for real, one pass per core; return the
+        threads' partials and the tasks' timings.
+
+        The chunk is cut into ``cores * task_grain`` tasks (work-stealing
+        granularity) and each core's contiguous block of them is one
+        ``spec.seq_fn`` pass: a thread's partial is the sequential fold of
+        its block ("sequentially builds one histogram per thread", §3.4).
+        The task is a unit of *time* only, read off the pass's per-task
+        ledger (:class:`repro.core.meter.TaskLedger`).
+
+        Returns ``(partials, serial_durations, nested_works, gc_time)``:
+        ``serial_durations[i]`` is task *i*'s own (unstealable) compute
+        time, ``nested_works[i]`` the sequential total of its nested
+        parallel regions and of what its elements' function tallied under
+        an inner ``localpar`` hint (stealable by any core), and
+        ``gc_time`` the total allocator/GC time for the private results
+        -- kept separate because collections are stop-the-world and do
+        not parallelize across the node's cores (§4.3, §4.5).
+        """
+        dom = it.domain
+        extent = dom.outer_extent
+        tasks = block_bounds(
+            extent, max(1, min(extent, max(1, cores) * self.task_grain))
+        )
+        inner = bool(it.hint.of_elements)
+        seconds = self.costs.seconds_for_visits
+        serial: list[float] = []
+        nested: list[float] = []
+        partials: list[Any] = []
+        gc_time = 0.0
+        for a, b in block_bounds(len(tasks), min(cores, len(tasks))):
+            lo, hi = tasks[a][0], tasks[b - 1][1]
+            sub = it if hi - lo == extent else TrioletRuntime._reslice(it, lo, hi)
+            ledger = meter.TaskLedger(
+                [dom.outer_block(lo, end).size for _, end in tasks[a:b]],
+                sub.domain,
+                inner,
+            )
+            nc = NodeContext(cores, ledger, [0.0] * (b - a))
+            token = _node_ctx.set(nc)
+            try:
+                with meter.metered() as m:
+                    m.ledger = ledger
+                    partials.append(spec.seq_fn(sub))
+            finally:
+                _node_ctx.reset(token)
+            self._merge_meter(m)
+            # One private result per thread; a build materializes every
+            # task's block of it (the allocator model is affine: k blocks
+            # cost one allocation of their total plus k - 1 empty ones).
+            # Paper-scaled (§4.3/§4.5 GC overhead).
+            gc_time += self.alloc(
+                int(_result_bytes(partials[-1]) * self.costs.wire_scale)
+            )
+            if spec.kind == "build":
+                gc_time += (b - a - 1) * self.alloc(0)
+            for own, elem, regions in zip(ledger.own, ledger.elem, nc.nested_work):
+                serial.append(seconds(*own))
+                nested.append(regions + seconds(*elem) if inner else regions)
+        return partials, serial, nested, gc_time
+
+    def _combine_partials(self, spec: ConsumeSpec, partials: list[Any]) -> tuple[Any, float]:
+        if spec.kind == "reduce":
+            result = partials[0]
+            combine_elems = 0
+            for p in partials[1:]:
+                result = spec.combine(result, p)
+                combine_elems += _elements_of(p)
+            return result, self.costs.combine_seconds(combine_elems)
+        return _concat_build(partials), 0.0
+
+    def _node_execute(
+        self, it: Iter, spec: ConsumeSpec, cores: int
+    ) -> tuple[Any, float, float, dict]:
+        """Run a chunk on one node: real passes, modelled thread overlap.
+
+        Node makespan model for composable work stealing: each task's
+        serial part occupies one core; its nested parallel regions spill
+        into the shared deques.  The makespan is bounded below by total
+        work over cores and by the longest task's critical path, and above
+        by greedy list scheduling of (serial + span) task durations.
+
+        Returns ``(combined_result, node_makespan_seconds, gc_seconds,
+        shape)``, *shape* being what the rank's kernel span says of the
+        execution: its passes, its tasks and, if any, its stealable work.
+        """
+        partials, serial, nested, gc_time = self._run_tasks(it, spec, cores)
+        shape = {"passes": len(partials), "tasks": len(serial)}
+        if any(nested):
+            shape["nested_s"] = sum(nested)
+        total_work = sum(serial) + sum(nested)
+        durations = [s + w / cores for s, w in zip(serial, nested)]
+        if self.scheduler == "static":
+            listed = static_for_makespan(
+                durations, cores, barrier_overhead=self.machine.thread_spawn_overhead
+            )
+            makespan = listed + gc_time
+        else:
+            listed = work_stealing_makespan(
+                durations,
+                cores,
+                steal_overhead=self.machine.steal_overhead,
+                spawn_overhead=self.machine.thread_spawn_overhead,
+            )
+            # GC is stop-the-world: allocator time serializes on the node.
+            makespan = max(listed, total_work / cores) + gc_time
+        result, combine_dt = self._combine_partials(spec, partials)
+        return result, makespan + combine_dt, gc_time, shape
+
+    def _nested_execute(
+        self, it: Iter, spec: ConsumeSpec, cores: int
+    ) -> tuple[Any, float]:
+        """A nested parallel region: real execution, sequential-time total.
+
+        The parent folds the returned sequential seconds into the node's
+        stealable work pool (see :class:`NodeContext`); granularity of the
+        split still follows the node's core count.
+        """
+        if not TrioletRuntime._partitionable(it):
+            with meter.metered() as m:
+                out = spec.seq_fn(it)
+            self._merge_meter(m)
+            return out, self.costs.task_seconds(m)
+        partials, serial, nested, gc_time = self._run_tasks(it, spec, cores)
+        result, combine_dt = self._combine_partials(spec, partials)
+        return result, sum(serial) + sum(nested) + gc_time + combine_dt
+
+
 class TrioletRuntime:
     """Executor implementing PAR/LOCAL hints on the simulated cluster."""
 
@@ -205,6 +373,8 @@ class TrioletRuntime:
         # sequential glue).  Nested regions shadow the installed meter, so
         # merging each region once counts every tally exactly once.
         self.meter_total = meter.CostMeter()
+        #: how this runtime's nodes run their chunks, in every rank
+        self.node = NodeModel(self)
 
     def _planner_scope(self):
         """The plan-cache scope everything this runtime runs under:
@@ -213,13 +383,6 @@ class TrioletRuntime:
         if self.planner_state is None:
             return nullcontext()
         return planner.use_state(self.planner_state)
-
-    def _merge_meter(self, m: meter.CostMeter) -> None:
-        """Fold one metered region into the runtime total -- or, in a rank
-        that runs outside the launcher, into that rank's local meter
-        (carried back and merged for real at the section boundary)."""
-        sink = _meter_sink.get()
-        (self.meter_total if sink is None else sink).merge(m)
 
     def _merge_rank_extras(self, extras) -> None:
         """Merge what ranks outside the launcher published of driver
@@ -336,7 +499,7 @@ class TrioletRuntime:
         with _obs_span("section", label, clock=self.clock) as osp:
             with meter.metered() as m:
                 out = fn(*args, **kwargs)
-            self._merge_meter(m)
+            self.node._merge_meter(m)
             self._seq_section(label, kind, self.costs.task_seconds(m),
                               m.visits, osp)
         self._obs_section()
@@ -362,12 +525,9 @@ class TrioletRuntime:
             return self._execute(it, spec)
 
     def _execute(self, it: Iter, spec: ConsumeSpec) -> Any:
-        nc = _node_ctx.get()
-        if nc is not None:
+        if _node_ctx.get() is not None:
             # Nested hint inside a node task: feed the node's work pool.
-            result, seq_work = self._nested_execute(it, spec, nc.cores)
-            nc.nested_work[nc.ledger.task] += seq_work
-            return result
+            return self.node.execute(it, spec)
         if it.hint.outer is ParHint.LOCAL:
             return self._toplevel_local(it, spec)
         if it.hint.outer is ParHint.PAR:
@@ -411,138 +571,6 @@ class TrioletRuntime:
             return False
         return True
 
-    # -- node-level execution (threads model) --------------------------------
-
-    def _run_tasks(
-        self, it: Iter, spec: ConsumeSpec, cores: int
-    ) -> tuple[list[Any], list[float], list[float], float]:
-        """Execute a chunk for real, one pass per core; return the
-        threads' partials and the tasks' timings.
-
-        The chunk is cut into ``cores * task_grain`` tasks (work-stealing
-        granularity) and each core's contiguous block of them is one
-        ``spec.seq_fn`` pass: a thread's partial is the sequential fold of
-        its block ("sequentially builds one histogram per thread", §3.4).
-        The task is a unit of *time* only, read off the pass's per-task
-        ledger (:class:`repro.core.meter.TaskLedger`).
-
-        Returns ``(partials, serial_durations, nested_works, gc_time)``:
-        ``serial_durations[i]`` is task *i*'s own (unstealable) compute
-        time, ``nested_works[i]`` the sequential total of its nested
-        parallel regions and of what its elements' function tallied under
-        an inner ``localpar`` hint (stealable by any core), and
-        ``gc_time`` the total allocator/GC time for the private results
-        -- kept separate because collections are stop-the-world and do
-        not parallelize across the node's cores (§4.3, §4.5).
-        """
-        dom = it.domain
-        extent = dom.outer_extent
-        tasks = block_bounds(
-            extent, max(1, min(extent, max(1, cores) * self.task_grain))
-        )
-        inner = bool(it.hint.of_elements)
-        seconds = self.costs.seconds_for_visits
-        serial: list[float] = []
-        nested: list[float] = []
-        partials: list[Any] = []
-        gc_time = 0.0
-        for a, b in block_bounds(len(tasks), min(cores, len(tasks))):
-            lo, hi = tasks[a][0], tasks[b - 1][1]
-            sub = it if hi - lo == extent else self._reslice(it, lo, hi)
-            ledger = meter.TaskLedger(
-                [dom.outer_block(lo, end).size for _, end in tasks[a:b]],
-                sub.domain,
-                inner,
-            )
-            nc = NodeContext(cores, ledger, [0.0] * (b - a))
-            token = _node_ctx.set(nc)
-            try:
-                with meter.metered() as m:
-                    m.ledger = ledger
-                    partials.append(spec.seq_fn(sub))
-            finally:
-                _node_ctx.reset(token)
-            self._merge_meter(m)
-            # One private result per thread; a build materializes every
-            # task's block of it (the allocator model is affine: k blocks
-            # cost one allocation of their total plus k - 1 empty ones).
-            # Paper-scaled (§4.3/§4.5 GC overhead).
-            gc_time += self.alloc(
-                int(_result_bytes(partials[-1]) * self.costs.wire_scale)
-            )
-            if spec.kind == "build":
-                gc_time += (b - a - 1) * self.alloc(0)
-            for own, elem, regions in zip(ledger.own, ledger.elem, nc.nested_work):
-                serial.append(seconds(*own))
-                nested.append(regions + seconds(*elem) if inner else regions)
-        return partials, serial, nested, gc_time
-
-    def _combine_partials(self, spec: ConsumeSpec, partials: list[Any]) -> tuple[Any, float]:
-        if spec.kind == "reduce":
-            result = partials[0]
-            combine_elems = 0
-            for p in partials[1:]:
-                result = spec.combine(result, p)
-                combine_elems += _elements_of(p)
-            return result, self.costs.combine_seconds(combine_elems)
-        return _concat_build(partials), 0.0
-
-    def _node_execute(
-        self, it: Iter, spec: ConsumeSpec, cores: int
-    ) -> tuple[Any, float, float, dict]:
-        """Run a chunk on one node: real passes, modelled thread overlap.
-
-        Node makespan model for composable work stealing: each task's
-        serial part occupies one core; its nested parallel regions spill
-        into the shared deques.  The makespan is bounded below by total
-        work over cores and by the longest task's critical path, and above
-        by greedy list scheduling of (serial + span) task durations.
-
-        Returns ``(combined_result, node_makespan_seconds, gc_seconds,
-        shape)``, *shape* being what the rank's kernel span says of the
-        execution: its passes, its tasks and, if any, its stealable work.
-        """
-        partials, serial, nested, gc_time = self._run_tasks(it, spec, cores)
-        shape = {"passes": len(partials), "tasks": len(serial)}
-        if any(nested):
-            shape["nested_s"] = sum(nested)
-        total_work = sum(serial) + sum(nested)
-        durations = [s + w / cores for s, w in zip(serial, nested)]
-        if self.scheduler == "static":
-            listed = static_for_makespan(
-                durations, cores, barrier_overhead=self.machine.thread_spawn_overhead
-            )
-            makespan = listed + gc_time
-        else:
-            listed = work_stealing_makespan(
-                durations,
-                cores,
-                steal_overhead=self.machine.steal_overhead,
-                spawn_overhead=self.machine.thread_spawn_overhead,
-            )
-            # GC is stop-the-world: allocator time serializes on the node.
-            makespan = max(listed, total_work / cores) + gc_time
-        result, combine_dt = self._combine_partials(spec, partials)
-        return result, makespan + combine_dt, gc_time, shape
-
-    def _nested_execute(
-        self, it: Iter, spec: ConsumeSpec, cores: int
-    ) -> tuple[Any, float]:
-        """A nested parallel region: real execution, sequential-time total.
-
-        The parent folds the returned sequential seconds into the node's
-        stealable work pool (see :class:`NodeContext`); granularity of the
-        split still follows the node's core count.
-        """
-        if not self._partitionable(it):
-            with meter.metered() as m:
-                out = spec.seq_fn(it)
-            self._merge_meter(m)
-            return out, self.costs.task_seconds(m)
-        partials, serial, nested, gc_time = self._run_tasks(it, spec, cores)
-        result, combine_dt = self._combine_partials(spec, partials)
-        return result, sum(serial) + sum(nested) + gc_time + combine_dt
-
     def _warm_plan(self, it: Iter) -> str | None:
         """Compile (or fetch) the bulk-execution plan before partitioning.
 
@@ -565,7 +593,7 @@ class TrioletRuntime:
             return self._sequential_fallback(it, spec, "localpar-unpartitionable")
         with _obs_span("section", "localpar", clock=self.clock) as osp:
             plan = self._warm_plan(it)
-            result, makespan, gc_time, _ = self._node_execute(
+            result, makespan, gc_time, _ = self.node._node_execute(
                 it, spec, self.machine.cores_per_node
             )
             self.clock.advance(makespan)
@@ -670,45 +698,6 @@ class TrioletRuntime:
                 migrated=migrated, recovery=recovery,
             )
 
-        def rank_body(comm: Comm, mine, parts: Parts):
-            finished = []
-            for key, chunk in _todo(mine, comm.rank):
-                with _obs_span(
-                    "kernel", "node_execute", rank=comm.rank, clock=comm.clock,
-                ) as ksp:
-                    result, makespan, gc_time, shape = self._node_execute(
-                        chunk, spec, cores
-                    )
-                    comm.compute(makespan)
-                    ksp.set(makespan=makespan, gc_time=gc_time, **shape)
-                comm.metrics.gc_time += gc_time  # already inside makespan
-                comm.alloc(_result_bytes(result))
-                finished.append((key, result))
-            if salvage and self.faults is not None:
-                # Before the collective, where a rank may die or block for
-                # good: what it finished outlives the attempt.
-                rank_extras()[FINISHED] = finished
-            if parts.held:
-                # What this rank kept from failed attempts goes to the root
-                # from here, at this rank's cost -- folded in below
-                # (reduce) or inside its gather message (build).
-                finished = parts.held[comm.rank] + finished
-            if spec.kind == "reduce":
-                charged = _charged_combine(comm, spec.combine, self.costs)
-                return comm.reduce(
-                    functools.reduce(charged, [p for _, p in finished]),
-                    charged, root=0,
-                )
-            gathered = comm.gather(
-                finished if parts.held else finished[0][1], root=0
-            )
-            if comm.rank != 0:
-                return None
-            return cover.assemble(
-                dict(chain.from_iterable(gathered)) if parts.held
-                else {(r,): g for r, g in enumerate(gathered)}
-            )
-
         def bound(plan: str | None) -> bool:
             # no bulk plan: ranks walk the bound closure tree per element
             return plan is None
@@ -718,7 +707,10 @@ class TrioletRuntime:
             label="par",
             partition=lambda nranks: cover.residual([], nranks),
             plan_ship=plan_ship,
-            rank_body=rank_body,
+            rank_body=_PipelineRank(
+                self.node, spec, cores, salvage and self.faults is not None,
+                cover,
+            ),
             commit=lambda result, parts: result,
             span_attrs=lambda ship, plan: {
                 "loop": "bound" if bound(plan) else "engine"
@@ -728,6 +720,63 @@ class TrioletRuntime:
             run_to_block=bound,
             residual=cover.residual if salvage else None,
         ))
+
+
+@dataclass
+class _PipelineRank:
+    """What a rank of a pipeline section computes: each chunk it was sent,
+    run on its node, then a reduce -- or a gather, the root assembling the
+    build.  Sent to a rank in another process without the cover, which is
+    the root's alone."""
+
+    node: NodeModel
+    spec: ConsumeSpec
+    cores: int
+    publish: bool  # keep finished partials across a failed attempt
+    cover: "_Cover | None" = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "cover": None}
+
+    def __call__(self, comm: Comm, mine, parts: Parts):
+        spec = self.spec
+        finished = []
+        for key, chunk in _todo(mine, comm.rank):
+            with _obs_span(
+                "kernel", "node_execute", rank=comm.rank, clock=comm.clock,
+            ) as ksp:
+                result, makespan, gc_time, shape = self.node._node_execute(
+                    chunk, spec, self.cores
+                )
+                comm.compute(makespan)
+                ksp.set(makespan=makespan, gc_time=gc_time, **shape)
+            comm.metrics.gc_time += gc_time  # already inside makespan
+            comm.alloc(_result_bytes(result))
+            finished.append((key, result))
+        if self.publish:
+            # Before the collective, where a rank may die or block for
+            # good: what it finished outlives the attempt.
+            rank_extras()[FINISHED] = finished
+        if parts.held:
+            # What this rank kept from failed attempts goes to the root
+            # from here, at this rank's cost -- folded in below (reduce) or
+            # inside its gather message (build).
+            finished = parts.held[comm.rank] + finished
+        if spec.kind == "reduce":
+            charged = _charged_combine(comm, spec.combine, self.node.costs)
+            return comm.reduce(
+                functools.reduce(charged, [p for _, p in finished]),
+                charged, root=0,
+            )
+        gathered = comm.gather(
+            finished if parts.held else finished[0][1], root=0
+        )
+        if comm.rank != 0:
+            return None
+        return self.cover.assemble(
+            dict(chain.from_iterable(gathered)) if parts.held
+            else {(r,): g for r, g in enumerate(gathered)}
+        )
 
 
 def _todo(work, rank: int) -> list:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -29,13 +29,18 @@ from repro.cluster.metrics import RunMetrics
 from repro.cluster.process import run_spmd
 from repro.cluster.transport import rank_extras
 from repro.core import meter
+from repro.core.engine import execute as _engine
 from repro.core.fusion import planner
-from repro.data.handle import bind_store
+from repro.core.iterators.executor import use_executor
+from repro.data.handle import bind_store, lookup_handle
 from repro.data.plane import SectionShipment
+from repro.data.store import RankStore
 from repro.obs.spans import (
     NULL_SPAN as _NULL_SPAN,
     active as _obs_active,
     obs_span as _obs_span,
+    resumed as obs_resumed,
+    snapshot as obs_snapshot,
 )
 from repro.runtime.recovery import (
     BudgetExhausted,
@@ -43,6 +48,7 @@ from repro.runtime.recovery import (
     RecoveryReport,
     classify_failure,
 )
+from repro.runtime.costs import current_costs, use_costs
 from repro.serial.arrays import copy_stats
 
 _CHUNK_TAG = 99
@@ -213,38 +219,6 @@ ISOLATED = "repro.isolated_rank"
 FINISHED = "repro.finished_partials"
 
 
-def _isolated_rank(rank_body):
-    """Wrap *rank_body* for ranks that do not run on the launcher's heap
-    (``comm.in_launcher`` false): driver-global state mutated there dies
-    with the worker, so tally into a rank-local meter and capture the
-    plan-cache and copy-counter deltas -- and, under a recorder, the spans
-    the rank registered -- published through ``rank_extras()``.  The meter
-    goes in at rank *start*, so a crashed rank's partial tallies still
-    reach ``_merge_rank_extras``.  A rank in the launcher runs the bare
-    body: its tallies land in the live objects, once."""
-
-    def rank_fn(comm: Comm):
-        if comm.in_launcher:
-            return rank_body(comm)
-        local_meter = meter.CostMeter()
-        state = rank_extras()[ISOLATED] = {"meter": local_meter}
-        mtok = _meter_sink.set(local_meter)
-        psnap = planner.stats_snapshot()
-        ssnap = copy_stats()
-        obs = _obs_active()
-        nspans = len(obs.spans) if obs is not None else 0
-        try:
-            return rank_body(comm)
-        finally:
-            state["planner"] = planner.stats_delta(psnap)
-            state["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
-            if obs is not None:
-                state["spans"] = [s.as_dict() for s in obs.spans[nspans:]]
-            _meter_sink.reset(mtok)
-
-    return rank_fn
-
-
 def _step(kind: str, name: str, t0: float, **attrs) -> dict:
     """One row of a section's attempt log, in ``Recorder.absorb_spans``
     form (*t0*: virtual seconds into the section)."""
@@ -257,36 +231,127 @@ def _close(step: dict, t1: float, outcome: str) -> None:
     step["attrs"].update(outcome=outcome, wall_ns1=time.perf_counter_ns())
 
 
-def _rank_fn(rt, kind: SectionKind, parts: Parts, ship):
-    """One attempt's SPMD body: ship every rank its work item, bind the
-    rank's store, run the kind's body."""
+#: In a rank process: the store it keeps between runs, by plane key --
+#: one plane's, the last it served.
+_KEPT: dict = {}
 
-    def rank_fn(comm: Comm):
+
+class RankProgram:
+    """One attempt's SPMD body, as a value.
+
+    Pickled -- sent to a rank in another process -- it is what a rank >= 1
+    reads: the kind's rank body, the attempt's bounds and held partials,
+    whether it has a shipment (work items and ops go by message), the
+    plane's key and handles (as metadata), and a snapshot of the run state
+    rank code reads from globals and context variables -- vectorization
+    flag and chunk, cost context, plan cache, whether a recorder is on.
+    Every rank runs it with the runtime's node model as its executor.
+
+    A rank outside the launcher (``comm.in_launcher`` false) tallies into
+    a rank-local meter, installed at rank *start* so a crashed rank's
+    partial tallies still count, and publishes it with its plan-cache and
+    copy-counter deltas and, under a recorder, its spans through
+    ``rank_extras()``; a rank in the launcher tallies into the live
+    objects, once.
+    """
+
+    def __init__(self, rt, kind: SectionKind, parts: Parts,
+                 ship: SectionShipment | None):
+        self.body = kind.rank_body
+        self.node = rt.node
+        self.parts = parts
+        self.ops = None if ship is None else ship.ops  # rank 0's to send
+        self.reqs = () if ship is None else ship.reqs
+        self.plane = rt.plane  # where it is live: launcher, or a fork
+        self.key = rt.plane.key
+        self.handles = ()  # sent: what its messages name, alive for the run
+        self.state = None  # the driver's run state, when sent
+
+    def __getstate__(self) -> dict:
+        parts = self.parts
+        return {
+            **self.__dict__,
+            "parts": Parts(parts.label, parts.bounds, [], held=parts.held),
+            "ops": None if self.ops is None else [],
+            "reqs": (),
+            "plane": None,
+            "handles": [self.plane.handles.get(a) or lookup_handle(a) for a
+                        in sorted(set(self.plane.handles).union(*self.reqs))],
+            "state": (_engine.vectorization_enabled(), _engine.chunk_size(),
+                      current_costs(), planner.current_state(), obs_snapshot()),
+        }
+
+    def _store(self, rank: int, keep: bool = False):
+        """Rank *rank*'s store of the plane in this process; *keep*: the
+        one this (rank) process keeps."""
+        store = (self.plane._stores.get(rank) if self.plane is not None
+                 else _KEPT.get(self.key))
+        if keep:
+            store = store or RankStore(rank)
+            _KEPT.clear()
+            _KEPT[self.key] = store
+        return store
+
+    def holding(self, rank: int):
+        """What rank *rank*'s process must hold for this program: its store
+        at the version of the driver's mirror (``None``: nothing).  Asked
+        in the launcher before a run is sent, in the member after it ran."""
+        store = self._store(rank)
+        return (self.key, store.version) if store and store.version else None
+
+    def __call__(self, comm: Comm):
+        with ExitStack() as stack:
+            if self.state is not None:  # this process's globals are not the driver's
+                vec, chunk, costs, plans, traced = self.state
+                for cm in (_engine.use_vectorization(vec), use_costs(costs),
+                           planner.use_state(plans), obs_resumed(traced)):
+                    stack.enter_context(cm)
+                stack.callback(_engine.set_chunk_size, _engine.set_chunk_size(chunk))
+            stack.enter_context(use_executor(self.node))
+            if comm.in_launcher:
+                return self._run(comm)
+            local_meter = meter.CostMeter()
+            state = rank_extras()[ISOLATED] = {"meter": local_meter}
+            stack.callback(_meter_sink.reset, _meter_sink.set(local_meter))
+            psnap = planner.stats_snapshot()
+            ssnap = copy_stats()
+            obs = _obs_active()
+            nspans = len(obs.spans) if obs is not None else 0
+            try:
+                return self._run(comm)
+            finally:
+                state["planner"] = planner.stats_delta(psnap)
+                state["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
+                if obs is not None:
+                    state["spans"] = [s.as_dict() for s in obs.spans[nspans:]]
+
+    def _run(self, comm: Comm):
+        """Ship every rank its work item, bind the rank's store, run the
+        kind's body."""
         # One message per rank on one tag, whatever the kind.  The
         # handle-free path sends the bare (really serialized) work item.
         # With a shipment, handle-backed sources serialize as ids (a few
         # bytes) and the ops carry the rows the rank is actually missing
         # -- nothing when its requirements are already resident, which is
         # what makes the second compatible section ship zero input bytes.
-        work = parts.work
+        store = None
         if comm.rank == 0:
+            work = self.parts.work
             for dst in range(1, comm.size):
                 comm.send(
-                    work[dst] if ship is None else (ship.ops[dst], work[dst]),
+                    work[dst] if self.ops is None else (self.ops[dst], work[dst]),
                     dst, _CHUNK_TAG,
                 )
             mine = work[0]
-        elif ship is None:
+        elif self.ops is None:
             mine = comm.recv(0, _CHUNK_TAG)
         else:
             my_ops, mine = comm.recv(0, _CHUNK_TAG)
+            store = self._store(comm.rank, keep=not comm.in_launcher)
             if my_ops:
-                rt.plane.worker_store(comm.rank).apply(my_ops)
-        store = bind_store(None) if ship is None else rt.plane.bound_store(comm.rank)
-        with store:
-            return kind.rank_body(comm, mine, parts)
-
-    return _isolated_rank(rank_fn)
+                store.apply(my_ops)
+        with bind_store(store):
+            return self.body(comm, mine, self.parts)
 
 
 def run_section(rt, kind: SectionKind) -> Any:
@@ -378,7 +443,7 @@ def _run(rt, kind: SectionKind, osp) -> Any:
                   else _NULL_SPAN):
                 res = run_spmd(
                     machine,
-                    _rank_fn(rt, kind, parts, ship),
+                    RankProgram(rt, kind, parts, ship),
                     nranks=nparts,
                     ranks_per_node=machine.cores_per_node if flat else 1,
                     limits=rt.limits,
@@ -521,9 +586,9 @@ def _run(rt, kind: SectionKind, osp) -> Any:
         obs.absorb_spans(steps)
     if ship is not None:
         # Mirror their shipping ops into the driver-side rank stores too:
-        # a forked worker applied them to its fork-private copy, and the
-        # next section's fork must inherit the resident shards for
-        # zero-reship placement to hold.
+        # a rank in another process applied them to its own copy, and the
+        # next section plans against -- and finds that process fresh for
+        # -- the driver's mirror.
         for dst, ops in enumerate(ship.ops):
             if ops and ISOLATED in res.extras[dst]:
                 rt.plane.worker_store(dst).apply(ops)

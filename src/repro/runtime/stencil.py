@@ -44,10 +44,14 @@ nothing) and returns the updated writable rows, i.e. an array of
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any, Callable
+
 import numpy as np
 
 from repro.cluster.comm import Comm
 from repro.core import meter
+from repro.data.handle import current_store
 from repro.core.iterators.transforms import iterate
 from repro.obs.spans import active as _obs_active, obs_span as _obs_span
 from repro.partition import (
@@ -122,7 +126,7 @@ def run_stencil(rt, handle, radius: int, kernel, iterations: int = 1,
         label=label,
         partition=partition,
         plan_ship=plan_ship,
-        rank_body=_make_rank_body(rt, handle, radius, kernel, iterations),
+        rank_body=_SweepRank(rt.node, handle, radius, kernel, iterations),
         commit=commit,
         span_attrs=lambda ship, plan: {
             "radius": radius, "iterations": iterations,
@@ -139,8 +143,10 @@ def run_stencil(rt, handle, radius: int, kernel, iterations: int = 1,
     return handle
 
 
-def _make_rank_body(rt, handle, radius: int, kernel, iterations: int):
-    """Build the per-rank body of a stencil sweep.
+@dataclass
+class _SweepRank:
+    """What a rank of a stencil sweep computes (sent to a rank in another
+    process, the handle is its metadata).
 
     Every rank copies its padded window -- rank 0 out of the master (which
     holds the last completed sweep), the others out of their resident
@@ -148,12 +154,16 @@ def _make_rank_body(rt, handle, radius: int, kernel, iterations: int):
     trading ghost rows with its neighbours in between, and returns its
     ``(wlo, whi, rows)``, gathered at the root for the driver-side commit.
     """
-    plane = rt.plane
-    costs = rt.costs
-    aid = handle.array_id
-    n = len(handle)
 
-    def rank_body(comm: Comm, block, parts: Parts):
+    node: Any  # the runtime's NodeModel: the costs, and where tallies go
+    handle: Any
+    radius: int
+    kernel: Callable
+    iterations: int
+
+    def __call__(self, comm: Comm, block, parts: Parts):
+        handle, radius, iterations = self.handle, self.radius, self.iterations
+        n = len(handle)
         blo, bhi = block
         wlo, whi = written_rows(blo, bhi, radius, n)
         rlo, rhi = wlo - radius, whi + radius
@@ -162,9 +172,9 @@ def _make_rank_body(rt, handle, radius: int, kernel, iterations: int):
         elif comm.rank == 0:
             window = handle.array[rlo:rhi].copy()
         else:
-            store = plane.worker_store(comm.rank)
+            store = current_store()
             window = np.concatenate([
-                store.view(aid, lo, hi)
+                store.view(handle.array_id, lo, hi)
                 for lo, hi in ((rlo, blo), (max(rlo, blo), min(rhi, bhi)),
                                (bhi, rhi))
                 if hi > lo
@@ -182,15 +192,15 @@ def _make_rank_body(rt, handle, radius: int, kernel, iterations: int):
                 if len(mine):
                     with meter.metered() as m:
                         meter.tally_visits(len(mine))
-                        rows = np.asarray(kernel(window))
+                        rows = np.asarray(self.kernel(window))
                     if len(rows) != len(mine):
                         raise ValueError(
                             f"stencil kernel returned {len(rows)} rows for a "
                             f"{len(mine)}-row writable window (input was "
                             f"{len(window)} padded rows, radius {radius})"
                         )
-                    rt._merge_meter(m)
-                    dt = costs.task_seconds(m)
+                    self.node._merge_meter(m)
+                    dt = self.node.costs.task_seconds(m)
                     mine[...] = rows
                 comm.compute(dt)
                 ksp.set(makespan=dt, rows=len(mine), step=step)
@@ -206,5 +216,3 @@ def _make_rank_body(rt, handle, radius: int, kernel, iterations: int):
         comm.alloc(mine.nbytes)
         gathered = comm.gather((wlo, whi, mine), root=0)
         return gathered if comm.rank == 0 else None
-
-    return rank_body

@@ -7,9 +7,10 @@ live:
 
 * **Tiling** -- partition bounds tile the outer domain exactly: 1-D
   blocks are contiguous, non-overlapping and cover ``[0, extent)``; 2-D
-  grids are the row-major cross product of row/column interval sets that
-  each tile their axis.  When a section finished from partials kept
-  across a failed attempt, the law is about the union: kept blocks and
+  grids are the row-major cross product of the grid's row and column
+  intervals (in order, repeats kept), each list tiling its axis.  When a
+  section finished from partials kept across a failed attempt, the law
+  is about the union: kept blocks and
   the final attempt's residual blocks cover the domain exactly once,
   and every kept block is held by a rank of that final attempt -- never
   by one that died.
@@ -56,6 +57,7 @@ import numpy as np
 from repro.core.iterators.indexed import IndexedIter
 from repro.partition import (
     exchange_rows,
+    grid_shape,
     halo_bytes_bound,
     halo_exchange,
     written_rows,
@@ -124,8 +126,11 @@ class InvariantChecker:
                 # Residual grids sit inside lost blocks: no cross product.
                 self._tile_rects(blocks, dom.h, dom.w, payload)
                 return
-            row_ivals = sorted({r for r, _c in bounds})
-            col_ivals = sorted({c for _r, c in bounds})
+            # The grid's own rows and columns, in order and with repeats:
+            # a grid wider than its domain has several empty intervals.
+            _, px = grid_shape(len(bounds), dom.h, dom.w)
+            row_ivals = [r for r, _c in bounds[::px]]
+            col_ivals = [c for _r, c in bounds[:px]]
             self._tile_axis(row_ivals, dom.h, "row", payload)
             self._tile_axis(col_ivals, dom.w, "col", payload)
             expect = [(r, c) for r in row_ivals for c in col_ivals]

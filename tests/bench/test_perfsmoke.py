@@ -398,61 +398,97 @@ class TestOnePassPerCore:
 
 @pytest.mark.perfsmoke
 class TestLocalSectionForkCount:
-    """The ``local`` launcher is rank 0: a section of n ranks costs n - 1
-    forks, and rank 0's outcome never crosses a pipe.  Counts, not
-    stopwatches (a fork of the benchmark's heap is 2.3 ms; a second one
-    per section was a fifth of ``stencil_local``'s round)."""
+    """The ``local`` launcher is rank 0 and ranks >= 1 run on its resident
+    crew: a section it can send forks nothing, one it cannot hires n - 1
+    members, and rank 0's outcome never crosses a pipe.  Counts, not
+    stopwatches (a fork of the benchmark's heap is 2.3 ms; the six of a
+    ``dense_local`` round were most of its gap to ``dense_sim``)."""
 
-    def test_forks_are_sections_times_ranks_minus_one(self):
+    DENSE = {  # benchmarks/e2e/workloads.py
+        "mriq": dict(npix=6144, nk=64),
+        "sgemm": dict(n=96),
+        "tpacf": dict(m=64, nr=32, nbins=2048),
+        "cutcp": dict(na=4000, grid=(40, 40, 40), cutoff=2.0),
+    }
+
+    @staticmethod
+    def _local(nodes):
+        from repro.cluster import MachineSpec, transport
+
+        if "local" not in transport.available_transports(nranks=nodes):
+            pytest.skip("LocalTransport unavailable (no fork)")
+        return MachineSpec(nodes=nodes, cores_per_node=1, transport="local")
+
+    def test_a_warmed_dense_round_forks_nothing(self):
         import os
         from unittest import mock
 
-        from repro.apps import jacobi, tpacf
-        from repro.cluster import MachineSpec
+        from repro.bench import reset_run_state
         from repro.cluster import transport
         from repro.runtime import observing_sections
 
-        if "local" not in transport.available_transports(nranks=2):
-            pytest.skip("LocalTransport unavailable (no fork)")
-        machine = MachineSpec(nodes=2, cores_per_node=1, transport="local")
-        tp = tpacf.make_problem(m=32, nr=8, nbins=128, seed=1)
+        machine = self._local(2)
+        problems = {app: APPS[app].make_problem(seed=7, **size)
+                    for app, size in self.DENSE.items()}
+
+        def a_round():
+            for app, problem in problems.items():
+                reset_run_state()  # a one-shot script's cold caches, as in the benchmark
+                run = APPS[app].runners["triolet"](
+                    problem, machine, costs_for(app, "triolet", problem))
+                assert run.ok
+
+        a_round()  # hires the crew
         readers, sections = [], []
         reader_init = transport._FrameReader.__init__
 
         def spy_reader(self, fd, peer):
-            readers.append(peer)  # in a child: that child's copy of the list
+            readers.append(peer)  # in a member: that member's copy of the list
             reader_init(self, fd, peer)
 
         with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
                 mock.patch.object(transport._FrameReader, "__init__", spy_reader), \
                 observing_sections(sections.append):
-            jacobi.run_triolet(jacobi.make_problem(n=256, iterations=4), machine)
-            tpacf.run_triolet(tp, machine, costs_for("tpacf", "triolet", tp))
-        assert len(sections) == 1 + 3  # a 4-iteration sweep is one section
-        assert all(s["nchunks"] == 2 for s in sections)
-        assert fork.call_count == sum(s["nchunks"] - 1 for s in sections)
+            a_round()
+        assert len(sections) == 6 and all(s["nchunks"] == 2 for s in sections)
+        assert fork.call_count == 0
         # the launcher decodes frames from ranks >= 1 only: their messages
         # to rank 0 and their outcomes, never anything from rank 0
         assert readers and 0 not in readers
 
-    def test_a_sweep_forks_once_per_rank_whatever_its_depth(self):
-        """Eight iterations on 3 ranks: 2 forks (one section whose ranks
-        trade ghost rows), not the 16 of a section per iteration."""
+    def test_a_warmed_deep_sweep_forks_nothing(self):
+        """Eight iterations on 3 ranks are one section, and once its crew
+        is hired the next sweep is sent to it."""
         import os
         from unittest import mock
 
         from repro.apps import jacobi
-        from repro.cluster import MachineSpec
-        from repro.cluster import transport
 
-        if "local" not in transport.available_transports(nranks=3):
-            pytest.skip("LocalTransport unavailable (no fork)")
-        machine = MachineSpec(nodes=3, cores_per_node=1, transport="local")
+        machine = self._local(3)
         p = jacobi.make_problem(n=256, iterations=8)
+        jacobi.run_triolet(p, machine)
         with mock.patch.object(os, "fork", wraps=os.fork) as fork:
             run = jacobi.run_triolet(p, machine)
-        assert fork.call_count == 2
+        assert fork.call_count == 0
         assert run.value.tobytes() == jacobi.solve_ref(p).tobytes()
+
+    def test_a_section_that_cannot_be_sent_forks_ranks_minus_one(self):
+        """A lambda kernel does not pickle: every sweep hires its two
+        members, as every section once did."""
+        import os
+        from unittest import mock
+
+        import numpy as np
+
+        from repro.runtime import triolet_runtime
+
+        machine = self._local(3)
+        for _ in range(2):
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                    triolet_runtime(machine) as rt:
+                rt.stencil(rt.distribute(np.arange(64.0)), radius=1,
+                           kernel=lambda x: 0.5 * (x[:-2] + x[2:]), iterations=4)
+            assert fork.call_count == 2
 
 
 @pytest.mark.perfsmoke
@@ -556,15 +592,15 @@ class TestBoundSectionsRunToBlock:
         self, app, monkeypatch, overlap_probe
     ):
         from repro.runtime import observing_sections
-        from repro.runtime.driver import TrioletRuntime
+        from repro.runtime.driver import NodeModel
 
-        node_execute = TrioletRuntime._node_execute
+        node_execute = NodeModel._node_execute
 
         def probed(self, *args, **kw):
             with overlap_probe:
                 return node_execute(self, *args, **kw)
 
-        monkeypatch.setattr(TrioletRuntime, "_node_execute", probed)
+        monkeypatch.setattr(NodeModel, "_node_execute", probed)
         sections = []
         with observing_sections(lambda payload: sections.append(payload["record"])):
             self._run(app, self.SMALL[app], vectorize=False)

@@ -1,15 +1,18 @@
-"""LocalTransport specifics: the launcher is rank 0 and forks the others,
-per-rank isolation, shared-memory shipping, rank-local state merging, and
-feature gating.
+"""LocalTransport specifics: the launcher is rank 0 and its resident crew
+of forked members runs the others, per-rank isolation, shared-memory
+shipping, rank-local state merging, and feature gating.
 
 These tests are POSIX-only in practice (fork start method) and skip as a
 module where LocalTransport is unavailable.
 """
 import contextvars
+import math
 import os
+import resource
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +41,31 @@ if "local" not in available_transports(nranks=2):
 
 def machine(nodes: int = 2) -> MachineSpec:
     return MachineSpec(nodes=nodes, cores_per_node=1, transport="local")
+
+
+@pytest.fixture(autouse=True)
+def _no_crew_outlives_a_test():
+    """Every test starts with no resident crew on this thread, so the
+    children and descriptors a test counts are its own."""
+    yield
+    LocalTransport._resident.__dict__.pop("crew", None)
+
+
+def _on_its_own_thread(fn, *args, **kw):
+    """``fn(*args, **kw)`` from a launching thread that is over -- and its
+    crew retired with it -- when this returns; *fn*'s value or error."""
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(fn, *args, **kw)
+    return future.result()
+
+
+def _add(a, b):
+    return a + b
+
+
+def _pid_and_sum(comm):
+    """A rank function that can be sent: plain pickle takes it by name."""
+    return os.getpid(), comm.allreduce(comm.rank, op=_add)
 
 
 class TestProcessIsolation:
@@ -88,6 +116,8 @@ class TestProcessIsolation:
 class TestTheLauncherIsRankZero:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_an_n_rank_section_forks_n_minus_one_times(self, n, monkeypatch):
+        """A run that cannot be sent (its rank function is a local
+        closure) is hired for: n - 1 forks, every time."""
         forks, pipes, dirs = [], [], []
         fork, pipe, mkdtemp = os.fork, os.pipe, tempfile.mkdtemp
 
@@ -112,14 +142,33 @@ class TestTheLauncherIsRankZero:
         def rank_fn(comm):
             return (os.getpid(), comm.allreduce(comm.rank, op=lambda a, b: a + b))
 
-        res = run_spmd(machine(n), rank_fn, nranks=n)
-        assert [r[1] for r in res.results] == [n * (n - 1) // 2] * n
-        assert len(forks) == n - 1
-        assert [r[0] for r in res.results] == [os.getpid(), *forks]
-        # a pipe per ordered pair and a result pipe per forked rank; a
-        # lone rank has nobody to talk to and nothing to ship
-        assert len(pipes) == (n - 1) * n + (n - 1)
-        assert len(dirs) == (1 if n > 1 else 0)
+        for _ in range(2):
+            del forks[:], pipes[:], dirs[:]
+            res = run_spmd(machine(n), rank_fn, nranks=n)
+            assert [r[1] for r in res.results] == [n * (n - 1) // 2] * n
+            assert len(forks) == n - 1
+            assert [r[0] for r in res.results] == [os.getpid(), *forks]
+            # a pipe per ordered pair, a control and a result pipe per
+            # member; a lone rank has nobody to talk to and nothing to ship
+            assert len(pipes) == (n - 1) * (n + 2)
+            assert len(dirs) == (1 if n > 1 else 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_run_that_can_be_sent_goes_to_the_crew(self, n, monkeypatch):
+        """Hired once, the members take every later run they are fresh
+        for -- a smaller one from the low ranks -- with no fork and no
+        pipe; only the run's segment directory is new."""
+        first = run_spmd(machine(n), _pid_and_sum, nranks=n)
+        forks, pipes, dirs = [], [], []
+        fork, pipe, mkdtemp = os.fork, os.pipe, tempfile.mkdtemp
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(1) or pipe())
+        monkeypatch.setattr(tempfile, "mkdtemp",
+                            lambda *a, **kw: dirs.append(1) or mkdtemp(*a, **kw))
+        assert run_spmd(machine(n), _pid_and_sum, nranks=n).results == first.results
+        smaller = run_spmd(machine(n), _pid_and_sum, nranks=n - 1).results
+        assert [pid for pid, _ in smaller] == [pid for pid, _ in first.results][:n - 1]
+        assert forks == [] and pipes == [] and len(dirs) == (2 if n > 2 else 1)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_rank_zero_error_is_the_object_it_raised(self):
@@ -264,9 +313,16 @@ class TestFeatureGates:
         assert "exit code 3" in str(failed[1])
 
     def test_rank_counts_beyond_the_descriptor_budget_are_refused(self):
+        """A crew of n holds 2 n (n + 1) pipe ends, give or take: what
+        ``RLIMIT_NOFILE`` cannot hold is refused, whatever ``select``
+        could have watched."""
+        soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+        if soft == resource.RLIM_INFINITY or soft < 1024:
+            pytest.skip(f"RLIMIT_NOFILE is {soft}")
         LocalTransport().available(16)
+        LocalTransport().available(math.isqrt(soft // 2) - 8)
         with pytest.raises(TransportUnavailable, match="descriptors"):
-            LocalTransport().available(64)
+            LocalTransport().available(math.isqrt(soft // 2) + 1)
 
 
 def _repro_modules():
@@ -334,6 +390,8 @@ class TestNothingLeaks:
     BIG = np.arange(SHM_MIN_BYTES // 8 + 64, dtype=np.float64)
 
     def test_clean_section(self):
+        """Once its crew has retired (here: its launching thread is over)
+        a section leaves nothing behind."""
         def rank_fn(comm):
             if comm.rank == 0:
                 comm.Send(self.BIG, 1, tag=1)
@@ -341,7 +399,7 @@ class TestNothingLeaks:
             return float(comm.Recv(0, tag=1).sum())
 
         before = _host_state()
-        run_spmd(machine(), rank_fn, nranks=2)
+        _on_its_own_thread(run_spmd, machine(), rank_fn, nranks=2)
         assert _host_state() == before
 
     def test_rank_raises_with_an_unread_segment_in_flight(self):
@@ -393,16 +451,16 @@ class TestNothingLeaks:
         res = run_spmd(machine(), rank_fn, nranks=2, real_timeout=5.0)
         assert time.perf_counter() - t0 < 2.5
         assert res.results == [os.getpid(), [3, 3]]
+        LocalTransport._resident.crew = None  # the crew retires
         assert _host_state() == before
 
     def test_two_hundred_sections_leave_the_process_flat(self):
-        def rank_fn(comm):
-            return comm.allreduce(comm.rank, op=lambda a, b: a + b)
-
-        run_spmd(machine(), rank_fn, nranks=2)
+        """Two hundred runs sent to one crew: the same members, the same
+        descriptors, no segment left."""
+        first = run_spmd(machine(), _pid_and_sum, nranks=2).results
         before = _host_state()
         for _ in range(200):
-            assert run_spmd(machine(), rank_fn, nranks=2).results == [1, 1]
+            assert run_spmd(machine(), _pid_and_sum, nranks=2).results == first
         assert _host_state() == before
 
 

@@ -4,7 +4,7 @@ supersteps, so ``sim`` and ``local`` must agree on the value, the virtual
 makespan and every byte and message -- with ghost rows both under and
 over the shared-segment threshold, where both neighbours post before
 either receives (the bounded-pipe case) -- and a deep sweep on forked
-ranks must leave the host as it found it."""
+ranks must leave the host as it found it once their crew has retired."""
 import os
 
 import numpy as np
@@ -14,7 +14,7 @@ from repro.cluster import MachineSpec
 from repro.cluster.transport import SHM_MIN_BYTES, available_transports
 from repro.runtime import triolet_runtime
 from repro.testing.invariants import check_plane, checking
-from tests.cluster.test_transport_local import _host_state
+from tests.cluster.test_transport_local import _host_state, _on_its_own_thread
 
 pytestmark = [pytest.mark.transport, pytest.mark.views]
 
@@ -90,5 +90,5 @@ class TestSweepParity:
 def test_a_deep_sweep_leaks_no_segment_no_zombie_and_no_descriptor():
     init = np.random.default_rng(0).random((96, SHM_MIN_BYTES // 8 + 64))
     before = _host_state()
-    _sweep("local", init, 1, 3, 32)
+    _on_its_own_thread(_sweep, "local", init, 1, 3, 32)  # its crew retires
     assert _host_state() == before

@@ -1,6 +1,6 @@
 """The node model's ledger contract: one pass per core, a duration per task.
 
-``TrioletRuntime._run_tasks`` runs one ``spec.seq_fn`` pass per core over
+``NodeModel._run_tasks`` runs one ``spec.seq_fn`` pass per core over
 that core's contiguous block of tasks and reads the tasks' tallies off
 the pass's :class:`repro.core.meter.TaskLedger`.  The reference kept here
 is what the runtime used to do: every task resliced and run as its own
@@ -29,7 +29,7 @@ from repro.core.engine import register_bulk, use_vectorization
 from repro.core.fusion import planner_stats
 from repro.partition import block_bounds
 from repro.runtime import CostContext, FREE_ALLOC, triolet_runtime
-from repro.runtime.driver import TrioletRuntime, _concat_build
+from repro.runtime.driver import NodeModel, TrioletRuntime, _concat_build
 from repro.serial import closure, register_function
 from repro.testing.kernels import e_iota, e_rowbins, k_square, p_even
 
@@ -210,7 +210,7 @@ def node_passes():
     """Every ``_run_tasks`` call made inside: its arguments, the ledgers
     its passes tallied into and what it returned."""
     calls, made = [], []
-    run_tasks = TrioletRuntime._run_tasks
+    run_tasks = NodeModel._run_tasks
 
     class Recorded(meter.TaskLedger):
         def __init__(self, *args):
@@ -225,7 +225,7 @@ def node_passes():
         ))
         return out
 
-    with mock.patch.object(TrioletRuntime, "_run_tasks", spy), \
+    with mock.patch.object(NodeModel, "_run_tasks", spy), \
             mock.patch.object(meter, "TaskLedger", Recorded):
         yield calls
 

@@ -58,13 +58,13 @@ def test_each_counter_family_is_merged_exactly_once(monkeypatch):
                         _logged(merged["serial"], driver.merge_copy_stats))
 
     def spy(rt):
-        merge_meter = rt._merge_meter
+        merge_meter = rt.node._merge_meter
 
         def spy_meter(m):
             merged["sinks"].append(_meter_sink.get())
             merge_meter(m)
 
-        rt._merge_meter = spy_meter
+        rt.node._merge_meter = spy_meter
         rt._merge_rank_extras = _logged(merged["extras"], rt._merge_rank_extras)
 
     want, sim = _run(SimTransport())

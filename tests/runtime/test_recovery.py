@@ -23,9 +23,9 @@ from repro.cluster import (
 )
 from repro.cluster.limits import EDEN_LIMITS
 from repro.core.engine import register_bulk
+from repro.runtime.driver import NodeModel
 from repro.runtime import (
     DEFAULT_RECOVERY,
-    TrioletRuntime,
     BudgetExhausted,
     CostContext,
     FailureBudget,
@@ -195,14 +195,14 @@ class TestNothingOutlivesTheSection:
     def partials(self, monkeypatch):
         """Weak references to every array a node execution returned."""
         refs = []
-        node_execute = TrioletRuntime._node_execute
+        node_execute = NodeModel._node_execute
 
         def spy(self, it, spec, cores):
             out = node_execute(self, it, spec, cores)
             refs.append(weakref.ref(out[0]))
             return out
 
-        monkeypatch.setattr(TrioletRuntime, "_node_execute", spy)
+        monkeypatch.setattr(NodeModel, "_node_execute", spy)
         was_enabled = gc.isenabled()
         gc.disable()
         yield refs

@@ -121,6 +121,45 @@ def test_sim_has_one_thread_start_site_one_launcher_and_no_setting():
     assert "environ" not in source and "getenv" not in source
 
 
+def test_local_has_one_fork_site_one_child_main_loop_and_no_setting():
+    """``LocalTransport`` hires its resident crew in one place -- the only
+    ``fork(`` of ``cluster/transport.py`` -- replacing the per-section
+    launcher rather than sitting beside it; a member's whole life is one
+    loop; and how long a crew lives is a stated rule, not a setting: no
+    keyword on the class, ``execute``, ``run_spmd`` or ``MachineSpec``, no
+    environment, nothing for ``reset_run_state`` to reset."""
+    import dataclasses
+    import inspect
+
+    from repro.bench import reset_run_state
+    from repro.cluster import MachineSpec, run_spmd
+
+    source = (RUNTIME.parent / "cluster" / "transport.py").read_text()
+    tree = ast.parse(source)
+    (local,) = [
+        n for n in tree.body
+        if isinstance(n, ast.ClassDef) and n.name == "LocalTransport"
+    ]
+    forks = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and _called_name(n) == "fork"]
+    assert len(forks) == 1 and forks[0] in list(ast.walk(local))
+    loops = [n for n in tree.body
+             if isinstance(n, ast.FunctionDef) and n.name == "_member"]
+    calls = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and _called_name(n) == "_member"]
+    assert len(loops) == 1 and len(calls) == 1 and calls[0] in list(ast.walk(local))
+    methods = {n.name: n for n in local.body if isinstance(n, ast.FunctionDef)}
+    assert [a.arg for a in methods["__init__"].args.args] == ["self", "shm_min_bytes"]
+    assert [a.arg for a in methods["execute"].args.args] == [
+        "self", "ctx", "rank_fn", "args"]
+    assert "environ" not in source and "getenv" not in source
+    knobs = {"persistent", "pool", "pool_size", "crew", "idle_timeout", "keep"}
+    assert not knobs & set(inspect.signature(run_spmd).parameters)
+    assert not knobs & {f.name for f in dataclasses.fields(MachineSpec)}
+    reset = inspect.getsource(reset_run_state)
+    assert "crew" not in reset and "Transport" not in reset
+
+
 def test_the_rank_baton_is_sims_alone_and_the_runtime_takes_no_lock():
     """How ``sim`` schedules its rank threads is the transport's business:
     every ``threading.Lock(`` of ``cluster/transport.py`` sits inside

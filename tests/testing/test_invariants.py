@@ -43,6 +43,17 @@ class TestAcceptsRealSections:
         assert ck.sections == 2
         check_plane(rt.plane)
 
+    def test_a_grid_wider_than_its_domain_passes(self):
+        """3 x 3 on 7 ranks is a 1 x 7 grid: its 7 column intervals repeat
+        the empty one, and the law is about the grid's own columns."""
+        a = np.arange(3.0)
+        with checking() as ck:
+            with triolet_runtime(MachineSpec(nodes=7, cores_per_node=1)) as rt:
+                out = tri.build(tri.par(tri.outerproduct(a, a)))
+        assert rt.last_section.partition == "2d 1x7"
+        assert ck.sections == 1
+        assert np.asarray(out).shape == (3, 3, 2)
+
 
 def _payload(**over):
     """A minimal well-formed 1-D section payload the checker accepts."""
@@ -87,6 +98,24 @@ class TestRejectsCorruptedSections:
     def test_chunk_count_mismatch_rejected(self):
         with pytest.raises(InvariantViolation, match="partition bounds"):
             InvariantChecker()(_payload(nchunks=3))
+
+    def test_2d_grid_out_of_row_major_order_rejected(self):
+        it = tri.par(tri.outerproduct(np.arange(4.0), np.arange(6.0)))
+        rows, cols = [(0, 2), (2, 4)], [(0, 3), (3, 6)]
+
+        def grid(bounds):
+            return _payload(iterator=it, partition="2d 2x2", nchunks=4,
+                            bounds=bounds)
+
+        InvariantChecker()(grid([(r, c) for r in rows for c in cols]))
+        with pytest.raises(InvariantViolation, match="do not tile|row-major"):
+            InvariantChecker()(grid([(r, c) for c in cols for r in rows]))
+        with pytest.raises(InvariantViolation, match="row-major"):
+            InvariantChecker()(grid([(r, c) for r in rows for c in cols][:3]
+                                    + [(rows[1], cols[0])]))
+        with pytest.raises(InvariantViolation, match="col intervals do not"):
+            InvariantChecker()(grid([(r, c) for r in rows
+                                     for c in [(0, 3), (2, 6)]]))
 
     def test_broken_conservation_rejected(self):
         stats = dict(
