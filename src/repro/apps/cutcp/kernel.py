@@ -82,58 +82,52 @@ def atoms_contribution_bulk(
     """
     atoms = np.asarray(atoms)
     m = len(atoms)
-    nz, ny, nx = grid_dim
+    _, ny, nx = grid_dim
     c2 = cutoff * cutoff
     empty_out = (np.empty(0, dtype=np.int64), np.empty(0))
     if m == 0:
         return empty_out, np.zeros(0, dtype=np.int64)
 
-    az, ay, ax, q = atoms[:, 0], atoms[:, 1], atoms[:, 2], atoms[:, 3]
-    zlo = np.maximum(0, np.ceil((az - cutoff) / spacing).astype(np.int64))
-    zhi = np.minimum(nz - 1, np.floor((az + cutoff) / spacing).astype(np.int64))
-    ylo = np.maximum(0, np.ceil((ay - cutoff) / spacing).astype(np.int64))
-    yhi = np.minimum(ny - 1, np.floor((ay + cutoff) / spacing).astype(np.int64))
-    xlo = np.maximum(0, np.ceil((ax - cutoff) / spacing).astype(np.int64))
-    xhi = np.minimum(nx - 1, np.floor((ax + cutoff) / spacing).astype(np.int64))
+    # Per axis (z, y, x) and atom: the box of grid points it examines.
+    at, q = atoms[:, :3].T, atoms[:, 3]
+    lo = np.maximum(0, np.ceil((at - cutoff) / spacing).astype(np.int64))
+    hi = np.minimum(np.array(grid_dim)[:, None] - 1,
+                    np.floor((at + cutoff) / spacing).astype(np.int64))
+    ext = np.maximum(hi - lo + 1, 0)
+    meter.tally_each(np.maximum(ext.prod(axis=0) - 1, 0))
 
-    ez = np.maximum(zhi - zlo + 1, 0)
-    ey = np.maximum(yhi - ylo + 1, 0)
-    ex = np.maximum(xhi - xlo + 1, 0)
-    nonempty = (ez > 0) & (ey > 0) & (ex > 0)
-    meter.tally_each(np.where(nonempty, ez * ey * ex - 1, 0))
-
-    box_elems = max(1, int(ez.max() * ey.max() * ex.max()))
-    block = max(1, _BULK_BUDGET // box_elems)
+    block = max(1, _BULK_BUDGET // max(1, int(ext.max(axis=1).prod())))
     lengths = np.zeros(m, dtype=np.int64)
     idx_parts, s_parts = [], []
     for lo_i in range(0, m, block):
-        hi_i = min(lo_i + block, m)
-        sl = slice(lo_i, hi_i)
-        bez, bey, bex = int(ez[sl].max()), int(ey[sl].max()), int(ex[sl].max())
-        if bez == 0 or bey == 0 or bex == 0:
+        sl = slice(lo_i, min(lo_i + block, m))
+        bez, bey, bex = pad = [int(n) for n in ext[:, sl].max(axis=1)]
+        if not all(pad):
             continue
-        kz = zlo[sl][:, None] + np.arange(bez)
-        ky = ylo[sl][:, None] + np.arange(bey)
-        kx = xlo[sl][:, None] + np.arange(bex)
-        vz = kz <= zhi[sl][:, None]
-        vy = ky <= yhi[sl][:, None]
-        vx = kx <= xhi[sl][:, None]
-        dz2 = (spacing * kz - az[sl][:, None]) ** 2
-        dy2 = (spacing * ky - ay[sl][:, None]) ** 2
-        dx2 = (spacing * kx - ax[sl][:, None]) ** 2
+        d2 = []  # each atom's box padded to the block's, the padding at inf
+        for first, last, a, n in zip(lo[:, sl], hi[:, sl], at[:, sl], pad):
+            k = first[:, None] + np.arange(n)
+            d = (spacing * k - a[:, None]) ** 2
+            d[k > last[:, None]] = np.inf
+            d2.append(d)
+        dz2, dy2, dx2 = d2
         r2 = (
             dz2[:, :, None, None] + dy2[:, None, :, None] + dx2[:, None, None, :]
         )
-        box = vz[:, :, None, None] & vy[:, None, :, None] & vx[:, None, None, :]
-        inside = box & (r2 < c2) & (r2 > 0.0)
-        r2in = r2[inside]
+        inside = r2 < c2
+        inside &= r2 > 0.0
+        # Grid index = the atom's box corner + the point's offset in the box.
+        pos = np.flatnonzero(inside)
+        ai, off = np.divmod(pos, bez * bey * bex)
+        r2in = r2.reshape(-1)[pos]
         r = np.sqrt(r2in)
-        ai, zi, yi, xi = np.nonzero(inside)
         s = q[sl][ai] * (1.0 / r) * (1.0 - r2in / c2) ** 2
-        flat = (kz[ai, zi] * ny + ky[ai, yi]) * nx + kx[ai, xi]
-        idx_parts.append(flat)
+        corner = (lo[0, sl] * ny + lo[1, sl]) * nx + lo[2, sl]
+        box = ((np.arange(bez)[:, None, None] * ny + np.arange(bey)[:, None]) * nx
+               + np.arange(bex))
+        idx_parts.append(corner[ai] + box.reshape(-1)[off])
         s_parts.append(s)
-        lengths[sl] = np.bincount(ai, minlength=hi_i - lo_i)
+        lengths[sl] = np.bincount(ai, minlength=sl.stop - lo_i)
     if not idx_parts:
         return empty_out, lengths
     return (np.concatenate(idx_parts), np.concatenate(s_parts)), lengths

@@ -60,6 +60,7 @@ schedule mid-flight.  ``run_spmd`` refuses the combination explicitly.
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import dataclasses
 import mmap
@@ -196,8 +197,10 @@ class SimTransport(Transport):
     Ranks run free unless the run says ``run_to_block`` (rank bodies that
     hold the GIL throughout cannot overlap, only fight over it): then
     exactly one is runnable at a time, and it hands over only where it
-    blocks in a receive.  Wall clock only -- nothing virtual can tell the
-    two schedulings apart."""
+    blocks in a receive, on the CPU its launcher is on: each rank thread
+    is pinned there for its body, then put back on its own mask (where it
+    cannot be, it runs as it is).  Wall clock only -- nothing virtual can
+    tell the schedulings apart."""
 
     name = "sim"
     wall_clock = False
@@ -218,12 +221,41 @@ class SimTransport(Transport):
         def __del__(self) -> None:  # the owning thread is over
             self.keep(0)
 
-    _resident = threading.local()
+    _resident = threading.local()  # .crew; .home while a baton run pins it
 
     @staticmethod
-    def _serve(inbox: queue.SimpleQueue) -> None:
+    def _cpu() -> int | None:
+        """The CPU the calling thread is on (field 39 of its ``stat``)."""
+        try:
+            with open("/proc/thread-self/stat", "rb") as f:
+                return int(f.read().rsplit(b")", 1)[1].split()[36])
+        except (OSError, ValueError, IndexError):
+            return None
+
+    @classmethod
+    def _pin(cls, cpu: int | None) -> tuple | None:
+        """The calling thread on *cpu* alone: what ``_unpin`` puts back."""
+        try:
+            mask = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, (cpu,))
+        except (AttributeError, OSError, TypeError):  # no call, refused, no cpu
+            return None
+        home = getattr(cls._resident, "home", None)
+        cls._resident.home = home or mask  # where a thread it hires starts
+        return mask, home
+
+    @classmethod
+    def _unpin(cls, pinned: tuple | None) -> None:
+        if pinned is not None:
+            mask, cls._resident.home = pinned
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, mask)
+
+    @classmethod
+    def _serve(cls, inbox: queue.SimpleQueue, home: set | None) -> None:
         """Life of a crew thread.  The run is let go of *before* the
         launcher is told, so nothing outlives ``execute`` here."""
+        cls._unpin((home, None) if home else None)  # hired by a pinned rank
         for worker, rank, done in iter(inbox.get, None):
             worker(rank)
             del worker
@@ -249,6 +281,8 @@ class SimTransport(Transport):
         baton = ctx.channels.baton = (
             threading.Lock() if ctx.run_to_block and nranks > 1 else None
         )
+        # ... on one CPU: each hand-over to another vCPU costs rank CPU.
+        cpu = self._cpu() if baton is not None else None
 
         def worker(rank: int) -> None:
             def call():
@@ -259,6 +293,7 @@ class SimTransport(Transport):
                     _rank_extras.reset(token)
 
             if baton is not None:
+                pinned = self._pin(cpu)
                 baton.acquire()
             try:
                 results[rank] = caller_context.copy().run(call)
@@ -274,6 +309,7 @@ class SimTransport(Transport):
                 ctx.channels.mark_done(rank)
                 if baton is not None:
                     baton.release()
+                    self._unpin(pinned)
 
         t0 = time.perf_counter()
         crew = getattr(self._resident, "crew", None)
@@ -287,8 +323,8 @@ class SimTransport(Transport):
             else:
                 inbox = queue.SimpleQueue()
                 threading.Thread(
-                    target=self._serve, args=(inbox,), name=f"sim-rank-{rank}",
-                    daemon=True,
+                    target=self._serve, name=f"sim-rank-{rank}", daemon=True,
+                    args=(inbox, getattr(self._resident, "home", None)),
                 ).start()
             inbox.put((worker, rank, done))
             hired.append(inbox)

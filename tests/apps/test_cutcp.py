@@ -9,10 +9,12 @@ from repro.apps.cutcp import (
     run_triolet,
     solve_ref,
 )
+from repro.apps.cutcp import kernel
 from repro.apps.cutcp.kernel import atom_contribution
 from repro.apps.cutcp.sweeps import run_sweeps
 from repro.bench.calibrate import costs_for
 from repro.cluster.machine import MachineSpec
+from repro.core.meter import metered
 
 MACHINE = MachineSpec(nodes=4, cores_per_node=4)
 
@@ -70,6 +72,47 @@ class TestKernel:
                 atom, problem.grid_dim, problem.spacing, problem.cutoff
             )
             assert np.all(flat >= 0) and np.all(flat < problem.grid_size)
+
+
+def _seeded_case(seed):
+    """A grid, spacing, cutoff and 0-199 atoms, some off the grid (their
+    box is empty or clipped) and some exactly on grid points (r == 0)."""
+    rng = np.random.default_rng(seed)
+    grid = tuple(int(n) for n in rng.integers(1, 20, size=3))
+    spacing = float(rng.uniform(0.5, 1.3))
+    cutoff = float(rng.uniform(0.3, 4.0))
+    na = int(rng.integers(0, 200))
+    extent = spacing * (np.array(grid) - 1)
+    pos = rng.uniform(-cutoff - 1.0, extent + cutoff + 1.0, size=(na, 3))
+    on_grid = rng.random(na) < 0.2
+    pos[on_grid] = spacing * np.round(pos[on_grid] / spacing)
+    atoms = np.column_stack([pos, rng.standard_normal(na)])
+    return atoms, grid, spacing, cutoff
+
+
+class TestBulkForm:
+    """``atoms_contribution_bulk`` against its definition, one
+    ``atom_contribution`` call per atom: indices, floats, segment lengths
+    and visits equal byte for byte, whatever the block size."""
+
+    @pytest.mark.parametrize("budget", [1 << 22, 5000, 200])
+    def test_seeded_parity_sweep(self, monkeypatch, budget):
+        monkeypatch.setattr(kernel, "_BULK_BUDGET", budget)
+        for seed in range(40):
+            atoms, grid, spacing, cutoff = _seeded_case(seed)
+            with metered() as bulk_meter:
+                (flat, s), lengths = kernel.atoms_contribution_bulk(
+                    atoms, grid, spacing, cutoff)
+            with metered() as ref_meter:
+                ref = [atom_contribution(a, grid, spacing, cutoff) for a in atoms]
+            ref_flat = np.concatenate([f for f, _ in ref] or [flat[:0]])
+            ref_s = np.concatenate([v for _, v in ref] or [s[:0]])
+            case = (seed, grid, spacing, cutoff, len(atoms))
+            assert flat.dtype == ref_flat.dtype == np.int64, case
+            assert flat.tobytes() == ref_flat.tobytes(), case
+            assert s.tobytes() == ref_s.tobytes(), case
+            assert lengths.tolist() == [len(f) for f, _ in ref], case
+            assert bulk_meter == ref_meter, case
 
 
 class TestFrameworks:

@@ -7,6 +7,9 @@ is bound (no bulk plan: one Python call per element, GIL held), and for
 nothing else.  Values and the virtual timeline cannot tell the two
 schedulings apart -- ``test_transport_conformance.py`` holds that half.
 """
+import contextlib
+import errno
+import os
 import threading
 
 import numpy as np
@@ -14,7 +17,8 @@ import pytest
 
 import repro.triolet as tri
 from repro.apps import jacobi
-from repro.cluster import MachineSpec, run_spmd
+from repro.cluster import MachineSpec, run_spmd, transport
+from repro.cluster.transport import SimTransport
 from repro.core.engine import register_bulk, use_vectorization
 from repro.runtime import triolet_runtime
 from repro.serial import closure, register_function
@@ -128,6 +132,156 @@ class TestOneRankAtATime:
         with pytest.raises(ValueError, match="exploded"):
             run_spmd(MACHINE, rank_fn, nranks=3, real_timeout=20.0,
                      run_to_block=True)
+
+
+# -- where: a baton run lives on its launcher's CPU ----------------------------
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")
+
+_current_cpu = SimTransport._cpu
+
+
+def _mask():
+    return os.sched_getaffinity(0)
+
+
+def _crew_masks() -> list:
+    """The masks of this process's live ``sim`` rank threads (one that
+    ends while it is being read has none)."""
+    masks = []
+    for t in threading.enumerate():
+        if t.name.startswith("sim-rank-"):
+            with contextlib.suppress(ProcessLookupError):
+                masks.append(os.sched_getaffinity(t.native_id))
+    return masks
+
+
+def _ring(comm):
+    """Where the body ran, and a value and clocks that depend on the
+    messages: hand-overs at every receive."""
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    where = (_mask(), _current_cpu())
+    comm.send(comm.rank, right, tag=1)
+    got = comm.recv(left, tag=1)
+    return where, got + comm.allreduce(comm.rank, op=lambda a, b: a + b)
+
+
+@pytest.fixture
+def cpu_reads(monkeypatch):
+    """The CPU each ``SimTransport._cpu`` call read, in order."""
+    seen = []
+
+    def spy():
+        seen.append(_current_cpu())
+        return seen[-1]
+
+    monkeypatch.setattr(SimTransport, "_cpu", staticmethod(spy))
+    return seen
+
+
+@needs_affinity
+class TestABatonRunLivesOnOneCPU:
+    """The ranks of a ``run_to_block`` run hand one baton around; each
+    body runs pinned to the CPU the launcher was on as the run started,
+    and every thread is put back on its own mask afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def _everyone_back_home(self):
+        home = _mask()
+        yield
+        assert _mask() == home
+        assert all(m == home for m in _crew_masks()), _crew_masks()
+
+    @pytest.mark.parametrize("nranks", [2, 3, 4])
+    def test_every_body_is_pinned_to_the_launchers_cpu(self, cpu_reads, nranks):
+        res = run_spmd(MACHINE, _ring, nranks=nranks, run_to_block=True)
+        (cpu,) = cpu_reads  # read once, by the launcher
+        assert [where for where, _ in res.results] == [({cpu}, cpu)] * nranks
+
+    def test_free_and_one_rank_runs_keep_the_launchers_mask(self, cpu_reads):
+        home = _mask()
+        free = run_spmd(MACHINE, _ring, nranks=3)
+        one = run_spmd(MACHINE, _ring, nranks=1, run_to_block=True)
+        assert [where[0] for where, _ in free.results + one.results] == [home] * 4
+        assert cpu_reads == []
+
+    @pytest.mark.parametrize("raising", [0, 1])
+    def test_a_raising_rank_leaves_no_thread_pinned(self, raising):
+        def rank_fn(comm):
+            if comm.rank == raising:
+                raise ValueError("exploded")
+            comm.recv(raising, tag=1)  # never sent: aborts
+
+        with pytest.raises(ValueError, match="exploded"):
+            run_spmd(MACHINE, rank_fn, nranks=3, real_timeout=20.0,
+                     run_to_block=True)
+
+    def test_a_free_run_inside_a_baton_body(self):
+        """The nested launcher stays pinned for its body; its crew -- idle
+        or hired right then -- runs on the mask the launcher has outside
+        the baton run."""
+        home = _mask()
+
+        def outer(comm):
+            pinned = _mask()
+            inner = run_spmd(MACHINE, lambda c: _mask(), nranks=4).results
+            return pinned, inner, _mask()
+
+        res = run_spmd(MACHINE, outer, nranks=2, run_to_block=True)
+        for pinned, inner, after in res.results:
+            assert len(pinned) == 1 and after == pinned
+            assert inner == [pinned, home, home, home]
+
+    def test_a_launcher_restricted_to_one_cpu_pins_there(self, sim_crew):
+        """On a CPU other than 0, from a thread of its own (whose crew is
+        born restricted and goes with it)."""
+        target = max(_mask())
+        if target == 0:
+            pytest.skip("needs a second CPU")
+        others = len(sim_crew.names())
+        out = {}
+
+        def launcher():
+            os.sched_setaffinity(0, {target})
+            res = run_spmd(MACHINE, _ring, nranks=3, run_to_block=True)
+            out["where"] = [where for where, _ in res.results]
+            out["after"] = _mask()
+
+        t = threading.Thread(target=launcher)
+        t.start()
+        t.join(timeout=30.0)
+        assert not t.is_alive()
+        assert out == {"where": [({target}, target)] * 3, "after": {target}}
+        assert sim_crew.settles(others)  # its restricted crew is gone
+
+
+@needs_affinity
+class TestUnpinnedFallback:
+    """Where a thread cannot be pinned the run goes on as it is, with the
+    values and clocks of a pinned one."""
+
+    @pytest.mark.parametrize("cannot", ["missing", "refused", "unread"])
+    def test_the_run_completes_unpinned(self, monkeypatch, cannot):
+        home = _mask()
+        expected = run_spmd(MACHINE, _ring, nranks=3, run_to_block=True)
+
+        def refuse(pid, mask):
+            raise OSError(errno.EPERM, "refused")
+
+        def unreadable(*args, **kw):
+            raise FileNotFoundError(errno.ENOENT, "no /proc here")
+
+        if cannot == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        elif cannot == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        else:
+            monkeypatch.setattr(transport, "open", unreadable, raising=False)
+        res = run_spmd(MACHINE, _ring, nranks=3, run_to_block=True)
+        assert [v for _, v in res.results] == [v for _, v in expected.results]
+        assert res.final_clocks == expected.final_clocks
+        assert [where[0] for where, _ in res.results] == [home] * 3
 
 
 # -- who decides: the section engine, from the fact behind loop="bound" -----

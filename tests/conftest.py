@@ -1,10 +1,14 @@
 """Suite-wide configuration."""
+import os
 import sys
 import threading
 import time
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+#: The CPU mask the session started on (``None`` where there is no call).
+_SESSION_MASK = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
 
 # Property tests drive real (simulated-cluster) executions whose wall
 # time varies with machine load; disable the per-example deadline so the
@@ -39,6 +43,21 @@ def _fresh_engine_state():
     reset_planner()
     serial.reset()
     force_disable()
+
+
+@pytest.fixture(autouse=True)
+def _no_pin_escapes():
+    """A test leaves the main thread on the CPU mask the session started
+    on: a pin that escapes a run fails the test that leaked it, not a
+    later one that happens to run pinned."""
+    yield
+    if _SESSION_MASK is not None:
+        mask = os.sched_getaffinity(0)
+        if mask != _SESSION_MASK:  # the next test starts where it should
+            os.sched_setaffinity(0, _SESSION_MASK)
+        assert mask == _SESSION_MASK, (
+            f"the main thread was left on CPUs {sorted(mask)}, "
+            f"not {sorted(_SESSION_MASK)}")
 
 
 class SimCrew:

@@ -153,7 +153,8 @@ def test_local_has_one_fork_site_one_child_main_loop_and_no_setting():
     assert [a.arg for a in methods["execute"].args.args] == [
         "self", "ctx", "rank_fn", "args"]
     assert "environ" not in source and "getenv" not in source
-    knobs = {"persistent", "pool", "pool_size", "crew", "idle_timeout", "keep"}
+    knobs = {"persistent", "pool", "pool_size", "crew", "idle_timeout", "keep",
+             "pin", "affinity", "cpu", "cpus"}
     assert not knobs & set(inspect.signature(run_spmd).parameters)
     assert not knobs & {f.name for f in dataclasses.fields(MachineSpec)}
     reset = inspect.getsource(reset_run_state)
@@ -188,3 +189,26 @@ def test_the_rank_baton_is_sims_alone_and_the_runtime_takes_no_lock():
             and _called_name(n) in ("Lock", "RLock", "acquire", "release")
         ]
         assert not taken, taken
+
+
+def test_cpu_placement_is_sims_alone_and_the_runtime_places_nothing():
+    """Where a baton run's threads execute is ``SimTransport``'s business,
+    as the baton is: every ``sched_*affinity`` call in ``src/`` sits inside
+    that class, and ``runtime/`` neither calls nor names one."""
+    src = RUNTIME.parent
+    inside, outside = [], []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        sim = {
+            id(node) for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "SimTransport"
+            for node in ast.walk(cls)
+        } if path == src / "cluster" / "transport.py" else set()
+        for n in ast.walk(tree):
+            name = _called_name(n) if isinstance(n, ast.Call) else None
+            if name and name.startswith("sched_") and name.endswith("affinity"):
+                site = f"{path.relative_to(src)}:{n.lineno}"
+                (inside if id(n) in sim else outside).append(site)
+    assert inside and not outside, outside
+    for path in sorted(RUNTIME.rglob("*.py")):
+        assert "affinity" not in path.read_text(), path.name
