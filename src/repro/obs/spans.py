@@ -160,6 +160,14 @@ class Span:
         }
 
 
+def span_row(kind: str, name: str, t0: float, **attrs) -> dict:
+    """A driver-lane span in :meth:`Span.as_dict` form, built before any
+    recorder registers it (:meth:`Recorder.absorb_spans` does, later):
+    its end, ``sid`` and ``parent`` are the caller's to fill in."""
+    return {"kind": kind, "name": name, "rank": DRIVER_LANE, "t0": t0,
+            "t1": t0, "attrs": attrs}
+
+
 class Recorder:
     """One run's span tree, absorbed comm events and metrics registry.
 

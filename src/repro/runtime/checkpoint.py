@@ -4,11 +4,12 @@ Lineage replay (:mod:`repro.data.lineage`) recovers *data-plane shards*;
 checkpoints recover *section outputs*: the value a distributed section
 reduced or gathered back to the main rank.  A
 :class:`CheckpointPolicy` decides which section outputs are worth
-persisting; the driver serializes the output through the real wire
-format (:func:`repro.serial.serialize`, so a restore is bit-identical by
-construction), stores the blob in a :class:`CheckpointStore` keyed by
-``(job, section sequence)``, and charges the write to the virtual clock
-with a per-rank parallel bandwidth model -- durability is never free.
+persisting; :meth:`CheckpointConfig.write` serializes the output through
+the real wire format (:func:`repro.serial.serialize`, so a restore is
+bit-identical by construction), stores the blob in a
+:class:`CheckpointStore` keyed by ``(job, section sequence)``, and prices
+the write for the virtual clock with a per-rank parallel bandwidth model
+-- durability is never free.
 
 Driver-level recovery is restart-from-last-checkpoint: re-run the job
 with the same store and every already-checkpointed section returns its
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster.faults import RankFailure
+from repro.obs.spans import active as _obs_active
 from repro.runtime.recovery import JobFailure
 from repro.serial import SerializationError, deserialize, serialize
 
@@ -150,6 +152,33 @@ class CheckpointConfig:
     store: CheckpointStore
     policy: CheckpointPolicy = field(default_factory=CheckpointPolicy)
     job: str = "job"
+
+    def write(self, seq: int, value: Any, writers: int) -> tuple[int, float]:
+        """Persist section *seq*'s output if the policy admits it: the
+        bytes written and the virtual seconds that takes, *writers* ranks
+        writing their shares in parallel (``(0, 0.0)``: skipped)."""
+        nbytes = self.store.maybe_put(self.job, seq, value, self.policy)
+        if nbytes is None:
+            return 0, 0.0
+        return nbytes, self._stamp("write", seq, nbytes,
+                                   self.policy.write_seconds(nbytes, writers))
+
+    def read(self, seq: int, readers: int) -> tuple[Any, int, float] | None:
+        """Section *seq*'s stored output, its bytes and the virtual seconds
+        *readers* ranks take to read it back; ``None``: nothing stored."""
+        hit = self.store.fetch(self.job, seq)
+        if hit is None:
+            return None
+        value, nbytes = hit
+        return value, nbytes, self._stamp(
+            "restore", seq, nbytes, self.policy.read_seconds(nbytes, readers))
+
+    def _stamp(self, op: str, seq: int, nbytes: int, seconds: float) -> float:
+        obs = _obs_active()
+        if obs is not None:
+            obs.instant("checkpoint", f"{op} s{seq}", attrs={
+                "bytes": nbytes, "seconds": seconds, "job": self.job, "seq": seq})
+        return seconds
 
 
 def run_restartable(

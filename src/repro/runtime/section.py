@@ -7,8 +7,10 @@ sections share -- rank-count arithmetic over the surviving machine, the
 section sequence number and fault gating, checkpoint restore and write,
 the SPMD run, failure classification, job-budget charging,
 shrink-vs-invalidate, lost-time accounting, process-isolation
-bookkeeping, the :class:`~repro.runtime.recovery.RecoveryReport`, the
-:class:`SectionRecord`, span attributes and the observer payload.
+bookkeeping, and the one :class:`SectionOutcome` a section ends with --
+of which the :class:`SectionRecord`, the span attributes, the observer
+payload and the :class:`~repro.runtime.recovery.RecoveryReport` delta
+are projections.
 
 A section *kind* (:class:`SectionKind`) supplies only what differs: how
 to partition, what to ship, what a rank computes and how the gathered
@@ -20,7 +22,8 @@ from __future__ import annotations
 import contextvars
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Callable
 
 from repro.cluster.comm import Comm
@@ -41,6 +44,7 @@ from repro.obs.spans import (
     obs_span as _obs_span,
     resumed as obs_resumed,
     snapshot as obs_snapshot,
+    span_row,
 )
 from repro.runtime.recovery import (
     BudgetExhausted,
@@ -65,18 +69,14 @@ _SECTION_OBSERVERS: list = []
 
 def add_section_observer(fn) -> None:
     """Register *fn* to be called with a payload dict after every
-    distributed section.  Payload keys: ``runtime``, ``record``,
-    ``iterator``, ``partition``, ``bounds``, ``nchunks``, ``ship``,
-    ``spec`` (``None`` for stencil sweeps), ``attempts``, ``dead_ranks``,
-    ``survivors``, ``rank_losses``, ``salvaged``; stencil sweeps add
-    ``halo`` (``aid``, ``radius``, ``row_nbytes``, ``extent``,
-    ``iterations``).
-
-    ``bounds`` are the blocks the *final* attempt computed on its
-    ``nchunks`` ranks and ``salvaged`` the ``(rank, block)`` pairs of the
-    partials that attempt's ranks kept from failed ones (empty for a
-    fault-free or fully re-executed section), all in the coordinates of
-    the section's own domain: together they cover it exactly once."""
+    distributed section some rank computed (a section restored from a
+    checkpoint fires none).  Payload keys: ``runtime``, ``record`` (the
+    :class:`SectionRecord`), the :class:`SectionOutcome` fields named in
+    :data:`OBSERVED` -- see that class for what each means -- and the
+    kind's ``observe`` extras: ``iterator`` and ``spec`` (``None`` for
+    stencil sweeps); stencil sweeps add ``halo`` (``aid``, ``radius``,
+    ``row_nbytes``, ``extent``, ``iterations``).  A new fact about a
+    section is added to :class:`SectionOutcome` and nowhere else."""
     _SECTION_OBSERVERS.append(fn)
 
 
@@ -97,28 +97,64 @@ def observing_sections(fn):
         remove_section_observer(fn)
 
 
-@dataclass
-class SectionRecord:
-    """One parallel section's ledger."""
+def _fact(span: str | None = None, payload: bool | str = False, **default):
+    """A :class:`SectionOutcome` field a projection reads.  *span*: when the
+    section span shows it (a sequence as its length) -- ``"always"``,
+    ``"ran"`` (ranks computed the section), ``"retried"``, ``"wall"`` (on a
+    wall-clock transport) or ``"set"`` (non-zero); *payload*: observers get
+    it, under this key if one is given."""
+    return field(metadata={"span": span, "payload": payload}, **default)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SectionOutcome:
+    """One section's ledger entry (``rt.sections``): for a distributed
+    section, what the engine learned, built once when the attempt loop
+    ends or the checkpoint is read back.  Its :class:`RecoveryReport` delta
+    (:attr:`recovery`), span attributes and observer payload are
+    projections of it: a new fact about a section is added here and
+    nowhere else.  Sequential and ``localpar`` sections fill in the ledger
+    fields alone."""
 
     label: str
-    kind: str  # "reduce" | "build" | "stencil" | "seq"
-    hint: str
-    nodes: int
+    kind: str = _fact("always")  # "reduce" | "build" | "stencil" | "seq"
+    hint: str = "par"
+    partition: str = _fact("always", payload=True)
+    restored: bool = _fact("set", default=False)  # from a checkpoint
+    nodes: int = _fact("ran", payload="nchunks")  # the final attempt's ranks
     cores: int
-    partition: str
-    makespan: float
-    bytes_shipped: int = 0
+    attempts: int = _fact("ran", payload=True, default=0)
+    dead_ranks: int = _fact("ran", payload=True, default=0)
+    makespan: float = _fact("always")  # failed attempts, checkpoint included
+    bytes_shipped: int = _fact("ran", default=0)
+    wall_seconds: float = _fact("wall", default=0.0)  # real, the final run's
+    launch_s: float = _fact("wall", default=0.0)
+    root_s: float = _fact("wall", default=0.0)
+    join_s: float = _fact("wall", default=0.0)
+    transport: str | None = _fact("wall", default=None)
+    #: ``(rank, block)`` of the partials the final attempt's ranks kept from
+    #: failed ones; with ``bounds``, the blocks it computed, they cover the
+    #: section's domain exactly once
+    salvaged: list = _fact("retried", payload=True, default=())
+    rank_losses: int = _fact("set", payload=True, default=0)  # absorbed
+    checkpoint_bytes: int = _fact("set", default=0)  # written
+    bounds: list = _fact(payload=True, default=())
+    survivors: int = _fact(payload=True, default=0)  # ranks the machine has
+    ship: SectionShipment | None = _fact(payload=True, default=None,
+                                         repr=False, compare=False)
     messages: int = 0
     metrics: RunMetrics | None = None
     visits: int = 0
     gc_time: float = 0.0
-    recovery: "RecoveryReport | None" = None  # fault/recovery accounting
     plan: str | None = None  # compiled bulk-execution plan, if vectorized
     data_plane: dict | None = None  # shipping stats when handles were used
-    #: real elapsed seconds of the section's SPMD run; nonzero only on
-    #: transports with wall-clock parallelism (sim stays byte-identical)
-    wall_seconds: float = 0.0
+    runs: tuple = ()  # every attempt's run-level fault counters
+    reexecuted_chunks: int = 0
+    reshipped_bytes: int = 0
+    added_time: float = 0.0  # failed attempts and backoff, virtual seconds
+    shrunk: bool = False  # survivors absorbed lost ranks' partitions
+    checkpoint_seconds: float = 0.0  # the durable write or read
+    restored_bytes: int = 0
 
     @property
     def vectorized(self) -> bool:
@@ -135,6 +171,58 @@ class SectionRecord:
             raise ValueError("utilization needs a distributed section's metrics")
         busy = sum(m.compute_time for m in self.metrics.per_rank)
         return busy / (self.nodes * self.makespan)
+
+    @cached_property
+    def recovery(self) -> RecoveryReport | None:
+        """The section's delta to the job's :class:`RecoveryReport`: ``None``
+        when nothing was installed (so no retry) and nothing happened."""
+        if not (self.runs or self.checkpoint_bytes or self.restored):
+            return None
+        stats = self.data_plane or {}
+        # the final attempt's migrations absorb the lost ranks' partitions
+        shrink = stats if self.shrunk else {}
+        rep = RecoveryReport(
+            attempts=0, reexecuted_chunks=self.reexecuted_chunks,
+            salvaged_chunks=len(self.salvaged), added_time=self.added_time,
+            reshipped_bytes=self.reshipped_bytes, rank_losses=self.rank_losses,
+            lineage_replays=stats.get("lineage_replays", 0),
+            replayed_bytes=stats.get("replayed_bytes", 0),
+            shrink_migrations=shrink.get("migrations", 0),
+            shrink_migrated_bytes=shrink.get("migrated_bytes", 0),
+            checkpoints=int(self.checkpoint_bytes > 0),
+            checkpoint_bytes=self.checkpoint_bytes, restores=int(self.restored),
+            restored_bytes=self.restored_bytes,
+            checkpoint_time=self.checkpoint_seconds,
+        )
+        for run in self.runs:
+            rep.merge(run)
+        return rep
+
+    def span_attrs(self) -> dict:
+        """The section span's attributes (the kind adds its own)."""
+        shown = {"always": True, "ran": not self.restored,
+                 "retried": self.attempts > 1, "wall": self.transport is not None}
+        attrs = {}
+        for f in fields(self):
+            when, v = f.metadata.get("span"), getattr(self, f.name)
+            if when is not None and shown.get(when, bool(v)):
+                attrs[f.name] = len(v) if isinstance(v, (list, tuple)) else v
+        return attrs
+
+    def payload(self, rt, extra: dict) -> dict:
+        """What section observers are handed (*extra*: the kind's)."""
+        return {"runtime": rt, "record": self,
+                **{key: getattr(self, name) for key, name in OBSERVED.items()},
+                **extra}
+
+
+SectionRecord = SectionOutcome  # the ledger's name for it
+
+#: What observers get of a :class:`SectionOutcome`: payload key -> field.
+OBSERVED = {
+    key if isinstance(key, str) else f.name: f.name
+    for f in fields(SectionOutcome) if (key := f.metadata.get("payload"))
+}
 
 
 @dataclass
@@ -217,13 +305,6 @@ ISOLATED = "repro.isolated_rank"
 #: carries a ``FaultPlan`` only, so no fault-free outcome frame grows by a
 #: byte.  The engine takes them off again at the end of every attempt.
 FINISHED = "repro.finished_partials"
-
-
-def _step(kind: str, name: str, t0: float, **attrs) -> dict:
-    """One row of a section's attempt log, in ``Recorder.absorb_spans``
-    form (*t0*: virtual seconds into the section)."""
-    return {"kind": kind, "name": name, "rank": -1, "t0": t0, "t1": t0,
-            "attrs": attrs}
 
 
 def _close(step: dict, t1: float, outcome: str) -> None:
@@ -372,218 +453,123 @@ def run_section(rt, kind: SectionKind) -> Any:
     section's makespan and reported.
     """
     with _obs_span("section", kind.label, clock=rt.clock) as osp:
-        out = _run(rt, kind, osp)
+        value, out = _run(rt, kind, osp)
+        # Computed or restored, every section ends here.
+        rt.clock.advance(out.makespan)
+        if out.recovery is not None:
+            rt.recovery_report.merge(out.recovery)
+        rt.sections.append(out)
+        osp.set(**out.span_attrs(),
+                **({} if out.restored else kind.span_attrs(out.ship, out.plan)))
+        if _SECTION_OBSERVERS and not out.restored:  # restored: no blocks
+            payload = out.payload(rt, kind.observe)
+            for fn in list(_SECTION_OBSERVERS):
+                fn(payload)
+        if rt.budget is not None:
+            # after the ledger entry: a killed job still accounts consistently
+            try:
+                rt.budget.check_deadline(rt.clock.now)
+            except BudgetExhausted:
+                rt.recovery_report.failure = "budget"
+                raise
     rt._obs_section()
-    return out
+    return value
 
 
-def _run(rt, kind: SectionKind, osp) -> Any:
-    """The attempt loop (*osp* is the enclosing section span)."""
+@dataclass
+class _Loop:
+    """What the attempt loop knows so far; :func:`_recover` updates it."""
+
+    kind: SectionKind
+    osp: Any  # the section span
+    nranks: int  # ranks the section may use, before its own failures
+    attempt: int = 0  # the running attempt's number, from 0
+    dead: int = 0  # ranks its failed attempts lost
+    losses: int = 0  # of those, the permanent losses absorbed
+    shrunk: bool = False  # survivors absorb lost ranks' shards by migration
+    lost_time: float = 0.0  # failed attempts and backoff, virtual seconds
+    runs: list = field(default_factory=list)  # run-level fault counters
+    steps: list = field(default_factory=list)  # under a recorder: the log
+
+
+def _run(rt, kind: SectionKind, osp) -> tuple[Any, SectionOutcome]:
+    """The attempt loop, in section span *osp*: the value and outcome."""
     obs = _obs_active()
     machine = rt.machine
     # Flat topology: one rank per core, no shared-memory level.
-    flat = rt.topology == "flat"
-    nranks_max = max(
-        1,
-        (machine.nodes * machine.cores_per_node if flat else machine.nodes)
-        - rt.lost_ranks,
-    )
-    cores = 1 if flat else machine.cores_per_node
+    cores = 1 if rt.topology == "flat" else machine.cores_per_node
+    per_node = machine.cores_per_node // cores  # ranks
+    nranks_max = max(1, machine.nodes * per_node - rt.lost_ranks)
     seq = rt._dist_seq
     rt._dist_seq += 1
     if rt.faults is not None:
-        # Section-gated faults (RankLoss(section=...)) key on program
-        # order, not virtual time, because every section's clocks
-        # restart at zero.
+        # Section-gated faults (RankLoss(section=...)) key on program order,
+        # not virtual time: every section's clocks restart at zero.
         rt.faults.begin_section(seq)
     ck = rt.checkpoint
-    if ck is not None:
-        hit = ck.store.fetch(ck.job, seq)
-        if hit is not None:
-            # Restart-from-last-checkpoint: this section's output is
-            # already durable; restore it instead of executing.
-            return _restore(rt, kind, osp, seq, hit, nranks_max)
+    hit = ck.read(seq, readers=nranks_max) if ck is not None else None
+    if hit is not None:
+        # Restart-from-last-checkpoint: the output round-tripped through the
+        # wire format (bit-identical); only reading it back costs time.
+        value, nbytes, dt = hit
+        return kind.commit(value, None), SectionOutcome(
+            label=f"{kind.label}-restore", kind=kind.kind,
+            partition="checkpoint", restored=True, nodes=1, cores=1,
+            makespan=dt, checkpoint_seconds=dt, restored_bytes=nbytes,
+        )
 
-    rec = rt.recovery
     plan = kind.prepare()
-
-    attempt = 0
-    dead = 0
-    lost_time = 0.0
-    reexecuted = 0
-    reshipped = 0
-    losses = 0  # permanent rank losses absorbed in this section
-    absorb = False  # shrink happened: survivors absorb via migration
-    section_report = RecoveryReport(attempts=0)
-    steps: list[dict] = []  # under a recorder: attempts and recovery acts
+    state = _Loop(kind, osp, nranks_max)
+    reexecuted = reshipped = 0
     parts = kind.partition(nranks_max)
     while True:
+        retry = state.attempt > 0
         nparts = len(parts.work)
-        if attempt > 0:
+        if retry:
             reexecuted += len(parts.bounds)
-        # After an elastic shrink, ``absorb`` routes the survivors' grown
-        # requirements through the weighted-bounds migration path (hulls
-        # grow to the new blocks, only missing rows ship).
-        ship = kind.plan_ship(parts, parts.rebalanced or absorb, attempt > 0)
-        if ship is not None and attempt > 0:
+        # After an elastic shrink the survivors' grown requirements take
+        # the weighted-bounds migration path (hulls grow to the new
+        # blocks, only missing rows ship).
+        ship = kind.plan_ship(parts, parts.rebalanced or state.shrunk, retry)
+        if ship is not None and retry:
             # Bytes shipped again because a crash invalidated placement:
             # recovery traffic, not steady-state traffic.
             reshipped += ship.stats["input_bytes"]
         if obs is not None:
-            steps.append(_step(
-                "attempt", f"attempt {attempt + 1}", lost_time,
+            state.steps.append(span_row(
+                "attempt", f"attempt {state.attempt + 1}", state.lost_time,
                 nranks=nparts, blocks=len(parts.bounds),
-                salvaged=len(parts.salvaged),
-                wall_ns0=time.perf_counter_ns(),
-            ))
+                salvaged=len(parts.salvaged), wall_ns0=time.perf_counter_ns()))
         try:
             # A later attempt's rank clocks restart at zero: under a
             # recorder its spans and events start where it does.
-            with (obs.later(lost_time) if obs is not None and attempt
+            with (obs.later(state.lost_time) if obs is not None and retry
                   else _NULL_SPAN):
                 res = run_spmd(
-                    machine,
-                    RankProgram(rt, kind, parts, ship),
-                    nranks=nparts,
-                    ranks_per_node=machine.cores_per_node if flat else 1,
-                    limits=rt.limits,
-                    alloc_cost=rt.alloc,
-                    wire_scale=rt.costs.wire_scale,
-                    faults=rt.faults,
-                    recovery=rec,
-                    trace=obs is not None,
-                    transport=rt.transport,
-                    run_to_block=kind.run_to_block(plan),
-                )
+                    machine, RankProgram(rt, kind, parts, ship), nranks=nparts,
+                    ranks_per_node=per_node, limits=rt.limits,
+                    alloc_cost=rt.alloc, wire_scale=rt.costs.wire_scale,
+                    faults=rt.faults, recovery=rt.recovery,
+                    trace=obs is not None, transport=rt.transport,
+                    run_to_block=kind.run_to_block(plan))
             if obs is not None and res.trace is not None:
-                obs.absorb_events(res.trace.events, osp, lost_time)
+                obs.absorb_events(res.trace.events, osp, state.lost_time)
             break
         except BaseException as exc:
-            infos = getattr(exc, "rank_failures", None)
-            crash_trace = getattr(exc, "trace_log", None)
-            if obs is not None and crash_trace is not None:
-                # The failed attempt's messages and fault stamps stay
-                # visible in the trace, tied to the same section.
-                obs.absorb_events(crash_trace.events, osp, lost_time)
-            # A crashed attempt's completed-task tallies are real work;
-            # ranks in the launcher merged as they ran, the others left
-            # partial extras the transport saved on the exception.
-            extras = getattr(exc, "rank_extras", None) or ()
-            rt._merge_rank_extras(extras)
-            # Take what the ranks finished off the exception and leave
-            # nothing else on it, whatever happens next: it sits on a
-            # reference cycle (its ``rank_failures`` point back at it),
-            # and what hangs there lives until a full collection.
-            finished = [ext.pop(FINISHED, ()) for ext in extras]
-            for ext in extras:
-                ext.clear()
-            rank_failed = infos is not None and all(
-                isinstance(i.error, RankFailure) for i in infos
-            )
-            permanent = [
-                i for i in (infos or ()) if getattr(i.error, "permanent", False)
-            ]
-            recoverable = (
-                rec is not None
-                and rank_failed
-                and attempt < rec.max_reexecutions
-                and nparts - len(infos) >= 1
-            )
-            if recoverable and rt.budget is not None:
-                # Job-level budget: charged per recovery act, across
-                # sections.  Exhaustion beats further recovery.
-                try:
-                    rt.budget.charge_reexecution()
-                    if permanent:
-                        rt.budget.charge_rank_losses(len(permanent))
-                except BudgetExhausted as bex:
-                    rt.recovery_report.failure = "budget"
-                    raise bex from exc
-            if not recoverable:
-                rt.recovery_report.failure = classify_failure(exc)
-                if rank_failed and permanent:
-                    # An unabsorbable permanent loss is a structured
-                    # job failure, not a substrate error.
-                    raise PermanentFault(str(exc)) from exc
-                raise
-            partial = getattr(exc, "recovery_report", None)
-            if partial is not None:
-                partial.attempts = 1
-                section_report.merge(partial)
-            # The ranks that did not fail ran their instruction streams
-            # to the end (see ``ChannelTable``): each keeps what it held
-            # and what it finished, under its new rank number.  A failed
-            # rank's partials are gone, whatever it published before it
-            # died -- the next attempt computes those blocks again.
-            failed = {i.rank for i in infos}
-            held, kept = [], False
-            for r, new in enumerate(finished):
-                if r not in failed:
-                    old = parts.held[r] if parts.held else []
-                    held.append(old + list(new))
-                    kept = kept or bool(new)
-            # An attempt whose work is kept lasted until its last rank
-            # stopped; one that leaves nothing behind is over, for every
-            # rank, the moment it fails.
-            ended = (
-                max(exc.final_clocks) if kept
-                else max(i.vtime for i in infos)
-            )
-            if permanent:
-                # The machine shrank for good: later sections partition
-                # over the survivors only.
-                rt.lost_ranks += len(permanent)
-                losses += len(permanent)
-            act = None
-            if rt.plane.has_state():
-                if permanent and rec.lineage_recovery:
-                    # Elastic shrink: survivors keep their shards under
-                    # renumbered ranks; only the dead ranks' intervals
-                    # are marked for lineage replay and the next attempt
-                    # re-ships just those rows.
-                    act = "shrink", rt.plane.shrink(sorted(failed))
-                    absorb = True
-                else:
-                    # Transient crash (the rank heals): every resident
-                    # shard and cached slice is suspect (the re-partition
-                    # also renumbers ranks), so the data plane forgets
-                    # all placement.  The next attempt -- and later
-                    # sections -- re-materialize from the master copy
-                    # (which commits only completed sections, so a retry
-                    # reads exactly what the dead attempt read), and
-                    # those bytes are attributed to recovery.
-                    act = "invalidate", rt.plane.invalidate()
-            if steps:
-                _close(steps[-1], lost_time + ended, "failed")
-                if act is not None:
-                    steps.append(_step("recover", act[0], lost_time + ended,
-                                       **act[1]))
-            lost_time += ended + rec.backoff(attempt)
-            dead += len(infos)
-            attempt += 1
-            # Exactly the blocks nobody holds, over the survivors; with
-            # nothing held that is the whole section again.
-            parts = (
-                kind.residual(held, nranks_max - dead)
-                if kind.residual is not None
-                else kind.partition(nranks_max - dead)
-            )
-            # Recovered from: nobody will print this traceback, and it
-            # pins every frame the failure passed through -- this one
-            # included, with the partials in its locals.
-            exc.__traceback__ = None
+            parts = _recover(rt, exc, parts, state)
 
     # Section-boundary merge of what ranks outside the launcher published
     # (ranks on its heap merged directly as they ran and published nothing).
     rt._merge_rank_extras(res.extras)
     for ext in res.extras:
         ext.pop(FINISHED, None)  # the section is complete: nothing to keep
-    if attempt and steps:
-        _close(steps[-1], lost_time + res.makespan, "ok")
-        for i, st in enumerate(steps):
+    if retry and state.steps:
+        _close(state.steps[-1], state.lost_time + res.makespan, "ok")
+        for i, st in enumerate(state.steps):
             st.update(sid=-1 - i, parent=osp.sid, t0=st["t0"] + osp.t0,
                       t1=st["t1"] + osp.t0)
-        obs.absorb_spans(steps)
+        obs.absorb_spans(state.steps)
+    m = res.metrics
     if ship is not None:
         # Mirror their shipping ops into the driver-side rank stores too:
         # a rank in another process applied them to its own copy, and the
@@ -592,168 +578,142 @@ def _run(rt, kind: SectionKind, osp) -> Any:
         for dst, ops in enumerate(ship.ops):
             if ops and ISOLATED in res.extras[dst]:
                 rt.plane.worker_store(dst).apply(ops)
-    value = kind.commit(res.root_result, parts)
-
-    makespan = lost_time + res.makespan
-    # Section checkpointing: persist the output into the simulated
-    # durable store, charging the write to the section's makespan
-    # (ranks write their shares in parallel; durability is not free).
-    ckpt_bytes = 0
-    ckpt_dt = 0.0
-    if ck is not None:
-        nbytes = ck.store.maybe_put(ck.job, seq, res.root_result, ck.policy)
-        if nbytes is not None:
-            ckpt_bytes = nbytes
-            ckpt_dt = ck.policy.write_seconds(nbytes, writers=nparts)
-            makespan += ckpt_dt
-            if obs is not None:
-                obs.instant(
-                    "checkpoint", f"write s{seq}",
-                    attrs={"bytes": nbytes, "seconds": ckpt_dt,
-                           "job": ck.job, "seq": seq},
-                )
-    # The section starts when the main rank reaches it.
-    rt.clock.advance(makespan)
-    if ship is not None:
         # Section lineage: which handles fed this section (the replay
         # chain for shards lost to a later permanent rank loss).
         rt.plane.record_section(seq, plan, ship.reqs)
-    if res.recovery is None and not attempt and not ckpt_bytes:
-        section_report = None  # nothing installed, nothing happened
-    else:
-        # Failed attempts' counters (crashes seen, time lost) belong
-        # to the section alongside the successful attempt's.
-        if res.recovery is not None:
-            section_report.merge(res.recovery)
-        section_report.reexecuted_chunks = reexecuted
-        section_report.salvaged_chunks = len(parts.salvaged)
-        section_report.added_time = lost_time
-        section_report.reshipped_bytes = reshipped
-        section_report.rank_losses = losses
-        if ckpt_bytes:
-            section_report.checkpoints = 1
-            section_report.checkpoint_bytes = ckpt_bytes
-            section_report.checkpoint_time = ckpt_dt
-        if ship is not None:
-            stats = ship.stats
-            section_report.lineage_replays = stats["lineage_replays"]
-            section_report.replayed_bytes = stats["replayed_bytes"]
-            if absorb:
-                # The successful attempt's migrations are the
-                # survivors absorbing the lost rank's partition.
-                section_report.shrink_migrations = stats["migrations"]
-                section_report.shrink_migrated_bytes = stats["migrated_bytes"]
-        rt.recovery_report.merge(section_report)
-    if ship is not None and parts.feedback:
-        # Cost feedback: per-rank virtual compute time for the blocks
-        # just executed feeds the rebalancer.
-        rt.plane.feedback(
-            parts.bounds, [m.compute_time for m in res.metrics.per_rank]
-        )
-    rt.sections.append(
-        SectionRecord(
-            label=kind.label,
-            kind=kind.kind,
-            hint="par",
-            nodes=nparts,
-            cores=nparts * cores,
-            partition=parts.label,
-            makespan=makespan,
-            bytes_shipped=res.metrics.bytes_sent,
-            messages=res.metrics.messages_sent,
-            metrics=res.metrics,
-            gc_time=res.metrics.gc_time,
-            recovery=section_report,
-            plan=plan,
-            data_plane=dict(ship.stats) if ship is not None else None,
-            wall_seconds=res.wall_seconds if rt.transport.wall_clock else 0.0,
-        )
+        if parts.feedback:
+            # Cost feedback: per-rank virtual compute time for the blocks
+            # just executed feeds the rebalancer.
+            rt.plane.feedback(parts.bounds, [r.compute_time for r in m.per_rank])
+    value = kind.commit(res.root_result, parts)
+    # Durability is not free: the write is part of the section's makespan.
+    ckpt_bytes, ckpt_dt = (0, 0.0) if ck is None else ck.write(
+        seq, res.root_result, writers=nparts)
+    if res.recovery is not None:
+        state.runs.append(res.recovery)
+    wall = rt.transport.wall_clock  # off it, sim's ledger stays byte-identical
+    return value, SectionOutcome(
+        label=kind.label, kind=kind.kind, partition=parts.label, nodes=nparts,
+        cores=nparts * cores, attempts=state.attempt + 1, dead_ranks=state.dead,
+        makespan=state.lost_time + res.makespan + ckpt_dt,
+        bytes_shipped=m.bytes_sent,
+        wall_seconds=res.wall_seconds if wall else 0.0, launch_s=res.launch_s,
+        root_s=res.root_s, join_s=res.join_s,
+        transport=res.transport if wall else None, salvaged=parts.salvaged,
+        rank_losses=state.losses, checkpoint_bytes=ckpt_bytes,
+        bounds=parts.bounds, survivors=nranks_max - state.dead, ship=ship,
+        messages=m.messages_sent, metrics=m, gc_time=m.gc_time, plan=plan,
+        data_plane=dict(ship.stats) if ship is not None else None,
+        runs=tuple(state.runs), reexecuted_chunks=reexecuted,
+        reshipped_bytes=reshipped, added_time=state.lost_time,
+        shrunk=state.shrunk, checkpoint_seconds=ckpt_dt,
     )
-    osp.set(
-        kind=kind.kind,
-        partition=parts.label,
-        nodes=nparts,
-        attempts=attempt + 1,
-        dead_ranks=dead,
-        makespan=makespan,
-        bytes_shipped=res.metrics.bytes_sent,
-        **kind.span_attrs(ship, plan),
-    )
-    if rt.transport.wall_clock:
-        # Real transports also report measured elapsed time and where the
-        # launcher spent it; the virtual makespan above stays the
-        # cross-backend invariant.
-        osp.set(wall_seconds=res.wall_seconds, launch_s=res.launch_s,
-                root_s=res.root_s, join_s=res.join_s, transport=res.transport)
-    if attempt:
-        # how many blocks the retries did not have to compute again
-        # (0: the kind keeps nothing, or nobody held anything)
-        osp.set(salvaged=len(parts.salvaged))
-    if losses:
-        osp.set(rank_losses=losses)
-    if ckpt_bytes:
-        osp.set(checkpoint_bytes=ckpt_bytes)
-    if _SECTION_OBSERVERS:
-        payload = {
-            "runtime": rt,
-            "record": rt.sections[-1],
-            "partition": parts.label,
-            "bounds": parts.bounds,
-            "nchunks": nparts,
-            "ship": ship,
-            "attempts": attempt + 1,
-            "dead_ranks": dead,
-            "survivors": nranks_max - dead,
-            "rank_losses": losses,
-            "salvaged": parts.salvaged,
-            **kind.observe,
-        }
-        for fn in list(_SECTION_OBSERVERS):
-            fn(payload)
-    if rt.budget is not None:
-        # The deadline is program time: checked after the section's
-        # ledger entry so a killed job still accounts consistently.
-        try:
-            rt.budget.check_deadline(rt.clock.now)
-        except BudgetExhausted:
-            rt.recovery_report.failure = "budget"
-            raise
-    return value
 
 
-def _restore(rt, kind: SectionKind, osp, seq: int, hit: tuple[Any, int],
-             nranks: int) -> Any:
-    """Serve one distributed section from its durable checkpoint.
-
-    The stored blob round-tripped through the real wire format, so
-    the restored value is bit-identical to the computed one; only the
-    durable read cost (ranks reading in parallel) reaches the clock.
-    """
-    value, nbytes = hit
-    ck = rt.checkpoint
-    dt = ck.policy.read_seconds(nbytes, readers=nranks)
+def _recover(rt, exc: BaseException, parts: Parts, state: _Loop) -> Parts:
+    """The attempt over *parts* failed with *exc*: classify the failure,
+    charge the job budget, keep what the survivors held and finished,
+    shrink or invalidate the data plane and charge the lost time -- and
+    return the next attempt's parts, or raise."""
     obs = _obs_active()
-    if obs is not None:
-        obs.instant(
-            "checkpoint", f"restore s{seq}",
-            attrs={"bytes": nbytes, "seconds": dt, "job": ck.job, "seq": seq},
-        )
-    rt.clock.advance(dt)
-    rep = RecoveryReport(
-        attempts=0, restores=1, restored_bytes=nbytes, checkpoint_time=dt
-    )
-    rt.recovery_report.merge(rep)
-    rt.sections.append(
-        SectionRecord(
-            label=f"{kind.label}-restore",
-            kind=kind.kind,
-            hint="par",
-            nodes=1,
-            cores=1,
-            partition="checkpoint",
-            makespan=dt,
-            recovery=rep,
-        )
-    )
-    osp.set(kind=kind.kind, partition="checkpoint", restored=True, makespan=dt)
-    return kind.commit(value, None)
+    rec = rt.recovery
+    infos = getattr(exc, "rank_failures", None)
+    crash_trace = getattr(exc, "trace_log", None)
+    if obs is not None and crash_trace is not None:
+        # The failed attempt's messages and fault stamps stay visible in
+        # the trace, tied to the same section.
+        obs.absorb_events(crash_trace.events, state.osp, state.lost_time)
+    # A crashed attempt's completed-task tallies are real work; ranks in
+    # the launcher merged as they ran, the others left partial extras the
+    # transport saved on the exception.
+    extras = getattr(exc, "rank_extras", None) or ()
+    rt._merge_rank_extras(extras)
+    # Take what the ranks finished off the exception and leave nothing
+    # else on it, whatever happens next: it sits on a reference cycle (its
+    # ``rank_failures`` point back at it), and what hangs there lives
+    # until a full collection.
+    finished = [ext.pop(FINISHED, ()) for ext in extras]
+    for ext in extras:
+        ext.clear()
+    rank_failed = infos is not None and all(
+        isinstance(i.error, RankFailure) for i in infos)
+    permanent = [i for i in infos or () if getattr(i.error, "permanent", False)]
+    recoverable = (rec is not None and rank_failed
+                   and state.attempt < rec.max_reexecutions
+                   and len(parts.work) - len(infos) >= 1)
+    if recoverable and rt.budget is not None:
+        # Job-level budget: charged per recovery act, across sections.
+        # Exhaustion beats further recovery.
+        try:
+            rt.budget.charge_reexecution()
+            if permanent:
+                rt.budget.charge_rank_losses(len(permanent))
+        except BudgetExhausted as bex:
+            rt.recovery_report.failure = "budget"
+            raise bex from exc
+    if not recoverable:
+        rt.recovery_report.failure = classify_failure(exc)
+        if rank_failed and permanent:
+            # an unabsorbable loss is a job failure, not a substrate error
+            raise PermanentFault(str(exc)) from exc
+        raise exc
+    partial = getattr(exc, "recovery_report", None)
+    if partial is not None:
+        state.runs.append(partial)
+    # The ranks that did not fail ran their instruction streams to the end
+    # (see ``ChannelTable``): each keeps what it held and what it finished,
+    # under its new rank number.  A failed rank's partials are gone,
+    # whatever it published before it died -- the next attempt computes
+    # those blocks again.
+    failed = {i.rank for i in infos}
+    held, kept = [], False
+    for r, new in enumerate(finished):
+        if r not in failed:
+            old = parts.held[r] if parts.held else []
+            held.append(old + list(new))
+            kept = kept or bool(new)
+    # An attempt whose work is kept lasted until its last rank stopped;
+    # one that leaves nothing behind is over, for every rank, the moment
+    # it fails.
+    ended = max(exc.final_clocks) if kept else max(i.vtime for i in infos)
+    if permanent:
+        # The machine shrank for good: later sections partition over the
+        # survivors only.
+        rt.lost_ranks += len(permanent)
+        state.losses += len(permanent)
+    act = None
+    if rt.plane.has_state():
+        if permanent and rec.lineage_recovery:
+            # Elastic shrink: survivors keep their shards under renumbered
+            # ranks; only the dead ranks' intervals are marked for lineage
+            # replay and the next attempt re-ships just those rows.
+            act = "shrink", rt.plane.shrink(sorted(failed))
+            state.shrunk = True
+        else:
+            # Transient crash (the rank heals): every resident shard and
+            # cached slice is suspect (the re-partition also renumbers
+            # ranks), so the data plane forgets all placement.  The next
+            # attempt -- and later sections -- re-materialize from the
+            # master copy (which commits only completed sections, so a
+            # retry reads exactly what the dead attempt read), and those
+            # bytes are attributed to recovery.
+            act = "invalidate", rt.plane.invalidate()
+    if state.steps:
+        _close(state.steps[-1], state.lost_time + ended, "failed")
+        if act is not None:
+            state.steps.append(
+                span_row("recover", act[0], state.lost_time + ended, **act[1]))
+    state.lost_time += ended + rec.backoff(state.attempt)
+    state.dead += len(infos)
+    state.attempt += 1
+    # Exactly the blocks nobody holds, over the survivors; with nothing
+    # held that is the whole section again.
+    kind, nranks = state.kind, state.nranks - state.dead
+    parts = (kind.residual(held, nranks) if kind.residual is not None
+             else kind.partition(nranks))
+    # Recovered from: nobody will print this traceback, and it pins every
+    # frame the failure passed through -- this one included, with the
+    # partials in its locals.
+    exc.__traceback__ = None
+    return parts
+

@@ -76,9 +76,8 @@ class InvariantViolation(AssertionError):
 
 
 def _fail(msg: str, payload: dict) -> None:
-    record = payload.get("record")
-    where = f" [partition={record.partition!r}]" if record is not None else ""
-    raise InvariantViolation(msg + where)
+    raise InvariantViolation(
+        f"{msg} [partition={payload['record'].partition!r}]")
 
 
 class InvariantChecker:
@@ -108,8 +107,7 @@ class InvariantChecker:
     # -- tiling -------------------------------------------------------------
 
     def _check_tiling(self, payload: dict) -> None:
-        bounds = payload["bounds"]
-        salvaged = payload.get("salvaged", ())
+        bounds, salvaged = payload["bounds"], payload["salvaged"]
         it = payload["iterator"]
         for rank, block in salvaged:
             if not 0 <= rank < payload["nchunks"]:
@@ -212,7 +210,7 @@ class InvariantChecker:
                 payload,
             )
         pieces = []
-        kept = [block for _rank, block in payload.get("salvaged", ())]
+        kept = [block for _rank, block in payload["salvaged"]]
         for lo, hi in sorted(list(payload["bounds"]) + kept):
             ks = type(it)(it.idx.slice(lo, hi)).key_array()
             if len(ks) != hi - lo:
@@ -347,7 +345,7 @@ class InvariantChecker:
         # bytes actually present in that rank's store (the section's ops
         # have been applied by the time observers run).
         plane = payload["runtime"].plane
-        live = payload.get("survivors", payload["nchunks"])
+        live = payload["survivors"]
         for rank, keys in plane.ghost_map().items():
             if rank < 1 or (payload["attempts"] > 1 and rank >= live):
                 _fail(
@@ -440,7 +438,7 @@ class InvariantChecker:
         # count, not this section's (possibly extent-limited) chunk
         # count.  Transient crashes invalidate everything, so for them
         # the two bounds agree.
-        live = payload.get("survivors", payload["nchunks"])
+        live = payload["survivors"]
         for (rank, aid), (lo, hi) in placement.items():
             if rank < 1:
                 _fail(f"placement references rank {rank} (< 1)", payload)

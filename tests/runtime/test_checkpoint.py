@@ -12,9 +12,11 @@ import pytest
 import repro.triolet as tri
 from repro.cluster import FaultPlan, MachineSpec, RankFailure, RankLoss
 from repro.runtime import (
+    BudgetExhausted,
     CheckpointConfig,
     CheckpointPolicy,
     CheckpointStore,
+    FailureBudget,
     run_restartable,
     triolet_runtime,
 )
@@ -144,6 +146,24 @@ class TestRestart:
         # checkpoint writes charged to the virtual clock.
         assert ck.elapsed > plain.elapsed
         assert ck.recovery_report.checkpoints == 2
+
+    def test_a_restored_section_past_the_deadline_kills_the_job(self):
+        # Reading a section back is program time like computing it: the
+        # job deadline is checked after a restore too.
+        machine = MachineSpec(nodes=2, cores_per_node=2)
+        config = CheckpointConfig(store=CheckpointStore(), job="d")
+
+        def job(rt):
+            return tri.sum(tri.map(k_square, tri.par(XS)))
+
+        with triolet_runtime(machine, checkpoint=config) as rt:
+            job(rt)
+        with pytest.raises(BudgetExhausted), triolet_runtime(
+            machine, checkpoint=config, budget=FailureBudget(deadline=1e-12)
+        ) as rt:
+            job(rt)
+        assert rt.recovery_report.restores == 1
+        assert rt.recovery_report.failure == "budget"
 
 
 def _relax(xpad):

@@ -77,9 +77,9 @@ def test_same_recovery_contract_from_every_kind(kind, scenario):
     payloads = []
     with triolet_runtime(MACHINE) as clean:
         want = KINDS[kind](clean)
-    with observing_sections(payloads.append), triolet_runtime(
-        MACHINE, faults=FaultPlan(faults=(fault,)), **make_kwargs()
-    ) as rt:
+    with capture() as cap, observing_sections(payloads.append), \
+            triolet_runtime(MACHINE, faults=FaultPlan(faults=(fault,)),
+                            **make_kwargs()) as rt:
         if error is None:
             got = KINDS[kind](rt)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -99,6 +99,19 @@ def test_same_recovery_contract_from_every_kind(kind, scenario):
         assert payload["survivors"] == 3 == payload["nchunks"]
         assert payload["rank_losses"] == rep.rank_losses
         assert payload["record"] is rt.last_section
+        # The span, the payload, the record and the report render one
+        # outcome: wherever two of them carry a fact, they agree.
+        (span,) = cap.spans_of_kind("section")
+        attrs, record = span.attrs, rt.last_section
+        assert attrs["attempts"] == payload["attempts"] \
+            == record.recovery.attempts
+        assert attrs["dead_ranks"] == payload["dead_ranks"]
+        assert attrs.get("rank_losses", 0) == payload["rank_losses"] \
+            == record.recovery.rank_losses
+        assert attrs["salvaged"] == len(payload["salvaged"]) \
+            == record.recovery.salvaged_chunks
+        assert (attrs["makespan"], attrs["bytes_shipped"]) \
+            == (record.makespan, record.bytes_shipped)
     else:
         assert rep.added_time == 0 and not payloads and not rt.sections
 

@@ -2,7 +2,8 @@
 
 ``repro.runtime.section.run_section`` is the only place that launches an
 SPMD run and classifies its failures; a section kind that grows its own
-copy of that loop (as ``runtime/stencil.py`` once did) fails here.
+copy of that loop (as ``runtime/stencil.py`` once did) fails here, and so
+does a second hand-built copy of what a section learned.
 """
 import ast
 from pathlib import Path
@@ -38,6 +39,46 @@ def test_one_run_spmd_call_site_under_runtime():
         if isinstance(node, ast.Call) and _called_name(node) == "run_spmd"
     ]
     assert len(sites) == 1 and sites[0].startswith("section.py:"), sites
+
+
+def test_a_section_ends_in_one_outcome_rendered_by_projection():
+    """``run_section`` learns a section's facts into one ``SectionOutcome``
+    and renders the ledger entry, the span, the observer payload and the
+    ``RecoveryReport`` delta from it: the ledger entry *is* the outcome,
+    ``_run`` is short, a failed attempt is ``_recover``'s, the only
+    ``RecoveryReport(`` is the outcome's delta, and no dict literal,
+    ``dict(`` or ``.set(`` call in ``section.py`` names an outcome field --
+    a new fact is declared on the outcome, never copied by hand."""
+    from dataclasses import fields
+
+    from repro.runtime.section import SectionOutcome, SectionRecord
+
+    tree = ast.parse((RUNTIME / "section.py").read_text())
+    defs = {n.name: n for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+    def calls(name: str, node: ast.AST = tree) -> list[ast.Call]:
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Call) and _called_name(n) == name]
+
+    run = defs["_run"]
+    in_run = list(ast.walk(run))
+    assert run.end_lineno - run.lineno + 1 <= 120
+    (recover,) = calls("_recover")
+    assert recover in in_run
+    assert SectionRecord is SectionOutcome and not calls("SectionRecord")
+    assert all(c in in_run for c in calls("SectionOutcome"))
+    (report,) = calls("RecoveryReport")
+    assert report in list(ast.walk(defs["SectionOutcome"]))
+    facts = {f.name for f in fields(SectionOutcome)}
+    named = [
+        f"{k.value}:{k.lineno}" for d in ast.walk(tree) if isinstance(d, ast.Dict)
+        for k in d.keys if isinstance(k, ast.Constant) and k.value in facts
+    ] + [
+        f"{kw.arg}:{c.lineno}" for c in calls("set") + calls("dict")
+        for kw in c.keywords if kw.arg in facts
+    ]
+    assert not named, named
 
 
 def test_stencil_carries_no_attempt_loop_machinery():

@@ -9,6 +9,7 @@ import repro.triolet as tri
 from repro.cluster import MachineSpec
 from repro.data.plane import DataPlane
 from repro.runtime import triolet_runtime
+from repro.runtime.section import OBSERVED
 from repro.serial import register_function
 from repro.testing.invariants import (
     InvariantChecker,
@@ -56,7 +57,8 @@ class TestAcceptsRealSections:
 
 
 def _payload(**over):
-    """A minimal well-formed 1-D section payload the checker accepts."""
+    """A minimal well-formed 1-D section payload the checker accepts: every
+    key the engine sends a pipeline section's observers, and no other."""
     it = tri.par(tri.iterate(np.arange(10.0)))
     base = dict(
         runtime=SimpleNamespace(
@@ -74,7 +76,11 @@ def _payload(**over):
         spec=None,
         attempts=1,
         dead_ranks=0,
+        survivors=2,
+        rank_losses=0,
+        salvaged=[],
     )
+    assert set(base) == {"runtime", "record", "iterator", "spec", *OBSERVED}
     base.update(over)
     return base
 
