@@ -20,9 +20,9 @@ protocol with three backends:
     ``os.fork`` only when a run cannot be sent (no helper threads, nothing
     imported in a member).  Messages travel as pickle frames over one pipe
     per ordered rank pair; payloads above a threshold -- raw numpy buffers
-    and serialized ``bytes`` alike -- travel as shared segments (one block
-    copy in, one out -- the buffer-based contiguity-checked discipline of
-    gpaw's MPI layer).
+    and serialized ``bytes`` alike -- travel through the pair's shared
+    window, which the crew keeps (one block copy in, one out -- the
+    buffer-based contiguity-checked discipline of gpaw's MPI layer).
     Because ranks really execute in parallel, wall-clock time scales with
     cores while the *virtual* timeline -- computed causally from the same
     cost model -- stays bit-identical to ``sim``.
@@ -68,11 +68,9 @@ import os
 import pickle
 import queue
 import selectors
-import shutil
 import signal
 import struct
 import sys
-import tempfile
 import threading
 import time
 from collections import deque
@@ -349,67 +347,97 @@ class SimTransport(Transport):
 
 
 # ---------------------------------------------------------------------------
-# local: a resident crew of forked ranks over per-pair pipes + shared segments
+# local: a resident crew of forked ranks over per-pair pipes + shared windows
 
 
 #: Payloads at or above this size -- raw numpy buffers and serialized
-#: ``bytes`` alike -- leave the pipe through a shared segment (one block
-#: copy in, one out), so frames on a pipe stay small.
+#: ``bytes`` alike -- leave the pipe through the pair's shared window (one
+#: block copy in, one out), so frames on a pipe stay small.
 SHM_MIN_BYTES = 1 << 15
 
 #: Seconds past ``real_timeout`` a rank has to report before it is killed.
 REPORT_SLACK_S = 30.0
 
-#: Segments are plain files on the tmpfs where there is one (what
-#: ``shm_open`` does underneath, without a resource-tracker process).
-_SEG_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
-
 _FRAME_LEN = struct.Struct("<Q")
 
-#: Every pipe end this process holds for a crew -- its members' ends too,
-#: while they are being hired: what a new member closes first, so that it
-#: holds its own crew's descriptors and nothing else.
+#: Every pipe end and window this process holds for a crew -- its members'
+#: too, while they are being hired: what a new member closes first, so
+#: that it holds its own crew's descriptors and nothing else.
 _CREW_FDS: set[int] = set()
 
 
-@dataclass(frozen=True)
-class _ShmRef:
-    """Wire descriptor of a payload parked in a shared segment
-    (``dtype`` is ``None`` for serialized ``bytes``)."""
-
-    name: str
-    dtype: str | None
-    shape: tuple
+#: A window's first bytes: how many payloads its reader has taken (native,
+#: so that the reader's update is one aligned 8-byte store).
+_TAKEN = struct.Struct("Q")
 
 
-def _shm_write(
-    payload: "np.ndarray | bytes", seg_dir: str | None = _SEG_DIR
-) -> _ShmRef:
-    """Copy *payload* into a fresh segment under *seg_dir*; returns its
-    descriptor.  The receiver owns the segment from here: it unlinks
-    after copying out."""
-    if isinstance(payload, np.ndarray):
-        a = ensure_contiguous(payload)
-        dtype, shape, data = a.dtype.str, a.shape, a.reshape(-1).view(np.uint8)
-    else:
-        dtype, shape, data = None, (len(payload),), payload
-    fd, path = tempfile.mkstemp(prefix="seg-", dir=seg_dir)
-    with open(fd, "wb") as f:
-        f.write(data)
-    return _ShmRef(path, dtype, shape)
+class _Window:
+    """One ordered rank pair's shared window: a memfd (a file with no name)
+    that writer and reader both map.  The writer bump-allocates large
+    payloads in it, growing the file when one does not fit, and the frame
+    says where each lies; the reader copies it out (re-mapping first when
+    it lies past its mapping) and counts it taken in the window's first
+    bytes.  The writer starts again at ``HEAD`` once all it put is taken,
+    and at a run's start, when every rank has taken or dropped the last
+    run's frames.  Once warm, neither side makes a syscall."""
 
+    HEAD = 64  # where payloads start, past the taken count
 
-def _shm_read(ref: _ShmRef) -> "np.ndarray | bytes":
-    """Materialize (and release) a shared-segment payload."""
-    try:
-        with open(ref.name, "rb") as f:
-            if ref.dtype is None:
-                return f.read()
-            out = np.empty(ref.shape, np.dtype(ref.dtype))
-            f.readinto(out.reshape(-1).view(np.uint8))
-            return out
-    finally:
-        os.unlink(ref.name)
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.map: mmap.mmap | None = None
+        self.top = self.count = 0  # payloads put (writer) or taken (reader)
+
+    def restart(self) -> None:
+        """A new run: what the last one put and nobody took is dropped."""
+        self.count = _TAKEN.unpack_from(self.map)[0] if self.map is not None else 0
+
+    def _remap(self) -> mmap.mmap:
+        if self.map is not None:
+            self.map.close()
+        self.map = mmap.mmap(self.fd, os.fstat(self.fd).st_size)
+        return self.map
+
+    def put(self, payload: "np.ndarray | bytes") -> tuple:
+        """Copy *payload* in; its ``(offset, nbytes, dtype, shape)``
+        (``dtype`` is ``None`` for serialized ``bytes``)."""
+        if isinstance(payload, np.ndarray):
+            a = ensure_contiguous(payload)
+            dtype, shape, data = a.dtype.str, a.shape, a.reshape(-1).view(np.uint8)
+        else:
+            dtype, shape, data = None, None, payload
+        m = self.map
+        if m is None or _TAKEN.unpack_from(m)[0] == self.count:
+            self.top = self.HEAD  # nothing put is still to be read
+        off = self.top
+        end = off + len(data)
+        if m is None or end > len(m):
+            os.ftruncate(self.fd, max(end, 2 * (len(m) if m else 0), 1 << 20))
+            m = self._remap()
+        m[off:end] = data
+        self.top = -(-end // 64) * 64  # the next payload starts aligned
+        self.count += 1
+        return off, end - off, dtype, shape
+
+    def take(self, off: int, nbytes: int, dtype: str | None,
+             shape: tuple | None) -> "np.ndarray | bytes":
+        """A copy, owned by the caller, of what ``put`` left at *off*."""
+        m = self.map
+        if m is None or off + nbytes > len(m):
+            m = self._remap()
+        if dtype is None:
+            out = m[off:off + nbytes]
+        else:
+            dt = np.dtype(dtype)
+            out = np.frombuffer(m, dt, nbytes // dt.itemsize, off).reshape(shape).copy()
+        self.count += 1
+        _TAKEN.pack_into(m, 0, self.count)
+        return out
+
+    def close(self) -> None:
+        if self.map is not None:
+            self.map.close()
+        os.close(self.fd)
 
 
 def _send_frame(fd: int, obj: Any, on_full: Callable[[], None] | None = None) -> None:
@@ -457,10 +485,11 @@ class _FrameReader:
 
 class LocalChannelTable:
     """One process-rank's endpoint for one run: its ends of the per-pair
-    pipes among the run's ranks (one writer each, so per-source FIFO needs
-    no lock), (src, tag) matching with MPI's non-overtaking guarantee, and
-    the crew's shared abort flag.  Same ``post``/``take``/``fail`` surface
-    as the simulator's :class:`~repro.cluster.channel.ChannelTable`.
+    pipes and windows among the run's ranks (one writer each, so
+    per-source FIFO needs no lock), (src, tag) matching with MPI's
+    non-overtaking guarantee, and the crew's shared abort flag.  Same
+    ``post``/``take``/``fail`` surface as the simulator's
+    :class:`~repro.cluster.channel.ChannelTable`.
 
     The pipes outlive the run: a rank's last frame on each is a *done*
     frame (``None``), and EOF means its process died.  Pipes are bounded
@@ -471,20 +500,23 @@ class LocalChannelTable:
     """
 
     def __init__(
-        self, rank: int, inbound: dict, outbound: dict, abort, shm_min: int,
-        seg_dir: str | None, real_timeout: float,
+        self, rank: int, inbound: dict, outbound: dict, windows_in: dict,
+        windows_out: dict, abort, shm_min: int, real_timeout: float,
     ) -> None:
         self.rank = rank
         self.abort = abort
         self._shm_min = shm_min
-        self._seg_dir = seg_dir
         self._real_timeout = real_timeout
-        # (src, tag) -> envelopes that arrived before they were asked for;
-        # pipe order is kept, so matching is deterministic as on sim.
+        # (src, tag) -> what arrived before it was asked for; pipe order
+        # is kept, so matching is deterministic as on sim.
         self._pending: dict[tuple[int, int], deque] = {}
         # src -> reader (until that rank is done), dst -> write fd
         self._inbound = {s: _FrameReader(fd, s) for s, fd in inbound.items()}
         self._outbound = outbound
+        self._windows_in = windows_in
+        self._windows_out = windows_out
+        for w in windows_out.values():
+            w.restart()
         self._sel = selectors.DefaultSelector()
         for reader in self._inbound.values():
             self._sel.register(reader.fd, selectors.EVENT_READ, reader)
@@ -513,19 +545,20 @@ class LocalChannelTable:
                     self._sel.unregister(reader.fd)
                     del self._inbound[reader.peer]
                     break
-                tag, env = frame
-                self._pending.setdefault((reader.peer, tag), deque()).append(env)
+                tag, *sent = frame  # the envelope and its window slot
+                self._pending.setdefault((reader.peer, tag), deque()).append(sent)
 
     def post(self, src: int, dst: int, tag: int, env: Envelope) -> None:
         if self.abort[0]:
             raise SimAborted("run aborted: a peer rank failed")
         if dst == self.rank:
-            self._pending.setdefault((src, tag), deque()).append(env)
+            self._pending.setdefault((src, tag), deque()).append((env, None))
             return
-        p = env.payload
+        p, slot = env.payload, None
         if (p.nbytes if isinstance(p, np.ndarray) else len(p)) >= self._shm_min:
-            env = dataclasses.replace(env, payload=_shm_write(p, self._seg_dir))
-        self._send(dst, (tag, env))
+            slot = self._windows_out[dst].put(p)
+            env = dataclasses.replace(env, payload=None)
+        self._send(dst, (tag, env, slot))
 
     def _send(self, dst: int, frame: Any) -> None:
         fd = self._outbound[dst]
@@ -537,9 +570,10 @@ class LocalChannelTable:
         while True:
             q = self._pending.get(key)
             if q:
-                env = q.popleft()
-                if isinstance(env.payload, _ShmRef):
-                    env = dataclasses.replace(env, payload=_shm_read(env.payload))
+                env, slot = q.popleft()
+                if slot is not None:
+                    env = dataclasses.replace(
+                        env, payload=self._windows_in[src].take(*slot))
                 return env
             if self.abort[0]:
                 raise SimAborted("run aborted: a peer rank failed")
@@ -616,7 +650,7 @@ def _picklable_error(exc: BaseException) -> BaseException:
 
 
 def _ends(ends: tuple, nranks: int) -> tuple:
-    """A rank's (inbound, outbound) pipe ends among the first *nranks*."""
+    """A rank's pipe ends and windows, in and out, among the first *nranks*."""
     return tuple({p: fd for p, fd in e.items() if p < nranks} for e in ends)
 
 
@@ -628,9 +662,9 @@ def _member(rank: int, ends: tuple, control: int, result: int, abort,
     jobs = _FrameReader(control, 0)
     run = contextvars.copy_context().run  # the hiring run goes on as forked
     while True:
-        ctx, rank_fn, args, seg_dir = job
+        ctx, rank_fn, args = job
         table = LocalChannelTable(rank, *_ends(ends, ctx.nranks), abort,
-                                  shm_min, seg_dir, ctx.real_timeout)
+                                  shm_min, ctx.real_timeout)
         status, payload, clock, metrics, extras = run(
             _run_rank, ctx, table, rank_fn, args)
         # What it holds for the next run: nothing if a peer never finished
@@ -656,16 +690,16 @@ def _member(rank: int, ends: tuple, control: int, result: int, abort,
             frames = jobs.feed()
         if frames is None:  # the crew retired
             os._exit(0)
-        ctx, traced, rank_fn, args, seg_dir = pickle.loads(frames[0])
+        ctx, traced, rank_fn, args = pickle.loads(frames[0])
         job = (dataclasses.replace(ctx, trace=TraceLog() if traced else None),
-               rank_fn, args, seg_dir)
+               rank_fn, args)
         run = contextvars.Context().run  # nothing of the last run's context
 
 
 class LocalTransport(Transport):
     """Real multiprocess execution: the launcher is rank 0 and ranks >= 1
     run on its **resident crew** of forked members (a 1-rank run touches
-    no crew and opens no pipe or segment directory).
+    no crew and opens no pipe or window).
 
     A member is hired by ``os.fork`` -- the hire step, as
     ``threading.Thread`` is ``sim``'s -- into the run it was hired for,
@@ -675,9 +709,9 @@ class LocalTransport(Transport):
     runs in the launching process in a copy of the caller's context; its
     result, clock, metrics, extras and trace events are used where they
     are.  A member's come back in one outcome frame on its result pipe.
-    Ranks talk over persistent pipes, one per ordered pair; a run ends
-    with a done frame on each, read by every rank, so no frame, segment
-    (each run has its own directory) or abort flag reaches the next run.
+    Ranks talk over persistent pipes and shared windows, one of each per
+    ordered pair; a run ends with a done frame on each pipe, read by every
+    rank, so no frame, window payload or abort flag reaches the next run.
 
     **Freshness.**  A run goes to the crew when it pickles with plain
     ``pickle`` and every member it needs is fresh for it: the code segment
@@ -704,15 +738,15 @@ class LocalTransport(Transport):
         self.shm_min_bytes = shm_min_bytes
 
     def available(self, nranks: int = 1) -> None:
-        if not hasattr(os, "fork"):
-            raise TransportUnavailable("LocalTransport needs os.fork (POSIX only)")
+        if not hasattr(os, "memfd_create"):  # Linux, which has os.fork
+            raise TransportUnavailable("LocalTransport needs fork and memfd_create")
         import resource
 
-        # A pipe per ordered rank pair, a control and a result pipe a member
+        # A pipe and a window per ordered rank pair, two pipes per member
         soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
-        if soft != resource.RLIM_INFINITY and 2 * nranks * (nranks + 1) + 64 > soft:
+        if soft != resource.RLIM_INFINITY and 3 * nranks * (nranks + 1) + 64 > soft:
             raise TransportUnavailable(
-                f"LocalTransport: {nranks} ranks need more pipe descriptors "
+                f"LocalTransport: {nranks} ranks need more descriptors "
                 f"than RLIMIT_NOFILE ({soft}) allows"
             )
 
@@ -722,7 +756,7 @@ class LocalTransport(Transport):
 
         def __init__(self, ends, pids, controls, results, abort) -> None:
             self.pid = os.getpid()
-            self.ends = ends  # rank 0's (inbound, outbound) pipe ends
+            self.ends = ends  # rank 0's pipe ends and windows, in and out
             self.pids, self.controls, self.results = pids, controls, results
             self.abort = abort  # shared by the crew; cleared per run
             self.held: dict = {}  # rank -> what it last reported it holds
@@ -754,11 +788,15 @@ class LocalTransport(Transport):
                     os.kill(pid, signal.SIGKILL)
                 # waitpid, so RUSAGE_CHILDREN accounts for every member
                 codes[r] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            fds = {*self.ends[0].values(), *self.ends[1].values(),
-                   *self.controls.values(), *self.results.values()}
-            for fd in fds - set(self.controls.values()):
+            inbound, outbound, windows_in, windows_out = self.ends
+            pipes = {*inbound.values(), *outbound.values(), *self.results.values()}
+            for fd in pipes:
                 os.close(fd)
-            _CREW_FDS.difference_update(fds)
+            windows = [*windows_in.values(), *windows_out.values()]
+            for w in windows:
+                w.close()
+            _CREW_FDS.difference_update(pipes, self.controls.values(),
+                                        (w.fd for w in windows))
             self.abort.close()
             return codes
 
@@ -770,19 +808,28 @@ class LocalTransport(Transport):
     def _hire(self, nranks: int, job: tuple) -> "LocalTransport._Crew":
         """Fork members 1..nranks-1 into *job*; each stays on after it."""
         ranks = range(nranks)
-        pipes = {(s, d): os.pipe() for s in ranks for d in ranks if s != d}
+        pairs = [(s, d) for s in ranks for d in ranks if s != d]
+        pipes = {pair: os.pipe() for pair in pairs}
+        windows = {pair: _Window(os.memfd_create("repro-window")) for pair in pairs}
         control = {r: os.pipe() for r in ranks[1:]}
         result = {r: os.pipe() for r in ranks[1:]}
         every = {fd for p in (*pipes.values(), *control.values(),
                               *result.values()) for fd in p}
+        every.update(w.fd for w in windows.values())
         _CREW_FDS.update(every)
         for _, w in pipes.values():
             os.set_blocking(w, False)
         abort = mmap.mmap(-1, 1)  # anonymous + shared: one flag for the crew
 
         def ends(rank: int) -> tuple:
-            return ({s: pipes[s, rank][0] for s in ranks if s != rank},
-                    {d: pipes[rank, d][1] for d in ranks if d != rank})
+            peers = [p for p in ranks if p != rank]
+            return ({s: pipes[s, rank][0] for s in peers},
+                    {d: pipes[rank, d][1] for d in peers},
+                    {s: windows[s, rank] for s in peers},
+                    {d: windows[rank, d] for d in peers})
+
+        def fds(ends: tuple) -> set:  # pipe ends, and windows' descriptors
+            return {getattr(e, "fd", e) for es in ends for e in es.values()}
 
         pids = {}
         for rank in ranks[1:]:
@@ -792,8 +839,7 @@ class LocalTransport(Transport):
                 continue
             try:  # the child never returns into the caller's stack
                 mine = ends(rank)
-                own = {*mine[0].values(), *mine[1].values(),
-                       control[rank][0], result[rank][1]}
+                own = fds(mine) | {control[rank][0], result[rank][1]}
                 for fd in _CREW_FDS - own:
                     os.close(fd)
                 _CREW_FDS.intersection_update(own)
@@ -804,8 +850,8 @@ class LocalTransport(Transport):
                 os._exit(1)  # reached only if the member itself raised
         crew = self._Crew(ends(0), pids, {r: w for r, (_, w) in control.items()},
                           {r: rd for r, (rd, _) in result.items()}, abort)
-        theirs = every - {*crew.ends[0].values(), *crew.ends[1].values(),
-                          *crew.controls.values(), *crew.results.values()}
+        theirs = every - fds(ends(0)) - {*crew.controls.values(),
+                                          *crew.results.values()}
         for fd in theirs:
             os.close(fd)
         _CREW_FDS.difference_update(theirs)
@@ -820,18 +866,17 @@ class LocalTransport(Transport):
         crew = getattr(self._resident, "crew", None)
         if crew is not None and crew.pid != os.getpid():
             crew = None  # a fork's copy of its parent's crew
-        seg_dir = tempfile.mkdtemp(prefix="repro-", dir=_SEG_DIR) if members else None
         outcomes: dict[int, tuple] = {}
         waiting: dict[int, _FrameReader] = {}
         sys.stdout.flush()  # or every new member would flush its own copy
         sys.stderr.flush()
         try:
-            ends, abort = ({}, {}), bytearray(1)
+            ends, abort = ({}, {}, {}, {}), bytearray(1)
             if members:
                 try:
                     job = pickle.dumps((
                         dataclasses.replace(ctx, channels=None, trace=None),
-                        ctx.trace is not None, rank_fn, args, seg_dir,
+                        ctx.trace is not None, rank_fn, args,
                     ), protocol=5)
                 except (pickle.PicklingError, TypeError, AttributeError):
                     job = None  # cannot be sent: the run hires its members
@@ -844,11 +889,11 @@ class LocalTransport(Transport):
                     if crew is not None:
                         crew.retire()
                     crew = self._resident.crew = self._hire(
-                        ctx.nranks, (ctx, rank_fn, args, seg_dir))
+                        ctx.nranks, (ctx, rank_fn, args))
                 ends, abort = _ends(crew.ends, ctx.nranks), crew.abort
             t_forked = time.perf_counter()
             table = LocalChannelTable(0, *ends, abort, self.shm_min_bytes,
-                                      seg_dir, ctx.real_timeout)
+                                      ctx.real_timeout)
             # Used in place: rank 0's outcome never crosses a pipe (its
             # trace events are already in ``ctx.trace``).
             outcomes[0] = (*contextvars.copy_context().run(
@@ -890,8 +935,6 @@ class LocalTransport(Transport):
                     outcomes.setdefault(
                         r, ("error", err, 0.0, RankMetrics(rank=r), {}, None))
             t_joined = time.perf_counter()
-            if seg_dir is not None:
-                shutil.rmtree(seg_dir, ignore_errors=True)  # unread segments included
         out = RunOutcome(
             [], [], [],
             wall_seconds=time.perf_counter() - t0,

@@ -30,7 +30,6 @@ shipping operations:
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Any
@@ -189,13 +188,13 @@ class DataPlane:
         self.shrinks = 0
         self.lineage = LineageLog()
         # Registration dedupe: (id(array), layout) -> aid for the exact
-        # ndarray object, (layout, shape, dtype, digest) -> aid for
-        # equal-content arrays.  Identity keys stay valid because
-        # ``self.handles`` strongly references every handle (and through
-        # it the registered array), so an id is never recycled while its
-        # entry lives.
+        # ndarray object, (layout, shape, dtype, sampled bytes) -> aids
+        # that may hold equal content, confirmed byte for byte.  Identity
+        # keys stay valid because ``self.handles`` strongly references
+        # every handle (and through it the registered array), so an id is
+        # never recycled while its entry lives.
         self._dedup_ident: dict[tuple[int, str], int] = {}
-        self._dedup_content: dict[tuple, int] = {}
+        self._dedup_content: dict[tuple, list[int]] = {}
         self.dedup_hits = 0
         self.totals = {k: 0 for k in _STAT_KEYS}
         self.totals["sections"] = 0
@@ -217,23 +216,25 @@ class DataPlane:
             # (or an equal-content one, e.g. a recomputed intermediate)
             # twice must share one placement instead of double-shipping.
             arr = np.asarray(array)
-            ident = (id(arr), layout)
-            aid = self._dedup_ident.get(ident)
-            ckey = None
-            if aid is None:
-                ckey = self._content_key(arr, layout)
-                aid = self._dedup_content.get(ckey)
-            if aid is not None:
-                existing = self.handles.get(aid)
-                if existing is not None:
-                    self.dedup_hits += 1
-                    return existing
+            existing = self.handles.get(self._dedup_ident.get((id(arr), layout)))
+            if existing is None:
+                # Equal content is equal bytes in C order (-0.0 is not 0.0,
+                # a strided view matches its contiguous copy, object arrays
+                # compare pointers): bucketed by a sample, then confirmed.
+                ckey = (layout, arr.shape, arr.dtype.str,
+                        arr.flat[::max(1, arr.size // 16)].tobytes())
+                same = [self.handles[a] for a in self._dedup_content.get(ckey, ())
+                        if a in self.handles]
+                data = arr.tobytes() if same else None
+                existing = next(
+                    (h for h in same if h.array.tobytes() == data), None)
+            if existing is not None:
+                self.dedup_hits += 1
+                return existing
             handle = DistArray(arr, layout=layout)
             self.handles[handle.array_id] = handle
             self._dedup_ident[(id(handle.array), layout)] = handle.array_id
-            if ckey is None:
-                ckey = self._content_key(handle.array, layout)
-            self._dedup_content[ckey] = handle.array_id
+            self._dedup_content.setdefault(ckey, []).append(handle.array_id)
             self.lineage.record_source(handle.array_id)
             return handle
         handle = DistArray(array, layout=layout)
@@ -243,11 +244,6 @@ class DataPlane:
             section, plan, tuple(inputs), output_aid=handle.array_id
         )
         return handle
-
-    @staticmethod
-    def _content_key(arr: np.ndarray, layout: str) -> tuple:
-        digest = hashlib.blake2b(arr.tobytes(), digest_size=16).hexdigest()
-        return (layout, arr.shape, arr.dtype.str, digest)
 
     def record_section(self, section: int, plan: str | None,
                        reqs: list[dict]) -> None:

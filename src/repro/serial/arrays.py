@@ -32,7 +32,7 @@ def new_copy_stats() -> dict:
         "compacted": 0,  # non-contiguous arrays that needed a copy
         "compacted_bytes": 0,
         # non-contiguous views compacted at the buffer-view *ship* gate
-        # (Comm.Send, shared-memory segments): gpaw's contiguity rule -- a
+        # (Comm.Send, shared windows): gpaw's contiguity rule -- a
         # buffer send requires contiguous data, so strided views pay an
         # explicit compaction copy instead of silently degrading to a
         # pickled/element-wise path.
@@ -84,7 +84,7 @@ def reset_copy_stats() -> None:
 def ensure_contiguous(arr: np.ndarray) -> np.ndarray:
     """Contiguity gate for the zero-copy buffer ship paths.
 
-    Buffer-protocol sends (``Comm.Send``, shared-memory segments, mpi4py
+    Buffer-protocol sends (``Comm.Send``, shared windows, mpi4py
     buffer messages) move one contiguous block.  A C-contiguous array
     passes through untouched; any other layout -- Fortran order, strided
     or transposed views -- is compacted with an explicit copy, counted

@@ -75,7 +75,7 @@ def register_mriq_dataset(server, name: str, p) -> None:
 def sgemm_job(p):
     """sgemm: localpar transpose, then the 2-D-blocked outer product.
 
-    ``BT`` is rebuilt by every job; content-hash dedupe makes the
+    ``BT`` is rebuilt by every job; content dedupe makes the
     rebuilt array resolve to the first job's resident handle.
     """
 

@@ -1,5 +1,5 @@
 """LocalTransport specifics: the launcher is rank 0 and its resident crew
-of forked members runs the others, per-rank isolation, shared-memory
+of forked members runs the others, per-rank isolation, shared-window
 shipping, rank-local state merging, and feature gating.
 
 These tests are POSIX-only in practice (fork start method) and skip as a
@@ -9,10 +9,12 @@ import contextvars
 import math
 import os
 import resource
+import signal
 import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +26,7 @@ from repro.cluster.faults import FaultPlan, RankCrash
 from repro.cluster.transport import (
     SHM_MIN_BYTES,
     LocalTransport,
-    _shm_read,
-    _shm_write,
+    _Window,
     available_transports,
     rank_extras,
 )
@@ -117,9 +118,10 @@ class TestTheLauncherIsRankZero:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_an_n_rank_section_forks_n_minus_one_times(self, n, monkeypatch):
         """A run that cannot be sent (its rank function is a local
-        closure) is hired for: n - 1 forks, every time."""
-        forks, pipes, dirs = [], [], []
-        fork, pipe, mkdtemp = os.fork, os.pipe, tempfile.mkdtemp
+        closure) is hired for: n - 1 forks, every time, and no directory."""
+        forks, pipes, windows, dirs = [], [], [], []
+        fork, pipe, memfd, mkdtemp = (os.fork, os.pipe, os.memfd_create,
+                                      tempfile.mkdtemp)
 
         def spy_fork():
             pid = fork()
@@ -137,38 +139,41 @@ class TestTheLauncherIsRankZero:
 
         monkeypatch.setattr(os, "fork", spy_fork)
         monkeypatch.setattr(os, "pipe", spy_pipe)
+        monkeypatch.setattr(os, "memfd_create",
+                            lambda *a: windows.append(1) or memfd(*a))
         monkeypatch.setattr(tempfile, "mkdtemp", spy_mkdtemp)
 
         def rank_fn(comm):
             return (os.getpid(), comm.allreduce(comm.rank, op=lambda a, b: a + b))
 
         for _ in range(2):
-            del forks[:], pipes[:], dirs[:]
+            del forks[:], pipes[:], windows[:], dirs[:]
             res = run_spmd(machine(n), rank_fn, nranks=n)
             assert [r[1] for r in res.results] == [n * (n - 1) // 2] * n
             assert len(forks) == n - 1
             assert [r[0] for r in res.results] == [os.getpid(), *forks]
-            # a pipe per ordered pair, a control and a result pipe per
-            # member; a lone rank has nobody to talk to and nothing to ship
+            # a pipe and a window per ordered pair, a control and a result
+            # pipe per member; a lone rank has nobody to talk to
             assert len(pipes) == (n - 1) * (n + 2)
-            assert len(dirs) == (1 if n > 1 else 0)
+            assert len(windows) == n * (n - 1)
+            assert dirs == []
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_a_run_that_can_be_sent_goes_to_the_crew(self, n, monkeypatch):
         """Hired once, the members take every later run they are fresh
-        for -- a smaller one from the low ranks -- with no fork and no
-        pipe; only the run's segment directory is new."""
+        for -- a smaller one from the low ranks -- with no fork, no pipe,
+        no window and no directory."""
         first = run_spmd(machine(n), _pid_and_sum, nranks=n)
-        forks, pipes, dirs = [], [], []
-        fork, pipe, mkdtemp = os.fork, os.pipe, tempfile.mkdtemp
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(os, "pipe", lambda: pipes.append(1) or pipe())
-        monkeypatch.setattr(tempfile, "mkdtemp",
-                            lambda *a, **kw: dirs.append(1) or mkdtemp(*a, **kw))
+        made = []
+        for mod, name in ((os, "fork"), (os, "pipe"), (os, "memfd_create"),
+                          (tempfile, "mkdtemp")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **kw:
+                                made.append(name) or real(*a, **kw))
         assert run_spmd(machine(n), _pid_and_sum, nranks=n).results == first.results
         smaller = run_spmd(machine(n), _pid_and_sum, nranks=n - 1).results
         assert [pid for pid, _ in smaller] == [pid for pid, _ in first.results][:n - 1]
-        assert forks == [] and pipes == [] and len(dirs) == (2 if n > 2 else 1)
+        assert made == []
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_rank_zero_error_is_the_object_it_raised(self):
@@ -180,7 +185,7 @@ class TestTheLauncherIsRankZero:
 
         def rank_fn(comm):
             if comm.rank == 1:
-                comm.Send(big, 0, tag=9)  # a segment rank 0 never reads
+                comm.Send(big, 0, tag=9)  # a window payload rank 0 never reads
                 return comm.recv(0, tag=5)  # blocked until rank 0 is gone
             raise boom
 
@@ -222,32 +227,108 @@ class TestTheLauncherIsRankZero:
         assert _meter_sink.get() is None and _CURRENT_STORE.get() is None
 
 
+@pytest.fixture
+def window():
+    """A pair's two ends of one window: the writer's, and the reader's on
+    its own descriptor and mapping, as another process holds it."""
+    fd = os.memfd_create("test-window")
+    writer, reader = _Window(fd), _Window(os.dup(fd))
+    yield writer, reader
+    writer.close()
+    reader.close()
+
+
+def _send_two_take(comm, taken):
+    """Rank 0 sends rank 1 two window-sized payloads; rank 1 takes the
+    first *taken* of them (the run drops the rest)."""
+    a = np.arange(SHM_MIN_BYTES // 8, dtype=np.float64)
+    if comm.rank == 0:
+        comm.Send(a, 1, tag=1)
+        comm.Send(a + 1.0, 1, tag=2)
+        return None
+    return [comm.Recv(0, tag=t).tobytes() for t in (1, 2)[:taken]]
+
+
 class TestSharedMemory:
-    def test_shm_segment_round_trip(self):
+    def test_an_ndarray_round_trips_through_a_window(self, window):
+        writer, reader = window
         arr = np.arange(1024.0).reshape(32, 32)
-        ref = _shm_write(arr)
-        out = _shm_read(ref)
+        slot = writer.put(arr)
+        assert slot == (_Window.HEAD, arr.nbytes, arr.dtype.str, arr.shape)
+        out = reader.take(*slot)
         assert out.tobytes() == arr.tobytes()
         assert out.dtype == arr.dtype and out.shape == arr.shape
+        assert out.flags.owndata and out.flags.writeable  # the reader's own
 
-    def test_shm_write_compacts_noncontiguous(self):
+    def test_a_strided_view_is_compacted_into_a_window(self, window):
+        writer, reader = window
         arr = np.arange(64.0).reshape(8, 8).T
         assert not arr.flags.c_contiguous
         before = copy_stats()["noncontiguous_compacted"]
-        ref = _shm_write(arr)
+        slot = writer.put(arr)
         assert copy_stats()["noncontiguous_compacted"] == before + 1
-        assert _shm_read(ref).tobytes() == np.ascontiguousarray(arr).tobytes()
+        assert reader.take(*slot).tobytes() == np.ascontiguousarray(arr).tobytes()
 
-    def test_serialized_bytes_ride_a_segment_too(self):
+    def test_serialized_bytes_ride_a_window_too(self, window):
+        writer, reader = window
         data = bytes(range(256)) * 300
-        ref = _shm_write(data)
-        assert ref.dtype is None and os.path.exists(ref.name)
-        assert _shm_read(ref) == data
-        assert not os.path.exists(ref.name)  # the reader released it
+        first = writer.put(b"x" * 100)
+        slot = writer.put(data)  # the first is not taken yet: after it, aligned
+        assert slot == (first[0] + 128, len(data), None, None)
+        assert reader.take(*slot) == data
+        assert reader.take(*first) == b"x" * 100
+
+    def test_space_is_reused_once_the_reader_has_taken_all(self, window):
+        """A ping-pong of one payload at a time keeps landing at the front;
+        one left unread keeps the next behind it."""
+        writer, reader = window
+        a = np.arange(8192.0)
+        for k in range(3):
+            slot = writer.put(a + k)
+            assert slot[0] == _Window.HEAD
+            assert reader.take(*slot).tobytes() == (a + k).tobytes()
+        unread = writer.put(a)
+        assert writer.put(a)[0] == unread[0] + a.nbytes
+        assert os.fstat(writer.fd).st_size == 1 << 20
+
+    def test_a_payload_larger_than_the_window_grows_it(self, window):
+        """The writer grows the file; a reader mapped before the growth
+        re-maps and reads the bytes past its old mapping."""
+        writer, reader = window
+        small = np.arange(16.0)
+        assert reader.take(*writer.put(small)).tobytes() == small.tobytes()
+        size = os.fstat(writer.fd).st_size
+        assert len(reader.map) == size
+        big = np.random.default_rng(0).random(size // 8 + 1000)
+        slot = writer.put(big)
+        assert os.fstat(writer.fd).st_size >= slot[0] + big.nbytes > size
+        assert reader.take(*slot).tobytes() == big.tobytes()
+        assert len(reader.map) == os.fstat(writer.fd).st_size
+
+    def test_a_second_run_starts_again_at_the_front(self, monkeypatch):
+        """Both runs go through the same window (the second is sent to the
+        crew).  The first run leaves a payload unread, and the second still
+        puts its first payload at the window's start."""
+        put, seen = _Window.put, []
+
+        def spy(self, payload):
+            slot = put(self, payload)
+            seen.append((id(self), slot[0]))
+            return slot
+
+        monkeypatch.setattr(_Window, "put", spy)  # rank 0's, in this process
+        runs = [run_spmd(machine(), _send_two_take, nranks=2, args=(taken,))
+                for taken in (1, 2)]
+        a = np.arange(SHM_MIN_BYTES // 8, dtype=np.float64)
+        assert runs[0].results[1] == [a.tobytes()]
+        assert runs[1].results[1] == [a.tobytes(), (a + 1.0).tobytes()]
+        assert len({w for w, _ in seen}) == 1
+        offsets = [off for _, off in seen]
+        assert offsets[0] == offsets[2] == _Window.HEAD
 
     def test_forced_shm_path_matches_queue_path(self):
         """With the threshold forced to 1 byte every buffer send rides a
-        shared-memory segment; payloads must be unchanged."""
+        shared window; payloads must be unchanged."""
         arr = np.linspace(0.0, 1.0, 257)
 
         def rank_fn(comm):
@@ -313,16 +394,16 @@ class TestFeatureGates:
         assert "exit code 3" in str(failed[1])
 
     def test_rank_counts_beyond_the_descriptor_budget_are_refused(self):
-        """A crew of n holds 2 n (n + 1) pipe ends, give or take: what
-        ``RLIMIT_NOFILE`` cannot hold is refused, whatever ``select``
-        could have watched."""
+        """A crew of n holds 3 n (n + 1) pipe ends and windows, give or
+        take: what ``RLIMIT_NOFILE`` cannot hold is refused, whatever
+        ``select`` could have watched."""
         soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
         if soft == resource.RLIM_INFINITY or soft < 1024:
             pytest.skip(f"RLIMIT_NOFILE is {soft}")
         LocalTransport().available(16)
-        LocalTransport().available(math.isqrt(soft // 2) - 8)
+        LocalTransport().available(math.isqrt(soft // 3) - 8)
         with pytest.raises(TransportUnavailable, match="descriptors"):
-            LocalTransport().available(math.isqrt(soft // 2) + 1)
+            LocalTransport().available(math.isqrt(soft // 3) + 1)
 
 
 def _repro_modules():
@@ -369,8 +450,20 @@ class TestNothingIsImportedInARank:
         assert [e["mods"] for e in seen] == [before, before]
 
 
+def _windows_both_ways(comm, die):
+    """Every rank sends every other a window-sized payload, then takes
+    what it was sent; with *die*, rank 1 is SIGKILLed in between."""
+    mine = np.arange(SHM_MIN_BYTES // 8 + 64, dtype=np.float64) * (comm.rank + 1)
+    peers = [p for p in range(comm.size) if p != comm.rank]
+    for p in peers:
+        comm.Send(mine, p, tag=4)
+    if die and comm.rank == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return [comm.Recv(p, tag=4).tobytes() for p in peers]
+
+
 def _host_state():
-    """What a section must leave as it found it: shared-segment entries,
+    """What a section must leave as it found it: entries under /dev/shm,
     the test process's children, its open descriptors."""
     me = str(os.getpid())
     kids = set()
@@ -403,6 +496,8 @@ class TestNothingLeaks:
         assert _host_state() == before
 
     def test_rank_raises_with_an_unread_segment_in_flight(self):
+        """The payloads rank 1 never reads stay in its window, which goes
+        with the crew the failed run retires."""
         def rank_fn(comm):
             if comm.rank == 0:
                 comm.Send(self.BIG, 1, tag=9)  # never received
@@ -414,6 +509,26 @@ class TestNothingLeaks:
         with pytest.raises(ValueError, match="exploded"):
             run_spmd(machine(), rank_fn, nranks=2, real_timeout=20.0)
         assert _host_state() == before
+
+    def test_a_member_killed_mid_run_with_windows_in_flight(self):
+        """Rank 1 of a run sent to the crew is SIGKILLed with window-sized
+        payloads in flight both ways: the run fails naming it, the crew
+        retires -- no child, no descriptor, nothing under /dev/shm -- and
+        the next run hires anew and computes the same bits."""
+        before = _host_state()
+        warm = run_spmd(machine(3), _windows_both_ways, nranks=3, args=(False,))
+        with pytest.raises(RuntimeError, match="rank 1 died unreported"):
+            run_spmd(machine(3), _windows_both_ways, nranks=3, args=(True,),
+                     real_timeout=20.0)
+        assert _host_state() == before
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            again = run_spmd(machine(3), _windows_both_ways, nranks=3,
+                             args=(False,))
+        assert fork.call_count == 2
+        assert again.results == warm.results
+        assert again.results == run_spmd(
+            MachineSpec(nodes=3, cores_per_node=1), _windows_both_ways,
+            nranks=3, args=(False,)).results
 
     def test_deadline_expiry_kills_and_reaps(self, monkeypatch):
         monkeypatch.setattr(transport_mod, "REPORT_SLACK_S", 0.2)
@@ -456,7 +571,7 @@ class TestNothingLeaks:
 
     def test_two_hundred_sections_leave_the_process_flat(self):
         """Two hundred runs sent to one crew: the same members, the same
-        descriptors, no segment left."""
+        descriptors, nothing left under /dev/shm."""
         first = run_spmd(machine(), _pid_and_sum, nranks=2).results
         before = _host_state()
         for _ in range(200):

@@ -2,7 +2,7 @@
 exchange ghost rows with ``Comm.send`` / ``recv`` for ``iterations - 1``
 supersteps, so ``sim`` and ``local`` must agree on the value, the virtual
 makespan and every byte and message -- with ghost rows both under and
-over the shared-segment threshold, where both neighbours post before
+over the shared-window threshold, where both neighbours post before
 either receives (the bounded-pipe case) -- and a deep sweep on forked
 ranks must leave the host as it found it once their crew has retired."""
 import os
@@ -74,7 +74,7 @@ class TestSweepParity:
     @pytest.mark.parametrize("width", [8, SHM_MIN_BYTES // 8 + 64])
     def test_ghost_rows_under_and_over_the_segment_threshold(self, width):
         """Rows of 64 B travel in the pipe frame, rows of 32 KiB + through
-        a shared segment; either way both neighbours have posted before
+        the pair's shared window; either way both neighbours have posted before
         either receives, every superstep."""
         init = np.random.default_rng(width).random((24, width))
         assert (init[0].nbytes >= SHM_MIN_BYTES) == (width > 8)

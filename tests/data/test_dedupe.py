@@ -65,6 +65,48 @@ def test_derived_arrays_are_never_deduped():
     assert plane.dedup_hits == 0
 
 
+def test_negative_zero_is_not_zero():
+    """Equal content means equal bytes: ``-0.0 == 0.0`` as numbers, but
+    their bytes differ, so they are two arrays -- even where the sample
+    (every 62nd element of 1,000) does not look."""
+    plane = DataPlane()
+    a = np.zeros(1000)
+    b = a.copy()
+    b[1] = -0.0
+    h = plane.register(a)
+    assert plane.register(b) is not h
+    assert plane.register(a.copy()) is h
+    assert plane.dedup_hits == 1 and len(plane.handles) == 2
+
+
+def test_a_strided_view_dedupes_against_its_contiguous_copy():
+    plane = DataPlane()
+    base = np.arange(200.0).reshape(10, 20)
+    view = base[:, ::2]
+    assert not view.flags.c_contiguous
+    h = plane.register(np.ascontiguousarray(view))
+    assert plane.register(view) is h
+    assert plane.register(base[:, 1::2]) is not h
+    assert plane.dedup_hits == 1
+
+
+def test_object_arrays_dedupe_only_on_the_same_objects():
+    """An object array's bytes are its element pointers: a copy holding
+    the same objects dedupes, one holding equal but distinct objects does
+    not."""
+    plane = DataPlane()
+    items = [(i, str(i)) for i in range(8)]
+    a = np.empty(8, dtype=object)
+    a[:] = items
+    same = a.copy()
+    equal = np.empty(8, dtype=object)
+    equal[:] = [(i, str(i)) for i in range(8)]
+    h = plane.register(a)
+    assert plane.register(same) is h
+    assert plane.register(equal) is not h
+    assert plane.dedup_hits == 1
+
+
 def test_dedupe_counter_in_stats():
     plane = DataPlane()
     a = np.arange(6.0)

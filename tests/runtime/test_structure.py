@@ -202,6 +202,14 @@ def test_local_has_one_fork_site_one_child_main_loop_and_no_setting():
     assert "crew" not in reset and "Transport" not in reset
 
 
+def test_the_wire_touches_no_filesystem():
+    """``local`` moves large payloads through windows its crew keeps, not
+    through files: ``cluster/transport.py`` imports neither ``tempfile``
+    nor ``shutil``."""
+    tree = ast.parse((RUNTIME.parent / "cluster" / "transport.py").read_text())
+    assert not {"tempfile", "shutil"} & _imported_names(tree)
+
+
 def test_the_rank_baton_is_sims_alone_and_the_runtime_takes_no_lock():
     """How ``sim`` schedules its rank threads is the transport's business:
     every ``threading.Lock(`` of ``cluster/transport.py`` sits inside

@@ -76,7 +76,7 @@ class TestZeroCopy:
 
 
 class TestContiguityGate:
-    """The buffer-view ship gate (Comm.Send, shared-memory segments):
+    """The buffer-view ship gate (Comm.Send, shared windows):
     contiguous data passes through untouched, anything else pays an
     explicit, *counted* compaction -- never a silent fallback."""
 

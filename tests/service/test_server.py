@@ -82,7 +82,7 @@ def test_resident_dataset_ships_zero_bytes_on_repeat(mriq_problem):
 
 
 def test_distribute_dedupes_rebuilt_equal_content_arrays(sgemm_problem):
-    """sgemm rebuilds BT inside every job; content-hash dedupe maps the
+    """sgemm rebuilds BT inside every job; content dedupe maps the
     rebuilt array onto the first job's resident handle."""
     p = sgemm_problem
     srv = JobServer(MACHINE, costs=costs_for("sgemm", "triolet", p))
