@@ -459,8 +459,9 @@ def run_section(rt, kind: SectionKind) -> Any:
         if out.recovery is not None:
             rt.recovery_report.merge(out.recovery)
         rt.sections.append(out)
-        osp.set(**out.span_attrs(),
-                **({} if out.restored else kind.span_attrs(out.ship, out.plan)))
+        if osp is not _NULL_SPAN:  # untraced: build no attributes
+            osp.set(**out.span_attrs(),
+                    **({} if out.restored else kind.span_attrs(out.ship, out.plan)))
         if _SECTION_OBSERVERS and not out.restored:  # restored: no blocks
             payload = out.payload(rt, kind.observe)
             for fn in list(_SECTION_OBSERVERS):

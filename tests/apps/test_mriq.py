@@ -1,6 +1,7 @@
 """mri-q correctness and behaviour tests."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.apps.mriq import (
     make_problem,
@@ -9,11 +10,12 @@ from repro.apps.mriq import (
     run_triolet,
     solve_ref,
 )
-from repro.apps.mriq.kernel import ftcoeff, q_for_pixels
+from repro.apps.mriq.kernel import TWO_PI, _cos_sin_turns, ftcoeff, q_for_pixels
 from repro.baselines.eden.runtime import StragglerModel
 from repro.bench.calibrate import costs_for
 from repro.cluster.machine import MachineSpec
 from repro.core import meter
+from repro.core.engine import use_vectorization
 
 MACHINE = MachineSpec(nodes=4, cores_per_node=4)
 
@@ -62,24 +64,59 @@ class TestKernel:
         assert q[0] == pytest.approx(2.5 + 0j)
 
 
+class TestPhaseInTurns:
+    """Every form reduces its phase to one turn, exactly, before the trig."""
+
+    @given(st.floats(min_value=-(2.0**52), max_value=2.0**52,
+                     exclude_min=True, exclude_max=True))
+    def test_the_reduction_is_exact(self, t):
+        r = t - np.rint(t)
+        assert r + np.rint(t) == t
+        assert abs(r) <= 0.5
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="long double is no wider than float64 here")
+    def test_reduced_trig_is_accurate_on_the_dense_problem(self):
+        """On the seeded DENSE mri-q problem (npix 6,144, nk 64, seed 7;
+        phases up to 77 turns) the reduced ``cos`` / ``sin(2πt)`` are
+        within 1e-15 of a long-double evaluation.  The unreduced formula,
+        ``cos(2π·t)``, reads 4.5e-14 (cos and sin alike) here."""
+        p = make_problem(npix=6144, nk=64, seed=7)
+        t = np.outer(p.x, p.kx) + np.outer(p.y, p.ky) + np.outer(p.z, p.kz)
+        exact = 2 * np.arccos(np.longdouble(-1)) * t.astype(np.longdouble)
+        c, s = _cos_sin_turns(t.copy(), 1.0)
+        assert np.abs(c - np.cos(exact)).max() <= 1e-15
+        assert np.abs(s - np.sin(exact)).max() <= 1e-15
+        assert np.abs(np.cos(TWO_PI * t) - np.cos(exact)).max() > 1e-14
+
+
 class TestFrameworks:
+    """One set of bits across every mri-q path: the frameworks differ in
+    distribution, not arithmetic."""
+
     def test_triolet_matches_reference(self, problem, reference, costs):
-        run = run_triolet(problem, MACHINE, costs)
-        np.testing.assert_allclose(run.value, reference, rtol=1e-9)
+        with use_vectorization(True):
+            run = run_triolet(problem, MACHINE, costs)
+        assert np.array_equal(run.value, reference)
+
+    def test_scalar_triolet_matches_reference(self, problem, reference, costs):
+        with use_vectorization(False):
+            run = run_triolet(problem, MACHINE, costs)
+        assert np.array_equal(run.value, reference)
 
     def test_eden_matches_reference(self, problem, reference, costs):
         run = run_eden(problem, MACHINE, costs)
-        np.testing.assert_allclose(run.value, reference, rtol=1e-9)
+        assert np.array_equal(run.value, reference)
 
     def test_cmpi_matches_reference(self, problem, reference, costs):
         run = run_cmpi_app(problem, MACHINE, costs)
-        np.testing.assert_allclose(run.value, reference, rtol=1e-9)
+        assert np.array_equal(run.value, reference)
 
     def test_single_node_machines(self, problem, reference, costs):
         tiny = MachineSpec(nodes=1, cores_per_node=2)
         for runner in (run_triolet, run_eden, run_cmpi_app):
             run = runner(problem, tiny, costs)
-            np.testing.assert_allclose(run.value, reference, rtol=1e-9)
+            assert np.array_equal(run.value, reference)
 
     def test_triolet_ships_pixel_slices_not_everything(self, problem, costs):
         run = run_triolet(problem, MACHINE, costs)

@@ -259,6 +259,29 @@ class TestBulkFormCallCount:
         assert arccos_calls(sets_per_block) == 1
         assert arccos_calls(2 * sets_per_block + 1) == 3
 
+    def test_mriq_bulk_form_makes_the_same_calls_for_any_batch(self):
+        from unittest import mock
+
+        import numpy as np
+
+        from repro.apps.mriq import kernel
+
+        rng = np.random.default_rng(0)
+        ks = [rng.uniform(-64, 64, 64) for _ in range(3)] + [rng.random(64)]
+        names = ("cos", "sin", "rint", "add", "asarray", "empty")
+
+        def counts(npix):
+            coords = [rng.uniform(-0.5, 0.5, npix) for _ in range(3)]
+            spies = {n: mock.MagicMock(wraps=getattr(np, n)) for n in names}
+            with mock.patch.multiple(np, **spies):
+                kernel.q_for_pixels_bulk(*ks, *coords)
+            return {n: len(spy.mock_calls) for n, spy in spies.items()}
+
+        few = counts(16)
+        assert few == counts(1024)
+        assert few["cos"] == few["sin"] == few["rint"] == 1
+        assert few["add"] == 2  # one add.reduce per sum
+
     def test_no_bulk_form_iterates_its_batch(self):
         """AST guard over every app module: no ``*_bulk`` / ``*_batch``
         function, nor any same-module helper it calls, has a ``for`` loop

@@ -116,6 +116,42 @@ def test_same_recovery_contract_from_every_kind(kind, scenario):
         assert rep.added_time == 0 and not payloads and not rt.sections
 
 
+def test_untraced_sections_build_no_span_attributes(monkeypatch):
+    """The obs contract: the disabled path allocates nothing.  With no
+    recorder no section builds its outcome's or its kind's span
+    attributes; under a recorder the section span carries both."""
+    calls = []
+    real_run, real_attrs = section._run, section.SectionOutcome.span_attrs
+
+    def spy(who, fn):
+        def wrapped(*args):
+            calls.append((who, fn(*args)))
+            return calls[-1][1]
+        return wrapped
+
+    def spy_run(rt, kind, osp):
+        kind.span_attrs = spy("kind", kind.span_attrs)
+        return real_run(rt, kind, osp)
+
+    monkeypatch.setattr(section, "_run", spy_run)
+    monkeypatch.setattr(section.SectionOutcome, "span_attrs",
+                        spy("outcome", real_attrs))
+    for build in KINDS.values():
+        with triolet_runtime(MACHINE) as rt:
+            build(rt)
+        assert len(rt.sections) == 1
+    assert calls == []
+    for build in KINDS.values():
+        with capture() as cap, triolet_runtime(MACHINE) as rt:
+            build(rt)
+        (span,) = cap.spans_of_kind("section")
+        (_, outcome), (_, extra) = calls
+        assert [who for who, _ in calls] == ["outcome", "kind"]
+        assert outcome == real_attrs(rt.last_section) and extra
+        assert span.attrs == {**outcome, **extra}
+        calls.clear()
+
+
 # -- what a failed attempt keeps -------------------------------------------
 #
 # The ranks that did not fail keep the partials they finished; the next
