@@ -139,29 +139,30 @@ def run_spmd(
 
     out = tr.execute(ctx, rank_fn, args)
 
-    metrics = RunMetrics(per_rank=out.metrics)
-    if out.errors:
+    clocks = [e.clock for e in out.ends]
+    extras = [e.extras for e in out.ends]
+    metrics = RunMetrics(per_rank=[e.metrics for e in out.ends])
+    infos = [
+        RankFailureInfo(rank=r, vtime=e.clock, error=e.payload)
+        for r, e in enumerate(out.ends) if e.status == "error"
+    ]
+    if infos:
         # Re-raise the lowest failing rank's original exception (callers
         # keep matching on the application error type), chained from a
         # RankFailureGroup that carries *every* failing rank with its
         # virtual time -- concurrent failures are no longer discarded.
-        errors = sorted(out.errors, key=lambda e: e[0])
-        infos = [
-            RankFailureInfo(rank=r, vtime=out.clocks[r], error=e)
-            for r, e in errors
-        ]
         if ctx.trace is not None:
             for info in infos:
                 ctx.trace.record(
                     CommEvent("rank_failed", info.vtime, info.rank, -1, 0, 0)
                 )
         group = RankFailureGroup(infos)
-        rank, exc = errors[0]
+        exc = infos[0].error
         try:
             exc.rank_failures = infos
             exc.trace_log = ctx.trace  # crashed attempts stay observable
-            exc.rank_extras = out.extras  # partial rank-local state
-            exc.final_clocks = out.clocks  # how long each rank really ran
+            exc.rank_extras = extras  # partial rank-local state
+            exc.final_clocks = clocks  # how long each rank really ran
             if faults is not None or recovery is not None:
                 exc.recovery_report = _build_report(metrics)
         except (AttributeError, TypeError):
@@ -171,17 +172,17 @@ def run_spmd(
         raise exc from group
 
     return SpmdResult(
-        results=out.results,
-        makespan=max(out.clocks),
+        results=[e.payload if e.status == "ok" else None for e in out.ends],
+        makespan=max(clocks),
         metrics=metrics,
-        final_clocks=out.clocks,
+        final_clocks=clocks,
         trace=ctx.trace,
         recovery=(
             _build_report(metrics)
             if faults is not None or recovery is not None
             else None
         ),
-        extras=out.extras,
+        extras=extras,
         transport=tr.name,
         wall_seconds=out.wall_seconds,
         launch_s=out.launch_s,

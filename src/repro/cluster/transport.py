@@ -18,14 +18,15 @@ protocol with three backends:
     and our own ``mpi`` world rank 0) and ranks >= 1 run on its resident
     crew of forked members, which are *sent* each run -- hired by a raw
     ``os.fork`` only when a run cannot be sent (no helper threads, nothing
-    imported in a member).  Messages travel as pickle frames over one pipe
-    per ordered rank pair; payloads above a threshold -- raw numpy buffers
-    and serialized ``bytes`` alike -- travel through the pair's shared
-    window, which the crew keeps (one block copy in, one out -- the
-    buffer-based contiguity-checked discipline of gpaw's MPI layer).
-    Because ranks really execute in parallel, wall-clock time scales with
-    cores while the *virtual* timeline -- computed causally from the same
-    cost model -- stays bit-identical to ``sim``.
+    imported in a member).  A crew goes with the thread that launched it,
+    or at the latest with the program: no member outlives it unreaped.
+    Messages travel as pickle frames over one pipe per ordered rank pair;
+    payloads above a threshold -- numpy buffers and serialized ``bytes``
+    alike -- go through the pair's shared window, which the crew keeps
+    (one block copy in, one out: gpaw's contiguity-checked buffer
+    discipline).  Ranks really execute in parallel, so wall-clock time
+    scales with cores, while the *virtual* timeline -- causal, from the
+    same cost model -- stays bit-identical to ``sim``.
 
 ``mpi``
     Optional mpi4py buffer sends between the ranks of an ``mpiexec``
@@ -39,19 +40,19 @@ says, where it builds each rank's ``Comm``, whether that rank runs on the
 launching process's heap (``Comm.in_launcher`` -- ``sim``: every rank,
 ``local``: rank 0, ``mpi``: none).  What a rank that runs elsewhere
 mutates of the driver's state (cost meters, plan-cache counters, rank
-stores) never reaches the driver, so rank code publishes such state through
-:func:`rank_extras`; every transport carries the dict back on
-:class:`RunOutcome.extras` and the driver merges it at section boundaries
-(see ``repro.runtime.section``).
+stores) never reaches the driver, so rank code publishes it through
+:func:`rank_extras`.  Every transport runs a rank's body through one
+``_run_rank``, whose :class:`RankEnd` carries that dict back; ``run_spmd``
+assembles the run from the ends, and the driver merges the dicts at
+section boundaries (see ``repro.runtime.section``).
 
 What rank code may assume on ``local``: rank 0's side effects land in the
 driver (as on ``sim`` and on ``mpi`` world rank 0) and an exception it
-raises is re-raised as the original object, not a pickled copy; its
-blocking receives stay bounded by ``real_timeout``, but a rank-0 body that
-never returns hangs the driver as it would on ``sim`` -- the launcher's
-kill deadline covers ranks >= 1 only.  A rank >= 1 of a run that was
-sent starts in an empty context: the run state its code reads comes with
-the rank function (the section engine's ``RankProgram`` carries it).  A
+raises is re-raised as the original object; its blocking receives stay
+bounded by ``real_timeout``, but a rank-0 body that never returns hangs
+the driver as on ``sim`` (the kill deadline covers ranks >= 1 only).  A
+rank >= 1 of a run that was sent starts in an empty context: the run
+state its code reads comes with the rank function (``RankProgram``).  A
 worker that really dies is a rank >= 1; the root's death is the job's.
 
 Fault injection (:class:`~repro.cluster.faults.FaultPlan`) is sim-only
@@ -60,6 +61,7 @@ schedule mid-flight.  ``run_spmd`` refuses the combination explicitly.
 """
 from __future__ import annotations
 
+import atexit
 import contextlib
 import contextvars
 import dataclasses
@@ -73,8 +75,9 @@ import struct
 import sys
 import threading
 import time
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -89,6 +92,7 @@ from repro.serial.closures import _CODE_SEGMENT
 __all__ = [
     "Transport",
     "TransportUnavailable",
+    "RankEnd",
     "RunOutcome",
     "SimTransport",
     "LocalTransport",
@@ -119,21 +123,90 @@ def rank_extras() -> dict | None:
 
 
 @dataclass
-class RunOutcome:
-    """What a transport hands back to ``run_spmd``: per-rank results,
-    final virtual clocks, metrics, extras, and any rank errors."""
+class RankEnd:
+    """How one rank's body ended, on every transport: ``status`` is
+    ``"ok"`` (``payload`` is what it returned), ``"aborted"`` (a peer
+    failed first; no payload) or ``"error"`` (``payload`` is what it
+    raised); then its final virtual clock, metrics and extras."""
 
-    results: list[Any]
-    clocks: list[float]
-    metrics: list[RankMetrics]
-    errors: list[tuple[int, BaseException]] = field(default_factory=list)
-    extras: list[dict] = field(default_factory=list)
+    status: str
+    payload: Any
+    clock: float
+    metrics: RankMetrics
+    extras: dict
+
+
+@dataclass
+class RunOutcome:
+    """What a transport hands back to ``run_spmd``: every rank's end, by
+    rank, and the run's wall seconds."""
+
+    ends: list[RankEnd]
     wall_seconds: float = 0.0
     #: ``wall_seconds`` by phase on ``local`` (0.0 elsewhere): entry -> run
     #: sent (or members hired), rank 0's body, its end -> last rank reported
     launch_s: float = 0.0
     root_s: float = 0.0
     join_s: float = 0.0
+
+
+def _run_rank(comm: Comm, rank_fn: Callable[..., Any], args: Sequence[Any]) -> RankEnd:
+    """The body of *comm*'s rank on every transport, wherever it runs:
+    ``rank_fn`` under the rank's extras dict, its end classified.  An error
+    aborts the run (the table's ``fail``) before the rank's peers are told
+    it is over (its ``mark_done``), which is the moment the body is."""
+    table = comm.ctx.channels
+    extras: dict = {}
+    token = _rank_extras.set(extras)
+    status, payload = "ok", None
+    try:
+        payload = rank_fn(comm, *args)
+    except SimAborted:
+        status = "aborted"  # secondary failure; the primary one is reported
+    except BaseException as exc:  # noqa: BLE001 -- propagated to the caller
+        status, payload = "error", exc
+        table.fail(exc)
+    finally:
+        _rank_extras.reset(token)
+        table.mark_done(comm.rank)
+    return RankEnd(status, payload, comm.clock.now, comm.metrics, extras)
+
+
+class _Crew:
+    """The ranks >= 1 one launching thread keeps between runs, in its
+    transport's ``_resident.crew`` (``of``).  A forked child has no crew
+    (only the forking thread lives on in it): its copy of its parent's is
+    nobody's (``pid``), as is a retired one.  A crew retires with its
+    thread (``__del__``) or, at the latest, as the program exits: every
+    live crew is in ``live``, which keeps none of them alive."""
+
+    live: "weakref.WeakSet[_Crew]" = weakref.WeakSet()
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self.live.add(self)
+
+    @staticmethod
+    def of(resident: threading.local) -> "_Crew | None":
+        crew = getattr(resident, "crew", None)
+        return crew if crew is not None and crew.pid == os.getpid() else None
+
+    def retire(self) -> dict:
+        """Let every member go: their exit codes by rank, if processes."""
+        if self.pid != os.getpid():
+            return {}  # retired, or a fork's copy of its parent's crew
+        self.pid = None
+        return self._let_go() or {}
+
+    def __del__(self) -> None:  # the launching thread is over
+        self.retire()
+
+
+@atexit.register
+def _retire_every_crew() -> None:
+    """Nothing a crew hired outlives the program: members are reaped."""
+    for crew in list(_Crew.live):
+        crew.retire()
 
 
 class Transport:
@@ -179,18 +252,16 @@ class SimTransport(Transport):
     section and take the next run's ranks -- they share the heap, there
     is nothing to send them -- so a program in steady state starts no
     thread.  Nothing virtual can tell: the whole life of a rank is
-    ``worker``, whichever thread calls it.
+    ``_run_rank``, whichever thread calls it.
 
-    One crew per launching thread, and only its idle threads are listed:
-    a run takes what it needs off the list, hires the rest, and hands all
-    of them back when its last rank is over, so a rank body that launches
-    a run of its own never waits behind the run it is part of.  An idle
-    thread holds nothing of a finished run, and a forked child -- only
-    the forking thread lives on in it -- starts with no crew.  **Bound:**
-    a run that used k threads leaves at most 2k idle, the longest idle
-    retiring first: a crew shrinks with its program, and a program that
-    loses up to half its ranks and grows back (elastic recovery) hires
-    nobody.  No timer, no size setting; a crew goes with its owner.
+    Only a crew's idle threads are listed: a run takes what it needs off
+    the list, hires the rest, and hands all of them back when its last
+    rank is over, so a rank body that launches a run of its own never
+    waits behind the run it is part of.  An idle thread holds nothing of
+    a finished run.  **Bound:** a run that used k threads leaves at most
+    2k idle, the longest idle retiring first: a crew shrinks with its
+    program, and a program that loses up to half its ranks and grows back
+    (elastic recovery) hires nobody.  No timer, no size setting.
 
     Ranks run free unless the run says ``run_to_block`` (rank bodies that
     hold the GIL throughout cannot overlap, only fight over it): then
@@ -204,20 +275,19 @@ class SimTransport(Transport):
     wall_clock = False
     supports_faults = True
 
-    class _Crew:
+    class _Crew(_Crew):
         """One launching thread's idle rank threads, by their inboxes."""
 
         def __init__(self) -> None:
-            self.pid = os.getpid()
+            super().__init__()
             self.idle: list[queue.SimpleQueue] = []
 
-        def keep(self, n: int) -> None:
+        def keep(self, n: int = 0) -> None:
             """Retire all but the *n* most recently used idle threads."""
             while len(self.idle) > n:
                 self.idle.pop(0).put(None)
 
-        def __del__(self) -> None:  # the owning thread is over
-            self.keep(0)
+        _let_go = keep
 
     _resident = threading.local()  # .crew; .home while a baton run pins it
 
@@ -264,15 +334,10 @@ class SimTransport(Transport):
         self, ctx: SimContext, rank_fn: Callable[..., Any], args: Sequence[Any]
     ) -> RunOutcome:
         nranks = ctx.nranks
-        comms = [Comm(ctx, r) for r in range(nranks)]
-        results: list[Any] = [None] * nranks
-        extras: list[dict] = [{} for _ in range(nranks)]
-        errors: list[tuple[int, BaseException]] = []
-        errors_lock = threading.Lock()
-        # Every rank runs in a copy of the caller's context (installed
-        # executor, cost context, ...): a crew thread has an empty one of
-        # its own, which would silently disable nested parallel sections
-        # inside rank code.
+        ends: list[RankEnd] = [None] * nranks
+        # Every rank runs in a copy of the caller's context (executor, cost
+        # context, ...): in a crew thread's own, empty one, nested parallel
+        # sections inside rank code would silently be off.
         caller_context = contextvars.copy_context()
         # One per run: held by whichever rank is executing, let go of in
         # ``ChannelTable.take`` alone.
@@ -283,35 +348,20 @@ class SimTransport(Transport):
         cpu = self._cpu() if baton is not None else None
 
         def worker(rank: int) -> None:
-            def call():
-                token = _rank_extras.set(extras[rank])
-                try:
-                    return rank_fn(comms[rank], *args)
-                finally:
-                    _rank_extras.reset(token)
-
             if baton is not None:
                 pinned = self._pin(cpu)
                 baton.acquire()
             try:
-                results[rank] = caller_context.copy().run(call)
-            except SimAborted:
-                pass  # secondary failure; the primary error is recorded
-            except BaseException as exc:  # noqa: BLE001 -- propagated to caller
-                with errors_lock:
-                    errors.append((rank, exc))
-                ctx.channels.fail(exc)
-            finally:
-                # After the last possible post: receivers blocked on this
-                # rank now abort deterministically (see ChannelTable).
-                ctx.channels.mark_done(rank)
+                ends[rank] = caller_context.copy().run(
+                    _run_rank, Comm(ctx, rank), rank_fn, args)
+            finally:  # after ``mark_done``: blocked receivers can abort
                 if baton is not None:
                     baton.release()
                     self._unpin(pinned)
 
         t0 = time.perf_counter()
-        crew = getattr(self._resident, "crew", None)
-        if crew is None or crew.pid != os.getpid():  # new thread, or a fork
+        crew = self._Crew.of(self._resident)
+        if crew is None:  # a new thread, a fork, or retired
             crew = self._resident.crew = self._Crew()
         done = queue.SimpleQueue()
         hired = []
@@ -336,14 +386,7 @@ class SimTransport(Transport):
             raise
         crew.idle.extend(reversed(hired))  # rank 1's is the next one taken
         crew.keep(2 * len(hired))
-        return RunOutcome(
-            results=results,
-            clocks=[c.clock.now for c in comms],
-            metrics=[c.metrics for c in comms],
-            errors=errors,
-            extras=extras,
-            wall_seconds=time.perf_counter() - t0,
-        )
+        return RunOutcome(ends, wall_seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +542,21 @@ class LocalChannelTable:
     posting to a third rank, finish as on ``sim``.
     """
 
-    def __init__(
-        self, rank: int, inbound: dict, outbound: dict, windows_in: dict,
-        windows_out: dict, abort, shm_min: int, real_timeout: float,
-    ) -> None:
+    def __init__(self, rank: int, ends: tuple, abort, shm_min: int,
+                 ctx: SimContext) -> None:
+        # The crew's pipe ends (src -> read fd, dst -> write fd) and windows
+        # of this rank, in and out, among the run's ranks.
+        inbound, self._outbound, self._windows_in, self._windows_out = (
+            {p: e for p, e in es.items() if p < ctx.nranks} for es in ends)
         self.rank = rank
         self.abort = abort
-        self._shm_min = shm_min
-        self._real_timeout = real_timeout
+        self._shm_min, self._real_timeout = shm_min, ctx.real_timeout
         # (src, tag) -> what arrived before it was asked for; pipe order
         # is kept, so matching is deterministic as on sim.
         self._pending: dict[tuple[int, int], deque] = {}
-        # src -> reader (until that rank is done), dst -> write fd
+        # src -> reader, until that rank is done
         self._inbound = {s: _FrameReader(fd, s) for s, fd in inbound.items()}
-        self._outbound = outbound
-        self._windows_in = windows_in
-        self._windows_out = windows_out
-        for w in windows_out.values():
+        for w in self._windows_out.values():
             w.restart()
         self._sel = selectors.DefaultSelector()
         for reader in self._inbound.values():
@@ -587,13 +628,11 @@ class LocalChannelTable:
     def fail(self, exc: BaseException) -> None:
         self.abort[0] = 1
 
-    def done(self) -> None:
+    def mark_done(self, rank: int) -> None:
         """This rank's body is over: a done frame to every peer."""
         for dst in self._outbound:
-            try:
+            with contextlib.suppress(SimDeadlockError):  # stuck: the deadline's
                 self._send(dst, None)
-            except SimDeadlockError:
-                pass  # that peer is stuck: the launcher's deadline is its
 
     def drain(self, deadline: float) -> bool:
         """Read every peer's pipe up to its done frame, dropping what this
@@ -610,36 +649,6 @@ class LocalChannelTable:
             self._sel.close()
 
 
-def _run_rank(
-    ctx: SimContext, table: LocalChannelTable, rank_fn: Callable[..., Any],
-    args: Sequence[Any],
-) -> tuple:
-    """The body of *table*'s rank, in a crew member (ranks >= 1) and in
-    the launcher (rank 0) alike.  Returns ``(status, payload, clock,
-    metrics, extras)``; an ``"error"`` payload is the exception as it was
-    raised, after the run's abort flag was set.  The rank's peers are told
-    it is done the moment the body is over, whatever else the process
-    still does."""
-    comm = Comm(
-        dataclasses.replace(ctx, channels=table), table.rank,
-        in_launcher=table.rank == 0,
-    )
-    extras: dict = {}
-    token = _rank_extras.set(extras)
-    status, payload = "ok", None
-    try:
-        payload = rank_fn(comm, *args)
-    except SimAborted:
-        status = "aborted"  # secondary failure; the primary one is reported
-    except BaseException as exc:  # noqa: BLE001 -- propagated to the caller
-        status, payload = "error", exc
-        table.fail(exc)
-    finally:
-        _rank_extras.reset(token)
-        table.done()
-    return status, payload, comm.clock.now, comm.metrics, extras
-
-
 def _picklable_error(exc: BaseException) -> BaseException:
     """An exception safe to send through a pipe (some carry live state)."""
     try:
@@ -647,11 +656,6 @@ def _picklable_error(exc: BaseException) -> BaseException:
         return exc
     except Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _ends(ends: tuple, nranks: int) -> tuple:
-    """A rank's pipe ends and windows, in and out, among the first *nranks*."""
-    return tuple({p: fd for p, fd in e.items() if p < nranks} for e in ends)
 
 
 def _member(rank: int, ends: tuple, control: int, result: int, abort,
@@ -663,28 +667,26 @@ def _member(rank: int, ends: tuple, control: int, result: int, abort,
     run = contextvars.copy_context().run  # the hiring run goes on as forked
     while True:
         ctx, rank_fn, args = job
-        table = LocalChannelTable(rank, *_ends(ends, ctx.nranks), abort,
-                                  shm_min, ctx.real_timeout)
-        status, payload, clock, metrics, extras = run(
-            _run_rank, ctx, table, rank_fn, args)
+        table = LocalChannelTable(rank, ends, abort, shm_min, ctx)
+        end = run(_run_rank, Comm(dataclasses.replace(ctx, channels=table),
+                                  rank, in_launcher=False), rank_fn, args)
         # What it holds for the next run: nothing if a peer never finished
         # this one (the launcher kills that peer and retires the crew).
         holding = getattr(rank_fn, "holding", None)
         held = table.drain(time.perf_counter() + ctx.real_timeout) and (
             len(_CODE_SEGMENT), holding and holding(rank))
-        if status == "error":
-            payload = _picklable_error(payload)
+        if end.status == "error":
+            end.payload = _picklable_error(end.payload)
         events = list(ctx.trace.events) if ctx.trace is not None else None
         sys.stdout.flush()
         sys.stderr.flush()
         try:
-            _send_frame(result, (status, payload, clock, metrics, extras,
-                                 events, held))
+            _send_frame(result, (end, events, held))
         except Exception as exc:  # noqa: BLE001 -- does not pickle: rank's error
-            _send_frame(result, ("error", _picklable_error(exc), clock,
-                                 metrics, {}, None, None))
+            _send_frame(result, (RankEnd("error", _picklable_error(exc), end.clock,
+                                         end.metrics, {}), None, None))
         # Let the run go (a program's handles die with it) before waiting.
-        del ctx, rank_fn, args, payload, extras, job, holding
+        del ctx, rank_fn, args, end, job, holding
         frames: list | None = []
         while frames == []:
             frames = jobs.feed()
@@ -706,29 +708,26 @@ class LocalTransport(Transport):
     inheriting its program, and stays: a later run is *sent* to it, one
     pickle frame on its control pipe holding the rank function and its
     arguments by reference, as the paper's ranks are sent closures.  Rank 0
-    runs in the launching process in a copy of the caller's context; its
-    result, clock, metrics, extras and trace events are used where they
-    are.  A member's come back in one outcome frame on its result pipe.
-    Ranks talk over persistent pipes and shared windows, one of each per
-    ordered pair; a run ends with a done frame on each pipe, read by every
-    rank, so no frame, window payload or abort flag reaches the next run.
+    runs in the launching process in a copy of the caller's context and
+    its ``RankEnd`` is used where it is; a member's comes back in one frame
+    on its result pipe.  Ranks talk over persistent pipes and shared
+    windows, one of each per ordered pair; a run ends with a done frame on
+    each pipe, read by every rank, so nothing of it reaches the next run.
 
     **Freshness.**  A run goes to the crew when it pickles with plain
     ``pickle`` and every member it needs is fresh for it: the code segment
     has not grown since the member last reported, and the member holds
-    what the rank function's optional ``holding(rank)`` names (the section
-    engine: its copy of the rank store at the version of the driver's
-    mirror).  Otherwise the crew retires and the run hires its own.
+    what the rank function's optional ``holding(rank)`` names (a section's
+    rank store at the driver mirror's version).  Otherwise the crew
+    retires and the run hires its own.
 
     **Bound and lifetime.**  A crew is the size of the last run it was
     hired for and serves smaller runs from its low ranks; a member keeps
     one plane's rank store, the last it served.  A run in which a rank
     raises or a member dies or outlives the deadline retires the crew
     (stragglers killed, every member reaped), as does a member found dead
-    before a run is sent.  One crew per launching thread, going with it
-    (members exit at EOF on their control pipes); none in a forked child;
-    a member holds its own crew's descriptors only.  No timer, no setting.
-    """
+    before a run is sent.  An idle member exits at EOF on its control pipe
+    and holds its own crew's descriptors only.  No timer, no setting."""
 
     name = "local"
     wall_clock = True
@@ -750,12 +749,12 @@ class LocalTransport(Transport):
                 f"than RLIMIT_NOFILE ({soft}) allows"
             )
 
-    class _Crew:
+    class _Crew(_Crew):
         """One launching thread's members: member r is rank r of every run
         the crew serves."""
 
         def __init__(self, ends, pids, controls, results, abort) -> None:
-            self.pid = os.getpid()
+            super().__init__()
             self.ends = ends  # rank 0's pipe ends and windows, in and out
             self.pids, self.controls, self.results = pids, controls, results
             self.abort = abort  # shared by the crew; cleared per run
@@ -774,20 +773,12 @@ class LocalTransport(Transport):
                     return False
             return True
 
-        def retire(self, kill=()) -> dict:
-            """Let every member go, SIGKILLing those in *kill* first;
-            returns the exit codes by rank."""
-            if self.pid != os.getpid():
-                return {}  # a fork's copy of its parent's crew
-            self.pid = None
+        def _let_go(self) -> dict:
             for fd in self.controls.values():
                 os.close(fd)  # an idle member exits at EOF
-            codes = {}
-            for r, pid in self.pids.items():
-                if r in kill:
-                    os.kill(pid, signal.SIGKILL)
-                # waitpid, so RUSAGE_CHILDREN accounts for every member
-                codes[r] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            # waitpid, so RUSAGE_CHILDREN accounts for every member
+            codes = {r: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                     for r, pid in self.pids.items()}
             inbound, outbound, windows_in, windows_out = self.ends
             pipes = {*inbound.values(), *outbound.values(), *self.results.values()}
             for fd in pipes:
@@ -799,9 +790,6 @@ class LocalTransport(Transport):
                                         (w.fd for w in windows))
             self.abort.close()
             return codes
-
-        def __del__(self) -> None:  # the launching thread is over
-            self.retire()
 
     _resident = threading.local()
 
@@ -843,7 +831,6 @@ class LocalTransport(Transport):
                 for fd in _CREW_FDS - own:
                     os.close(fd)
                 _CREW_FDS.intersection_update(own)
-                self._resident.crew = None  # its parent's, not its own
                 _member(rank, mine, control[rank][0], result[rank][1], abort,
                         self.shm_min_bytes, job)
             finally:
@@ -863,10 +850,9 @@ class LocalTransport(Transport):
         t0 = time.perf_counter()
         self.available(ctx.nranks)
         members = range(1, ctx.nranks)
-        crew = getattr(self._resident, "crew", None)
-        if crew is not None and crew.pid != os.getpid():
-            crew = None  # a fork's copy of its parent's crew
-        outcomes: dict[int, tuple] = {}
+        crew = self._Crew.of(self._resident)
+        outcomes: dict[int, RankEnd] = {}
+        events: dict[int, list | None] = {}
         waiting: dict[int, _FrameReader] = {}
         sys.stdout.flush()  # or every new member would flush its own copy
         sys.stderr.flush()
@@ -890,17 +876,17 @@ class LocalTransport(Transport):
                         crew.retire()
                     crew = self._resident.crew = self._hire(
                         ctx.nranks, (ctx, rank_fn, args))
-                ends, abort = _ends(crew.ends, ctx.nranks), crew.abort
+                ends, abort = crew.ends, crew.abort
             t_forked = time.perf_counter()
-            table = LocalChannelTable(0, *ends, abort, self.shm_min_bytes,
-                                      ctx.real_timeout)
-            # Used in place: rank 0's outcome never crosses a pipe (its
-            # trace events are already in ``ctx.trace``).
-            outcomes[0] = (*contextvars.copy_context().run(
-                _run_rank, ctx, table, rank_fn, args), None)
+            table = LocalChannelTable(0, ends, abort, self.shm_min_bytes, ctx)
+            # Used in place: rank 0's end never crosses a pipe (its trace
+            # events are already in ``ctx.trace``).
+            outcomes[0] = contextvars.copy_context().run(
+                _run_rank, Comm(dataclasses.replace(ctx, channels=table), 0),
+                rank_fn, args)
             t_root = time.perf_counter()
-            # A rank has the slack to report past whichever comes later:
-            # ``real_timeout``, or the root's own end.
+            # A rank may report until the later of ``real_timeout`` and the
+            # root's end, plus slack.
             limit = max(ctx.real_timeout, t_root - t0) + REPORT_SLACK_S
             table.drain(t0 + limit)
             waiting = {r: _FrameReader(crew.results[r], r) for r in members}
@@ -918,41 +904,35 @@ class LocalTransport(Transport):
                         reader = key.data
                         frames = reader.feed()
                         if frames:
-                            *outcomes[reader.peer], crew.held[reader.peer] = frames[0]
+                            r = reader.peer
+                            outcomes[r], events[r], crew.held[r] = frames[0]
                         if frames or frames is None:  # reported, or died silent
                             sel.unregister(reader.fd)
                             del waiting[reader.peer]
         finally:
             if members and crew is not None and (
                 len(outcomes) < ctx.nranks
-                or any(o[0] == "error" for o in outcomes.values())
+                or any(o.status == "error" for o in outcomes.values())
             ):
-                codes = crew.retire(kill=waiting)
-                self._resident.crew = None
+                for r in waiting:  # stragglers
+                    os.kill(crew.pids[r], signal.SIGKILL)
+                codes = crew.retire()
                 for r in members:
                     err = RuntimeError(
                         f"rank {r} died unreported (exit code {codes.get(r)})")
                     outcomes.setdefault(
-                        r, ("error", err, 0.0, RankMetrics(rank=r), {}, None))
+                        r, RankEnd("error", err, 0.0, RankMetrics(rank=r), {}))
             t_joined = time.perf_counter()
-        out = RunOutcome(
-            [], [], [],
+        if ctx.trace is not None:
+            for r in members:
+                ctx.trace.events.extend(events.get(r) or ())
+        return RunOutcome(
+            [outcomes[r] for r in range(ctx.nranks)],
             wall_seconds=time.perf_counter() - t0,
             launch_s=t_forked - t0,
             root_s=t_root - t_forked,
             join_s=t_joined - t_root,
         )
-        for r in range(ctx.nranks):
-            status, payload, clock, metrics, extras, events = outcomes[r]
-            out.results.append(payload if status == "ok" else None)
-            out.clocks.append(clock)
-            out.metrics.append(metrics)
-            out.extras.append(extras)
-            if status == "error":
-                out.errors.append((r, payload))
-            if events and ctx.trace is not None:
-                ctx.trace.events.extend(events)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1019,8 +999,12 @@ class MPIChannelTable:
             self._pending.setdefault((s, t), deque()).append(env)
 
     def fail(self, exc: BaseException) -> None:
+        """Record why this rank failed.  Its peers are not aborted: an
+        ``Abort`` would take the whole ``mpiexec`` world down with it."""
         self.abort_reason = exc
-        self._comm.Abort(1)
+
+    def mark_done(self, rank: int) -> None:
+        """Nothing to tell: a peer learns of this rank by its messages."""
 
 
 class MPITransport(Transport):
@@ -1052,42 +1036,22 @@ class MPITransport(Transport):
         from mpi4py import MPI
 
         world = MPI.COMM_WORLD
-        nranks = ctx.nranks
-        color = 0 if world.Get_rank() < nranks else MPI.UNDEFINED
+        color = 0 if world.Get_rank() < ctx.nranks else MPI.UNDEFINED
         sub = world.Split(color, world.Get_rank())
         t0 = time.perf_counter()
-        local: tuple | None = None
+        end = None
         if sub != MPI.COMM_NULL:
-            rank = sub.Get_rank()
-            table = MPIChannelTable(sub, rank)
-            cctx = dataclasses.replace(ctx, channels=table)
-            comm = Comm(cctx, rank, in_launcher=False)
-            extras: dict = {}
-            token = _rank_extras.set(extras)
-            status, payload = "ok", None
-            try:
-                payload = rank_fn(comm, *args)
-            except BaseException as exc:  # noqa: BLE001 -- gathered below
-                status = "error"
-                payload = _picklable_error(exc)
-            finally:
-                _rank_extras.reset(token)
-            local = (rank, status, payload, comm.clock.now, comm.metrics,
-                     extras)
+            table = MPIChannelTable(sub, sub.Get_rank())
+            end = _run_rank(Comm(dataclasses.replace(ctx, channels=table),
+                                 table.rank, in_launcher=False), rank_fn, args)
+            if end.status == "error":
+                end.payload = _picklable_error(end.payload)
             sub.Free()
         # Every world rank -- participant or not -- sees the same outcome,
-        # so the duplicated SPMD drivers continue deterministically.
-        gathered = [o for o in world.allgather(local) if o is not None]
-        gathered.sort(key=lambda o: o[0])
-        out = RunOutcome(
-            results=[o[2] if o[1] == "ok" else None for o in gathered],
-            clocks=[o[3] for o in gathered],
-            metrics=[o[4] for o in gathered],
-            errors=[(o[0], o[2]) for o in gathered if o[1] == "error"],
-            extras=[o[5] for o in gathered],
-            wall_seconds=time.perf_counter() - t0,
-        )
-        return out
+        # so the duplicated SPMD drivers continue deterministically.  World
+        # ranks 0..nranks-1 are the run's ranks, in order.
+        ends = [e for e in world.allgather(end) if e is not None]
+        return RunOutcome(ends, wall_seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -239,12 +239,15 @@ class TestABatonRunLivesOnOneCPU:
         target = max(_mask())
         if target == 0:
             pytest.skip("needs a second CPU")
-        others = len(sim_crew.names())
-        out = {}
+        out, crew = {}, set()
+
+        def ring(comm):
+            crew.add(threading.get_native_id())
+            return _ring(comm)
 
         def launcher():
             os.sched_setaffinity(0, {target})
-            res = run_spmd(MACHINE, _ring, nranks=3, run_to_block=True)
+            res = run_spmd(MACHINE, ring, nranks=3, run_to_block=True)
             out["where"] = [where for where, _ in res.results]
             out["after"] = _mask()
 
@@ -253,7 +256,8 @@ class TestABatonRunLivesOnOneCPU:
         t.join(timeout=30.0)
         assert not t.is_alive()
         assert out == {"where": [({target}, target)] * 3, "after": {target}}
-        assert sim_crew.settles(others)  # its restricted crew is gone
+        assert len(crew) == 3
+        assert sim_crew.settles(gone=crew)  # its restricted crew is gone
 
 
 @needs_affinity

@@ -64,17 +64,32 @@ class SimCrew:
     """The live resident ``sim`` rank threads of this process."""
 
     @staticmethod
-    def names() -> list[str]:
-        return [t.name for t in threading.enumerate()
-                if t.name.startswith("sim-rank-")]
+    def threads() -> list[threading.Thread]:
+        return [t for t in threading.enumerate() if t.name.startswith("sim-rank-")]
 
     @classmethod
-    def settles(cls, at_most: int, seconds: float = 10.0) -> bool:
-        """Retired threads end on their own time: poll, bounded."""
+    def names(cls) -> list[str]:
+        return [t.name for t in cls.threads()]
+
+    @classmethod
+    def settles(cls, at_most: int | None = None, seconds: float = 10.0,
+                gone=()) -> bool:
+        """Retired threads end on their own time: poll, bounded, until at
+        most *at_most* are left and none of *gone* (names or native ids)
+        is.  A count alone can be reached while a thread it meant is still
+        there, if another ended meanwhile: wait for identities where a
+        test knows them."""
+        gone = set(gone)
+
+        def settled() -> bool:
+            live = cls.threads()
+            return (at_most is None or len(live) <= at_most) and not any(
+                t.name in gone or t.native_id in gone for t in live)
+
         deadline = time.monotonic() + seconds
-        while len(cls.names()) > at_most and time.monotonic() < deadline:
+        while not settled() and time.monotonic() < deadline:
             time.sleep(0.005)
-        return len(cls.names()) <= at_most
+        return settled()
 
 
 @pytest.fixture
@@ -102,14 +117,19 @@ def _no_thread_outlives_the_suite():
     thread, and every resident ``sim`` rank thread is accounted for: a
     1-rank run leaves this thread's crew at twice nobody, the crews their
     members own go with them, and whoever is still there after that was
-    orphaned or belongs to a launcher that never ended."""
+    orphaned or belongs to a launcher that never ended.  Then every crew
+    retires, as at program exit, and the test process has no child left:
+    not running, not unreaped."""
     yield
-    from repro.cluster import MachineSpec, run_spmd
+    from repro.cluster import MachineSpec, run_spmd, transport
 
     assert not [t.name for t in threading.enumerate()
                 if t is not threading.current_thread() and not t.daemon]
     run_spmd(MachineSpec(nodes=1, cores_per_node=1), lambda comm: None, nranks=1)
     assert SimCrew.settles(0), SimCrew.names()
+    transport._retire_every_crew()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class OverlapProbe:

@@ -261,3 +261,75 @@ def test_cpu_placement_is_sims_alone_and_the_runtime_places_nothing():
     assert inside and not outside, outside
     for path in sorted(RUNTIME.rglob("*.py")):
         assert "affinity" not in path.read_text(), path.name
+
+
+def test_every_transport_runs_a_rank_through_one_body_and_run_spmd_assembles():
+    """A rank's body is written once: ``rank_fn(`` and ``_rank_extras.set(``
+    each appear once in ``cluster/transport.py``, inside ``_run_rank``.  A
+    transport hands back its ranks' ``RankEnd``s and wall stamps, nothing
+    it assembled itself: every ``RunOutcome(`` takes one list of ends, and
+    ``run_spmd`` builds results, clocks, extras, metrics and each
+    ``RankFailureInfo`` from them."""
+    from concurrent.futures import ThreadPoolExecutor
+    from dataclasses import fields
+
+    from repro.cluster import MachineSpec
+    from repro.cluster.comm import SimContext
+    from repro.cluster.transport import (
+        RankEnd, RunOutcome, available_transports, resolve_transport)
+
+    cluster = RUNTIME.parent / "cluster"
+    tree = ast.parse((cluster / "transport.py").read_text())
+
+    def calls(test) -> list[ast.Call]:
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and test(n.func)]
+
+    (body,) = [n for n in tree.body
+               if isinstance(n, ast.FunctionDef) and n.name == "_run_rank"]
+    inside = {id(n) for n in ast.walk(body)}
+    for test in (
+        lambda f: isinstance(f, ast.Name) and f.id == "rank_fn",
+        lambda f: isinstance(f, ast.Attribute) and f.attr == "set"
+        and isinstance(f.value, ast.Name) and f.value.id == "_rank_extras",
+    ):
+        sites = calls(test)
+        assert len(sites) == 1 and id(sites[0]) in inside, [n.lineno for n in sites]
+    # ... nor runs one in a context of its own, nor makes up an end that
+    # is not the error of a rank that never reported one
+    runs = [n for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and _called_name(n) == "run"]
+    assert runs and all(
+        isinstance(c.args[0], ast.Name) and c.args[0].id == "_run_rank"
+        for c in runs), [c.lineno for c in runs]
+    for call in calls(lambda f: isinstance(f, ast.Name) and f.id == "RankEnd"):
+        assert id(call) in inside or ast.literal_eval(call.args[0]) == "error"
+
+    stamps = ["wall_seconds", "launch_s", "root_s", "join_s"]
+    assert [f.name for f in fields(RunOutcome)] == ["ends", *stamps]
+    outcomes = calls(lambda f: isinstance(f, ast.Name) and f.id == "RunOutcome")
+    assert len(outcomes) == 3  # sim, local, mpi
+    for call in outcomes:
+        assert len(call.args) == 1 and {k.arg for k in call.keywords} <= set(stamps)
+    machine = MachineSpec(nodes=3, cores_per_node=1)
+    with ThreadPoolExecutor(1) as pool:  # whose crews go with its thread
+        for name in available_transports(nranks=3):
+            if name != "mpi":  # its ranks are the world's, not launched here
+                out = pool.submit(resolve_transport(name).execute,
+                                  SimContext(machine=machine, nranks=3),
+                                  _rank_of, ()).result()
+                assert [(type(e), e.status, e.payload) for e in out.ends] == [
+                    (RankEnd, "ok", r) for r in range(3)]
+
+    process = ast.parse((cluster / "process.py").read_text())
+    infos = [n for n in ast.walk(process) if isinstance(n, ast.ListComp)
+             and isinstance(n.elt, ast.Call)
+             and _called_name(n.elt) == "RankFailureInfo"]
+    built = [n for n in ast.walk(process)
+             if isinstance(n, ast.Call) and _called_name(n) == "RankFailureInfo"]
+    assert len(infos) == len(built) == 1
+    assert "out.ends" in ast.unparse(infos[0].generators[0].iter)
+    assert "out.errors" not in ast.unparse(process)
+
+
+def _rank_of(comm):
+    return comm.rank
