@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """One in-flight message."""
+class Envelope(NamedTuple):
+    """One in-flight message: its payload, then the fields ``local``
+    carries in its frame header, in that order."""
 
     payload: Any  # bytes for serialized sends, ndarray for buffer sends
     nbytes: int  # actual payload bytes (sandbox-sized problem)

@@ -109,6 +109,7 @@ class Comm:
         self.clock = VirtualClock()
         self.metrics = RankMetrics(rank=rank)
         self._coll_seq = 0
+        self._links: dict = {}  # peer rank -> the link to it
 
     # -- topology ----------------------------------------------------------
 
@@ -117,7 +118,11 @@ class Comm:
         return self.ctx.node_of(self.rank)
 
     def _link(self, other_rank: int):
-        return self.ctx.machine.link(self.node, self.ctx.node_of(other_rank))
+        link = self._links.get(other_rank)
+        if link is None:
+            link = self._links[other_rank] = self.ctx.machine.link(
+                self.node, self.ctx.node_of(other_rank))
+        return link
 
     # -- local cost charging -------------------------------------------------
 

@@ -80,6 +80,9 @@ class SpmdResult:
     launch_s: float = 0.0
     root_s: float = 0.0
     join_s: float = 0.0
+    #: the ranks' ``RankEnd.wall`` stamps, each the latest over the ranks
+    #: that took them (``()`` when none did)
+    member_s: tuple = ()
 
     @property
     def root_result(self) -> Any:
@@ -188,6 +191,7 @@ def run_spmd(
         launch_s=out.launch_s,
         root_s=out.root_s,
         join_s=out.join_s,
+        member_s=tuple(map(max, zip(*(e.wall for e in out.ends if e.wall)))),
     )
 
 

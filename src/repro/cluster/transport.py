@@ -20,8 +20,9 @@ protocol with three backends:
     ``os.fork`` only when a run cannot be sent (no helper threads, nothing
     imported in a member).  A crew goes with the thread that launched it,
     or at the latest with the program: no member outlives it unreaped.
-    Messages travel as pickle frames over one pipe per ordered rank pair;
-    payloads above a threshold -- numpy buffers and serialized ``bytes``
+    Messages travel over one pipe per ordered rank pair as a fixed header
+    and their serialized bytes (or an array's buffer); payloads above a
+    threshold -- numpy buffers and serialized ``bytes``
     alike -- go through the pair's shared window, which the crew keeps
     (one block copy in, one out: gpaw's contiguity-checked buffer
     discipline).  Ranks really execute in parallel, so wall-clock time
@@ -66,10 +67,11 @@ import contextlib
 import contextvars
 import dataclasses
 import mmap
+import operator
 import os
 import pickle
 import queue
-import selectors
+import select
 import signal
 import struct
 import sys
@@ -127,13 +129,17 @@ class RankEnd:
     """How one rank's body ended, on every transport: ``status`` is
     ``"ok"`` (``payload`` is what it returned), ``"aborted"`` (a peer
     failed first; no payload) or ``"error"`` (``payload`` is what it
-    raised); then its final virtual clock, metrics and extras."""
+    raised); then its final virtual clock, metrics and extras.  A
+    ``local`` member's end also carries its wall stamps, in seconds from
+    the launcher's ``execute`` entry: job frame read, job decoded, body
+    start, body end (``()`` elsewhere)."""
 
     status: str
     payload: Any
     clock: float
     metrics: RankMetrics
     extras: dict
+    wall: tuple = ()
 
 
 @dataclass
@@ -401,7 +407,14 @@ SHM_MIN_BYTES = 1 << 15
 #: Seconds past ``real_timeout`` a rank has to report before it is killed.
 REPORT_SLACK_S = 30.0
 
-_FRAME_LEN = struct.Struct("<Q")
+#: Every frame on a crew's pipes (message, done frame, job, report): tag
+#: (``_DONE``: the sender's run is over), ``Envelope``'s fields after its
+#: payload, the payload's window offset (-1: it follows), size and kind,
+#: an array's ndim and dtype-string length; then its shape and dtype, then
+#: the payload unless it lies in the pair's window.
+_HEAD = struct.Struct("<qqqd?iiqqBBB")
+_DONE = -1
+_BYTES, _ARRAY, _PICKLED = range(3)
 
 #: Every pipe end and window this process holds for a crew -- its members'
 #: too, while they are being hired: what a new member closes first, so
@@ -414,6 +427,24 @@ _CREW_FDS: set[int] = set()
 _TAKEN = struct.Struct("Q")
 
 
+def _flat(payload: "np.ndarray | bytes") -> tuple:
+    """``(dtype, shape, data)``: an ndarray's buffer (compacted if it is
+    not contiguous), or serialized ``bytes`` as they are."""
+    if isinstance(payload, np.ndarray):
+        a = ensure_contiguous(payload)
+        return a.dtype.str, a.shape, a.reshape(-1).view(np.uint8)
+    return None, None, payload
+
+
+def _decoded(buf, at: int, size: int, dtype: str | None, shape: tuple | None):
+    """A copy, owned by the caller, of the *size* bytes at *at* in *buf*:
+    an array when *dtype* says so, else ``bytes``."""
+    if dtype is None:
+        return bytes(buf[at:at + size])
+    dt = np.dtype(dtype)
+    return np.frombuffer(buf, dt, size // dt.itemsize, at).reshape(shape).copy()
+
+
 class _Window:
     """One ordered rank pair's shared window: a memfd (a file with no name)
     that writer and reader both map.  The writer bump-allocates large
@@ -421,8 +452,9 @@ class _Window:
     says where each lies; the reader copies it out (re-mapping first when
     it lies past its mapping) and counts it taken in the window's first
     bytes.  The writer starts again at ``HEAD`` once all it put is taken,
-    and at a run's start, when every rank has taken or dropped the last
-    run's frames.  Once warm, neither side makes a syscall."""
+    and at a run's start, when every rank has taken the last run's
+    payloads or will never take them.  Once warm, neither side makes a
+    syscall."""
 
     HEAD = 64  # where payloads start, past the taken count
 
@@ -444,11 +476,7 @@ class _Window:
     def put(self, payload: "np.ndarray | bytes") -> tuple:
         """Copy *payload* in; its ``(offset, nbytes, dtype, shape)``
         (``dtype`` is ``None`` for serialized ``bytes``)."""
-        if isinstance(payload, np.ndarray):
-            a = ensure_contiguous(payload)
-            dtype, shape, data = a.dtype.str, a.shape, a.reshape(-1).view(np.uint8)
-        else:
-            dtype, shape, data = None, None, payload
+        dtype, shape, data = _flat(payload)
         m = self.map
         if m is None or _TAKEN.unpack_from(m)[0] == self.count:
             self.top = self.HEAD  # nothing put is still to be read
@@ -468,11 +496,7 @@ class _Window:
         m = self.map
         if m is None or off + nbytes > len(m):
             m = self._remap()
-        if dtype is None:
-            out = m[off:off + nbytes]
-        else:
-            dt = np.dtype(dtype)
-            out = np.frombuffer(m, dt, nbytes // dt.itemsize, off).reshape(shape).copy()
+        out = _decoded(m, off, nbytes, dtype, shape)
         self.count += 1
         _TAKEN.pack_into(m, 0, self.count)
         return out
@@ -483,13 +507,37 @@ class _Window:
         os.close(self.fd)
 
 
-def _send_frame(fd: int, obj: Any, on_full: Callable[[], None] | None = None) -> None:
-    """Write *obj* to *fd* as one length-prefixed pickle frame.  A full
-    non-blocking pipe calls *on_full* (which waits for space); a reader
-    that has exited makes the frame undeliverable and it is dropped, as
-    the simulator's queue would hold it unread."""
-    body = pickle.dumps(obj, protocol=5)
-    view = memoryview(_FRAME_LEN.pack(len(body)) + body)
+def _frame(tag: int, payload: Any, head: tuple = (0, 0, 0.0, False, 0, 1),
+           window: "_Window | None" = None) -> bytes:
+    """One frame: *payload* -- ``bytes``, an ndarray as its buffer, else
+    pickled -- after the envelope fields *head*; through *window* if given
+    (and it is not pickled)."""
+    if isinstance(payload, np.ndarray) and payload.dtype.kind not in "OV":
+        kind = _ARRAY
+    elif isinstance(payload, bytes):
+        kind = _BYTES
+    else:
+        kind, payload = _PICKLED, pickle.dumps(payload, protocol=5)
+    if window is not None and kind != _PICKLED:
+        (off, size, dtype, shape), data = window.put(payload), b""
+    else:
+        dtype, shape, data = _flat(payload)
+        off, size = -1, len(data)
+    meta = b"" if dtype is None else (
+        struct.pack(f"<{len(shape)}q", *shape) + dtype.encode())
+    return b"".join((_HEAD.pack(tag, *head, off, size, kind, len(shape or ()),
+                                len(dtype or "")), meta, data))
+
+
+_DONE_FRAME = _frame(_DONE, b"")
+
+
+def _send_frame(fd: int, frame: bytes, on_full: Callable[[], None] | None = None) -> None:
+    """Write *frame* to *fd*.  A full non-blocking pipe calls *on_full*
+    (which waits for space); a reader that has exited makes the frame
+    undeliverable and it is dropped, as the simulator's queue would hold
+    it unread."""
+    view = memoryview(frame)
     while view:
         try:
             view = view[os.write(fd, view):]
@@ -500,108 +548,146 @@ def _send_frame(fd: int, obj: Any, on_full: Callable[[], None] | None = None) ->
 
 
 class _FrameReader:
-    """Incremental decoder of the frames rank *peer* writes to one pipe."""
+    """The frames rank *peer* writes to one pipe, kept as long as the pipe:
+    it reads ahead, and parses up to a done frame -- what follows is the
+    next run's, parsed when that run asks."""
 
     def __init__(self, fd: int, peer: int) -> None:
         self.fd = fd
         self.peer = peer
         self._buf = bytearray()
 
-    def feed(self) -> list | None:
-        """One ``os.read``: the frames it completed, or ``None`` at EOF
-        (every writer has exited)."""
+    def read(self) -> bool:
+        """One ``os.read``; False at EOF (every writer has exited)."""
         data = os.read(self.fd, 1 << 16)
-        if not data:
-            return None
-        buf = self._buf
-        buf += data
-        frames, off, head = [], 0, _FRAME_LEN.size
-        while len(buf) - off >= head:
-            end = off + head + _FRAME_LEN.unpack_from(buf, off)[0]
+        self._buf += data
+        return bool(data)
+
+    def frames(self) -> list:
+        """The complete frames buffered, up to a done frame: each ``(tag,
+        head, payload, slot)``, its payload decoded (``None`` when it lies
+        in the window, at *slot*: ``(offset, size, dtype, shape)``)."""
+        buf, off, out = self._buf, 0, []
+        while len(buf) - off >= _HEAD.size:
+            tag, *head, at, size, kind, ndim, dlen = _HEAD.unpack_from(buf, off)
+            meta = off + _HEAD.size
+            body = meta + 8 * ndim + dlen
+            end = body + (size if at < 0 else 0)
             if end > len(buf):
                 break
-            frames.append(pickle.loads(buf[off + head : end]))
+            dtype = buf[body - dlen:body].decode() if kind == _ARRAY else None
+            slot = (at, size, dtype,
+                    struct.unpack_from(f"<{ndim}q", buf, meta) if dtype else None)
+            payload = None
+            if at < 0:
+                payload, slot = _decoded(buf, body, *slot[1:]), None
+                if kind == _PICKLED:
+                    payload = pickle.loads(payload)
+            out.append((tag, head, payload, slot))
             off = end
+            if tag == _DONE:
+                break
         del buf[:off]
-        return frames
+        return out
+
+
+class _End:
+    """One rank's side of its crew, kept as long as the crew: pipe ends and
+    windows by peer, a reader per inbound pipe, and one poller."""
+
+    def __init__(self, ends: tuple) -> None:
+        inbound, self.outbound, self.windows_in, self.windows_out = ends
+        self.readers = {s: _FrameReader(fd, s) for s, fd in inbound.items()}
+        self.by_fd = {r.fd: r for r in self.readers.values()}
+        self.poll = select.poll()
+
+
+#: A 1-rank run's side of no crew.
+_NOBODY = _End(({}, {}, {}, {}))
 
 
 class LocalChannelTable:
-    """One process-rank's endpoint for one run: its ends of the per-pair
-    pipes and windows among the run's ranks (one writer each, so
+    """One process-rank's endpoint for one run: its end of the crew's
+    per-pair pipes and windows among the run's ranks (one writer each, so
     per-source FIFO needs no lock), (src, tag) matching with MPI's
     non-overtaking guarantee, and the crew's shared abort flag.  Same
     ``post``/``take``/``fail`` surface as the simulator's
     :class:`~repro.cluster.channel.ChannelTable`.
 
     The pipes outlive the run: a rank's last frame on each is a *done*
-    frame (``None``), and EOF means its process died.  Pipes are bounded
-    where the simulator's queues are not, so every wait -- for write space
-    or for a message -- services *all* inbound pipes into memory: two ranks
+    frame, and EOF means its process died.  Pipes are bounded where the
+    simulator's queues are not, so every wait -- for write space or for a
+    message -- services *all* inbound pipes into memory: two ranks
     flooding each other, or a receiver whose awaited sender is stuck
     posting to a third rank, finish as on ``sim``.
     """
 
-    def __init__(self, rank: int, ends: tuple, abort, shm_min: int,
+    def __init__(self, rank: int, end: _End, abort, shm_min: int,
                  ctx: SimContext) -> None:
-        # The crew's pipe ends (src -> read fd, dst -> write fd) and windows
-        # of this rank, in and out, among the run's ranks.
-        inbound, self._outbound, self._windows_in, self._windows_out = (
-            {p: e for p, e in es.items() if p < ctx.nranks} for es in ends)
         self.rank = rank
         self.abort = abort
+        self._end = end
+        self._outbound = {d: fd for d, fd in end.outbound.items() if d < ctx.nranks}
         self._shm_min, self._real_timeout = shm_min, ctx.real_timeout
         # (src, tag) -> what arrived before it was asked for; pipe order
         # is kept, so matching is deterministic as on sim.
         self._pending: dict[tuple[int, int], deque] = {}
         # src -> reader, until that rank is done
-        self._inbound = {s: _FrameReader(fd, s) for s, fd in inbound.items()}
-        for w in self._windows_out.values():
-            w.restart()
-        self._sel = selectors.DefaultSelector()
-        for reader in self._inbound.values():
-            self._sel.register(reader.fd, selectors.EVENT_READ, reader)
+        self._inbound = {s: r for s, r in end.readers.items() if s < ctx.nranks}
+        for d in self._outbound:
+            end.windows_out[d].restart()
+        for reader in list(self._inbound.values()):
+            end.poll.register(reader.fd, select.POLLIN)
+            self._parse(reader)  # what was read ahead of this run
+
+    def _parse(self, reader: _FrameReader) -> None:
+        for tag, head, payload, slot in reader.frames():
+            if tag == _DONE:
+                self._over(reader)
+            else:
+                self._pending.setdefault((reader.peer, tag), deque()).append(
+                    (head, payload, slot))
+
+    def _over(self, reader: _FrameReader) -> None:
+        """*reader*'s rank is done (or dead): nothing more will arrive."""
+        self._end.poll.unregister(reader.fd)
+        del self._inbound[reader.peer]
 
     def _progress(self, what: str, timeout: float, wfd: int | None = None) -> None:
         """Block until an inbound pipe delivered (into ``_pending``) or
         *wfd* has room; a silent *timeout* is a deadlock."""
+        poll = self._end.poll
         if wfd is not None:
-            self._sel.register(wfd, selectors.EVENT_WRITE)
+            poll.register(wfd, select.POLLOUT)
         try:
-            ready = self._sel.select(timeout)
+            ready = poll.poll(timeout * 1e3)
         finally:
             if wfd is not None:
-                self._sel.unregister(wfd)
+                poll.unregister(wfd)
         if not ready:
             raise SimDeadlockError(
                 f"rank {self.rank} waited {timeout:.0f}s (real) {what}; deadlock?"
             )
-        for key, _ in ready:
-            reader = key.data
+        for fd, _ in ready:
+            reader = self._end.by_fd.get(fd)
             if reader is None:
                 continue  # room to write
-            frames = reader.feed()
-            for frame in [None] if frames is None else frames:
-                if frame is None:  # done (or dead): nothing more will arrive
-                    self._sel.unregister(reader.fd)
-                    del self._inbound[reader.peer]
-                    break
-                tag, *sent = frame  # the envelope and its window slot
-                self._pending.setdefault((reader.peer, tag), deque()).append(sent)
+            if reader.read():
+                self._parse(reader)
+            else:
+                self._over(reader)
 
     def post(self, src: int, dst: int, tag: int, env: Envelope) -> None:
         if self.abort[0]:
             raise SimAborted("run aborted: a peer rank failed")
+        p, *head = env
         if dst == self.rank:
-            self._pending.setdefault((src, tag), deque()).append((env, None))
+            self._pending.setdefault((src, tag), deque()).append((head, p, None))
             return
-        p, slot = env.payload, None
-        if (p.nbytes if isinstance(p, np.ndarray) else len(p)) >= self._shm_min:
-            slot = self._windows_out[dst].put(p)
-            env = dataclasses.replace(env, payload=None)
-        self._send(dst, (tag, env, slot))
+        big = (p.nbytes if isinstance(p, np.ndarray) else len(p)) >= self._shm_min
+        self._send(dst, _frame(tag, p, head, self._end.windows_out[dst] if big else None))
 
-    def _send(self, dst: int, frame: Any) -> None:
+    def _send(self, dst: int, frame: bytes) -> None:
         fd = self._outbound[dst]
         wait = f"for pipe space to rank {dst}"
         _send_frame(fd, frame, lambda: self._progress(wait, self._real_timeout, fd))
@@ -611,11 +697,10 @@ class LocalChannelTable:
         while True:
             q = self._pending.get(key)
             if q:
-                env, slot = q.popleft()
+                head, payload, slot = q.popleft()
                 if slot is not None:
-                    env = dataclasses.replace(
-                        env, payload=self._windows_in[src].take(*slot))
-                return env
+                    payload = self._end.windows_in[src].take(*slot)
+                return Envelope(payload, *head)
             if self.abort[0]:
                 raise SimAborted("run aborted: a peer rank failed")
             if src not in self._inbound:
@@ -632,7 +717,7 @@ class LocalChannelTable:
         """This rank's body is over: a done frame to every peer."""
         for dst in self._outbound:
             with contextlib.suppress(SimDeadlockError):  # stuck: the deadline's
-                self._send(dst, None)
+                self._send(dst, _DONE_FRAME)
 
     def drain(self, deadline: float) -> bool:
         """Read every peer's pipe up to its done frame, dropping what this
@@ -645,8 +730,6 @@ class LocalChannelTable:
             return True
         except SimDeadlockError:
             return False
-        finally:
-            self._sel.close()
 
 
 def _picklable_error(exc: BaseException) -> BaseException:
@@ -658,43 +741,114 @@ def _picklable_error(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+# -- what a member keeps between runs ---------------------------------------
+
+#: While a job pickles for a crew: the crew's names by key, the names every
+#: member the job goes to holds, and the names the job uses.
+_naming: contextvars.ContextVar[tuple | None] = contextvars.ContextVar(
+    "repro_naming", default=None)
+
+#: In a member: what it keeps between runs, by name.
+_HELD: dict[int, Any] = {}
+
+
+def kept(obj: Any, key: Any = None) -> Any:
+    """*obj* as a job carries it.  While a job pickles for a crew, a value
+    no one can change -- a frozen dataclass, or a tuple of those and
+    scalars -- goes by its crew-wide name, and so does any object whose
+    *key* the caller gives: the name alone when every member the job goes
+    to holds it, else with the object, which those members then keep.
+    Otherwise *obj* itself."""
+    naming = _naming.get()
+    if naming is None:
+        return obj
+    if key is None:
+        if not all(map(_frozen, obj if type(obj) is tuple else (obj,))):
+            return obj
+        key = obj
+    names, holding, used = naming
+    try:
+        name = names.setdefault(key, len(names))
+    except TypeError:  # a frozen dataclass with an unhashable field
+        return obj
+    used.add(name)
+    return _Name((name,) if name in holding else (name, obj))
+
+
+def _frozen(v: Any) -> bool:
+    return v is None or isinstance(v, (int, float, str)) or getattr(
+        getattr(v, "__dataclass_params__", None), "frozen", False)
+
+
+class _Name(tuple):
+    """Pickles as ``_held(*self)``: a name, and what it names if sent."""
+
+    def __reduce__(self):
+        return _held, tuple(self)
+
+
+def _held(name: int, *obj: Any) -> Any:
+    """In a member: what it keeps under *name* -- *obj*, when sent."""
+    if obj:
+        _HELD[name] = obj[0]
+    return _HELD[name]
+
+
+#: What a job carries of its run's ``SimContext``: all but its channels and
+#: trace, which are the member's own.
+_SENT_FIELDS = tuple(f.name for f in dataclasses.fields(SimContext)
+                     if f.name not in ("channels", "trace"))
+_SENT = operator.attrgetter(*_SENT_FIELDS)
+
+
 def _member(rank: int, ends: tuple, control: int, result: int, abort,
             shm_min: int, job: tuple) -> None:
     """The life of crew member *rank*, in the fork: the run it was hired
-    for, then every run its control pipe brings, each reported on its
-    result pipe, until the launcher closes the control pipe."""
-    jobs = _FrameReader(control, 0)
+    for, then every run its control pipe brings -- each reported on its
+    result pipe as soon as its body is over, then drained -- until the
+    launcher closes the control pipe."""
+    end, jobs = _End(ends), _FrameReader(control, 0)
+    _HELD.clear()  # a member of a member's crew keeps nothing of its parent's
     run = contextvars.copy_context().run  # the hiring run goes on as forked
+    read = ()
     while True:
-        ctx, rank_fn, args = job
-        table = LocalChannelTable(rank, ends, abort, shm_min, ctx)
-        end = run(_run_rank, Comm(dataclasses.replace(ctx, channels=table),
-                                  rank, in_launcher=False), rank_fn, args)
-        # What it holds for the next run: nothing if a peer never finished
-        # this one (the launcher kills that peer and retires the crew).
-        holding = getattr(rank_fn, "holding", None)
-        held = table.drain(time.perf_counter() + ctx.real_timeout) and (
-            len(_CODE_SEGMENT), holding and holding(rank))
-        if end.status == "error":
-            end.payload = _picklable_error(end.payload)
+        ctx, rank_fn, args = job  # the member's own: a fork's copy, or sent
+        ctx.channels = LocalChannelTable(rank, end, abort, shm_min, ctx)
+        t_start = time.perf_counter()
+        out = run(_run_rank, Comm(ctx, rank, in_launcher=False), rank_fn, args)
+        out.wall = (*(read or (t_start, t_start)), t_start, time.perf_counter())
+        if out.status == "error":
+            out.payload = _picklable_error(out.payload)
         events = list(ctx.trace.events) if ctx.trace is not None else None
+        holding = getattr(rank_fn, "holding", None)
+        held = len(_CODE_SEGMENT), holding and holding(rank)
         sys.stdout.flush()
         sys.stderr.flush()
         try:
-            _send_frame(result, (end, events, held))
+            _send_frame(result, _frame(0, (out, events, held)))
         except Exception as exc:  # noqa: BLE001 -- does not pickle: rank's error
-            _send_frame(result, (RankEnd("error", _picklable_error(exc), end.clock,
-                                         end.metrics, {}), None, None))
+            _send_frame(result, _frame(0, (RankEnd(
+                "error", _picklable_error(exc), out.clock, out.metrics, {}),
+                None, None)))
+        # Reported: now the run's last frames.  A member that cannot read
+        # them all would take a run's frames into the next: it goes (the
+        # launcher finds it dead and hires anew).
+        if not ctx.channels.drain(time.perf_counter() + ctx.real_timeout):
+            os._exit(1)
         # Let the run go (a program's handles die with it) before waiting.
-        del ctx, rank_fn, args, end, job, holding
-        frames: list | None = []
-        while frames == []:
-            frames = jobs.feed()
-        if frames is None:  # the crew retired
-            os._exit(0)
-        ctx, traced, rank_fn, args = pickle.loads(frames[0])
-        job = (dataclasses.replace(ctx, trace=TraceLog() if traced else None),
-               rank_fn, args)
+        del ctx, rank_fn, args, out, job, holding
+        while True:  # a done frame first: the job is on its way
+            frames = jobs.frames()
+            if frames and frames[0][0] != _DONE:
+                break
+            if not frames:
+                if not jobs.read():
+                    os._exit(0)  # the crew retired
+                t_read = time.perf_counter()
+        read = t_read, time.perf_counter()
+        consts, traced, rank_fn, args = frames[0][2]
+        job = (SimContext(**dict(zip(_SENT_FIELDS, consts)), channels=None,
+                          trace=TraceLog() if traced else None), rank_fn, args)
         run = contextvars.Context().run  # nothing of the last run's context
 
 
@@ -710,20 +864,25 @@ class LocalTransport(Transport):
     arguments by reference, as the paper's ranks are sent closures.  Rank 0
     runs in the launching process in a copy of the caller's context and
     its ``RankEnd`` is used where it is; a member's comes back in one frame
-    on its result pipe.  Ranks talk over persistent pipes and shared
-    windows, one of each per ordered pair; a run ends with a done frame on
-    each pipe, read by every rank, so nothing of it reaches the next run.
+    on its result pipe as soon as its body is over.  Ranks talk over
+    persistent pipes and shared windows, one of each per ordered pair; a
+    run ends with a done frame on each pipe, read by every rank, so
+    nothing of it reaches the next run.
 
     **Freshness.**  A run goes to the crew when it pickles with plain
     ``pickle`` and every member it needs is fresh for it: the code segment
     has not grown since the member last reported, and the member holds
     what the rank function's optional ``holding(rank)`` names (a section's
     rank store at the driver mirror's version).  Otherwise the crew
-    retires and the run hires its own.
+    retires and the run hires its own.  What a job carries is fresh by
+    construction: the run's frozen constants and compiled plans go by
+    name (``kept``) only to members the crew knows to hold them -- each
+    member's own, not the crew's -- and in full to the rest.
 
     **Bound and lifetime.**  A crew is the size of the last run it was
     hired for and serves smaller runs from its low ranks; a member keeps
-    one plane's rank store, the last it served.  A run in which a rank
+    one plane's rank store, the last it served, and the constants and
+    plans it was sent (as many as the program has).  A run in which a rank
     raises or a member dies or outlives the deadline retires the crew
     (stragglers killed, every member reaped), as does a member found dead
     before a run is sent.  An idle member exits at EOF on its control pipe
@@ -755,10 +914,13 @@ class LocalTransport(Transport):
 
         def __init__(self, ends, pids, controls, results, abort) -> None:
             super().__init__()
-            self.ends = ends  # rank 0's pipe ends and windows, in and out
-            self.pids, self.controls, self.results = pids, controls, results
+            self.end = _End(ends)  # rank 0's pipe ends and windows, in and out
+            self.pids, self.controls = pids, controls
+            self.reports = {r: _FrameReader(fd, r) for r, fd in results.items()}
             self.abort = abort  # shared by the crew; cleared per run
             self.held: dict = {}  # rank -> what it last reported it holds
+            self.names: dict = {}  # what members keep, by key: its name
+            self.known = {r: set() for r in pids}  # rank -> the names it holds
 
         def serves(self, nranks: int, rank_fn) -> bool:
             """Members 1..nranks-1 are alive and fresh for *rank_fn*."""
@@ -773,17 +935,38 @@ class LocalTransport(Transport):
                     return False
             return True
 
+        def send(self, ctx: SimContext, rank_fn, args) -> bool:
+            """Send the run to members 1..nranks-1, naming what all of them
+            hold; False if it does not pickle."""
+            members = range(1, ctx.nranks)
+            used: set = set()
+            token = _naming.set((self.names, set.intersection(
+                *(self.known[r] for r in members)), used))
+            try:
+                frame = _frame(0, (kept(_SENT(ctx)), ctx.trace is not None,
+                                   rank_fn, args))
+            except (pickle.PicklingError, TypeError, AttributeError):
+                return False
+            finally:
+                _naming.reset(token)
+            self.abort[0] = 0
+            for r in members:
+                _send_frame(self.controls[r], frame)
+                self.known[r] |= used
+            return True
+
         def _let_go(self) -> dict:
             for fd in self.controls.values():
                 os.close(fd)  # an idle member exits at EOF
             # waitpid, so RUSAGE_CHILDREN accounts for every member
             codes = {r: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                      for r, pid in self.pids.items()}
-            inbound, outbound, windows_in, windows_out = self.ends
-            pipes = {*inbound.values(), *outbound.values(), *self.results.values()}
+            end = self.end
+            pipes = {*end.by_fd, *end.outbound.values(),
+                     *(r.fd for r in self.reports.values())}
             for fd in pipes:
                 os.close(fd)
-            windows = [*windows_in.values(), *windows_out.values()]
+            windows = [*end.windows_in.values(), *end.windows_out.values()]
             for w in windows:
                 w.close()
             _CREW_FDS.difference_update(pipes, self.controls.values(),
@@ -795,6 +978,9 @@ class LocalTransport(Transport):
 
     def _hire(self, nranks: int, job: tuple) -> "LocalTransport._Crew":
         """Fork members 1..nranks-1 into *job*; each stays on after it."""
+        self.available(nranks)
+        sys.stdout.flush()  # or every new member would flush its own copy
+        sys.stderr.flush()
         ranks = range(nranks)
         pairs = [(s, d) for s in ranks for d in ranks if s != d]
         pipes = {pair: os.pipe() for pair in pairs}
@@ -838,7 +1024,7 @@ class LocalTransport(Transport):
         crew = self._Crew(ends(0), pids, {r: w for r, (_, w) in control.items()},
                           {r: rd for r, (rd, _) in result.items()}, abort)
         theirs = every - fds(ends(0)) - {*crew.controls.values(),
-                                          *crew.results.values()}
+                                          *(rd for rd, _ in result.values())}
         for fd in theirs:
             os.close(fd)
         _CREW_FDS.difference_update(theirs)
@@ -848,37 +1034,28 @@ class LocalTransport(Transport):
         self, ctx: SimContext, rank_fn: Callable[..., Any], args: Sequence[Any]
     ) -> RunOutcome:
         t0 = time.perf_counter()
-        self.available(ctx.nranks)
         members = range(1, ctx.nranks)
         crew = self._Crew.of(self._resident)
+        if crew is not None:  # its members wake while the job is built
+            for r in members:
+                if r in crew.controls:
+                    _send_frame(crew.controls[r], _DONE_FRAME)
         outcomes: dict[int, RankEnd] = {}
         events: dict[int, list | None] = {}
         waiting: dict[int, _FrameReader] = {}
-        sys.stdout.flush()  # or every new member would flush its own copy
-        sys.stderr.flush()
+        drained = True
         try:
-            ends, abort = ({}, {}, {}, {}), bytearray(1)
+            end, abort = _NOBODY, bytearray(1)
             if members:
-                try:
-                    job = pickle.dumps((
-                        dataclasses.replace(ctx, channels=None, trace=None),
-                        ctx.trace is not None, rank_fn, args,
-                    ), protocol=5)
-                except (pickle.PicklingError, TypeError, AttributeError):
-                    job = None  # cannot be sent: the run hires its members
-                if job is not None and crew is not None and crew.serves(
-                        ctx.nranks, rank_fn):
-                    crew.abort[0] = 0
-                    for r in members:
-                        _send_frame(crew.controls[r], job)
-                else:
+                if not (crew is not None and crew.serves(ctx.nranks, rank_fn)
+                        and crew.send(ctx, rank_fn, args)):
                     if crew is not None:
                         crew.retire()
                     crew = self._resident.crew = self._hire(
                         ctx.nranks, (ctx, rank_fn, args))
-                ends, abort = crew.ends, crew.abort
+                end, abort = crew.end, crew.abort
             t_forked = time.perf_counter()
-            table = LocalChannelTable(0, ends, abort, self.shm_min_bytes, ctx)
+            table = LocalChannelTable(0, end, abort, self.shm_min_bytes, ctx)
             # Used in place: rank 0's end never crosses a pipe (its trace
             # events are already in ``ctx.trace``).
             outcomes[0] = contextvars.copy_context().run(
@@ -888,34 +1065,34 @@ class LocalTransport(Transport):
             # A rank may report until the later of ``real_timeout`` and the
             # root's end, plus slack.
             limit = max(ctx.real_timeout, t_root - t0) + REPORT_SLACK_S
-            table.drain(t0 + limit)
-            waiting = {r: _FrameReader(crew.results[r], r) for r in members}
-            with selectors.DefaultSelector() as sel:
-                for reader in waiting.values():
-                    sel.register(reader.fd, selectors.EVENT_READ, reader)
-                while waiting:
-                    ready = sel.select(max(0.0, t0 + limit - time.perf_counter()))
-                    if not ready:
-                        raise SimDeadlockError(
-                            f"local transport: {len(waiting)} rank process(es) "
-                            f"did not report within {limit:.0f}s"
-                        )
-                    for key, _ in ready:
-                        reader = key.data
-                        frames = reader.feed()
-                        if frames:
-                            r = reader.peer
-                            outcomes[r], events[r], crew.held[r] = frames[0]
-                        if frames or frames is None:  # reported, or died silent
-                            sel.unregister(reader.fd)
-                            del waiting[reader.peer]
+            drained = table.drain(t0 + limit)
+            waiting = {crew.reports[r].fd: crew.reports[r] for r in members}
+            for fd in waiting:
+                end.poll.register(fd, select.POLLIN)
+            while waiting:
+                ready = end.poll.poll(max(0.0, t0 + limit - time.perf_counter()) * 1e3)
+                if not ready:
+                    raise SimDeadlockError(
+                        f"local transport: {len(waiting)} rank process(es) "
+                        f"did not report within {limit:.0f}s"
+                    )
+                for fd, _ in ready:
+                    reader = waiting[fd]
+                    alive, r = reader.read(), reader.peer
+                    frames = reader.frames()
+                    if frames:
+                        outcomes[r], events[r], crew.held[r] = frames[0][2]
+                        outcomes[r].wall = tuple(t - t0 for t in outcomes[r].wall)
+                    if frames or not alive:  # reported, or died silent
+                        end.poll.unregister(fd)
+                        del waiting[fd]
         finally:
             if members and crew is not None and (
-                len(outcomes) < ctx.nranks
+                len(outcomes) < ctx.nranks or not drained
                 or any(o.status == "error" for o in outcomes.values())
             ):
-                for r in waiting:  # stragglers
-                    os.kill(crew.pids[r], signal.SIGKILL)
+                for reader in waiting.values():  # stragglers
+                    os.kill(crew.pids[reader.peer], signal.SIGKILL)
                 codes = crew.retire()
                 for r in members:
                     err = RuntimeError(
@@ -967,9 +1144,7 @@ class MPIChannelTable:
         p = env.payload
         if env.raw and isinstance(p, np.ndarray):
             a = ensure_contiguous(p)
-            head = dataclasses.replace(
-                env, payload=("__buf__", a.dtype.str, a.shape)
-            )
+            head = env._replace(payload=("__buf__", a.dtype.str, a.shape))
             self._comm.send((src, tag, head), dest=dst, tag=self._TAG_OBJ)
             self._comm.Send(a, dest=dst, tag=self._TAG_BUF)
         else:
@@ -984,7 +1159,7 @@ class MPIChannelTable:
             _, dts, shape = p
             buf = np.empty(shape, dtype=np.dtype(dts))
             self._comm.Recv(buf, source=src, tag=self._TAG_BUF)
-            env = dataclasses.replace(env, payload=buf)
+            env = env._replace(payload=buf)
         return src, tag, env
 
     def take(self, src: int, dst: int, tag: int, real_timeout: float) -> Envelope:

@@ -176,7 +176,9 @@ def _handle(aid: int, shape: tuple, dtype: str, layout: str) -> DistArray:
     metadata whose ``array`` holds no rows (a zero-stride view)."""
     h = _HANDLES.get(aid)
     if h is None:
-        h = DistArray(np.broadcast_to(np.zeros((), dtype), shape), layout, aid)
+        dt = np.dtype(dtype)
+        h = DistArray(np.ndarray(shape, dt, bytes(dt.itemsize), 0, (0,) * len(shape)),
+                      layout, aid)
     return h
 
 

@@ -43,7 +43,7 @@ from repro.cluster.faults import FaultPlan
 from repro.cluster.limits import RuntimeLimits, UNLIMITED
 from repro.cluster.machine import MachineSpec
 from repro.cluster.simclock import VirtualClock
-from repro.cluster.transport import rank_extras, resolve_transport
+from repro.cluster.transport import kept, rank_extras, resolve_transport
 from repro.core import meter
 from repro.core.domains import Dim2
 from repro.core.engine import execute as _engine
@@ -127,10 +127,19 @@ class NodeModel:
         self.machine = rt.machine
         self.meter_total = rt.meter_total
 
-    def __getstate__(self) -> dict:
+    def __reduce__(self):
         # The runtime's total stays home: a rank elsewhere tallies into the
-        # rank-local meter its program installs as the sink.
-        return {**self.__dict__, "meter_total": None}
+        # rank-local meter its program installs as the sink.  The rest are
+        # constants, which a crew member keeps.
+        return NodeModel._sent, (kept((self.costs, self.alloc, self.task_grain,
+                                       self.scheduler, self.machine)),)
+
+    @staticmethod
+    def _sent(consts: tuple) -> "NodeModel":
+        node = NodeModel.__new__(NodeModel)
+        node.costs, node.alloc, node.task_grain, node.scheduler, node.machine = consts
+        node.meter_total = None
+        return node
 
     def _merge_meter(self, m: meter.CostMeter) -> None:
         """Fold one metered region into the runtime total -- or, in a rank

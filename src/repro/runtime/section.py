@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextvars
 import time
+from collections import OrderedDict
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -30,7 +31,7 @@ from repro.cluster.comm import Comm
 from repro.cluster.faults import RankFailure
 from repro.cluster.metrics import RunMetrics
 from repro.cluster.process import run_spmd
-from repro.cluster.transport import rank_extras
+from repro.cluster.transport import kept, rank_extras
 from repro.core import meter
 from repro.core.engine import execute as _engine
 from repro.core.fusion import planner
@@ -131,6 +132,12 @@ class SectionOutcome:
     launch_s: float = _fact("wall", default=0.0)
     root_s: float = _fact("wall", default=0.0)
     join_s: float = _fact("wall", default=0.0)
+    #: the last member's stamps on ``local``, from the same entry: its job
+    #: frame read and decoded, its body's start and end
+    job_read_s: float = _fact("wall", default=0.0)
+    job_decoded_s: float = _fact("wall", default=0.0)
+    body_start_s: float = _fact("wall", default=0.0)
+    body_end_s: float = _fact("wall", default=0.0)
     transport: str | None = _fact("wall", default=None)
     #: ``(rank, block)`` of the partials the final attempt's ranks kept from
     #: failed ones; with ``bounds``, the blocks it computed, they cover the
@@ -325,7 +332,9 @@ class RankProgram:
     whether it has a shipment (work items and ops go by message), the
     plane's key and handles (as metadata), and a snapshot of the run state
     rank code reads from globals and context variables -- vectorization
-    flag and chunk, cost context, plan cache, whether a recorder is on.
+    flag and chunk, cost context, plan cache, whether a recorder is on; the
+    cost context and each compiled plan go by name to a member that holds
+    them (:func:`repro.cluster.transport.kept`).
     Every rank runs it with the runtime's node model as its executor.
 
     A rank outside the launcher (``comm.in_launcher`` false) tallies into
@@ -358,8 +367,13 @@ class RankProgram:
             "plane": None,
             "handles": [self.plane.handles.get(a) or lookup_handle(a) for a
                         in sorted(set(self.plane.handles).union(*self.reqs))],
+            # the plan cache as its keys and compiled plans (``None``:
+            # unsupported), each of which a member keeps once sent
             "state": (_engine.vectorization_enabled(), _engine.chunk_size(),
-                      current_costs(), planner.current_state(), obs_snapshot()),
+                      kept(current_costs()),
+                      [kept(entry, entry[0]) for st in [planner.current_state()]
+                       for entry in (*st.cache.items(), *st.negative.items())],
+                      obs_snapshot()),
         }
 
     def _store(self, rank: int, keep: bool = False):
@@ -384,6 +398,9 @@ class RankProgram:
         with ExitStack() as stack:
             if self.state is not None:  # this process's globals are not the driver's
                 vec, chunk, costs, plans, traced = self.state
+                plans = planner.PlannerState(
+                    {k: p for k, p in plans if p is not None},
+                    OrderedDict((k, p) for k, p in plans if p is None))
                 for cm in (_engine.use_vectorization(vec), use_costs(costs),
                            planner.use_state(plans), obs_resumed(traced)):
                     stack.enter_context(cm)
@@ -600,6 +617,8 @@ def _run(rt, kind: SectionKind, osp) -> tuple[Any, SectionOutcome]:
         bytes_shipped=m.bytes_sent,
         wall_seconds=res.wall_seconds if wall else 0.0, launch_s=res.launch_s,
         root_s=res.root_s, join_s=res.join_s,
+        **dict(zip(("job_read_s", "job_decoded_s", "body_start_s",
+                    "body_end_s"), res.member_s)),
         transport=res.transport if wall else None, salvaged=parts.salvaged,
         rank_losses=state.losses, checkpoint_bytes=ckpt_bytes,
         bounds=parts.bounds, survivors=nranks_max - state.dead, ship=ship,
@@ -667,16 +686,16 @@ def _recover(rt, exc: BaseException, parts: Parts, state: _Loop) -> Parts:
     # whatever it published before it died -- the next attempt computes
     # those blocks again.
     failed = {i.rank for i in infos}
-    held, kept = [], False
+    held, kept_any = [], False
     for r, new in enumerate(finished):
         if r not in failed:
             old = parts.held[r] if parts.held else []
             held.append(old + list(new))
-            kept = kept or bool(new)
+            kept_any = kept_any or bool(new)
     # An attempt whose work is kept lasted until its last rank stopped;
     # one that leaves nothing behind is over, for every rank, the moment
     # it fails.
-    ended = max(exc.final_clocks) if kept else max(i.vtime for i in infos)
+    ended = max(exc.final_clocks) if kept_any else max(i.vtime for i in infos)
     if permanent:
         # The machine shrank for good: later sections partition over the
         # survivors only.

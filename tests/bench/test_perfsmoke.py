@@ -462,22 +462,22 @@ class TestLocalSectionForkCount:
                 assert run.ok
 
         a_round()  # hires the crew
-        readers, sections = [], []
-        reader_init = transport._FrameReader.__init__
+        decoded, sections = [], []
+        frames = transport._FrameReader.frames
 
-        def spy_reader(self, fd, peer):
-            readers.append(peer)  # in a member: that member's copy of the list
-            reader_init(self, fd, peer)
+        def spy_frames(self):
+            decoded.append(self.peer)  # in a member: that member's copy of the list
+            return frames(self)
 
         with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
-                mock.patch.object(transport._FrameReader, "__init__", spy_reader), \
+                mock.patch.object(transport._FrameReader, "frames", spy_frames), \
                 observing_sections(sections.append):
             a_round()
         assert len(sections) == 6 and all(s["nchunks"] == 2 for s in sections)
         assert fork.call_count == 0
         # the launcher decodes frames from ranks >= 1 only: their messages
         # to rank 0 and their outcomes, never anything from rank 0
-        assert readers and 0 not in readers
+        assert decoded and 0 not in decoded
 
     def test_a_warmed_deep_sweep_forks_nothing(self):
         """Eight iterations on 3 ranks are one section, and once its crew
@@ -512,6 +512,112 @@ class TestLocalSectionForkCount:
                 rt.stencil(rt.distribute(np.arange(64.0)), radius=1,
                            kernel=lambda x: 0.5 * (x[:-2] + x[2:]), iterations=4)
             assert fork.call_count == 2
+
+
+@pytest.mark.perfsmoke
+class TestMemberCallFloor:
+    """The fixed cost a second ``local`` rank adds to a section, as a count:
+    a member's Python-level calls from one report to the next -- the drain
+    of one section, the job frame of the next decoded, its body run and
+    reported -- on two fixed 2-rank programs.  Each stays within 10 % of
+    what it was when the floor was last lowered, and a section sent again
+    to members that hold its compiled plan names the plan, carrying no
+    plan body.  Counts, not stopwatches (``TestBulkFormCallCount``'s rule
+    for kernels, here for the section floor)."""
+
+    #: program -> a member's calls per section, measured on the change that
+    #: lowered the floor (the one before it: 513 and 364)
+    MEASURED = {"jacobi": 487, "sum": 358}
+
+    @staticmethod
+    def _programs(machine):
+        import numpy as np
+
+        import repro.triolet as tri
+        from repro.apps import jacobi
+        from repro.bench import reset_run_state
+        from repro.runtime import triolet_runtime
+
+        rod = jacobi.make_problem(n=256, iterations=4)
+        x = np.arange(64.0)
+
+        def sweeps():
+            for _ in range(6):
+                reset_run_state()
+                assert jacobi.run_triolet(rod, machine).ok
+
+        def sums():
+            reset_run_state()
+            with triolet_runtime(machine):
+                for _ in range(6):
+                    assert tri.sum(tri.par(tri.iterate(x))) == x.sum()
+
+        return {"jacobi": sweeps, "sum": sums}
+
+    @pytest.mark.parametrize("program", list(MEASURED))
+    def test_a_members_calls_per_section_stay_at_the_floor(
+        self, program, tmp_path, monkeypatch
+    ):
+        import statistics
+        import sys
+
+        from repro.cluster import transport
+        from tests.cluster.test_transport_local import _on_its_own_thread
+
+        counts = tmp_path / "calls"
+        member = transport._member
+
+        def counted(rank, ends, control, result, *rest):  # in the member
+            calls = [0]
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls[0] += 1
+
+            send = transport._send_frame
+
+            def reported(fd, frame, *more):
+                send(fd, frame, *more)
+                if fd == result:
+                    with open(counts, "a") as f:
+                        f.write(f"{calls[0]}\n")
+                    calls[0] = 0
+
+            transport._send_frame = reported
+            sys.setprofile(profile)
+            member(rank, ends, control, result, *rest)
+
+        monkeypatch.setattr(transport, "_member", counted)
+        machine = TestLocalSectionForkCount._local(2)
+        # a crew of its own, hired with the counting member and retired
+        # (every report written) when the thread is over
+        _on_its_own_thread(self._programs(machine)[program])
+        per_section = [int(n) for n in counts.read_text().split()]
+        assert len(per_section) == 6
+        # the first report also counts the hire: from the second on, one
+        # section each
+        assert statistics.median(per_section[1:]) <= self.MEASURED[program] * 1.1
+
+    def test_a_repeated_section_names_the_plan_its_members_hold(self, monkeypatch):
+        from repro.cluster import transport
+        from tests.cluster.test_transport_local import _on_its_own_thread
+
+        jobs, frame = [], transport._frame
+
+        def spy(tag, payload, *more):
+            out = frame(tag, payload, *more)
+            if isinstance(payload, tuple) and len(payload) == 4:  # a job
+                jobs.append(out)
+            return out
+
+        monkeypatch.setattr(transport, "_frame", spy)
+        _on_its_own_thread(self._programs(TestLocalSectionForkCount._local(2))["sum"])
+        # the first section hires (nothing is sent); the next carries the
+        # compiled plan, every one after names it
+        assert len(jobs) == 5
+        plan = b"repro.core.engine.plan"
+        assert plan in jobs[0] and not any(plan in job for job in jobs[1:])
+        assert len(set(jobs[1:])) == 1 and len(jobs[1]) < len(jobs[0])
 
 
 @pytest.mark.perfsmoke
