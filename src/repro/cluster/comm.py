@@ -106,10 +106,12 @@ class Comm:
         #: rank, ``local``: rank 0, ``mpi``: none); a rank that runs
         #: elsewhere must publish such state through ``rank_extras()``.
         self.in_launcher = in_launcher
+        #: when the program on this rank began its own work, if it says
+        self.work_started: float | None = None
         self.clock = VirtualClock()
         self.metrics = RankMetrics(rank=rank)
         self._coll_seq = 0
-        self._links: dict = {}  # peer rank -> the link to it
+        self._links: dict = {}  # peer rank -> the link to it, inter-node?
 
     # -- topology ----------------------------------------------------------
 
@@ -117,11 +119,13 @@ class Comm:
     def node(self) -> int:
         return self.ctx.node_of(self.rank)
 
-    def _link(self, other_rank: int):
+    def _link(self, other_rank: int) -> tuple:
+        """The link to *other_rank*, and whether it leaves this node."""
         link = self._links.get(other_rank)
         if link is None:
-            link = self._links[other_rank] = self.ctx.machine.link(
-                self.node, self.ctx.node_of(other_rank))
+            src, dst = self.node, self.ctx.node_of(other_rank)
+            link = self._links[other_rank] = (self.ctx.machine.link(src, dst),
+                                              src != dst)
         return link
 
     # -- local cost charging -------------------------------------------------
@@ -221,7 +225,7 @@ class Comm:
             self._check_crash()
             self._send_fault_gate(dest, tag)
         cost_bytes = int(nbytes * self.ctx.wire_scale)
-        inter_node = self.node != self.ctx.node_of(dest)
+        link, inter_node = self._link(dest)
         try:
             self.ctx.limits.check_message(cost_bytes, self.rank, dest, inter_node)
         except BufferOverflowError:
@@ -235,7 +239,7 @@ class Comm:
                 self._post_fragments(payload, nbytes, dest, tag, raw)
                 return
             raise
-        self._post_one(payload, nbytes, cost_bytes, dest, tag, raw)
+        self._post_one(payload, nbytes, cost_bytes, dest, tag, raw, link)
 
     def _post_one(
         self,
@@ -245,12 +249,12 @@ class Comm:
         dest: int,
         tag: int,
         raw: bool,
+        link,
         frag_index: int = 0,
         frag_total: int = 1,
     ) -> None:
-        link = self._link(dest)
-        busy = link.injection_time(cost_bytes)
-        self.clock.advance(busy)
+        busy = link.injection_time(cost_bytes)  # >= 0: ``NetworkModel`` checks
+        self.clock.now += busy
         self.metrics.charge_send(nbytes, busy)
         delay = link.availability_delay()
         if self.ctx.faults is not None:
@@ -306,6 +310,7 @@ class Comm:
                 dest,
                 tag,
                 raw=False,
+                link=self._link(dest)[0],
                 frag_index=i,
                 frag_total=n,
             )
@@ -328,9 +333,8 @@ class Comm:
             return self._recv_fragments(env, source, tag)
         waited = max(0.0, env.available_at - self.clock.now)
         self.clock.merge(env.available_at)
-        link = self._link(source)
-        busy = link.receive_time()
-        self.clock.advance(busy)
+        busy = self._link(source)[0].receive_time()
+        self.clock.now += busy
         # The freshly materialized message object is the GC-pressure
         # allocation the paper blames ("slow when allocating objects
         # comprising tens of megabytes", §4.3); the sender serializes into
@@ -356,7 +360,7 @@ class Comm:
                     source, self.rank, tag, self.ctx.real_timeout
                 )
             )
-        link = self._link(source)
+        link = self._link(source)[0]
         total_nbytes = 0
         for env in parts:
             waited = max(0.0, env.available_at - self.clock.now)

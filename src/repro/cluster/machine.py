@@ -30,6 +30,12 @@ class NetworkModel:
     bandwidth: float = 1.0e9
     overhead: float = 2e-6
 
+    def __post_init__(self) -> None:
+        # A link's times move virtual clocks forward, unchecked where used.
+        if self.latency < 0 or self.overhead < 0 or not self.bandwidth > 0:
+            raise ValueError(f"a link needs latency, overhead >= 0 and "
+                             f"bandwidth > 0: {self}")
+
     def injection_time(self, nbytes: int) -> float:
         """Sender busy time for a message of *nbytes*."""
         return self.overhead + nbytes / self.bandwidth

@@ -8,7 +8,8 @@ ablation benchmarks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -38,6 +39,10 @@ class RankMetrics:
     faults_crash: int = 0  # injected rank crashes
     faults_straggler: int = 0  # compute intervals hit by a slow node
 
+    def __reduce__(self):
+        # by position: a rank process's report carries numbers, not names
+        return RankMetrics, _BY_POSITION(self)
+
     def charge_send(self, nbytes: int, busy: float) -> None:
         self.bytes_sent += nbytes
         self.messages_sent += 1
@@ -64,6 +69,9 @@ class RankMetrics:
             + self.faults_crash
             + self.faults_straggler
         )
+
+
+_BY_POSITION = operator.attrgetter(*(f.name for f in fields(RankMetrics)))
 
 
 @dataclass

@@ -132,7 +132,8 @@ class RankEnd:
     raised); then its final virtual clock, metrics and extras.  A
     ``local`` member's end also carries its wall stamps, in seconds from
     the launcher's ``execute`` entry: job frame read, job decoded, body
-    start, body end (``()`` elsewhere)."""
+    start, work start (``Comm.work_started``: its inputs in hand; the body
+    start if the program does not say), body end (``()`` elsewhere)."""
 
     status: str
     payload: Any
@@ -763,7 +764,8 @@ def kept(obj: Any, key: Any = None) -> Any:
     if naming is None:
         return obj
     if key is None:
-        if not all(map(_frozen, obj if type(obj) is tuple else (obj,))):
+        items = obj if type(obj) is tuple else (obj,)
+        if not (set(map(type, items)) <= _FROZEN or all(map(_frozen, items))):
             return obj
         key = obj
     names, holding, used = naming
@@ -775,9 +777,16 @@ def kept(obj: Any, key: Any = None) -> Any:
     return _Name((name,) if name in holding else (name, obj))
 
 
+#: The types of values no one can change, as ``kept`` meets them.
+_FROZEN: set[type] = {type(None)}
+
+
 def _frozen(v: Any) -> bool:
-    return v is None or isinstance(v, (int, float, str)) or getattr(
+    frozen = v is None or isinstance(v, (int, float, str)) or getattr(
         getattr(v, "__dataclass_params__", None), "frozen", False)
+    if frozen:
+        _FROZEN.add(type(v))
+    return frozen
 
 
 class _Name(tuple):
@@ -806,17 +815,19 @@ def _member(rank: int, ends: tuple, control: int, result: int, abort,
     """The life of crew member *rank*, in the fork: the run it was hired
     for, then every run its control pipe brings -- each reported on its
     result pipe as soon as its body is over, then drained -- until the
-    launcher closes the control pipe."""
+    launcher closes the control pipe.  Decoding a job installs its run
+    state, so a run goes on in the context the member has."""
     end, jobs = _End(ends), _FrameReader(control, 0)
     _HELD.clear()  # a member of a member's crew keeps nothing of its parent's
-    run = contextvars.copy_context().run  # the hiring run goes on as forked
-    read = ()
+    (ctx, rank_fn, args), consts, read = job, None, ()  # a fork's copies
+    del job
     while True:
-        ctx, rank_fn, args = job  # the member's own: a fork's copy, or sent
         ctx.channels = LocalChannelTable(rank, end, abort, shm_min, ctx)
         t_start = time.perf_counter()
-        out = run(_run_rank, Comm(ctx, rank, in_launcher=False), rank_fn, args)
-        out.wall = (*(read or (t_start, t_start)), t_start, time.perf_counter())
+        comm = Comm(ctx, rank, in_launcher=False)
+        out = _run_rank(comm, rank_fn, args)
+        out.wall = (*(read or (t_start, t_start)), t_start,
+                    comm.work_started or t_start, time.perf_counter())
         if out.status == "error":
             out.payload = _picklable_error(out.payload)
         events = list(ctx.trace.events) if ctx.trace is not None else None
@@ -836,7 +847,8 @@ def _member(rank: int, ends: tuple, control: int, result: int, abort,
         if not ctx.channels.drain(time.perf_counter() + ctx.real_timeout):
             os._exit(1)
         # Let the run go (a program's handles die with it) before waiting.
-        del ctx, rank_fn, args, out, job, holding
+        ctx.channels = ctx.trace = None
+        del rank_fn, args, out, holding, comm
         while True:  # a done frame first: the job is on its way
             frames = jobs.frames()
             if frames and frames[0][0] != _DONE:
@@ -846,10 +858,11 @@ def _member(rank: int, ends: tuple, control: int, result: int, abort,
                     os._exit(0)  # the crew retired
                 t_read = time.perf_counter()
         read = t_read, time.perf_counter()
-        consts, traced, rank_fn, args = frames[0][2]
-        job = (SimContext(**dict(zip(_SENT_FIELDS, consts)), channels=None,
-                          trace=TraceLog() if traced else None), rank_fn, args)
-        run = contextvars.Context().run  # nothing of the last run's context
+        sent, traced, rank_fn, args = frames[0][2]
+        if sent is not consts:  # held by name: the same object while unchanged
+            consts = sent
+            ctx = SimContext(**dict(zip(_SENT_FIELDS, sent)), channels=None)
+        ctx.trace = TraceLog() if traced else None
 
 
 class LocalTransport(Transport):
@@ -861,10 +874,12 @@ class LocalTransport(Transport):
     ``threading.Thread`` is ``sim``'s -- into the run it was hired for,
     inheriting its program, and stays: a later run is *sent* to it, one
     pickle frame on its control pipe holding the rank function and its
-    arguments by reference, as the paper's ranks are sent closures.  Rank 0
-    runs in the launching process in a copy of the caller's context and
-    its ``RankEnd`` is used where it is; a member's comes back in one frame
-    on its result pipe as soon as its body is over.  Ranks talk over
+    arguments by reference, as the paper's ranks are sent closures; decoding
+    it installs the job's run state, and the member's report carries what
+    the run added to its counters.  Rank 0 runs in the launching process in
+    a copy of the caller's context and its ``RankEnd`` is used where it is;
+    a member's comes back in one frame on its result pipe as soon as its
+    body is over.  Ranks talk over
     persistent pipes and shared windows, one of each per ordered pair; a
     run ends with a done frame on each pipe, read by every rank, so
     nothing of it reaches the next run.
@@ -885,8 +900,9 @@ class LocalTransport(Transport):
     plans it was sent (as many as the program has).  A run in which a rank
     raises or a member dies or outlives the deadline retires the crew
     (stragglers killed, every member reaped), as does a member found dead
-    before a run is sent.  An idle member exits at EOF on its control pipe
-    and holds its own crew's descriptors only.  No timer, no setting."""
+    (EOF on its report pipe) before a run is sent.  An idle member exits at
+    EOF on its control pipe and holds its own crew's descriptors only.  No
+    timer, no setting."""
 
     name = "local"
     wall_clock = True
@@ -917,23 +933,24 @@ class LocalTransport(Transport):
             self.end = _End(ends)  # rank 0's pipe ends and windows, in and out
             self.pids, self.controls = pids, controls
             self.reports = {r: _FrameReader(fd, r) for r, fd in results.items()}
+            self.hangups = select.poll()  # between runs, only a death shows
+            for fd in results.values():
+                self.hangups.register(fd, select.POLLIN)
             self.abort = abort  # shared by the crew; cleared per run
             self.held: dict = {}  # rank -> what it last reported it holds
             self.names: dict = {}  # what members keep, by key: its name
             self.known = {r: set() for r in pids}  # rank -> the names it holds
 
         def serves(self, nranks: int, rank_fn) -> bool:
-            """Members 1..nranks-1 are alive and fresh for *rank_fn*."""
+            """Members 1..nranks-1 are fresh for *rank_fn*, and no member
+            died idle (EOF on its report pipe)."""
             holding = getattr(rank_fn, "holding", None)
             for r in range(1, nranks):
                 held, need = self.held.get(r), holding and holding(r)
                 if (not held or held[0] != len(_CODE_SEGMENT)
                         or need not in (None, held[1])):
                     return False
-                if os.waitpid(self.pids[r], os.WNOHANG)[0]:  # died idle
-                    del self.pids[r]
-                    return False
-            return True
+            return not self.hangups.poll(0)
 
         def send(self, ctx: SimContext, rank_fn, args) -> bool:
             """Send the run to members 1..nranks-1, naming what all of them
@@ -941,7 +958,7 @@ class LocalTransport(Transport):
             members = range(1, ctx.nranks)
             used: set = set()
             token = _naming.set((self.names, set.intersection(
-                *(self.known[r] for r in members)), used))
+                *[self.known[r] for r in members]), used))
             try:
                 frame = _frame(0, (kept(_SENT(ctx)), ctx.trace is not None,
                                    rank_fn, args))
@@ -1058,9 +1075,9 @@ class LocalTransport(Transport):
             table = LocalChannelTable(0, end, abort, self.shm_min_bytes, ctx)
             # Used in place: rank 0's end never crosses a pipe (its trace
             # events are already in ``ctx.trace``).
+            ctx.channels = table  # the run's own: its members have theirs
             outcomes[0] = contextvars.copy_context().run(
-                _run_rank, Comm(dataclasses.replace(ctx, channels=table), 0),
-                rank_fn, args)
+                _run_rank, Comm(ctx, 0), rank_fn, args)
             t_root = time.perf_counter()
             # A rank may report until the later of ``real_timeout`` and the
             # root's end, plus slack.
@@ -1082,7 +1099,7 @@ class LocalTransport(Transport):
                     frames = reader.frames()
                     if frames:
                         outcomes[r], events[r], crew.held[r] = frames[0][2]
-                        outcomes[r].wall = tuple(t - t0 for t in outcomes[r].wall)
+                        outcomes[r].wall = tuple([t - t0 for t in outcomes[r].wall])
                     if frames or not alive:  # reported, or died silent
                         end.poll.unregister(fd)
                         del waiting[fd]

@@ -48,12 +48,19 @@ def vectorization_enabled() -> bool:
 @contextmanager
 def use_vectorization(flag: bool):
     """Force the engine on/off for a dynamic extent (tests, benchmarks)."""
-    global _enabled
-    prev, _enabled = _enabled, bool(flag)
+    prev = set_vectorization(flag)
     try:
         yield
     finally:
-        _enabled = prev
+        set_vectorization(prev)
+
+
+def set_vectorization(flag: bool) -> bool:
+    """Turn the engine on/off from here on (a rank process takes its
+    job's flag); returns the previous value."""
+    global _enabled
+    prev, _enabled = _enabled, bool(flag)
+    return prev
 
 
 def chunk_size() -> int:

@@ -98,13 +98,19 @@ def use_state(state: PlannerState):
     visible from simulated rank threads, which is what lets a job server
     serve its shared cache to every section a job runs.
     """
-    global _active
-    prev = _active
-    _active = state
+    prev = set_state(state)
     try:
         yield state
     finally:
-        _active = prev
+        set_state(prev)
+
+
+def set_state(state: PlannerState) -> PlannerState:
+    """Make *state* the active plan cache from here on (a rank process
+    takes its job's); returns the previous one."""
+    global _active
+    prev, _active = _active, state
+    return prev
 
 
 def _env_key(entry):

@@ -24,7 +24,6 @@ a batch that spans a task boundary is split exactly.
 from __future__ import annotations
 
 import contextvars
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -155,15 +154,20 @@ _current: contextvars.ContextVar[CostMeter | None] = contextvars.ContextVar(
 )
 
 
-@contextmanager
-def metered(meter: CostMeter | None = None):
+class metered:
     """Install *meter* (or a fresh one) for the dynamic extent; yields it."""
-    m = meter if meter is not None else CostMeter()
-    token = _current.set(m)
-    try:
-        yield m
-    finally:
-        _current.reset(token)
+
+    __slots__ = ("meter", "token")
+
+    def __init__(self, meter: CostMeter | None = None):
+        self.meter = meter if meter is not None else CostMeter()
+
+    def __enter__(self) -> CostMeter:
+        self.token = _current.set(self.meter)
+        return self.meter
+
+    def __exit__(self, *exc) -> None:
+        _current.reset(self.token)
 
 
 def current_meter() -> CostMeter | None:

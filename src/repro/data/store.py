@@ -238,11 +238,13 @@ class RankStore:
             )
         proto = pieces[0][2] if pieces else old[2]
         buf = np.empty((hi - lo,) + proto.shape[1:], dtype=proto.dtype)
-        if old is not None:
-            olo, _ohi, obuf = old
-            s, e = max(lo, olo), min(hi, _ohi)
-            if s < e:
-                buf[s - lo:e - lo] = obuf[s - olo:e - olo]
+        if old is not None:  # the old rows that no piece replaces
+            olo, ohi, obuf = old
+            at, end = max(lo, olo), min(hi, ohi)
+            for plo, phi in sorted([p[:2] for p in pieces]) + [(end, end)]:
+                if at < min(plo, end):
+                    buf[at - lo:min(plo, end) - lo] = obuf[at - olo:min(plo, end) - olo]
+                at = max(at, phi)
         for plo, phi, rows in pieces:
             buf[plo - lo:phi - lo] = rows
         return buf

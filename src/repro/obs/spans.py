@@ -421,21 +421,16 @@ def snapshot():
     return None if rec is None else (rec._next_sid, _parent.get(), _base.get())
 
 
-@contextmanager
-def resumed(snap):
-    """In a rank process, in a context of its own: record into a fresh
-    recorder picking up where *snap* (a :func:`snapshot`) stood -- or, for
-    ``None``, record nothing.  The driver adopts what the rank registers."""
+def resume(snap) -> None:
+    """In a rank process, for its next job: record into a fresh recorder
+    picking up where *snap* (a :func:`snapshot`) stood -- or, for ``None``,
+    record nothing.  The driver adopts what the rank registers."""
     global _ACTIVE
-    prev, _ACTIVE = _ACTIVE, None if snap is None else Recorder()
+    _ACTIVE = None if snap is None else Recorder()
     if snap is not None:
         _ACTIVE._next_sid, parent, base = snap
         _parent.set(parent)
         _base.set(base)
-    try:
-        yield
-    finally:
-        _ACTIVE = prev
 
 
 def force_disable() -> None:

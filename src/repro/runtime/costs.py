@@ -63,11 +63,17 @@ _current: contextvars.ContextVar[CostContext] = contextvars.ContextVar(
 
 @contextmanager
 def use_costs(ctx: CostContext):
-    token = _current.set(ctx)
+    token = set_costs(ctx)
     try:
         yield ctx
     finally:
         _current.reset(token)
+
+
+def set_costs(ctx: CostContext) -> contextvars.Token:
+    """Make *ctx* the cost context from here on, in this context (a rank
+    process takes its job's); returns the token that undoes it."""
+    return _current.set(ctx)
 
 
 def current_costs() -> CostContext:

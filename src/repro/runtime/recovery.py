@@ -278,10 +278,8 @@ class RecoveryReport:
         """
         for k, v in other.faults.items():
             self.faults[k] = self.faults.get(k, 0) + v
-        for f in fields(self):
-            if f.name in ("faults", "failure"):
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         if other.failure is not None:
             self.failure = other.failure
 
@@ -318,3 +316,8 @@ class RecoveryReport:
         if self.failure is not None:
             lines.append(f"job failed: {self.failure}")
         return "\n".join(lines)
+
+
+#: What ``RecoveryReport.merge`` adds up: all but the histogram and failure.
+_SUMMED = tuple(f.name for f in fields(RecoveryReport)
+                if f.name not in ("faults", "failure"))

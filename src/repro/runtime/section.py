@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import contextvars
 import time
-from collections import OrderedDict
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable
@@ -43,7 +42,7 @@ from repro.obs.spans import (
     NULL_SPAN as _NULL_SPAN,
     active as _obs_active,
     obs_span as _obs_span,
-    resumed as obs_resumed,
+    resume as obs_resume,
     snapshot as obs_snapshot,
     span_row,
 )
@@ -53,7 +52,7 @@ from repro.runtime.recovery import (
     RecoveryReport,
     classify_failure,
 )
-from repro.runtime.costs import current_costs, use_costs
+from repro.runtime.costs import current_costs, set_costs
 from repro.serial.arrays import copy_stats
 
 _CHUNK_TAG = 99
@@ -133,10 +132,12 @@ class SectionOutcome:
     root_s: float = _fact("wall", default=0.0)
     join_s: float = _fact("wall", default=0.0)
     #: the last member's stamps on ``local``, from the same entry: its job
-    #: frame read and decoded, its body's start and end
+    #: frame read and decoded, its body's start, the kind's rank body's
+    #: start (work item decoded and applied), its body's end
     job_read_s: float = _fact("wall", default=0.0)
     job_decoded_s: float = _fact("wall", default=0.0)
     body_start_s: float = _fact("wall", default=0.0)
+    work_start_s: float = _fact("wall", default=0.0)
     body_end_s: float = _fact("wall", default=0.0)
     transport: str | None = _fact("wall", default=None)
     #: ``(rank, block)`` of the partials the final attempt's ranks kept from
@@ -330,19 +331,21 @@ class RankProgram:
     Pickled -- sent to a rank in another process -- it is what a rank >= 1
     reads: the kind's rank body, the attempt's bounds and held partials,
     whether it has a shipment (work items and ops go by message), the
-    plane's key and handles (as metadata), and a snapshot of the run state
-    rank code reads from globals and context variables -- vectorization
-    flag and chunk, cost context, plan cache, whether a recorder is on; the
-    cost context and each compiled plan go by name to a member that holds
-    them (:func:`repro.cluster.transport.kept`).
-    Every rank runs it with the runtime's node model as its executor.
+    plane's key and handles (as metadata), and the run state rank code
+    reads from globals and context variables -- vectorization flag and
+    chunk, cost context, plan cache, whether a recorder is on -- which it
+    assigns as it is unpickled (:meth:`_sent`); the cost context and each
+    compiled plan go by name to a member that holds them
+    (:func:`repro.cluster.transport.kept`).  Every rank runs it with the
+    runtime's node model as its executor.
 
     A rank outside the launcher (``comm.in_launcher`` false) tallies into
     a rank-local meter, installed at rank *start* so a crashed rank's
     partial tallies still count, and publishes it with its plan-cache and
     copy-counter deltas and, under a recorder, its spans through
-    ``rank_extras()``; a rank in the launcher tallies into the live
-    objects, once.
+    ``rank_extras()`` (deltas: such a rank may run in a process whose
+    counters are a driver's -- ``mpi``'s, or a member's as it is hired); a
+    rank in the launcher tallies into the live objects, once.
     """
 
     def __init__(self, rt, kind: SectionKind, parts: Parts,
@@ -355,26 +358,39 @@ class RankProgram:
         self.plane = rt.plane  # where it is live: launcher, or a fork
         self.key = rt.plane.key
         self.handles = ()  # sent: what its messages name, alive for the run
-        self.state = None  # the driver's run state, when sent
 
-    def __getstate__(self) -> dict:
-        parts = self.parts
-        return {
-            **self.__dict__,
-            "parts": Parts(parts.label, parts.bounds, [], held=parts.held),
-            "ops": None if self.ops is None else [],
-            "reqs": (),
-            "plane": None,
-            "handles": [self.plane.handles.get(a) or lookup_handle(a) for a
-                        in sorted(set(self.plane.handles).union(*self.reqs))],
+    def __reduce__(self):
+        parts, st = self.parts, planner.current_state()
+        return RankProgram._sent, (
+            self.body, self.node, parts.label, parts.bounds, parts.held,
+            self.ops is not None, self.key,
+            [self.plane.handles.get(a) or lookup_handle(a)
+             for a in sorted(set(self.plane.handles).union(*self.reqs))],
+            _engine.vectorization_enabled(), _engine.chunk_size(),
+            kept(current_costs()),
             # the plan cache as its keys and compiled plans (``None``:
             # unsupported), each of which a member keeps once sent
-            "state": (_engine.vectorization_enabled(), _engine.chunk_size(),
-                      kept(current_costs()),
-                      [kept(entry, entry[0]) for st in [planner.current_state()]
-                       for entry in (*st.cache.items(), *st.negative.items())],
-                      obs_snapshot()),
-        }
+            [kept(entry, entry[0])
+             for entry in (*st.cache.items(), *st.negative.items())],
+            obs_snapshot())
+
+    @staticmethod
+    def _sent(body, node, label, bounds, held, shipped, key, handles,
+              vec, chunk, costs, plans, traced) -> "RankProgram":
+        """The program as a rank process reads it, its run state installed."""
+        self = RankProgram.__new__(RankProgram)
+        self.body, self.node, self.key, self.handles = body, node, key, handles
+        self.parts = Parts(label, bounds, [], held=held)
+        self.ops, self.reqs, self.plane = [] if shipped else None, (), None
+        _engine.set_vectorization(vec)
+        _engine.set_chunk_size(chunk)
+        set_costs(costs)
+        state = planner.PlannerState()
+        for k, p in plans:  # ``None``: unsupported
+            (state.cache if p is not None else state.negative)[k] = p
+        planner.set_state(state)
+        obs_resume(traced)
+        return self
 
     def _store(self, rank: int, keep: bool = False):
         """Rank *rank*'s store of the plane in this process; *keep*: the
@@ -395,29 +411,19 @@ class RankProgram:
         return (self.key, store.version) if store and store.version else None
 
     def __call__(self, comm: Comm):
-        with ExitStack() as stack:
-            if self.state is not None:  # this process's globals are not the driver's
-                vec, chunk, costs, plans, traced = self.state
-                plans = planner.PlannerState(
-                    {k: p for k, p in plans if p is not None},
-                    OrderedDict((k, p) for k, p in plans if p is None))
-                for cm in (_engine.use_vectorization(vec), use_costs(costs),
-                           planner.use_state(plans), obs_resumed(traced)):
-                    stack.enter_context(cm)
-                stack.callback(_engine.set_chunk_size, _engine.set_chunk_size(chunk))
-            stack.enter_context(use_executor(self.node))
+        with use_executor(self.node):
             if comm.in_launcher:
                 return self._run(comm)
             local_meter = meter.CostMeter()
             state = rank_extras()[ISOLATED] = {"meter": local_meter}
-            stack.callback(_meter_sink.reset, _meter_sink.set(local_meter))
-            psnap = planner.stats_snapshot()
-            ssnap = copy_stats()
+            sink = _meter_sink.set(local_meter)
+            psnap, ssnap = planner.stats_snapshot(), copy_stats()
             obs = _obs_active()
             nspans = len(obs.spans) if obs is not None else 0
             try:
                 return self._run(comm)
             finally:
+                _meter_sink.reset(sink)
                 state["planner"] = planner.stats_delta(psnap)
                 state["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
                 if obs is not None:
@@ -448,6 +454,7 @@ class RankProgram:
             store = self._store(comm.rank, keep=not comm.in_launcher)
             if my_ops:
                 store.apply(my_ops)
+        comm.work_started = time.perf_counter()
         with bind_store(store):
             return self.body(comm, mine, self.parts)
 
@@ -618,7 +625,7 @@ def _run(rt, kind: SectionKind, osp) -> tuple[Any, SectionOutcome]:
         wall_seconds=res.wall_seconds if wall else 0.0, launch_s=res.launch_s,
         root_s=res.root_s, join_s=res.join_s,
         **dict(zip(("job_read_s", "job_decoded_s", "body_start_s",
-                    "body_end_s"), res.member_s)),
+                    "work_start_s", "body_end_s"), res.member_s)),
         transport=res.transport if wall else None, salvaged=parts.salvaged,
         rank_losses=state.losses, checkpoint_bytes=ckpt_bytes,
         bounds=parts.bounds, survivors=nranks_max - state.dead, ship=ship,

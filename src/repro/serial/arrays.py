@@ -22,6 +22,9 @@ import numpy as np
 
 # Header layout: dtype-string length (H), ndim (B), then shape as q's.
 _HEADER_FMT = "<HB"
+_HEADER = struct.Struct(_HEADER_FMT)
+#: dtype string -> dtype, as arrays are decoded (a handful per program)
+_DTYPES: dict = {}
 
 
 def new_copy_stats() -> dict:
@@ -131,19 +134,20 @@ def unpack_array(buf: memoryview, offset: int = 0) -> tuple[np.ndarray, int]:
     Returns the array and the offset one past its encoding.  The array is a
     fresh writable copy (a receiver owns its message payload).
     """
-    dtlen, ndim = struct.unpack_from(_HEADER_FMT, buf, offset)
-    offset += struct.calcsize(_HEADER_FMT)
-    dt = bytes(buf[offset : offset + dtlen]).decode("ascii")
+    dtlen, ndim = _HEADER.unpack_from(buf, offset)
+    offset += _HEADER.size
+    dtype = _DTYPES.get(dt := str(buf[offset : offset + dtlen], "ascii"))
+    if dtype is None:
+        dtype = _DTYPES[dt] = np.dtype(dt)
     offset += dtlen
     shape = struct.unpack_from("<%dq" % ndim, buf, offset)
     offset += 8 * ndim
-    dtype = np.dtype(dt)
     count = 1
     for s in shape:
         count *= s
     nbytes = count * dtype.itemsize
     arr = np.frombuffer(buf[offset : offset + nbytes], dtype=dtype).copy()
-    return arr.reshape(shape), offset + nbytes
+    return (arr if ndim == 1 else arr.reshape(shape)), offset + nbytes
 
 
 def array_payload_bytes(arr: np.ndarray) -> int:

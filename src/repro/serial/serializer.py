@@ -126,7 +126,11 @@ def _encode_str(s: str, out: bytearray) -> None:
 
 
 def _decode_str(buf: memoryview, offset: int) -> tuple[str, int]:
-    n, offset = _unpack_varint(buf, offset)
+    n = buf[offset]
+    if n < 0x80:  # a one-byte length: every string the e2e workloads send
+        offset += 1
+    else:
+        n, offset = _unpack_varint(buf, offset)
     return bytes(buf[offset : offset + n]).decode("utf-8"), offset + n
 
 
@@ -202,10 +206,6 @@ def _zigzag(n: int) -> int:
     return (n << 1) if n >= 0 else ((-n << 1) - 1)
 
 
-def _unzigzag(z: int) -> int:
-    return (z >> 1) if (z & 1) == 0 else -((z + 1) >> 1)
-
-
 def _decode(buf: memoryview, offset: int) -> tuple[Any, int]:
     tag = buf[offset]
     offset += 1
@@ -217,7 +217,7 @@ def _decode(buf: memoryview, offset: int) -> tuple[Any, int]:
         return True, offset
     if tag == _T_INT:
         z, offset = _unpack_varint(buf, offset)
-        return _unzigzag(z), offset
+        return (z >> 1) ^ -(z & 1), offset  # zigzag undone
     if tag == _T_FLOAT:
         (v,) = struct.unpack_from("<d", buf, offset)
         return v, offset + 8
@@ -229,20 +229,23 @@ def _decode(buf: memoryview, offset: int) -> tuple[Any, int]:
     if tag == _T_BYTES:
         n, offset = _unpack_varint(buf, offset)
         return bytes(buf[offset : offset + n]), offset + n
-    if tag == _T_TUPLE:
-        n, offset = _unpack_varint(buf, offset)
+    if tag == _T_TUPLE or tag == _T_LIST:
+        n = buf[offset]
+        if n < 0x80:  # a one-byte length: every sequence the e2e workloads send
+            offset += 1
+        else:
+            n, offset = _unpack_varint(buf, offset)
         items = []
         for _ in range(n):
-            v, offset = _decode(buf, offset)
-            items.append(v)
-        return tuple(items), offset
-    if tag == _T_LIST:
-        n, offset = _unpack_varint(buf, offset)
-        items = []
-        for _ in range(n):
-            v, offset = _decode(buf, offset)
-            items.append(v)
-        return items, offset
+            # an int item (a bound, a row index) without a nested call:
+            # 7-34 % of an e2e workload's decodes
+            if buf[offset] == _T_INT:
+                z, offset = _unpack_varint(buf, offset + 1)
+                items.append((z >> 1) ^ -(z & 1))
+            else:
+                v, offset = _decode(buf, offset)
+                items.append(v)
+        return (tuple(items) if tag == _T_TUPLE else items), offset
     if tag == _T_DICT:
         n, offset = _unpack_varint(buf, offset)
         d = {}

@@ -526,8 +526,9 @@ class TestMemberCallFloor:
     for kernels, here for the section floor)."""
 
     #: program -> a member's calls per section, measured on the change that
-    #: lowered the floor (the one before it: 513 and 364)
-    MEASURED = {"jacobi": 487, "sum": 358}
+    #: lowered the floor (the one before it: 487 and 358; before that, 513
+    #: and 364)
+    MEASURED = {"jacobi": 373, "sum": 286}
 
     @staticmethod
     def _programs(machine):
@@ -618,6 +619,73 @@ class TestMemberCallFloor:
         plan = b"repro.core.engine.plan"
         assert plan in jobs[0] and not any(plan in job for job in jobs[1:])
         assert len(set(jobs[1:])) == 1 and len(jobs[1]) < len(jobs[0])
+
+
+@pytest.mark.perfsmoke
+class TestLauncherCallFloor:
+    """The same fixed cost on the launcher's side: its Python-level calls
+    per section on 2 ``local`` ranks less its calls for the same section
+    on 1 -- launch, rank 0's share of the messages, join and the section's
+    bookkeeping of a member -- on ``TestMemberCallFloor``'s two programs.
+    Each stays within 10 % of what it was when the floor was last
+    lowered.  Counts, not stopwatches."""
+
+    #: program -> the launcher's extra calls per 2-rank section, measured on
+    #: the change that lowered the floor (the one before it: 399 and 219)
+    MEASURED = {"jacobi": 355, "sum": 191}
+
+    @staticmethod
+    def _per_section(program: str, nodes: int) -> int:
+        """The launching thread's calls per section of *program* on
+        *nodes* ``local`` ranks, once its crew is warm (a median)."""
+        import statistics
+        import sys
+
+        import numpy as np
+
+        import repro.triolet as tri
+        from repro.apps import jacobi
+        from repro.bench import reset_run_state
+        from repro.runtime import triolet_runtime
+        from tests.cluster.test_transport_local import _on_its_own_thread
+
+        machine = TestLocalSectionForkCount._local(nodes)
+        rod = jacobi.make_problem(n=256, iterations=4)
+        x = np.arange(64.0)
+
+        def counted(section) -> int:
+            calls = [0]
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls[0] += 1
+
+            sys.setprofile(profile)
+            try:
+                section()
+            finally:
+                sys.setprofile(None)
+            return calls[0]
+
+        def sections() -> list:
+            if program == "jacobi":
+                counts = []
+                for _ in range(6):
+                    reset_run_state()
+                    counts.append(counted(lambda: jacobi.run_triolet(rod, machine)))
+                return counts
+            reset_run_state()
+            with triolet_runtime(machine):
+                return [counted(lambda: tri.sum(tri.par(tri.iterate(x))))
+                        for _ in range(6)]
+
+        # the first sections hire and first send: from the third on, warm
+        return statistics.median(_on_its_own_thread(sections)[2:])
+
+    @pytest.mark.parametrize("program", list(MEASURED))
+    def test_the_launchers_calls_per_second_rank_stay_at_the_floor(self, program):
+        extra = self._per_section(program, 2) - self._per_section(program, 1)
+        assert extra <= self.MEASURED[program] * 1.1
 
 
 @pytest.mark.perfsmoke

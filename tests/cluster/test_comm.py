@@ -210,6 +210,13 @@ class TestMetrics:
         assert res.metrics.per_rank[0].gc_time == pytest.approx(1e-3)
         assert res.metrics.alloc_bytes == 1_000_000
 
+    def test_negative_alloc_cost_rejected(self):
+        def main(comm):
+            comm.alloc(1_000)
+
+        with pytest.raises(ValueError, match="negative time"):
+            run_spmd(SMALL, main, nranks=1, alloc_cost=lambda nbytes: -1e-6)
+
 
 class TestMachineSpec:
     def test_paper_machine_shape(self):
@@ -227,6 +234,14 @@ class TestMachineSpec:
         m2 = m.scaled(nodes=2)
         assert m2.nodes == 2 and m2.cores_per_node == 16
         assert m2.net.latency == 1.0
+
+    @pytest.mark.parametrize("bad", [
+        {"latency": -1e-6}, {"overhead": -1e-6}, {"bandwidth": 0.0},
+        {"bandwidth": -1.0e9},
+    ])
+    def test_invalid_link_rejected(self, bad):
+        with pytest.raises(ValueError, match="a link needs"):
+            NetworkModel(**bad)
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
