@@ -42,9 +42,7 @@ from repro.cluster.transport import (
     TransportUnavailable,
     SimTransport,
     LocalTransport,
-    MPITransport,
     available_transports,
-    register_transport,
     resolve_transport,
 )
 
@@ -75,8 +73,6 @@ __all__ = [
     "TransportUnavailable",
     "SimTransport",
     "LocalTransport",
-    "MPITransport",
     "available_transports",
-    "register_transport",
     "resolve_transport",
 ]

@@ -103,8 +103,9 @@ class Comm:
         #: This rank executes on the heap of the process that launched the
         #: section, so what it mutates there *is* the driver's state.  Set
         #: by the transport where it builds the ``Comm`` (``sim``: every
-        #: rank, ``local``: rank 0, ``mpi``: none); a rank that runs
-        #: elsewhere must publish such state through ``rank_extras()``.
+        #: rank, ``local``: rank 0); a rank that runs elsewhere is a
+        #: ``local`` member and must publish such state through
+        #: ``rank_extras()``.
         self.in_launcher = in_launcher
         #: when the program on this rank began its own work, if it says
         self.work_started: float | None = None

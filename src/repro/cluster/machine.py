@@ -70,10 +70,9 @@ class MachineSpec:
     #: seconds for one work-stealing steal attempt
     steal_overhead: float = 1e-6
     #: transport backend name the SPMD launcher resolves at run time:
-    #: ``"sim"`` (deterministic in-process simulator, the default),
-    #: ``"local"`` (real multiprocess ranks over shared memory/queues) or
-    #: ``"mpi"`` (mpi4py buffer sends, when installed).  See
-    #: :mod:`repro.cluster.transport`.
+    #: ``"sim"`` (deterministic in-process simulator, the default) or
+    #: ``"local"`` (real multiprocess ranks over shared memory/queues).
+    #: See :mod:`repro.cluster.transport`.
     transport: str = "sim"
 
     def __post_init__(self):

@@ -80,9 +80,6 @@ class TraceLog:
         with self._lock:
             self.events.append(event)
 
-    def sorted_events(self) -> list[CommEvent]:
-        return sorted(self.events, key=lambda e: (e.time, e.rank, e.kind))
-
     def sends(self) -> list[CommEvent]:
         return [e for e in self.events if e.kind == "send"]
 
@@ -106,17 +103,6 @@ class TraceLog:
             (e for e in self.events if e.kind in FAULT_EVENT_KINDS),
             key=lambda e: e.time,
         )
-
-
-def render_timeline(log: TraceLog, max_events: int = 200) -> str:
-    """A human-readable, time-ordered view of a run's communication."""
-    events = log.sorted_events()
-    lines = [f"{len(events)} communication events"]
-    for e in events[:max_events]:
-        lines.append("  " + e.describe())
-    if len(events) > max_events:
-        lines.append(f"  ... {len(events) - max_events} more")
-    return "\n".join(lines)
 
 
 def check_causality(log: TraceLog) -> list[str]:

@@ -4,7 +4,7 @@ The runtime, collectives, data plane and observability layer talk to the
 cluster only through :class:`~repro.cluster.comm.Comm`, and ``Comm`` talks
 to the wire only through a channel table (``post``/``take``/``fail``) plus
 the SPMD launcher.  This module factors that seam into a :class:`Transport`
-protocol with three backends:
+protocol with two backends:
 
 ``sim``
     The original deterministic in-process simulator: the launching
@@ -14,9 +14,9 @@ protocol with three backends:
 
 ``local``
     Real worker processes.  The launching process *is* rank 0 (the paper's
-    main process computes its own slice, §3.4-3.5; so does meld's master
-    and our own ``mpi`` world rank 0) and ranks >= 1 run on its resident
-    crew of forked members, which are *sent* each run -- hired by a raw
+    main process computes its own slice, §3.4-3.5; so does meld's master)
+    and ranks >= 1 run on its resident crew of forked members, which are
+    *sent* each run -- hired by a raw
     ``os.fork`` only when a run cannot be sent (no helper threads, nothing
     imported in a member).  A crew goes with the thread that launched it,
     or at the latest with the program: no member outlives it unreaped.
@@ -29,27 +29,20 @@ protocol with three backends:
     scales with cores, while the *virtual* timeline -- causal, from the
     same cost model -- stays bit-identical to ``sim``.
 
-``mpi``
-    Optional mpi4py buffer sends between the ranks of an ``mpiexec``
-    launch (master-mediated, meld-style: the whole SPMD program runs on
-    every world rank and ``run_spmd`` assigns roles).  Import-guarded:
-    :func:`resolve_transport` raises :class:`TransportUnavailable` when
-    mpi4py is missing, and the test matrix skips it cleanly.
-
 Isolation is a property of a *rank*, not of a backend: the transport
 says, where it builds each rank's ``Comm``, whether that rank runs on the
 launching process's heap (``Comm.in_launcher`` -- ``sim``: every rank,
-``local``: rank 0, ``mpi``: none).  What a rank that runs elsewhere
-mutates of the driver's state (cost meters, plan-cache counters, rank
-stores) never reaches the driver, so rank code publishes it through
+``local``: rank 0).  What a rank that runs elsewhere mutates of the
+driver's state (cost meters, plan-cache counters, rank stores) never
+reaches the driver, so rank code publishes it through
 :func:`rank_extras`.  Every transport runs a rank's body through one
 ``_run_rank``, whose :class:`RankEnd` carries that dict back; ``run_spmd``
 assembles the run from the ends, and the driver merges the dicts at
 section boundaries (see ``repro.runtime.section``).
 
 What rank code may assume on ``local``: rank 0's side effects land in the
-driver (as on ``sim`` and on ``mpi`` world rank 0) and an exception it
-raises is re-raised as the original object; its blocking receives stay
+driver (as on ``sim``) and an exception it raises is re-raised as the
+original object; its blocking receives stay
 bounded by ``real_timeout``, but a rank-0 body that never returns hangs
 the driver as on ``sim`` (the kill deadline covers ranks >= 1 only).  A
 rank >= 1 of a run that was sent starts in an empty context: the run
@@ -98,8 +91,6 @@ __all__ = [
     "RunOutcome",
     "SimTransport",
     "LocalTransport",
-    "MPITransport",
-    "register_transport",
     "resolve_transport",
     "available_transports",
     "rank_extras",
@@ -219,8 +210,8 @@ def _retire_every_crew() -> None:
 class Transport:
     """One way of running an SPMD rank function against real channels.
 
-    Subclasses define the spawn/join lifecycle (threads, forked
-    processes, MPI world ranks) and the message substrate, and say per
+    Subclasses define the spawn/join lifecycle (threads or forked
+    processes) and the message substrate, and say per
     rank -- ``Comm.in_launcher``, set where they build the ``Comm`` --
     whether it shares the launching process's heap.  Capability flags
     tell the runtime what else it may assume:
@@ -1130,137 +1121,13 @@ class LocalTransport(Transport):
 
 
 # ---------------------------------------------------------------------------
-# mpi: optional mpi4py backend (buffer sends between mpiexec world ranks)
-
-
-class MPIChannelTable:
-    """(src, tag)-matched channels over mpi4py.
-
-    All traffic uses two reserved MPI tags: a pickled header/body tag and
-    a raw buffer tag.  A contiguous numpy payload travels as a pickled
-    header immediately followed by a buffer-protocol ``Send`` from the
-    same source (gpaw's contiguity rule: the buffer fast path is only for
-    contiguous data; anything else is compacted first).  MPI guarantees
-    per-(src, dst) non-overtaking, so the header/buffer pairing and the
-    per-source FIFO matching are deterministic.
-    """
-
-    _TAG_OBJ = 31001
-    _TAG_BUF = 31002
-
-    def __init__(self, mpi_comm, rank: int) -> None:
-        from mpi4py import MPI
-
-        self._MPI = MPI
-        self._comm = mpi_comm
-        self.rank = rank
-        self.abort_reason: BaseException | None = None
-        self._pending: dict[tuple[int, int], deque] = {}
-
-    def post(self, src: int, dst: int, tag: int, env: Envelope) -> None:
-        p = env.payload
-        if env.raw and isinstance(p, np.ndarray):
-            a = ensure_contiguous(p)
-            head = env._replace(payload=("__buf__", a.dtype.str, a.shape))
-            self._comm.send((src, tag, head), dest=dst, tag=self._TAG_OBJ)
-            self._comm.Send(a, dest=dst, tag=self._TAG_BUF)
-        else:
-            self._comm.send((src, tag, env), dest=dst, tag=self._TAG_OBJ)
-
-    def _recv_one(self) -> tuple[int, int, Envelope]:
-        src, tag, env = self._comm.recv(
-            source=self._MPI.ANY_SOURCE, tag=self._TAG_OBJ
-        )
-        p = env.payload
-        if isinstance(p, tuple) and len(p) == 3 and p[0] == "__buf__":
-            _, dts, shape = p
-            buf = np.empty(shape, dtype=np.dtype(dts))
-            self._comm.Recv(buf, source=src, tag=self._TAG_BUF)
-            env = env._replace(payload=buf)
-        return src, tag, env
-
-    def take(self, src: int, dst: int, tag: int, real_timeout: float) -> Envelope:
-        key = (src, tag)
-        while True:
-            q = self._pending.get(key)
-            if q:
-                return q.popleft()
-            s, t, env = self._recv_one()
-            if (s, t) == key:
-                return env
-            self._pending.setdefault((s, t), deque()).append(env)
-
-    def fail(self, exc: BaseException) -> None:
-        """Record why this rank failed.  Its peers are not aborted: an
-        ``Abort`` would take the whole ``mpiexec`` world down with it."""
-        self.abort_reason = exc
-
-    def mark_done(self, rank: int) -> None:
-        """Nothing to tell: a peer learns of this rank by its messages."""
-
-
-class MPITransport(Transport):
-    """mpi4py backend: ranks of an ``mpiexec`` world execute the SPMD
-    program collectively (meld's master-mediated pattern: every world
-    rank runs the same driver; ``run_spmd`` assigns communicator roles
-    and allgathers the outcome so the duplicated drivers stay in
-    lockstep).  Import-guarded: unavailable installs skip cleanly.
-    """
-
-    name = "mpi"
-    wall_clock = True
-    supports_faults = False
-
-    def available(self, nranks: int = 1) -> None:
-        try:
-            from mpi4py import MPI
-        except ImportError as exc:
-            raise TransportUnavailable("mpi4py is not installed") from exc
-        if MPI.COMM_WORLD.Get_size() < max(1, nranks):
-            raise TransportUnavailable(
-                f"MPI world size {MPI.COMM_WORLD.Get_size()} < {nranks} ranks"
-            )
-
-    def execute(
-        self, ctx: SimContext, rank_fn: Callable[..., Any], args: Sequence[Any]
-    ) -> RunOutcome:
-        self.available(ctx.nranks)
-        from mpi4py import MPI
-
-        world = MPI.COMM_WORLD
-        color = 0 if world.Get_rank() < ctx.nranks else MPI.UNDEFINED
-        sub = world.Split(color, world.Get_rank())
-        t0 = time.perf_counter()
-        end = None
-        if sub != MPI.COMM_NULL:
-            table = MPIChannelTable(sub, sub.Get_rank())
-            end = _run_rank(Comm(dataclasses.replace(ctx, channels=table),
-                                 table.rank, in_launcher=False), rank_fn, args)
-            if end.status == "error":
-                end.payload = _picklable_error(end.payload)
-            sub.Free()
-        # Every world rank -- participant or not -- sees the same outcome,
-        # so the duplicated SPMD drivers continue deterministically.  World
-        # ranks 0..nranks-1 are the run's ranks, in order.
-        ends = [e for e in world.allgather(end) if e is not None]
-        return RunOutcome(ends, wall_seconds=time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
 # registry / factory
 
 
 _REGISTRY: dict[str, Callable[[], Transport]] = {
     "sim": SimTransport,
     "local": LocalTransport,
-    "mpi": MPITransport,
 }
-
-
-def register_transport(name: str, factory: Callable[[], Transport]) -> None:
-    """Register a custom backend under *name* (machine construction
-    resolves transports by name)."""
-    _REGISTRY[name] = factory
 
 
 def resolve_transport(spec: "str | Transport | None") -> Transport:

@@ -203,23 +203,12 @@ def planner_stats() -> PlannerStats:
     )
 
 
-def stats_snapshot() -> dict:
-    """Plain-dict counter snapshot (for rank-local delta accounting on
-    process-isolated transports)."""
-    return _active.snapshot()
-
-
-def stats_delta(since: dict) -> dict:
-    """Counter growth since a :func:`stats_snapshot`."""
-    return {k: getattr(_active.stats, k) - since[k] for k in _STAT_FIELDS}
-
-
 def merge_stats(delta: dict) -> None:
-    """Fold a rank's counter delta into the active state's stats.
+    """Fold a rank's counters into the active state's stats.
 
-    Process-isolated transports run plan-cache consults in forked
-    workers whose counters die with the worker; the driver carries the
-    deltas back through ``rank_extras`` and merges them here so
+    ``local`` members run plan-cache consults in processes of their own
+    whose counters die with them; the driver carries each run's counts
+    back through ``rank_extras`` and merges them here so
     ``planner_stats()`` reports the same traffic on every backend.
     """
     st = _active.stats

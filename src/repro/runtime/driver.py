@@ -395,8 +395,8 @@ class TrioletRuntime:
 
     def _merge_rank_extras(self, extras) -> None:
         """Merge what ranks outside the launcher published of driver
-        state: per-rank cost meters, plan-cache deltas, serialization
-        copy-counter deltas and, under a recorder, their spans."""
+        state: per-rank cost meters, plan-cache and serialization
+        copy counters and, under a recorder, their spans."""
         obs = _obs_active()
         for ext in extras or ():
             state = ext.get(ISOLATED)

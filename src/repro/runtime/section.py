@@ -53,7 +53,7 @@ from repro.runtime.recovery import (
     classify_failure,
 )
 from repro.runtime.costs import current_costs, set_costs
-from repro.serial.arrays import copy_stats
+from repro.serial.arrays import copy_stats, reset_copy_stats
 
 _CHUNK_TAG = 99
 
@@ -339,13 +339,13 @@ class RankProgram:
     (:func:`repro.cluster.transport.kept`).  Every rank runs it with the
     runtime's node model as its executor.
 
-    A rank outside the launcher (``comm.in_launcher`` false) tallies into
-    a rank-local meter, installed at rank *start* so a crashed rank's
-    partial tallies still count, and publishes it with its plan-cache and
-    copy-counter deltas and, under a recorder, its spans through
-    ``rank_extras()`` (deltas: such a rank may run in a process whose
-    counters are a driver's -- ``mpi``'s, or a member's as it is hired); a
-    rank in the launcher tallies into the live objects, once.
+    A rank outside the launcher (``comm.in_launcher`` false) is a ``local``
+    member in a process of its own.  It tallies into a rank-local meter,
+    installed at rank *start* so a crashed rank's partial tallies still
+    count, zeroes its plan-cache and copy counters and, under a recorder,
+    its spans, and publishes all of them as values through
+    ``rank_extras()``; a rank in the launcher tallies into the live
+    objects, once.
     """
 
     def __init__(self, rt, kind: SectionKind, parts: Parts,
@@ -414,20 +414,24 @@ class RankProgram:
         with use_executor(self.node):
             if comm.in_launcher:
                 return self._run(comm)
+            # a member, in a process of its own: its counters are its own,
+            # zeroed here and reported as values
             local_meter = meter.CostMeter()
             state = rank_extras()[ISOLATED] = {"meter": local_meter}
             sink = _meter_sink.set(local_meter)
-            psnap, ssnap = planner.stats_snapshot(), copy_stats()
+            planner.current_state().stats = planner.PlannerStats()
+            reset_copy_stats()
             obs = _obs_active()
-            nspans = len(obs.spans) if obs is not None else 0
+            if obs is not None:
+                obs.spans.clear()
             try:
                 return self._run(comm)
             finally:
                 _meter_sink.reset(sink)
-                state["planner"] = planner.stats_delta(psnap)
-                state["serial"] = {k: v - ssnap[k] for k, v in copy_stats().items()}
+                state["planner"] = planner.current_state().snapshot()
+                state["serial"] = copy_stats()
                 if obs is not None:
-                    state["spans"] = [s.as_dict() for s in obs.spans[nspans:]]
+                    state["spans"] = [s.as_dict() for s in obs.spans]
 
     def _run(self, comm: Comm):
         """Ship every rank its work item, bind the rank's store, run the

@@ -72,7 +72,7 @@ def copy_stats() -> dict:
 
 
 def merge_copy_stats(delta: dict) -> None:
-    """Fold counter growth tallied in a forked rank (carried back through
+    """Fold counters tallied in a ``local`` member (carried back through
     ``rank_extras``) into the active set, as ``sim`` threads do directly."""
     for k, v in delta.items():
         _stats[k] += v
@@ -87,8 +87,8 @@ def reset_copy_stats() -> None:
 def ensure_contiguous(arr: np.ndarray) -> np.ndarray:
     """Contiguity gate for the zero-copy buffer ship paths.
 
-    Buffer-protocol sends (``Comm.Send``, shared windows, mpi4py
-    buffer messages) move one contiguous block.  A C-contiguous array
+    Buffer-protocol sends (``Comm.Send``, shared windows) move one
+    contiguous block.  A C-contiguous array
     passes through untouched; any other layout -- Fortran order, strided
     or transposed views -- is compacted with an explicit copy, counted
     under ``copy_stats()["noncontiguous_compacted"]``, and never falls

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MachineSpec, run_spmd
-from repro.cluster.trace import check_causality, render_timeline
+from repro.cluster.trace import check_causality
 
 MACHINE = MachineSpec(nodes=4, cores_per_node=2)
 
@@ -97,12 +97,6 @@ class TestTracing:
     def test_trace_is_causally_consistent(self):
         res = self._traced_run()
         assert check_causality(res.trace) == []
-
-    def test_timeline_renders(self):
-        res = self._traced_run()
-        text = render_timeline(res.trace)
-        assert "communication events" in text
-        assert "rank 0" in text
 
     def test_per_rank_view_is_time_ordered(self):
         res = self._traced_run()

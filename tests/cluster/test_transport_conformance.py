@@ -1,9 +1,7 @@
 """Transport conformance: every available backend runs the same programs.
 
 The matrix parametrizes over :func:`available_transports` (``sim``
-always; ``local`` on POSIX; ``mpi`` only under an ``mpiexec`` world with
-mpi4py installed -- it skips cleanly otherwise) and asserts the
-cross-backend contract: identical results, identical *virtual* timing
+always; ``local`` on POSIX) and asserts the cross-backend contract: identical results, identical *virtual* timing
 (availability stamps are causal, computed from the cost model, never
 from wall time), and identical driver-observable state for a full app
 run.

@@ -3,8 +3,12 @@ and merges by ``Comm.in_launcher`` alone.
 
 The stub below runs both ranks as ``sim`` threads -- so everything is
 observable from the test process -- but rank 1 *says* it runs elsewhere.
-Each counter family must then reach the driver exactly once: rank 0's
-live, as it runs; rank 1's through ``rank_extras()`` and one merge."""
+A rank outside the launcher is a ``local`` member with counters of its
+own, which it zeroes and reports as values; the stub's rank 1 shares the
+driver's heap instead, so the counter totals it reports are not a
+member's.  What this checks is the merge wiring: rank 0 publishes
+nothing and tallies live, rank 1 publishes every counter family through
+``rank_extras()``, and each family is merged exactly once."""
 import numpy as np
 import pytest
 

@@ -307,18 +307,17 @@ def test_every_transport_runs_a_rank_through_one_body_and_run_spmd_assembles():
     stamps = ["wall_seconds", "launch_s", "root_s", "join_s"]
     assert [f.name for f in fields(RunOutcome)] == ["ends", *stamps]
     outcomes = calls(lambda f: isinstance(f, ast.Name) and f.id == "RunOutcome")
-    assert len(outcomes) == 3  # sim, local, mpi
+    assert len(outcomes) == 2  # sim, local
     for call in outcomes:
         assert len(call.args) == 1 and {k.arg for k in call.keywords} <= set(stamps)
     machine = MachineSpec(nodes=3, cores_per_node=1)
     with ThreadPoolExecutor(1) as pool:  # whose crews go with its thread
         for name in available_transports(nranks=3):
-            if name != "mpi":  # its ranks are the world's, not launched here
-                out = pool.submit(resolve_transport(name).execute,
-                                  SimContext(machine=machine, nranks=3),
-                                  _rank_of, ()).result()
-                assert [(type(e), e.status, e.payload) for e in out.ends] == [
-                    (RankEnd, "ok", r) for r in range(3)]
+            out = pool.submit(resolve_transport(name).execute,
+                              SimContext(machine=machine, nranks=3),
+                              _rank_of, ()).result()
+            assert [(type(e), e.status, e.payload) for e in out.ends] == [
+                (RankEnd, "ok", r) for r in range(3)]
 
     process = ast.parse((cluster / "process.py").read_text())
     infos = [n for n in ast.walk(process) if isinstance(n, ast.ListComp)
