@@ -61,15 +61,6 @@ class RankMetrics:
         self.alloc_bytes += nbytes
         self.gc_time += gc_dt
 
-    @property
-    def faults_injected(self) -> int:
-        return (
-            self.faults_delay
-            + self.faults_send
-            + self.faults_crash
-            + self.faults_straggler
-        )
-
 
 _BY_POSITION = operator.attrgetter(*(f.name for f in fields(RankMetrics)))
 
@@ -105,10 +96,6 @@ class RunMetrics:
         return sum(m.alloc_bytes for m in self.per_rank)
 
     @property
-    def max_compute_time(self) -> float:
-        return max((m.compute_time for m in self.per_rank), default=0.0)
-
-    @property
     def messages_rejected(self) -> int:
         return sum(m.messages_rejected for m in self.per_rank)
 
@@ -136,26 +123,6 @@ class RunMetrics:
     def speculations(self) -> int:
         return sum(m.speculations for m in self.per_rank)
 
-    @property
-    def faults_injected(self) -> int:
-        return sum(m.faults_injected for m in self.per_rank)
-
-    @property
-    def faults_delay(self) -> int:
-        return sum(m.faults_delay for m in self.per_rank)
-
-    @property
-    def faults_send(self) -> int:
-        return sum(m.faults_send for m in self.per_rank)
-
-    @property
-    def faults_crash(self) -> int:
-        return sum(m.faults_crash for m in self.per_rank)
-
-    @property
-    def faults_straggler(self) -> int:
-        return sum(m.faults_straggler for m in self.per_rank)
-
     def fault_counts(self) -> dict[str, int]:
         """Injected-fault tallies by kind (all zero on a clean run)."""
         return {
@@ -163,17 +130,4 @@ class RunMetrics:
             "send": sum(m.faults_send for m in self.per_rank),
             "crash": sum(m.faults_crash for m in self.per_rank),
             "straggler": sum(m.faults_straggler for m in self.per_rank),
-        }
-
-    def summary(self) -> dict:
-        return {
-            "ranks": len(self.per_rank),
-            "bytes_sent": self.bytes_sent,
-            "messages_sent": self.messages_sent,
-            "compute_time": self.compute_time,
-            "comm_time": self.comm_time,
-            "gc_time": self.gc_time,
-            "alloc_bytes": self.alloc_bytes,
-            "messages_rejected": self.messages_rejected,
-            "faults_injected": self.faults_injected,
         }

@@ -2,9 +2,10 @@
 
 When enabled (``run_spmd(..., trace=True)``), every send and receive is
 recorded with its virtual timestamp, endpoints, tag and byte count.
-Traces make the virtual timeline inspectable -- the timeline renderer
-shows per-rank lanes, and tests assert causality invariants (a receive
-never completes before its matching send departs).
+Traces make the virtual timeline inspectable: per-rank and per-kind
+views, and ``repro.obs.export.check_event_causality`` over
+``[e.as_dict() for e in log.events]`` (a receive never completes before
+its matching send departs).
 """
 from __future__ import annotations
 
@@ -52,22 +53,6 @@ class CommEvent:
         """An endpoint-less fault/recovery stamp (per-rank fault lane)."""
         return self.kind in FAULT_EVENT_KINDS and self.peer < 0
 
-    def describe(self) -> str:
-        if self.kind == "send":
-            arrow = "->"
-        elif self.kind == "recv":
-            arrow = "<-"
-        else:
-            peer = f" (peer {self.peer})" if self.peer >= 0 else ""
-            return (
-                f"t={self.time * 1e3:10.4f}ms  rank {self.rank} "
-                f"[{self.kind}]{peer}  tag={self.tag}  {self.nbytes}B"
-            )
-        return (
-            f"t={self.time * 1e3:10.4f}ms  rank {self.rank} {arrow} "
-            f"rank {self.peer}  tag={self.tag}  {self.nbytes}B"
-        )
-
 
 @dataclass
 class TraceLog:
@@ -79,12 +64,6 @@ class TraceLog:
     def record(self, event: CommEvent) -> None:
         with self._lock:
             self.events.append(event)
-
-    def sends(self) -> list[CommEvent]:
-        return [e for e in self.events if e.kind == "send"]
-
-    def recvs(self) -> list[CommEvent]:
-        return [e for e in self.events if e.kind == "recv"]
 
     def for_rank(self, rank: int) -> list[CommEvent]:
         return sorted(
@@ -103,32 +82,3 @@ class TraceLog:
             (e for e in self.events if e.kind in FAULT_EVENT_KINDS),
             key=lambda e: e.time,
         )
-
-
-def check_causality(log: TraceLog) -> list[str]:
-    """Verify every receive completes no earlier than its send departed.
-
-    Matches sends to receives per (src, dst, tag) channel in FIFO order
-    (the channel discipline).  Returns a list of violation descriptions;
-    an empty list means the virtual timeline is causally consistent.
-    """
-    violations: list[str] = []
-    channels: dict[tuple[int, int, int], list[CommEvent]] = {}
-    for e in sorted(log.sends(), key=lambda e: e.time):
-        channels.setdefault((e.rank, e.peer, e.tag), []).append(e)
-    matched: dict[tuple[int, int, int], int] = {}
-    for r in sorted(log.recvs(), key=lambda e: e.time):
-        key = (r.peer, r.rank, r.tag)
-        idx = matched.get(key, 0)
-        sends = channels.get(key, [])
-        if idx >= len(sends):
-            violations.append(f"recv with no matching send: {r.describe()}")
-            continue
-        s = sends[idx]
-        matched[key] = idx + 1
-        if r.time < s.time:
-            violations.append(
-                f"recv at {r.time} precedes its send at {s.time}: "
-                f"{r.describe()}"
-            )
-    return violations

@@ -2,74 +2,20 @@
 
 "The rows of Figure 1 are ordered by how much the user of a virtual data
 structure can control its execution order...  A higher-control encoding
-can be converted to a lower-control one."  Indexer -> stepper/fold/
-collector and stepper -> fold/collector are total; the reverse directions
-do not exist, which is why the conversion removes the potential for
-parallelization.
+can be converted to a lower-control one."  The reverse directions do not
+exist, which is why a conversion removes the potential for
+parallelization (:func:`~repro.core.encodings.features.can_convert`).
+The pipeline layer uses one, indexer -> stepper (``to_step``); the
+other downward conversions are the encodings' own constructors
+(``fold_from_indexer``, ``collector_from_indexer``) and consumers
+(``fold_step``).
 """
 from __future__ import annotations
 
-from repro.core import meter
-from repro.core.encodings.collector import Collector, collector_from_indexer
-from repro.core.encodings.fold import FoldLoop, fold_from_indexer
 from repro.core.encodings.indexer import Idx
-from repro.core.encodings.stepper import Step, fold_step, stepper_from_indexer
-from repro.serial import closure, register_function
+from repro.core.encodings.stepper import Step, stepper_from_indexer
 
 
 def idx_to_step(idx: Idx) -> Step:
     """Indexer -> stepper: sequential traversal of the domain."""
     return stepper_from_indexer(idx)
-
-
-def idx_to_fold(idx: Idx) -> FoldLoop:
-    """Indexer -> fold (the ``idxToColl``-style loop of §3.1)."""
-    return fold_from_indexer(idx)
-
-
-def idx_to_coll(idx: Idx) -> Collector:
-    """Indexer -> collector; enables mutation, forfeits parallelism."""
-    return collector_from_indexer(idx)
-
-
-@register_function
-def _fold_run_from_step(state0, stepf, worker, z):
-    return fold_step(worker, z, Step(state0, stepf))
-
-
-def step_to_fold(st: Step) -> FoldLoop:
-    """Stepper -> fold: drive the stepper inside a fold loop."""
-    return FoldLoop(closure(_fold_run_from_step, st.state0, st.stepf))
-
-
-@register_function
-def _coll_run_from_step(state0, stepf, worker):
-    for value in Step(state0, stepf).drive():
-        worker(value)
-
-
-def step_to_coll(st: Step) -> Collector:
-    """Stepper -> collector (``stepToColl``)."""
-    return Collector(closure(_coll_run_from_step, st.state0, st.stepf))
-
-
-def materialize_idx(idx: Idx) -> list:
-    """Force an indexer into memory (a *non*-fused boundary).
-
-    Fused pipelines never call this; the unfused ablation baseline calls
-    it between every skeleton, and the meter records the temporary.
-    """
-    values = idx.eval_all()
-    values = list(values) if not isinstance(values, list) else values
-    meter.tally_materialization(_estimate_bytes(values))
-    meter.tally_pass()
-    return values
-
-
-def _estimate_bytes(values: list) -> int:
-    from repro.serial.sizeof import transitive_size
-
-    if not values:
-        return 0
-    # Sample-based estimate: lists here are homogeneous.
-    return transitive_size(values[0]) * len(values)

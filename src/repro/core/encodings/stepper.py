@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.core import meter
-from repro.serial import Closure, bind, binds, closure, register_function
+from repro.serial import Closure, bind, closure, register_function
 from repro.serial.serializer import serializable
 
 # Step results are transient (never serialized): plain tagged tuples.
@@ -76,12 +76,6 @@ def _step_indexer(extract, ctx, n, state):
     if i >= n:
         return DONE
     return yield_(extract(ctx, i), i + 1)
-
-
-@binds(_step_indexer)
-def _bind_step_indexer(extract, ctx, n):
-    extract = bind(extract) if n else None  # an empty slice binds nothing
-    return lambda i: DONE if i >= n else (_YIELD, extract(ctx, i), i + 1)
 
 
 @register_function

@@ -4,13 +4,11 @@ from repro.core.fusion.planner import (
     PlannerState,
     PlannerStats,
     current_state,
-    negative_cache_size,
     plan_for,
     planner_stats,
     reset_planner,
     structural_key,
     use_state,
-    warm,
 )
 from repro.core.fusion.report import FusionReport, analyze, closure_depth
 
@@ -22,11 +20,9 @@ __all__ = [
     "PlannerState",
     "PlannerStats",
     "current_state",
-    "negative_cache_size",
     "plan_for",
     "planner_stats",
     "reset_planner",
     "structural_key",
     "use_state",
-    "warm",
 ]

@@ -181,16 +181,6 @@ def plan_for(it) -> Plan | None:
     return plan
 
 
-def warm(it) -> Plan | None:
-    """Compile (or look up) *it*'s plan ahead of task execution.
-
-    The runtime calls this once per parallel section before
-    partitioning, so per-rank and re-executed tasks always hit the
-    cache.
-    """
-    return plan_for(it)
-
-
 def planner_stats() -> PlannerStats:
     """A snapshot of the active state's cache counters."""
     s = _active.stats
@@ -216,12 +206,6 @@ def merge_stats(delta: dict) -> None:
         setattr(st, k, getattr(st, k) + delta.get(k, 0))
 
 
-def negative_cache_size() -> int:
-    """Number of remembered unsupported structures (bounded by
-    :data:`NEGATIVE_CACHE_MAX`)."""
-    return len(_active.negative)
-
-
 def reset_planner() -> None:
     """Clear the *active* state's caches and zero its counters.
 
@@ -230,7 +214,3 @@ def reset_planner() -> None:
     this -- it owns a private :class:`PlannerState` instead.
     """
     _active.reset()
-
-
-#: Per-run reset alias, mirroring :func:`repro.serial.reset`.
-reset = reset_planner

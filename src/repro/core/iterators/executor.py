@@ -93,10 +93,6 @@ def use_executor(executor: Executor):
         _current.reset(token)
 
 
-def current_executor() -> Executor:
-    return _current.get()
-
-
 def dispatch(it: Iter, spec: ConsumeSpec) -> Any:
     """Route a consumer: hinted iterators go to the installed executor."""
     if it.hint is not ParHint.SEQ:

@@ -46,19 +46,14 @@ class LostShard:
     lo: int
     hi: int
 
-    @property
-    def rows(self) -> int:
-        return self.hi - self.lo
-
 
 class LineageLog:
     """Per-plane provenance log + replay accounting.
 
     ``record_source``/``record_section`` build the graph;
-    :meth:`chain` walks it upstream; :meth:`mark_lost` /
-    :meth:`note_replay` are the shrink-recovery hooks the planner calls
-    when a permanent loss strands shards and when it later rebuilds
-    them.
+    :meth:`mark_lost` / :meth:`note_replay` are the shrink-recovery hooks
+    the planner calls when a permanent loss strands shards and when it
+    later rebuilds them.
     """
 
     def __init__(self):
@@ -94,31 +89,6 @@ class LineageLog:
             self._by_aid[output_aid] = rec
         return rec
 
-    # -- queries ------------------------------------------------------------
-
-    def producer(self, aid: int) -> LineageRecord | None:
-        return self._by_aid.get(aid)
-
-    def chain(self, aid: int) -> list[LineageRecord]:
-        """The upstream slice chain of *aid*: its producer, then the
-        producers of its inputs, breadth-first, each handle once."""
-        out: list[LineageRecord] = []
-        seen: set[int] = set()
-        frontier = [aid]
-        while frontier:
-            nxt: list[int] = []
-            for a in frontier:
-                if a in seen:
-                    continue
-                seen.add(a)
-                rec = self._by_aid.get(a)
-                if rec is None:
-                    continue
-                out.append(rec)
-                nxt.extend(rec.inputs)
-            frontier = nxt
-        return out
-
     # -- loss & replay accounting (called by DataPlane) ---------------------
 
     def mark_lost(self, aid: int, rank: int, lo: int, hi: int) -> None:
@@ -137,11 +107,3 @@ class LineageLog:
         """The next section has been planned; anything still marked lost
         will re-materialize through ordinary placement when touched."""
         self.lost.clear()
-
-    def describe(self) -> str:
-        srcs = sum(1 for r in self._by_aid.values() if r.kind == "source")
-        return (
-            f"lineage: {srcs} source handle(s), "
-            f"{len(self.sections)} section record(s), "
-            f"{self.replays} replay(s) ({self.replayed_rows} rows)"
-        )

@@ -247,9 +247,10 @@ def render_tree(tree, indent: int = 0) -> str:
 def check_event_causality(events) -> list[str]:
     """Every recv event must join a send that already departed.
 
-    The span-layer mirror of :func:`repro.cluster.trace.check_causality`:
-    matches sends to recvs per (src, dst, tag) channel in FIFO order
-    over the absorbed event stream.  Returns violation descriptions.
+    Matches sends to recvs per (src, dst, tag) channel in FIFO order over
+    event dicts: a recorder's absorbed ``events``, or a cluster trace as
+    ``[e.as_dict() for e in log.events]``.  Returns violation
+    descriptions; an empty list means the timeline is causal.
     """
     violations: list[str] = []
     sends: dict[tuple[int, int, int], list[dict]] = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 
 class MetricsRegistry:
-    """Flat named counters/gauges plus per-section snapshots."""
+    """Flat named counters plus per-section snapshots."""
 
     def __init__(self):
         self.counters: dict[str, float] = {}
@@ -35,9 +35,6 @@ class MetricsRegistry:
 
     def inc(self, name: str, value=1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value) -> None:
-        self.counters[name] = value
 
     def get(self, name: str, default=0):
         return self.counters.get(name, default)

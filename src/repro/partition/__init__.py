@@ -14,11 +14,9 @@ from repro.partition.block import (
 from repro.partition.block2d import grid_shape, block2d_bounds
 from repro.partition.halo import (
     exchange_rows,
-    flatten_intervals,
     halo_bytes_bound,
     halo_exchange,
     halo_intervals,
-    halo_rows,
     section_halos,
     written_rows,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "block2d_bounds",
     "halo_intervals",
     "section_halos",
-    "flatten_intervals",
-    "halo_rows",
     "halo_bytes_bound",
     "written_rows",
     "halo_exchange",

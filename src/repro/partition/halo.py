@@ -42,49 +42,6 @@ def section_halos(
     return [halo_intervals(lo, hi, radius, extent) for lo, hi in bounds]
 
 
-def flatten_intervals(
-    intervals: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Sort and merge overlapping/adjacent intervals (drop empties).
-
-    The property suite's flattening oracle: the ghost set of a composed
-    view pipeline must equal the ghost set computed on its flattened
-    slice set, and flattening is exactly this normalization.
-    """
-    live = sorted((lo, hi) for lo, hi in intervals if hi > lo)
-    out: list[tuple[int, int]] = []
-    for lo, hi in live:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def halo_rows(
-    intervals: list[tuple[int, int]], radius: int, extent: int
-) -> list[tuple[int, int]]:
-    """Ghost rows of a *set* of intervals: rows within ``radius`` of the
-    flattened set but not inside it.  ``halo_intervals`` is the
-    single-interval special case."""
-    flat = flatten_intervals(intervals)
-    grown = flatten_intervals(
-        [(max(0, lo - radius), min(extent, hi + radius)) for lo, hi in flat]
-    )
-    out: list[tuple[int, int]] = []
-    for glo, ghi in grown:
-        cur = glo
-        for lo, hi in flat:
-            if hi <= cur or lo >= ghi:
-                continue
-            if lo > cur:
-                out.append((cur, lo))
-            cur = max(cur, hi)
-        if cur < ghi:
-            out.append((cur, ghi))
-    return flatten_intervals(out)
-
-
 def written_rows(lo: int, hi: int, radius: int, extent: int) -> tuple[int, int]:
     """The rows ``[wlo, whi)`` a stencil over block ``[lo, hi)`` writes:
     boundaries are Dirichlet, so rows within ``radius`` of either array

@@ -519,14 +519,6 @@ class TrioletRuntime:
         with self._planner_scope():
             return self._run_metered(label, "seq", fn, *args, **kwargs)
 
-    def charge_visits(self, visits: float, label: str = "seq") -> None:
-        """Charge main-rank compute for work done outside the meter."""
-        with _obs_span("section", label, clock=self.clock) as osp:
-            self._seq_section(label, "seq",
-                              self.costs.seconds_for_visits(visits),
-                              int(visits), osp)
-        self._obs_section()
-
     # -- the Executor interface ----------------------------------------------
 
     def execute(self, it: Iter, spec: ConsumeSpec) -> Any:

@@ -6,15 +6,15 @@ code from algebraic data type definitions; functions are serialized as
 closures; pointers to global data are serialized as a segment identifier
 plus offset; pointer-free arrays are block-copied.
 
-This package reproduces each of those mechanisms:
+This package reproduces each of those mechanisms but the global-data
+pointers, whose role a distributed handle plays (:mod:`repro.data`):
 
 * :mod:`repro.serial.serializer` -- self-describing binary format with a
   type registry; ``@serializable`` plays the role of compiler-generated
   serialization for dataclass ADTs.
 * :mod:`repro.serial.arrays` -- numpy arrays serialized as a small header
   plus a single block copy of the raw buffer.
-* :mod:`repro.serial.closures` -- closures as (code id, environment);
-  global data as segment references that cost O(1) bytes on the wire.
+* :mod:`repro.serial.closures` -- closures as (code id, environment).
 * :mod:`repro.serial.sizeof` -- transitive byte accounting used by the
   simulated network's cost model.
 """
@@ -41,8 +41,6 @@ from repro.serial.closures import (
     register_function,
     resolve_env,
     set_env_resolver,
-    GlobalSegment,
-    GlobalRef,
 )
 
 
@@ -76,6 +74,4 @@ __all__ = [
     "register_function",
     "resolve_env",
     "set_env_resolver",
-    "GlobalSegment",
-    "GlobalRef",
 ]

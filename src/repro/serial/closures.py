@@ -16,10 +16,11 @@ split:
 * a :class:`Closure` pairs a code id with a tuple of captured values, and
   serializes as the id plus the environment, so the wire cost is dominated
   by the environment -- which is what the paper's array-partitioning work
-  (§3.5) minimizes;
-* :class:`GlobalSegment` registers large read-only data once per node;
-  a :class:`GlobalRef` into it serializes as (segment id, offset) in O(1)
-  bytes, never dragging the data itself across the network.
+  (§3.5) minimizes.
+
+The paper's segment-and-offset pointers to global data have no
+counterpart: a large read-only input is a distributed handle
+(:mod:`repro.data`), placed once per rank and named on the wire by id.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
-from repro.serial import serializer
 from repro.serial.serializer import (
     SerializationError,
     _decode,
@@ -205,75 +205,3 @@ def _decode_closure(buf: memoryview, offset: int):
 
 
 register_type("repro.Closure", Closure, _encode_closure, _decode_closure)
-
-
-# ---------------------------------------------------------------------------
-# Global segments
-
-
-class GlobalSegment:
-    """A named, node-resident pool of read-only global data.
-
-    ``intern`` returns a :class:`GlobalRef` whose wire representation is a
-    (segment, offset) pair -- a handful of bytes regardless of how large the
-    referenced object is.  All simulated ranks share the interpreter, so a
-    single registry faithfully models "the same global data exists at the
-    same offset in every node's image".
-    """
-
-    _segments: dict[str, "GlobalSegment"] = {}
-
-    def __init__(self, name: str):
-        if name in GlobalSegment._segments:
-            raise ValueError(f"global segment already exists: {name!r}")
-        self.name = name
-        self._objects: list[Any] = []
-        GlobalSegment._segments[name] = self
-
-    @classmethod
-    def get(cls, name: str) -> "GlobalSegment":
-        seg = cls._segments.get(name)
-        if seg is None:
-            raise SerializationError(f"unknown global segment: {name!r}")
-        return seg
-
-    @classmethod
-    def get_or_create(cls, name: str) -> "GlobalSegment":
-        return cls._segments.get(name) or cls(name)
-
-    @classmethod
-    def drop(cls, name: str) -> None:
-        """Remove a segment (test hygiene)."""
-        cls._segments.pop(name, None)
-
-    def intern(self, obj: Any) -> "GlobalRef":
-        self._objects.append(obj)
-        return GlobalRef(self.name, len(self._objects) - 1)
-
-    def fetch(self, offset: int) -> Any:
-        return self._objects[offset]
-
-
-@dataclass(frozen=True)
-class GlobalRef:
-    """Serializable pointer to global data: segment id + offset."""
-
-    segment: str
-    offset: int
-
-    def deref(self) -> Any:
-        return GlobalSegment.get(self.segment).fetch(self.offset)
-
-
-def _encode_globalref(obj: GlobalRef, out: bytearray) -> None:
-    _encode_str(obj.segment, out)
-    serializer._pack_varint(obj.offset, out)
-
-
-def _decode_globalref(buf: memoryview, offset: int):
-    seg, offset = _decode_str(buf, offset)
-    off, offset = serializer._unpack_varint(buf, offset)
-    return GlobalRef(seg, off), offset
-
-
-register_type("repro.GlobalRef", GlobalRef, _encode_globalref, _decode_globalref)

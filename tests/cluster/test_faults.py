@@ -56,7 +56,7 @@ class TestDelaySpike:
         plan = FaultPlan(faults=(DelaySpike(src=0, dst=1, tag=5, delay=0.5),))
         res = run_spmd(MACHINE, ping, nranks=4, faults=plan)
         assert res.makespan == pytest.approx(base + 0.5, rel=1e-6)
-        assert res.metrics.faults_delay == 1
+        assert res.metrics.fault_counts()["delay"] == 1
 
     def test_delay_event_traced(self):
         plan = FaultPlan(faults=(DelaySpike(src=0, dst=1, tag=5, delay=0.5),))
@@ -74,7 +74,7 @@ class TestDelaySpike:
 
         plan = FaultPlan(faults=(DelaySpike(src=0, delay=0.1, count=2),))
         res = run_spmd(MACHINE, chatty, nranks=2, faults=plan)
-        assert res.metrics.faults_delay == 2
+        assert res.metrics.fault_counts()["delay"] == 2
 
 
 class TestSendFault:
@@ -133,7 +133,7 @@ class TestSlowNode:
         # ranks 0,1 live on node 0 and run 4x slower
         assert res.results[0] == pytest.approx(base.results[0] * 4.0)
         assert res.results[2] == pytest.approx(base.results[2])
-        assert res.metrics.faults_straggler == 2
+        assert res.metrics.fault_counts()["straggler"] == 2
 
 
 class TestZeroCostWhenDisabled:

@@ -49,9 +49,10 @@ class TestTimelineProperties:
         r1 = run_spmd(machine, main, nranks=nranks, trace=True)
         r2 = run_spmd(machine, main, nranks=nranks)
         assert r1.final_clocks == r2.final_clocks
-        from repro.cluster.trace import check_causality
+        from repro.obs.export import check_event_causality
 
-        assert check_causality(r1.trace) == []
+        assert check_event_causality(
+            [e.as_dict() for e in r1.trace.events]) == []
         # Every rank waited through `rounds` hops: clocks are positive.
         assert all(t > 0 for t in r1.final_clocks)
 

@@ -6,27 +6,24 @@ from repro.core import meter
 from repro.core.domains import Seq
 from repro.core.encodings import (
     array_indexer,
+    collector_from_indexer,
     collector_from_list,
     concat_map_fold,
     concat_map_step,
     empty_stepper,
     filter_step,
+    fold_from_indexer,
     fold_from_list,
     fold_step,
     histogram_into,
-    idx_to_coll,
-    idx_to_fold,
     idx_to_step,
     map_coll,
     map_fold,
     map_idx,
     map_step,
-    materialize_idx,
     outer_product_idx,
     pack_into,
     range_indexer,
-    step_to_coll,
-    step_to_fold,
     stepper_from_list,
     unit_stepper,
     whole_list_indexer,
@@ -203,7 +200,7 @@ class TestFold:
         assert fl.fold(lambda a, x: a + x, 100) == 106
 
     def test_from_indexer(self):
-        fl = idx_to_fold(array_indexer(np.arange(5.0)))
+        fl = fold_from_indexer(array_indexer(np.arange(5.0)))
         assert fl.fold(lambda a, x: a + x, 0.0) == 10.0
 
     def test_map_fold(self):
@@ -219,7 +216,7 @@ class TestFold:
 
     def test_step_to_fold(self):
         st = filter_step(_is_positive, stepper_from_list([-1, 5, -2, 7]))
-        assert step_to_fold(st).to_list() == [5, 7]
+        assert fold_step(lambda a, x: a + [x], [], st) == [5, 7]
 
     def test_order_is_sequential(self):
         seen = []
@@ -249,26 +246,16 @@ class TestCollector:
         np.testing.assert_allclose(hist, [1.5, 0.0, 1.5])
 
     def test_pack_into(self):
-        st = filter_step(_is_positive, stepper_from_list([3, -1, 4]))
-        out = pack_into(step_to_coll(st), [])
+        out = pack_into(collector_from_list([3, 4]), [])
         assert out == [3, 4]
 
     def test_idx_to_coll(self):
         out = []
-        idx_to_coll(range_indexer(3)).collect(out.append)
+        collector_from_indexer(range_indexer(3)).collect(out.append)
         assert out == [0, 1, 2]
 
 
 class TestMaterialization:
-    def test_materialize_is_metered(self):
-        idx = map_idx(_double, array_indexer(np.arange(100.0)))
-        with meter.metered() as m:
-            values = materialize_idx(idx)
-        assert len(values) == 100
-        assert m.materializations == 1
-        assert m.materialized_bytes > 0
-        assert m.passes == 1
-
     def test_fused_pipeline_materializes_nothing(self):
         idx = map_idx(_double, array_indexer(np.arange(100.0)))
         with meter.metered() as m:

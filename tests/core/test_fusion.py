@@ -9,7 +9,6 @@ import numpy as np
 
 import repro.triolet as tri
 from repro.core import meter
-from repro.core.encodings import materialize_idx
 from repro.core.fusion import analyze
 from repro.core.iterators import IdxFlat, IdxNest, iterate
 from repro.serial import register_function, serialize
@@ -47,17 +46,6 @@ class TestSumOfFilterWalkthrough:
         assert total == 9.0
         assert m.materializations == 0
         assert m.passes == 0  # no materialized collection was traversed
-
-    def test_unfused_ablation_materializes(self):
-        """The multi-pass version a non-fusing library would run."""
-        with meter.metered() as m:
-            idx = iterate(self.xs).idx
-            values = materialize_idx(idx)  # pass 1: evaluate input
-            kept = [x for x in values if pos(x)]  # pass 2: filter
-            total = sum(kept)  # pass 3: reduce
-        assert total == 9.0
-        assert m.materializations >= 1
-        assert m.materialized_bytes > 0
 
 
 class TestFusedStageCounting:

@@ -11,7 +11,7 @@ import pytest
 import repro.triolet as tri
 from repro.core.fusion import (
     NEGATIVE_CACHE_MAX,
-    negative_cache_size,
+    current_state,
     plan_for,
     planner_stats,
     reset_planner,
@@ -46,7 +46,7 @@ class TestNegativeCacheBound:
             assert plan_for(_unsupported_pipeline(i)) is None
         stats = planner_stats()
         assert stats.unsupported == n
-        assert negative_cache_size() == NEGATIVE_CACHE_MAX
+        assert len(current_state().negative) == NEGATIVE_CACHE_MAX
         assert stats.negative_evictions == 40
 
     def test_lru_keeps_recent_shapes(self):
@@ -64,6 +64,6 @@ class TestNegativeCacheBound:
 
     def test_reset_clears_the_negative_set(self):
         plan_for(_unsupported_pipeline(0))
-        assert negative_cache_size() == 1
+        assert len(current_state().negative) == 1
         reset_planner()
-        assert negative_cache_size() == 0
+        assert len(current_state().negative) == 0

@@ -2,8 +2,9 @@
 
 The recorder absorbs each section's CommEvents (including those of
 *crashed* attempts) and links them to the section span; the span-layer
-causality check must hold on every capture, mirroring the cluster
-trace's own invariant but over the joined, cross-section stream.
+causality check must hold on every capture -- the check a single
+cluster trace passes (``tests/cluster/test_trace_and_requests.py``), but
+over the joined, cross-section stream.
 """
 import numpy as np
 import pytest

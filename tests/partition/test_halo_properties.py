@@ -13,11 +13,9 @@ from repro.data.views import slice_view, zip_view
 from repro.partition import block_bounds
 from repro.partition.halo import (
     exchange_rows,
-    flatten_intervals,
     halo_bytes_bound,
     halo_exchange,
     halo_intervals,
-    halo_rows,
     section_halos,
     written_rows,
 )
@@ -26,16 +24,6 @@ pytestmark = pytest.mark.views
 
 extents = st.integers(0, 64)
 radii = st.integers(0, 8)
-
-
-def _interval(extent):
-    return st.tuples(
-        st.integers(0, extent), st.integers(0, extent)
-    )
-
-
-def _intervals(extent, max_size=6):
-    return st.lists(_interval(extent), max_size=max_size)
 
 
 def _rows(intervals):
@@ -55,44 +43,39 @@ def _brute_ghosts(intervals, radius, extent):
 
 
 @st.composite
-def _set_with_geometry(draw):
-    extent = draw(st.integers(0, 64))
-    radius = draw(radii)
-    ivs = draw(_intervals(extent))
-    return ivs, radius, extent
+def _block_with_geometry(draw):
+    extent = draw(extents)
+    lo, hi = sorted(draw(st.tuples(st.integers(0, extent),
+                                   st.integers(0, extent))))
+    return lo, hi, draw(radii), extent
 
 
 class TestHaloRowsOracle:
-    @given(_set_with_geometry())
-    def test_matches_brute_force_row_set(self, case):
-        ivs, radius, extent = case
-        out = halo_rows(ivs, radius, extent)
-        assert _rows(out) == _brute_ghosts(ivs, radius, extent)
+    """A block's ghost rows, ``halo_intervals``, against the row-set
+    oracle."""
 
-    @given(_set_with_geometry())
+    @given(_block_with_geometry())
+    def test_matches_brute_force_row_set(self, case):
+        lo, hi, radius, extent = case
+        out = halo_intervals(lo, hi, radius, extent)
+        assert _rows(out) == _brute_ghosts([(lo, hi)], radius, extent)
+
+    @given(_block_with_geometry())
     def test_output_is_canonical(self, case):
         """Sorted, non-empty, pairwise disjoint and non-adjacent, and
         clamped to ``[0, extent)``."""
-        ivs, radius, extent = case
-        out = halo_rows(ivs, radius, extent)
-        for lo, hi in out:
-            assert 0 <= lo < hi <= extent
+        lo, hi, radius, extent = case
+        out = halo_intervals(lo, hi, radius, extent)
+        for glo, ghi in out:
+            assert 0 <= glo < ghi <= extent
         for (_, ahi), (blo, _) in zip(out, out[1:]):
             assert blo > ahi
 
-    @given(_set_with_geometry())
+    @given(_block_with_geometry())
     def test_ghosts_disjoint_from_the_set(self, case):
-        ivs, radius, extent = case
-        assert not (_rows(halo_rows(ivs, radius, extent)) & _rows(ivs))
-
-    @given(st.integers(0, 64), radii, extents)
-    def test_single_block_special_case(self, lo, radius, extent):
-        """``halo_intervals`` is ``halo_rows`` on a one-interval set."""
-        hi = min(extent, lo + 7)
-        lo = min(lo, extent)
-        assert halo_rows([(lo, hi)], radius, extent) == halo_intervals(
-            lo, hi, radius, extent
-        )
+        lo, hi, radius, extent = case
+        assert not (_rows(halo_intervals(lo, hi, radius, extent))
+                    & _rows([(lo, hi)]))
 
 
 class TestHaloIntervals:
@@ -134,31 +117,6 @@ class TestHaloIntervals:
             halo_intervals(0, 4, radius, 8)
 
 
-class TestFlatten:
-    @given(_intervals(64))
-    def test_idempotent_and_row_preserving(self, ivs):
-        flat = flatten_intervals(ivs)
-        assert flatten_intervals(flat) == flat
-        assert _rows(flat) == _rows(ivs)
-
-    @given(_intervals(64))
-    def test_canonical_form(self, ivs):
-        flat = flatten_intervals(ivs)
-        for lo, hi in flat:
-            assert lo < hi
-        for (_, ahi), (blo, _) in zip(flat, flat[1:]):
-            assert blo > ahi
-
-    @given(_set_with_geometry())
-    def test_ghosts_invariant_under_flattening(self, case):
-        """The ISSUE property: the ghost set of a composed slice set
-        equals the ghost set of its flattened form."""
-        ivs, radius, extent = case
-        assert halo_rows(ivs, radius, extent) == halo_rows(
-            flatten_intervals(ivs), radius, extent
-        )
-
-
 class TestComposedViews:
     @given(
         st.lists(st.tuples(st.integers(0, 48), st.integers(0, 48)),
@@ -184,8 +142,8 @@ class TestComposedViews:
         # zip truncates every base to the shortest view's extent.
         n = len(zv)
         truncated = [(lo, min(hi, lo + n)) for lo, hi in raw]
-        assert flatten_intervals(merged) == flatten_intervals(truncated)
-        assert halo_rows(merged, radius, extent) == halo_rows(
+        assert _rows(merged) == _rows(truncated)
+        assert _brute_ghosts(merged, radius, extent) == _brute_ghosts(
             truncated, radius, extent
         )
 
@@ -200,7 +158,7 @@ class TestComposedViews:
         vv = slice_view(v, lo2, hi2)
         merged = next(iter(vv.base_intervals().values()), [])
         expect = [(lo1 + lo2, lo1 + hi2)] if hi2 > lo2 else []
-        assert merged == flatten_intervals(expect)
+        assert merged == expect
 
 
 class TestSectionBounds:

@@ -332,3 +332,24 @@ def test_every_transport_runs_a_rank_through_one_body_and_run_spmd_assembles():
 
 def _rank_of(comm):
     return comm.rank
+
+
+def test_every_exported_name_resolves():
+    """Each string in the ``__all__`` of every ``repro`` module resolves
+    with ``getattr``: deleting a function and forgetting its export in a
+    package's ``__init__`` (``from x import *`` and docs tools read it)
+    fails here, not at a user's import."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    missing = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.rsplit(".", 1)[-1] == "__main__":
+            continue
+        module = importlib.import_module(info.name)
+        missing += [f"{info.name}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []

@@ -1,11 +1,9 @@
-"""Tests for closure and global-segment serialization."""
+"""Tests for closure serialization."""
 import numpy as np
 import pytest
 
 from repro.serial import (
     Closure,
-    GlobalRef,
-    GlobalSegment,
     closure,
     deserialize,
     register_function,
@@ -65,35 +63,6 @@ class TestClosures:
         with pytest.raises(SerializationError):
             deserialize(data)
         assert "tests.never-registered" not in cl._CODE_SEGMENT
-
-
-class TestGlobalSegments:
-    def test_ref_derefs_to_object(self):
-        seg = GlobalSegment.get_or_create("tests.seg1")
-        big = np.arange(1000.0)
-        ref = seg.intern(big)
-        assert ref.deref() is big
-
-    def test_ref_serializes_in_constant_bytes(self):
-        seg = GlobalSegment.get_or_create("tests.seg2")
-        small_ref = seg.intern(np.arange(10.0))
-        big_ref = seg.intern(np.arange(1_000_000.0))
-        small_wire = len(serialize(small_ref))
-        big_wire = len(serialize(big_ref))
-        assert big_wire <= small_wire + 2  # offset varint may grow a byte
-        assert big_wire < 64
-
-    def test_ref_roundtrip(self):
-        seg = GlobalSegment.get_or_create("tests.seg3")
-        ref = seg.intern({"k": [1, 2, 3]})
-        ref2 = deserialize(serialize(ref))
-        assert isinstance(ref2, GlobalRef)
-        assert ref2.deref() == {"k": [1, 2, 3]}
-
-    def test_duplicate_segment_name_rejected(self):
-        GlobalSegment.get_or_create("tests.seg4")
-        with pytest.raises(ValueError):
-            GlobalSegment("tests.seg4")
 
 
 class TestTransitiveSize:

@@ -11,7 +11,7 @@ import pytest
 
 import repro.triolet as tri
 from repro.cluster import MachineSpec, run_spmd
-from repro.cluster.trace import check_causality
+from repro.obs.export import check_event_causality
 from repro.runtime import CostContext, triolet_runtime
 from repro.serial import register_function
 
@@ -77,7 +77,8 @@ class TestLedgerConsistency:
             return comm.reduce(chunk.sum(), op=lambda a, b: a + b, root=0)
 
         res = run_spmd(MACHINE, main, nranks=4, trace=True)
-        assert check_causality(res.trace) == []
+        assert check_event_causality(
+            [e.as_dict() for e in res.trace.events]) == []
 
 
 class TestParallelEqualsSequential:
