@@ -11,9 +11,13 @@ from repro.apps.cutcp import (
 )
 from repro.apps.cutcp import kernel
 from repro.apps.cutcp.kernel import atom_contribution
+from repro.apps.cutcp.triolet import _contrib
 from repro.bench.calibrate import costs_for
 from repro.cluster.machine import MachineSpec
 from repro.core.meter import metered
+from repro.runtime import triolet_runtime
+from repro.serial import closure
+import repro.triolet as tri
 
 MACHINE = MachineSpec(nodes=4, cores_per_node=4)
 
@@ -140,3 +144,46 @@ class TestFrameworks:
             make_problem(na=0)
         with pytest.raises(ValueError):
             make_problem(grid=(1, 4, 4))
+
+
+class TestSlabSweeps:
+    """Base / offset / offset-again sweeps of three slab views over one
+    resident atom array.  Each sweep yields the full potential grid.
+    Re-running a decomposition already seen is free; shifting it ships
+    only the rows that changed rank."""
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, problem, reference):
+        p = problem
+        third = p.na // 3
+        base = [0, third, 2 * third, p.na]
+        offset = [0, third + third // 2, 2 * third + third // 2, p.na]
+        contrib = closure(_contrib, list(p.grid_dim), p.spacing, p.cutoff)
+        per_sweep = []
+        with triolet_runtime(MACHINE) as rt:
+            atoms = rt.distribute(p.atoms)
+            for cuts in (base, offset, offset):
+                before = dict(rt.plane.totals)
+                grid = np.zeros(p.grid_size)
+                for lo, hi in zip(cuts, cuts[1:]):
+                    slab = tri.slice_view(atoms, lo, hi)
+                    grid += tri.histogram(
+                        p.grid_size, tri.map(contrib, tri.par(slab))
+                    )
+                np.testing.assert_allclose(
+                    grid.reshape(p.grid_dim), reference, rtol=1e-9, atol=1e-12
+                )
+                per_sweep.append(
+                    {k: v - before[k] for k, v in rt.plane.totals.items()}
+                )
+        return per_sweep
+
+    def test_repeat_sweep_is_served_from_residents_and_cache(self, sweeps):
+        _base, _offset, repeat = sweeps
+        assert repeat["requests"] > 0
+        assert repeat["resident_hits"] + repeat["cache_hits"] == repeat["requests"]
+        assert repeat["input_bytes"] == repeat["placements"] == 0
+
+    def test_offset_sweep_ships_less_than_base(self, sweeps):
+        base, offset, _repeat = sweeps
+        assert 0 < offset["input_bytes"] < base["input_bytes"]
