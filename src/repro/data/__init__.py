@@ -27,7 +27,7 @@ from repro.data.handle import (
     drop_handles,
     lookup_handle,
 )
-from repro.data.lineage import LineageLog, LineageRecord, LostShard
+from repro.data.lineage import LineageLog, LostShard
 from repro.data.plane import DataPlane, SectionShipment, chunk_requirements
 from repro.data.rebalance import Rebalancer
 from repro.data.store import DEFAULT_CACHE_BYTES, RankStore, SliceCache
@@ -57,7 +57,6 @@ __all__ = [
     "SectionShipment",
     "chunk_requirements",
     "LineageLog",
-    "LineageRecord",
     "LostShard",
     "Rebalancer",
     "RankStore",

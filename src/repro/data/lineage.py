@@ -1,40 +1,17 @@
-"""Lineage tracking for DistArray handles and section outputs.
+"""Lost-shard log for selective recovery of DistArray handles.
 
-RDD-style provenance for the data plane: every handle records how it
-came to exist (``source`` = registered from a master copy on the main
-rank, ``section`` = produced by a distributed section over input
-handles), and every distributed section that touched handles appends a
-record of ``(section id, plan, input handle ids)``.
-
-The payoff is *selective* recovery.  When a rank is lost permanently,
-the planner knows exactly which shard intervals died and which upstream
-arrays can rebuild them; the next section replays only that slice chain
-(for ``source`` handles: the master rows of the lost interval) instead
-of invalidating and re-shipping every rank's placement, which is what
-the transient-crash path does.  The replayed rows are counted apart
-from ordinary placement traffic so benchmarks can compare lineage
-recovery against full re-materialization byte for byte.
+When a rank is lost permanently, the planner knows exactly which shard
+intervals died; the next section re-ships only those intervals from the
+master copy (the *lineage replay*) instead of invalidating and
+re-shipping every rank's placement, which is what the transient-crash
+path does.  The replayed rows are counted apart from ordinary placement
+traffic (``lineage_replays`` / ``replayed_bytes`` in the plane's section
+stats) so benchmarks can compare lineage recovery against full
+re-materialization byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class LineageRecord:
-    """How one handle (or one section output) came to exist."""
-
-    #: handle id this record produced (``None`` for a section whose
-    #: output was reduced/gathered to the main rank, not re-distributed)
-    aid: int | None
-    #: "source" (registered master copy) or "section" (computed)
-    kind: str
-    #: producing distributed-section sequence id (-1 for sources)
-    section: int = -1
-    #: compiled bulk-execution plan of the producing section, if any
-    plan: str | None = None
-    #: input handle ids the producing section consumed
-    inputs: tuple[int, ...] = ()
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -48,48 +25,16 @@ class LostShard:
 
 
 class LineageLog:
-    """Per-plane provenance log + replay accounting.
+    """Per-plane list of shards waiting to be re-materialized.
 
-    ``record_source``/``record_section`` build the graph;
-    :meth:`mark_lost` / :meth:`note_replay` are the shrink-recovery hooks
-    the planner calls when a permanent loss strands shards and when it
-    later rebuilds them.
+    :meth:`mark_lost` is the shrink-recovery hook the plane calls when a
+    permanent loss strands shards; :meth:`pending` tells the next
+    section's planner which handles to replay, and :meth:`settle` clears
+    the list once that section is planned.
     """
 
     def __init__(self):
-        self._by_aid: dict[int, LineageRecord] = {}
-        self.sections: list[LineageRecord] = []
         self.lost: list[LostShard] = []
-        #: shards re-materialized by replaying their upstream chain
-        self.replays = 0
-        self.replayed_rows = 0
-
-    # -- building the graph -------------------------------------------------
-
-    def record_source(self, aid: int) -> LineageRecord:
-        rec = self._by_aid.get(aid)
-        if rec is None:
-            rec = LineageRecord(aid=aid, kind="source")
-            self._by_aid[aid] = rec
-        return rec
-
-    def record_section(
-        self,
-        section: int,
-        plan: str | None,
-        inputs: tuple[int, ...],
-        output_aid: int | None = None,
-    ) -> LineageRecord:
-        rec = LineageRecord(
-            aid=output_aid, kind="section", section=section, plan=plan,
-            inputs=tuple(sorted(set(inputs))),
-        )
-        self.sections.append(rec)
-        if output_aid is not None:
-            self._by_aid[output_aid] = rec
-        return rec
-
-    # -- loss & replay accounting (called by DataPlane) ---------------------
 
     def mark_lost(self, aid: int, rank: int, lo: int, hi: int) -> None:
         if hi > lo:
@@ -98,10 +43,6 @@ class LineageLog:
     def pending(self) -> set[int]:
         """Handle ids with shards still waiting to be re-materialized."""
         return {s.aid for s in self.lost}
-
-    def note_replay(self, aid: int, rows: int) -> None:
-        self.replays += 1
-        self.replayed_rows += rows
 
     def settle(self) -> None:
         """The next section has been planned; anything still marked lost

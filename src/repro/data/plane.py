@@ -67,7 +67,7 @@ class SectionShipment:
 
     ops: list[list]  # indexed by destination rank; ops[0] is always []
     stats: dict = field(default_factory=dict)
-    #: the per-rank requirement dicts that were planned (section lineage)
+    #: the per-rank requirement dicts that were planned
     reqs: list[dict] = field(default_factory=list)
 
 
@@ -206,8 +206,9 @@ class DataPlane:
         """Wrap *array* in a handle managed by this plane.
 
         ``provenance`` is optional ``(section id, plan, input aids)`` for
-        arrays computed by a distributed section; without it the handle
-        is recorded as a lineage *source* (registered master copy).
+        arrays computed by a distributed section; such an array is never
+        deduped against another.  Without it the array is a master-copy
+        dataset, shared with any earlier registration of equal content.
         """
         if isinstance(array, DistArray):
             return array
@@ -235,25 +236,10 @@ class DataPlane:
             self.handles[handle.array_id] = handle
             self._dedup_ident[(id(handle.array), layout)] = handle.array_id
             self._dedup_content.setdefault(ckey, []).append(handle.array_id)
-            self.lineage.record_source(handle.array_id)
             return handle
         handle = DistArray(array, layout=layout)
         self.handles[handle.array_id] = handle
-        section, plan, inputs = provenance
-        self.lineage.record_section(
-            section, plan, tuple(inputs), output_aid=handle.array_id
-        )
         return handle
-
-    def record_section(self, section: int, plan: str | None,
-                       reqs: list[dict]) -> None:
-        """Append a section lineage record: which handles the section's
-        chunks consumed (union over all ranks' requirement dicts)."""
-        inputs: set[int] = set()
-        for r in reqs:
-            inputs.update(r)
-        if inputs:
-            self.lineage.record_section(section, plan, tuple(inputs))
 
     def has_state(self) -> bool:
         return bool(self._placement) or any(
@@ -508,7 +494,8 @@ class DataPlane:
             if hull is not None:
                 stats["migrated_bytes"] += shipped
             if aid in pending and shipped:
-                self._note_replay(aid, pieces, shipped, stats)
+                stats["lineage_replays"] += 1
+                stats["replayed_bytes"] += shipped
             return
         # Partial overlap with a recorded shard and no reason to migrate:
         # the work partition differs from the data partition.  Serve from
@@ -529,17 +516,9 @@ class DataPlane:
         shipped = sum((phi - plo) * row_nbytes for plo, phi, _ in pieces)
         stats["input_bytes"] += shipped
         if aid in pending and shipped:
-            self._note_replay(aid, pieces, shipped, stats)
-
-    def _note_replay(self, aid: int, pieces: list, shipped: int,
-                     stats: dict) -> None:
-        """Attribute one pending shard re-materialization to lineage
-        replay (the shipped rows rebuild a lost shard selectively)."""
-        stats["lineage_replays"] += 1
-        stats["replayed_bytes"] += shipped
-        self.lineage.note_replay(
-            aid, sum(phi - plo for plo, phi, _ in pieces)
-        )
+            # Lineage replay: the shipped rows rebuild a lost shard.
+            stats["lineage_replays"] += 1
+            stats["replayed_bytes"] += shipped
 
     @staticmethod
     def _layout_shard(handle: DistArray, dst: int,

@@ -607,9 +607,6 @@ def _run(rt, kind: SectionKind, osp) -> tuple[Any, SectionOutcome]:
         for dst, ops in enumerate(ship.ops):
             if ops and ISOLATED in res.extras[dst]:
                 rt.plane.worker_store(dst).apply(ops)
-        # Section lineage: which handles fed this section (the replay
-        # chain for shards lost to a later permanent rank loss).
-        rt.plane.record_section(seq, plan, ship.reqs)
         if parts.feedback:
             # Cost feedback: per-rank virtual compute time for the blocks
             # just executed feeds the rebalancer.

@@ -17,6 +17,7 @@ from repro.cluster.machine import MachineSpec
 from repro.core.meter import metered
 from repro.runtime import triolet_runtime
 from repro.serial import closure
+from repro.testing.invariants import check_plane
 import repro.triolet as tri
 
 MACHINE = MachineSpec(nodes=4, cores_per_node=4)
@@ -176,6 +177,7 @@ class TestSlabSweeps:
                 per_sweep.append(
                     {k: v - before[k] for k, v in rt.plane.totals.items()}
                 )
+        check_plane(rt.plane)
         return per_sweep
 
     def test_repeat_sweep_is_served_from_residents_and_cache(self, sweeps):

@@ -140,31 +140,6 @@ class TestDistributedViews:
         assert rt.plane.totals["input_bytes"] == shipped  # zero re-ship
         assert rt.plane.totals["resident_hits"] > 0
 
-    def test_shifted_slabs_ship_less_than_the_first_cut(self):
-        """Three slab sections over one handle, then the same slabs with
-        their boundaries moved half a slab: the shifted cut ships only the
-        rows that changed rank, less than the first; repeating it ships
-        nothing, every request served from residents and the cache."""
-        xs = np.arange(3000.0)
-
-        def sweep(rt, h, shift):
-            cuts = [0, 1000 + shift, 2000 + shift, 3000]
-            before = dict(rt.plane.totals)
-            got = [tri.sum(tri.map(k_double, tri.par(slice_view(h, lo, hi))))
-                   for lo, hi in zip(cuts, cuts[1:])]
-            assert got == [tri.sum(tri.map(k_double, tri.par(xs[lo:hi])))
-                           for lo, hi in zip(cuts, cuts[1:])]
-            return {k: v - before[k] for k, v in rt.plane.totals.items()}
-
-        with triolet_runtime(MACHINE) as rt:
-            h = rt.distribute(xs)
-            base, shifted, repeat = (sweep(rt, h, s) for s in (0, 500, 500))
-        assert 0 < shifted["input_bytes"] < base["input_bytes"]
-        assert repeat["requests"] > 0
-        assert repeat["resident_hits"] + repeat["cache_hits"] == repeat["requests"]
-        assert repeat["input_bytes"] == repeat["placements"] == 0
-        check_plane(rt.plane)
-
     def test_zip_of_two_handles(self):
         a = np.arange(2000.0)
         b = np.arange(500.0, 2000.0)

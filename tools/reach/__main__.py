@@ -63,7 +63,7 @@ def run_all() -> set[tuple[str, int]]:
         work.mkdir()
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join([str(HERE), str(REPO / "src")]),
-                   REACH_OUT=str(dumps), REACH_ROOT=str(PKG))
+                   REACH_OUT=str(dumps))
         for label, argv in entry_points():
             t0 = time.perf_counter()
             done = subprocess.run(argv, cwd=work, env=env,

@@ -4,15 +4,18 @@ Inert unless ``REACH_OUT`` names a directory.  With it set (the driver,
 ``python tools/reach``, sets it and puts this directory on
 ``PYTHONPATH``), every Python thread of the process runs under a profile
 function, and the process appends ``file<TAB>first line`` of each code
-object it entered under ``REACH_ROOT`` to ``REACH_OUT/<pid>.txt`` when it
-exits: through ``atexit``, or through ``os._exit``, which a forked
-``local`` crew member takes.  A forked child inherits its parent's set,
+object it entered under this repo's ``src/repro`` (found from this
+file's own path) to ``REACH_OUT/<pid>.txt`` when it exits: through
+``atexit``, or through ``os._exit``, which a forked ``local`` crew
+member takes.  A forked child inherits its parent's set,
 so its dump is a superset of its own calls; the driver takes the union.
 """
 import os
 
 _OUT = os.environ.get("REACH_OUT")
-_ROOT = os.environ.get("REACH_ROOT", "")
+_ROOT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.realpath(__file__)))),
+    "src", "repro")
 
 if _OUT:
     import atexit
