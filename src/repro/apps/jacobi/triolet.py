@@ -5,12 +5,12 @@ The program is one line::
     rt.stencil(field, radius=1, kernel=jacobi_step, iterations=k)
 
 The whole relaxation is one distributed section over the field's blocks:
-each rank iterates on its own window and trades ghost rows with its
-neighbours between iterations, the root gathers once.  The interesting
-numbers are in ``detail["sections"]``: ``input_bytes`` is the one
-placement of the blocks, ``exchange_bytes`` the ghost rows the ranks sent
-each other (``iterations - 1`` times two rows per interior boundary), and
-``halo_bytes`` those plus the first ghosts shipped with the blocks.
+each rank is shipped its block with ghost rows ``iterations`` deep on
+each side, iterates on its own window without a message, and the root
+gathers once.  The interesting numbers are in ``detail["sections"]``:
+``input_bytes`` is the one placement of the blocks and ``halo_bytes``
+the ghost rows shipped with them (``iterations`` rows per member side;
+the ranks exchange nothing).
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ def run_triolet(
         budget=budget,
     ) as rt:
         # The field shards by rows once; the sweep's iterations run where
-        # the blocks are and move only ghost rows, rank to rank.
+        # the blocks are, on ghost rows shipped with them.
         field = rt.distribute(np.array(p.init, copy=True))
         with _obs_span("phase", "jacobi_relax"):
             rt.stencil(

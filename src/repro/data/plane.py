@@ -153,7 +153,8 @@ _STAT_KEYS = (
 #: requirements, so they stay out of ``requests`` and the five-outcome
 #: sum, and their bytes stay out of ``input_bytes``:
 #:   halo_requests == halo_hits + halo_refreshes
-#: with halo_bytes <= 2 * radius * nranks * row_nbytes per section.
+#: with halo_bytes <= 2 * depth * nranks * row_nbytes per section (a
+#: stencil sweep's ghosts are depth = radius * iterations rows a side).
 _HALO_KEYS = ("halo_requests", "halo_hits", "halo_refreshes", "halo_bytes")
 
 # Conservation law (checked by repro.testing.invariants): every non-root
@@ -286,22 +287,24 @@ class DataPlane:
         return self._plan(reqs, None, migrated, recovery)
 
     def plan_stencil(self, aid: int, bounds: list[tuple[int, int]],
-                     radius: int, *, migrated: bool = False,
+                     depth: int, *, migrated: bool = False,
                      recovery: bool = False) -> SectionShipment:
-        """Plan one stencil iteration's shipping.
+        """Plan one stencil sweep's shipping: each rank's block and its
+        ghost rows *depth* deep (a sweep's ``radius * iterations``).
 
         Each rank's block interior goes through the ordinary placement
-        path (:meth:`_plan_one`), so steady-state iterations are resident
+        path (:meth:`_plan_one`), so a later sweep's blocks are resident
         hits shipping **zero** interior bytes, and post-crash attempts
         re-materialize through the same invalidation/lineage machinery as
         any other section.  The block's ghost intervals
-        (:func:`~repro.partition.halo.halo_intervals`) become
-        ghost-flagged slice-cache entries with their own conservation
-        stream: a ghost that is still fresh (not overwritten since the
-        last exchange; see :meth:`note_write`) is a ``halo_hit`` costing
-        nothing, a stale or absent one is a ``halo_refresh`` shipping
-        exactly its rows.  *migrated* routes post-shrink interiors
-        through hull migration; *recovery* tags the obs spans.
+        (:func:`~repro.partition.halo.halo_intervals`, clamped to the
+        array) become ghost-flagged slice-cache entries served from the
+        master copy, with their own conservation stream: a ghost that is
+        still fresh (not overwritten since it was shipped; see
+        :meth:`note_write`) is a ``halo_hit`` costing nothing, a stale or
+        absent one is a ``halo_refresh`` shipping exactly its rows.
+        *migrated* routes post-shrink interiors through hull migration;
+        *recovery* tags the obs spans.
         """
         handle = lookup_handle(aid)
         n = len(handle)
@@ -310,7 +313,7 @@ class DataPlane:
         def halo(dst: int, out_ops: list, stats: dict) -> None:
             lo, hi = bounds[dst]
             cache = self._caches[dst]
-            for glo, ghi in halo_intervals(lo, hi, radius, n):
+            for glo, ghi in halo_intervals(lo, hi, depth, n):
                 stats["halo_requests"] += 1
                 if cache.contains(aid, glo, ghi):
                     stats["halo_hits"] += 1
@@ -398,18 +401,18 @@ class DataPlane:
 
     def commit_stencil(self, aid: int, bounds: list[tuple[int, int]],
                        pieces: list[tuple[int, int, Any]]) -> None:
-        """Commit one completed stencil iteration.
+        """Commit one completed stencil sweep.
 
         *pieces* is the per-rank ``(wlo, whi, rows)`` updates gathered at
         the root.  The master copy absorbs every piece (so a crashed
-        *later* iteration re-materializes current values, and lineage
+        *later* sweep re-materializes current values, and lineage
         replay stays deterministic: the master only ever holds completed
-        iterations).  Each rank's own piece is mirrored into its store at
+        sweeps).  Each rank's own piece is mirrored into its store at
         zero wire cost -- the rank computed those rows locally -- while
         resetting its resident hull to exactly its block, so hull rows
         another rank just overwrote can never be served stale.  Finally
         every cached slice overlapping a written range is invalidated
-        (:meth:`note_write`), which is what makes the next iteration ship
+        (:meth:`note_write`), which is what makes the next sweep ship
         only *dirty* halos.  With empty *bounds* (a sweep restored from a
         checkpoint: no rank of this run computed the pieces) nothing is
         mirrored and every placement of the array is forgotten.

@@ -52,7 +52,7 @@ def summarize(data: dict) -> dict:
     # timed as so many tasks, so much of it stealable (an inner localpar).
     # A stencil sweep is one section of so many supersteps: each rank
     # records one ``stencil_kernel`` span per superstep, the section span
-    # says how deep the sweep was and what its ranks exchanged.
+    # says how deep the sweep was and what ghost rows it shipped.
     kernels: dict[int, dict] = {}
     sweeps: dict[int, dict] = {}
     for s in spans:
@@ -71,11 +71,12 @@ def summarize(data: dict) -> dict:
             for key in ("passes", "tasks", "nested_s"):
                 row[key] += s["attrs"].get(key, 0)
         elif "iterations" in sec["attrs"]:
+            attrs = sec["attrs"]
             row = sweeps.setdefault(sec["sid"], {
                 "section": name, "supersteps": 0,
-                **{k: sec["attrs"].get(k, 0)
-                   for k in ("nodes", "iterations", "exchange_bytes",
-                             "halo_bytes")},
+                **{k: attrs.get(k, 0)
+                   for k in ("nodes", "iterations", "halo_bytes")},
+                "depth": attrs.get("radius", 0) * attrs.get("iterations", 0),
             })
             row["supersteps"] += 1
     return {
@@ -135,12 +136,12 @@ def render_summary(summary: dict) -> str:
             )
     if summary.get("sweeps"):
         lines += ["", f"{'stencil sweep':<28}{'ranks':>7}{'iters':>7}"
-                      f"{'steps':>7}{'exchanged B':>13}{'halo B':>10}"]
+                      f"{'steps':>7}{'ghost rows':>12}{'halo B':>10}"]
         for row in summary["sweeps"]:
             lines.append(
                 f"{row['section'][:27]:<28}{row['nodes']:>7}"
                 f"{row['iterations']:>7}{row['supersteps']:>7}"
-                f"{row['exchange_bytes']:>13}{row['halo_bytes']:>10}"
+                f"{row['depth']:>12}{row['halo_bytes']:>10}"
             )
     for sec in summary.get("recovered_sections", ()):
         lines += ["", f"attempts of section {sec['section']}:",

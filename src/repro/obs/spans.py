@@ -39,7 +39,7 @@ from repro.obs.registry import MetricsRegistry
 #: The span taxonomy (see docs/observability.md).  ``checkpoint`` spans
 #: are instants marking durable-store writes and restores.
 #: ``halo`` spans are instants marking ghost-cell (stencil halo)
-#: exchanges, one per destination rank -- kept apart from ``ship`` so
+#: shipments, one per destination rank -- kept apart from ``ship`` so
 #: interior placement bytes and halo bytes stay separately auditable.
 #: ``attempt`` spans are the attempts of a section that needed more than
 #: one, ``recover`` instants the shrink or invalidation between two.

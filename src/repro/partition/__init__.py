@@ -13,9 +13,7 @@ from repro.partition.block import (
 )
 from repro.partition.block2d import grid_shape, block2d_bounds
 from repro.partition.halo import (
-    exchange_rows,
     halo_bytes_bound,
-    halo_exchange,
     halo_intervals,
     section_halos,
     written_rows,
@@ -32,6 +30,4 @@ __all__ = [
     "section_halos",
     "halo_bytes_bound",
     "written_rows",
-    "halo_exchange",
-    "exchange_rows",
 ]

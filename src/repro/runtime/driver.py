@@ -449,13 +449,13 @@ class TrioletRuntime:
 
     def stencil(self, handle, radius: int, kernel, iterations: int = 1,
                 label: str = "stencil"):
-        """Run an iterative halo-exchange stencil over *handle*.
+        """Run an iterative stencil sweep over *handle*.
 
         The call is one distributed section: block interiors reuse the
-        handle's resident placement, the first ghost rows ship as
-        first-class halo placements (only the *dirty* ones once placed),
-        and between iterations the ranks hand each other the ghost rows
-        they wrote; the root gathers once, after the last.  See
+        handle's resident placement, ghost rows ``radius * iterations``
+        deep ship as first-class halo placements (only the *dirty* ones
+        once placed), the ranks run every iteration without a message,
+        and the root gathers once, after the last.  See
         :mod:`repro.runtime.stencil` for the kernel contract and
         recovery semantics (the call is the unit of commit, recovery and
         checkpoint).  Returns the handle; its master copy holds the

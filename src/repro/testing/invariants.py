@@ -28,16 +28,20 @@ live:
   map never references a rank outside the surviving set, and every
   resident hull stays inside its handle's bounds.
 * **Halo conservation** -- ghost traffic has its own law: per section
-  ``halo_requests == halo_hits + halo_refreshes``; a stencil section's
-  ``halo_bytes`` are the first ghosts the plan ships -- under the
-  interval-arithmetic ceiling ``2 * radius * ranks * row_nbytes``
-  (:func:`~repro.partition.halo.halo_bytes_bound`) -- plus what its
-  ranks' exchange schedule (:func:`~repro.partition.halo.halo_exchange`)
-  moves in ``iterations - 1`` supersteps, and the final attempt's
-  ``RankMetrics`` agree: per rank exactly the ship, exchange and gather
-  messages, in total exactly those payload bytes plus envelopes.  Every
-  live ghost placement must cover an interval inside its handle's bounds
-  with its bytes actually present in the rank's store.
+  ``halo_requests == halo_hits + halo_refreshes``.  A ``k``-iteration
+  stencil sweep's ghosts are ``radius * k`` deep and ride with the
+  blocks: each member is shipped ghost intervals of
+  :func:`~repro.partition.halo.halo_intervals` at that depth and nothing
+  else, one request per interval, the ones it lacks as refreshes (the
+  rest it held: its sweep read them from its store), and the section's
+  ``halo_bytes`` are exactly those shipped rows, under the ceiling
+  ``2 * radius * k * ranks * row_nbytes``
+  (:func:`~repro.partition.halo.halo_bytes_bound`).  Its ranks never
+  talk: the final attempt's ``RankMetrics`` hold per rank exactly the
+  ship and gather messages, in total exactly those payload bytes plus
+  envelopes.  Every live ghost placement must cover an interval inside
+  its handle's bounds with its bytes actually present in the rank's
+  store.
 
 Any violation raises :class:`InvariantViolation` (an ``AssertionError``
 subclass, so it fails pytest naturally).  Usage from any test::
@@ -55,11 +59,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.core.iterators.indexed import IndexedIter
+from repro.data.store import aid_wire
 from repro.partition import (
-    exchange_rows,
     grid_shape,
     halo_bytes_bound,
-    halo_exchange,
+    halo_intervals,
     written_rows,
 )
 from repro.runtime.section import observing_sections
@@ -313,31 +317,21 @@ class InvariantChecker:
         halo = payload.get("halo")
         if halo is None:
             return
-        # Stencil sections: halo bytes are every ghost row on the wire.
-        # The first iteration's, shipped with the blocks, stay under the
-        # interval-arithmetic ceiling (two clamped radius-row ghosts per
-        # destination rank); the rest are what the ranks' exchange
-        # schedule says, recomputed here from the bounds alone.
-        iterations, row_nbytes = halo["iterations"], halo["row_nbytes"]
-        bound = halo_bytes_bound(halo["radius"], payload["nchunks"], row_nbytes)
-        exchanged = row_nbytes * exchange_rows(
-            payload["bounds"], halo["radius"], halo["extent"], iterations
-        )
-        if s["exchange_bytes"] != exchanged:
+        # Stencil sections: every ghost row a sweep reads is shipped with
+        # its block, r * k deep, and nothing else is.
+        depth = halo["radius"] * halo["iterations"]
+        bound = halo_bytes_bound(depth, payload["nchunks"], halo["row_nbytes"])
+        if not 0 <= s["halo_bytes"] <= bound:
             _fail(
-                f"section reports {s['exchange_bytes']} exchanged "
-                f"halo bytes, its schedule moves {exchanged}",
+                f"halo bytes {s['halo_bytes']} exceed the "
+                f"2*depth*ranks*rowbytes ceiling {bound} (radius "
+                f"{halo['radius']} x {halo['iterations']} iterations, "
+                f"{payload['nchunks']} ranks)",
                 payload,
             )
-        if not (0 <= s["halo_bytes"] - exchanged <= bound
-                and s["halo_bytes"] <= iterations * bound):
-            _fail(
-                f"halo bytes {s['halo_bytes']} ({exchanged} exchanged) exceed "
-                f"the 2*radius*ranks*rowbytes ceiling {bound} per iteration "
-                f"(radius {halo['radius']}, {payload['nchunks']} ranks, "
-                f"{iterations} iterations)",
-                payload,
-            )
+        ops = getattr(payload["ship"], "ops", None)  # synthetic: none
+        if ops is not None:
+            self._check_deep_ghosts(payload, s, halo, ops, depth)
         if getattr(record, "metrics", None) is not None:  # synthetic: none
             self._check_halo_wire(payload, s, halo)
         # Ghost placement liveness: every ghost entry the planner tracks
@@ -370,26 +364,56 @@ class InvariantChecker:
                         payload,
                     )
 
+    def _check_deep_ghosts(self, payload: dict, s: dict, halo: dict,
+                           ops: list, depth: int) -> None:
+        """Each member was shipped ghost intervals of its block at the
+        sweep's depth and no other: one request per interval, a refresh
+        for each it lacked, and the section's halo bytes are those rows."""
+        wire, extent = aid_wire(halo["aid"]), halo["extent"]
+        requests = shipped = rows = 0
+        for dst in range(1, payload["nchunks"]):
+            block = payload["bounds"][dst]
+            want = halo_intervals(*block, depth, extent)
+            got = [(op[2], op[3]) for op in ops[dst] if op[0] == "cache"
+                   and op[1] == wire and (op[2], op[3]) != tuple(block)]
+            stray = [g for g in got if g not in want]
+            if stray or len(set(got)) != len(got):
+                _fail(
+                    f"rank {dst} (block {block}) was shipped ghosts {got}; "
+                    f"a {halo['iterations']}-iteration sweep's are {want}",
+                    payload,
+                )
+            requests += len(want)
+            shipped += len(got)
+            rows += sum(hi - lo for lo, hi in got)
+        want = (requests, shipped, rows * halo["row_nbytes"])
+        have = (s["halo_requests"], s["halo_refreshes"], s["halo_bytes"])
+        if have != want:
+            _fail(
+                f"section reports {have[0]} ghost requests, {have[1]} "
+                f"refreshes and {have[2]} halo bytes; its shipment holds "
+                f"{want[0]} ghost intervals, ships {want[1]} of them and "
+                f"{want[2]} bytes",
+                payload,
+            )
+
     def _check_halo_wire(self, payload: dict, s: dict, halo: dict) -> None:
-        """The final attempt's ranks sent the ship, the exchange and the
-        gather, and nothing else: message counts exact per rank, bytes the
-        planned payload plus at most an envelope per message."""
+        """The final attempt's ranks sent the ship and the gather, and
+        nothing else: message counts exact per rank, bytes the planned
+        payload plus at most an envelope per message."""
         per_rank = payload["record"].metrics.per_rank
         if any(m.messages_fragmented for m in per_rank):
             return  # a byte cap split messages: counts are the cap's
-        bounds, n, steps = payload["bounds"], payload["nchunks"], halo["iterations"] - 1
+        bounds, n = payload["bounds"], payload["nchunks"]
         planned = s["input_bytes"] + s["halo_bytes"]
         for rank, m in enumerate(per_rank):
-            sends, recvs = halo_exchange(
-                bounds, rank, halo["radius"], halo["extent"])
             # the root ships n - 1 items and gathers n - 1; the others mirror
-            base = n - 1 if rank == 0 else 1
-            want = base + steps * len(sends), base + steps * len(recvs)
+            want = (n - 1, n - 1) if rank == 0 else (1, 1)
             if (m.messages_sent, m.messages_received) != want:
                 _fail(
                     f"rank {rank} sent/received {m.messages_sent}/"
-                    f"{m.messages_received} messages, the sweep's schedule "
-                    f"says {want[0]}/{want[1]}",
+                    f"{m.messages_received} messages, a sweep's ranks "
+                    f"exchange nothing: {want[0]}/{want[1]}",
                     payload,
                 )
             if rank:  # its written rows, gathered

@@ -544,10 +544,10 @@ def checkpoint_drill(seed: int) -> CaseResult:
 
 
 def stencil_drill(seed: int) -> CaseResult:
-    """Deterministic halo-exchange case: 8 iterations of a radius-1
-    Jacobi on 4x2 as three sweeps (3 + 3 + 2), losing rank 1 inside the
-    second -- where the loss meets resident shards, so the retry replays
-    the dead rank's rows through lineage.  The shrunken job must stay
+    """Deterministic stencil case: 8 iterations of a radius-1 Jacobi on
+    4x2 as three sweeps (3 + 3 + 2), each shipping ghosts as deep as it
+    is, losing rank 1 inside the second -- where the loss meets resident
+    shards, so the retry replays the dead rank's rows through lineage.  The shrunken job must stay
     bit-identical to the sequential oracle, with zero interior bytes on
     the clean sweep after it, ghost state and wire counts that survive
     the invariant checker, and the loss charged to the job's
@@ -695,9 +695,8 @@ def run_suite(
         # Guarantee the acceptance properties: every suite exercises
         # transient crash re-execution, permanent-loss lineage recovery,
         # finishing from kept partials, restart-from-checkpoint, mid-run
-        # loss under the stencil's halo exchange, and a two-level nest
-        # whose makespan falls with cores per node, with the checker
-        # active.
+        # loss inside a stencil sweep, and a two-level nest whose
+        # makespan falls with cores per node, with the checker active.
         for drill_fn in (crash_drill, loss_drill, salvage_drill,
                          checkpoint_drill, stencil_drill, nest_drill):
             drill = drill_fn(seed)

@@ -1,6 +1,6 @@
 """jacobi (1-D rod and 2-D plate heat relaxation) on the stencil
-skeleton: bit-identity against the sequential solver and the halo-only
-steady state the views PR promises."""
+skeleton: bit-identity against the sequential solver, and the blocks
+shipped once with ghosts as deep as the sweep."""
 import numpy as np
 import pytest
 
@@ -13,6 +13,7 @@ from repro.apps.jacobi import (
     solve_ref,
 )
 from repro.cluster import FaultPlan, MachineSpec, RankLoss
+from repro.obs import capture
 
 pytestmark = pytest.mark.views
 
@@ -77,8 +78,17 @@ class TestBitIdentity:
         """The relaxation is one section: a rank lost part-way through it
         retries the whole sweep on the survivors."""
         p = make_problem(n=128, iterations=8, seed=4)
-        clean = run_triolet(p, MACHINE)
-        plan = FaultPlan(faults=(RankLoss(rank=1, at=0.6 * clean.elapsed),))
+        with capture() as rec:
+            clean = run_triolet(p, MACHINE)
+        (section,) = rec.spans_of_kind("section")
+        kernels = sorted((s for s in rec.spans_of_kind("kernel")
+                          if s.rank == 1), key=lambda s: s.attrs["step"])
+        assert len(kernels) == p.iterations
+        # inside rank 1's middle kernel: its compute is what the loss meets
+        mid = kernels[p.iterations // 2]
+        at = (mid.t0 + mid.t1) / 2 - section.t0
+        assert mid.t0 < at + section.t0 < mid.t1
+        plan = FaultPlan(faults=(RankLoss(rank=1, at=at),))
         run = run_triolet(p, MACHINE, faults=plan)
         assert run.value.tobytes() == solve_ref(p).tobytes()
         assert run.detail["recovery"].rank_losses == 1
@@ -88,17 +98,22 @@ class TestBitIdentity:
 
 class TestDetail:
     def test_sections_expose_halo_steady_state(self):
-        """One section for the whole relaxation: the blocks ship once,
-        and from the second iteration on only ghost rows move -- rank to
-        rank, two per interior boundary per iteration."""
+        """One section for the whole relaxation: the blocks ship once with
+        ghosts ``radius * iterations`` rows deep per member side, and
+        nothing is exchanged -- each rank sends only its gathered rows."""
         p = make_problem(n=192, iterations=6, seed=5)
-        run = run_triolet(p, MACHINE)
+        with capture() as rec:
+            run = run_triolet(p, MACHINE)
         (s,) = run.detail["sections"]
         assert s["input_bytes"] == (192 - 48) * p.row_nbytes
-        steady = 2 * (MACHINE.nodes - 1) * p.row_nbytes
-        assert s["exchange_bytes"] == (p.iterations - 1) * steady
-        assert 0 < s["halo_bytes"] - s["exchange_bytes"] <= steady
-        assert steady < 0.1 * s["input_bytes"]
+        # ranks 1 and 2 have two ghost sides, rank 3 one (the array's end)
+        sides = 2 * (MACHINE.nodes - 1) - 1
+        assert s["halo_bytes"] == sides * p.iterations * p.row_nbytes
+        assert s["halo_refreshes"] == s["halo_requests"] == sides
+        # an iteration's share of the ghosts is under 10 % of a re-ship
+        assert s["halo_bytes"] / p.iterations < 0.1 * s["input_bytes"]
+        sends = [e for e in rec.events if e["kind"] == "send"]
+        assert len(sends) == 2 * (MACHINE.nodes - 1)
 
     def test_data_plane_totals_present(self):
         p = make_problem(n=64, iterations=2, seed=6)

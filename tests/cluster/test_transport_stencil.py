@@ -1,10 +1,10 @@
-"""Transport conformance of the stencil sweep: the ranks of one section
-exchange ghost rows with ``Comm.send`` / ``recv`` for ``iterations - 1``
-supersteps, so ``sim`` and ``local`` must agree on the value, the virtual
-makespan and every byte and message -- with ghost rows both under and
-over the shared-window threshold, where both neighbours post before
-either receives (the bounded-pipe case) -- and a deep sweep on forked
-ranks must leave the host as it found it once their crew has retired."""
+"""Transport conformance of the stencil sweep: rank 0 ships each member
+its block and ghost rows ``radius * iterations`` deep in one work item,
+the ranks run every iteration without a message and rank 0 gathers once,
+so ``sim`` and ``local`` must agree on the value, the virtual makespan and
+every byte and message -- with rows both under and over the
+shared-window threshold -- and a deep sweep on forked ranks must leave
+the host as it found it once their crew has retired."""
 import os
 
 import numpy as np
@@ -74,15 +74,17 @@ class TestSweepParity:
     @pytest.mark.parametrize("width", [8, SHM_MIN_BYTES // 8 + 64])
     def test_ghost_rows_under_and_over_the_segment_threshold(self, width):
         """Rows of 64 B travel in the pipe frame, rows of 32 KiB + through
-        the pair's shared window; either way both neighbours have posted before
-        either receives, every superstep."""
+        the pair's shared window; either way a member's ghost rows ride in
+        its one work item."""
         init = np.random.default_rng(width).random((24, width))
         assert (init[0].nbytes >= SHM_MIN_BYTES) == (width > 8)
         ref = _sweep("sim", init, 1, 3, 4)
         got = _sweep("local", init, 1, 3, 4)
         assert got == ref
         assert ref[0] == _sequential(init, 1, 4).tobytes()
-        assert ref[5]["exchange_bytes"] == 3 * 4 * init[0].nbytes
+        # 3 member sides (rank 1 two, rank 2 one) x 4 rows, 1 x 4 deep
+        assert ref[5]["halo_bytes"] == 3 * 4 * init[0].nbytes
+        assert ref[3] == 2 * (3 - 1)  # work items and gathers only
 
 
 @needs_local

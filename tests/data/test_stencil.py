@@ -1,5 +1,6 @@
-"""The stencil/halo skeleton: one section per ``rt.stencil`` call -- the
-ranks exchange ghost rows between its iterations, the root gathers once --
+"""The stencil/halo skeleton: one section per ``rt.stencil`` call -- each
+rank is shipped ghost rows ``radius * iterations`` deep with its block,
+runs every iteration without a message, and the root gathers once --
 dirty-halo reship between calls, and fault recovery, all differential
 against a sequential sweep.
 
@@ -11,12 +12,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster import FaultPlan, MachineSpec, RankCrash, RankLoss
 from repro.obs import capture
-from repro.partition.halo import exchange_rows, halo_bytes_bound
+from repro.partition.halo import halo_bytes_bound, halo_intervals
 from repro.partition import block_bounds
 from repro.runtime import BudgetExhausted, FailureBudget, triolet_runtime
+from repro.runtime.section import _CHUNK_TAG
 from repro.testing.invariants import check_plane, checking
 
 pytestmark = [pytest.mark.views, pytest.mark.dataplane]
@@ -30,6 +33,17 @@ def _relax(xpad):
 
 def _relax_r2(xpad):
     return 0.25 * (xpad[:-4] + xpad[1:-3] + xpad[3:-1] + xpad[4:])
+
+
+def _weighted(radius):
+    """A radius-*radius* row stencil that weighs every row it reads
+    differently, so a row read from the wrong place shows."""
+
+    def kernel(x):
+        m = len(x) - 2 * radius
+        return sum((j + 1) * 0.1 * x[j:j + m] for j in range(2 * radius + 1))
+
+    return kernel
 
 
 def _sequential(init, radius, kernel, iterations):
@@ -99,13 +113,10 @@ class TestBitIdentity:
     def test_k_iterations_equal_k_sequential_sweeps(self, ranks, radius):
         """Every extent (blocks narrower than the radius included) and
         depth, under the checker: bit for bit the sequential sweep, one
-        section, and a one-iteration sweep posts no exchange message."""
+        section, and no sweep posts a message but its work items and its
+        gather."""
         machine = MachineSpec(nodes=ranks, cores_per_node=1)
-
-        def kernel(x):
-            m = len(x) - 2 * radius
-            return sum((j + 1) * 0.1 * x[j:j + m] for j in range(2 * radius + 1))
-
+        kernel = _weighted(radius)
         for n in (1, 2, 5, 9, 16, 33):
             init = np.random.default_rng(n).random(n)
             for k in (0, 1, 2, 5):
@@ -115,9 +126,81 @@ class TestBitIdentity:
                     got, rt = _run(init, radius, kernel, k, machine=machine)
                 assert got.tobytes() == want.tobytes(), (n, k)
                 assert len(rt.sections) == (1 if k else 0)
-                if k == 1:
+                if k:
                     nranks = rt.sections[0].nodes
                     assert rt.sections[0].messages == 2 * (nranks - 1)
+
+
+def _traced_sweep(transport, init, radius, ranks, iterations):
+    """One sweep under the checker and a recorder: the value, the virtual
+    clock, every rank's wire counters and the ``(rank, peer, tag)`` of
+    every send."""
+    machine = MachineSpec(nodes=ranks, cores_per_node=1, transport=transport)
+    with capture() as rec, checking():
+        got, rt = _run(init, radius, _weighted(radius), iterations,
+                       machine=machine)
+    sends = [(e["rank"], e["peer"], e["tag"]) for e in rec.events
+             if e["kind"] == "send"]
+    wire = [(m.bytes_sent, m.bytes_received, m.messages_sent,
+             m.messages_received)
+            for s in rt.sections for m in s.metrics.per_rank]
+    return got, rt, sends, wire
+
+
+class TestDeepGhosts:
+    """A sweep's ranks are shipped ghost rows ``radius * iterations`` deep
+    and never talk: on rods and plates, blocks narrower than ``radius *
+    iterations`` (ghosts spanning several blocks) and blocks inside the
+    fixed edges included, every value is the sequential sweep's bit for
+    bit, and the only sends are one work item to and one gather from
+    each member."""
+
+    @staticmethod
+    def _check(init, radius, iterations, got, rt, sends):
+        n = len(init)
+        want = init if n <= 2 * radius else _sequential(
+            init, radius, _weighted(radius), iterations)
+        assert got.tobytes() == want.tobytes()
+        if not iterations:
+            assert rt.sections == [] and sends == []
+            return
+        (sec,) = rt.sections
+        members = range(1, sec.nodes)
+        items = sorted((src, dst) for src, dst, tag in sends if tag == _CHUNK_TAG)
+        gathers = [(src, dst, tag) for src, dst, tag in sends if tag != _CHUNK_TAG]
+        assert items == [(0, m) for m in members]
+        assert sorted((src, dst) for src, dst, _tag in gathers) == [
+            (m, 0) for m in members]
+        assert len({tag for _src, _dst, tag in gathers}) <= 1  # one gather
+
+    @given(n=st.integers(3, 40), width=st.sampled_from([None, 1, 4]),
+           ranks=st.integers(1, 8), radius=st.integers(1, 3),
+           iterations=st.integers(0, 8), seed=st.integers(0, 2**16))
+    def test_bit_identical_and_silent_on_sim(self, n, width, ranks, radius,
+                                             iterations, seed):
+        shape = (n,) if width is None else (n, width)
+        init = np.random.default_rng(seed).random(shape)
+        got, rt, sends, _wire = _traced_sweep("sim", init, radius, ranks,
+                                              iterations)
+        self._check(init, radius, iterations, got, rt, sends)
+
+    @pytest.mark.parametrize("n, width, ranks, radius, iterations", [
+        (7, None, 4, 2, 3),  # 1- and 2-row blocks, ghosts 6 rows deep
+        (17, 3, 3, 1, 8),  # a plate, ghosts past the next block
+        (40, None, 8, 3, 5),  # edge blocks inside the fixed rows
+        (33, 4, 5, 2, 1),
+    ])
+    def test_local_equals_sim_byte_for_byte(self, n, width, ranks, radius,
+                                            iterations):
+        shape = (n,) if width is None else (n, width)
+        init = np.random.default_rng(n).random(shape)
+        ref = _traced_sweep("sim", init, radius, ranks, iterations)
+        got = _traced_sweep("local", init, radius, ranks, iterations)
+        self._check(init, radius, iterations, *got[:3])
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].elapsed == ref[1].elapsed
+        assert sorted(got[2]) == sorted(ref[2])
+        assert got[3] == ref[3]
 
 
 class TestHaloTraffic:
@@ -132,39 +215,43 @@ class TestHaloTraffic:
         for s in rest:
             assert s.data_plane["input_bytes"] == 0
             assert s.data_plane["halo_bytes"] > 0  # dirty halos only
-            assert s.data_plane["exchange_bytes"] == 0  # nothing rank to rank
+            assert s.messages == 2 * (s.nodes - 1)  # nothing rank to rank
 
-    def test_a_sweep_ships_its_blocks_once_and_exchanges_the_rest(self):
+    def test_a_sweep_ships_its_blocks_once_and_its_ghosts_k_deep(self):
         """Inside a call no interior row travels at all: the section's
-        halo bytes are the first ghosts the plan ships plus what the
-        ranks hand each other in ``iterations - 1`` supersteps, and a
-        second call finds every block resident."""
+        halo bytes are the ghosts the plan ships, ``radius * iterations``
+        rows beyond each block edge, nothing is exchanged, and a second
+        call finds every block resident."""
         _got, rt = _run(INIT, 1, _relax, 6, calls=2)
-        first, second = (s.data_plane for s in _stencil_sections(rt))
+        first, second = _stencil_sections(rt)
         row = INIT.itemsize
         bounds = block_bounds(len(INIT), MACHINE.nodes)
-        exchanged = exchange_rows(bounds, 1, len(INIT), 6) * row
-        assert exchanged == 5 * 6 * row  # 3 interior boundaries, both ways
-        assert first["input_bytes"] == (len(INIT) - bounds[0][1]) * row
-        assert first["exchange_bytes"] == second["exchange_bytes"] == exchanged
-        # ranks 1 and 2 get two first ghosts each, rank 3 one
-        assert first["halo_bytes"] == exchanged + 5 * row
-        assert second["input_bytes"] == 0
-        assert second["halo_bytes"] == exchanged + 5 * row  # all dirty again
-        assert rt.plane.totals["halo_bytes"] == 2 * (exchanged + 5 * row)
+        assert first.data_plane["input_bytes"] == (len(INIT) - bounds[0][1]) * row
+        # ranks 1 and 2 get two 6-row ghosts each, rank 3 one
+        ghosts = 5 * 6 * row
+        assert [halo_intervals(*b, 6, len(INIT)) for b in bounds[1:]] == [
+            [(122, 128), (256, 262)], [(250, 256), (384, 390)], [(378, 384)]]
+        assert first.data_plane["halo_bytes"] == ghosts
+        assert second.data_plane["input_bytes"] == 0
+        assert second.data_plane["halo_bytes"] == ghosts  # all dirty again
+        assert rt.plane.totals["halo_bytes"] == 2 * ghosts
+        for s in (first, second):
+            assert s.messages == 2 * (MACHINE.nodes - 1)
+        # every row computed is metered: 6 x 510 written rows, and the
+        # price of not talking, r*k*(k-1) = 30 rows per interior boundary
+        assert rt.meter_total.visits == 2 * (6 * (len(INIT) - 2) + 3 * 30)
 
     def test_halo_stream_conserves_and_respects_ceiling(self):
         nranks = MACHINE.nodes
-        bound = halo_bytes_bound(2, nranks, INIT.itemsize)
         for iterations, calls in ((1, 5), (5, 1)):
+            bound = halo_bytes_bound(2 * iterations, nranks, INIT.itemsize)
             _got, rt = _run(INIT, 2, _relax_r2, iterations, calls=calls)
             assert len(_stencil_sections(rt)) == calls
             for s in _stencil_sections(rt):
                 dp = s.data_plane
                 assert dp["halo_requests"] == (
                     dp["halo_hits"] + dp["halo_refreshes"])
-                assert dp["halo_bytes"] <= iterations * bound
-                assert dp["halo_bytes"] - dp["exchange_bytes"] <= bound
+                assert 0 < dp["halo_bytes"] <= bound
             totals = rt.plane.totals
             assert totals["halo_requests"] == (
                 totals["halo_hits"] + totals["halo_refreshes"]
@@ -226,10 +313,11 @@ class TestRecovery:
             assert s.data_plane["input_bytes"] == 0
 
 
-def _superstep_gaps(init, iterations, machine, rank):
-    """Fault-free, traced: for every superstep of the one sweep but the
-    last, a virtual time (section-local) strictly after *rank*'s kernel
-    of that step and before its next one -- i.e. inside its exchange."""
+def _kernel_midpoints(init, iterations, machine, rank):
+    """Fault-free, traced: for every superstep of the one sweep, a virtual
+    time (section-local) strictly inside *rank*'s kernel of that step --
+    a fault scheduled there fires as the kernel's compute is charged, so
+    the rank dies between that superstep and the next."""
     with capture() as rec:
         got, rt = _run(init, 1, _relax, iterations, machine=machine)
     (section,) = rec.spans_of_kind("section")
@@ -239,16 +327,17 @@ def _superstep_gaps(init, iterations, machine, rank):
         key=lambda s: s.attrs["step"],
     )
     assert [s.attrs["step"] for s in steps] == list(range(iterations))
-    gaps = [(a.t1 + b.t0) / 2 - section.t0 for a, b in zip(steps, steps[1:])]
-    return gaps, got, rt
+    assert all(s.t1 > s.t0 for s in steps)
+    return [(s.t0 + s.t1) / 2 - section.t0 for s in steps], got, rt
 
 
 @pytest.mark.recovery
 class TestFaultBetweenSupersteps:
-    """The sweep is the recovery unit: a rank that dies inside the halo
-    exchange after superstep j takes the attempt with it, its neighbours
-    abort in their receive at once, and the retry runs every superstep
-    again on the survivors, from the master the failed attempt read."""
+    """The sweep is the recovery unit: a rank that dies after superstep j
+    takes the attempt with it.  Its ranks never talk, so the others run
+    every superstep; the root, waiting in the gather for the dead rank,
+    aborts at once, and the retry runs every superstep again on the
+    survivors, from the master the failed attempt read."""
 
     K = 6
 
@@ -257,13 +346,13 @@ class TestFaultBetweenSupersteps:
     def test_bit_identical_and_charged_once(self, nodes, fault):
         machine = MachineSpec(nodes=nodes, cores_per_node=1)
         victim = nodes - 1
-        gaps, clean, clean_rt = _superstep_gaps(INIT, self.K, machine, victim)
+        times, clean, clean_rt = _kernel_midpoints(INIT, self.K, machine, victim)
         assert clean.tobytes() == _sequential(INIT, 1, _relax, self.K).tobytes()
-        assert len(gaps) == self.K - 1
+        assert len(times) == self.K
         walls = []
         for j in (0, 2, self.K - 2):
             budget = FailureBudget(max_rank_losses=1, max_reexecutions=1)
-            plan = FaultPlan(faults=(fault(rank=victim, at=gaps[j]),))
+            plan = FaultPlan(faults=(fault(rank=victim, at=times[j]),))
             with capture() as rec, checking() as ck:
                 t0 = time.perf_counter()
                 got, rt = _run(INIT, 1, _relax, self.K, machine=machine,
@@ -281,27 +370,26 @@ class TestFaultBetweenSupersteps:
             assert sec.nodes == nodes - 1
             assert sec.makespan > clean_rt.sections[0].makespan
             # The failed attempt got as far as superstep j on the victim
-            # and one superstep further per rank of distance from it (a
-            # survivor runs until it needs rows that can never arrive --
-            # deterministically); the retry ran all K on every rank it had.
+            # and through all K on every other rank, which waits for no
+            # row; the retry ran all K on every rank it had.
             steps = [s.attrs["step"] for s in rec.spans_of_kind("kernel")]
-            failed = sum(min(self.K, j + 1 + d) for d in range(nodes))
+            failed = j + 1 + self.K * (nodes - 1)
             assert len(steps) == failed + self.K * sec.nodes
-            assert steps.count(self.K - 1) == sec.nodes + sum(
-                j + 1 + d >= self.K for d in range(nodes))
+            assert steps.count(j) == nodes + sec.nodes
+            assert steps.count(self.K - 1) == nodes - 1 + sec.nodes
             walls.append(wall)
             check_plane(rt.plane)
-        # Neighbours blocked on the dead rank's halo abort on its wake
-        # token: a 50 ms poll (or a timeout) per blocked rank would show in
-        # every one of the runs, a busy host only in some.
+        # The root blocked on the dead rank's gather aborts on its wake
+        # token: a 50 ms poll (or a timeout) would show in every one of
+        # the runs, a busy host only in some.
         assert min(walls) < 0.05
 
     def test_loss_meets_resident_shards_on_the_second_call(self):
         """A second call's ranks hold resident blocks; losing one there
         replays only its rows through lineage."""
         machine = MachineSpec(nodes=3, cores_per_node=1)
-        gaps, _clean, _rt = _superstep_gaps(INIT, self.K, machine, 2)
-        plan = FaultPlan(faults=(RankLoss(rank=2, at=gaps[1], section=1),))
+        times, _clean, _rt = _kernel_midpoints(INIT, self.K, machine, 2)
+        plan = FaultPlan(faults=(RankLoss(rank=2, at=times[1], section=1),))
         got, rt = _run(INIT, 1, _relax, self.K, machine=machine, faults=plan,
                        calls=2)
         want = _sequential(INIT, 1, _relax, 2 * self.K)

@@ -111,11 +111,11 @@ class TestConservation:
 
 
 class TestStencilSweep:
-    """A k-iteration sweep is one section span carrying ``iterations`` and
-    ``exchange_bytes``, one ``stencil_kernel`` span per rank per
-    superstep, and halo bytes that reconcile across the three streams
-    (halo instants, live counters, plane totals) although the exchanged
-    share never passes through the planner."""
+    """A k-iteration sweep is one section span carrying ``iterations``,
+    one ``stencil_kernel`` span per rank per superstep, and halo bytes --
+    ghosts ``radius * iterations`` rows per member side, shipped with the
+    blocks -- that reconcile across the three streams (halo instants, live
+    counters, plane totals); nothing is exchanged."""
 
     def _capture(self, transport="sim"):
         machine = MachineSpec(nodes=3, cores_per_node=1, transport=transport)
@@ -131,17 +131,17 @@ class TestStencilSweep:
         rec, rt = self._capture(transport)
         assert conservation_violations(rec, rt) == []
         (sec,) = rec.spans_of_kind("section")
-        # 2 boundaries x 2 directions x 8 B x 3 exchanges; + 3 first ghosts
+        # 3 member sides (rank 1 two, rank 2 one) x 4 rows x 8 B
         assert sec.attrs["iterations"] == 4
-        assert sec.attrs["exchange_bytes"] == 96
-        assert sec.attrs["halo_bytes"] == 96 + 24
-        assert rt.plane.totals["halo_bytes"] == 96 + 24
+        assert "exchange_bytes" not in sec.attrs
+        assert sec.attrs["halo_bytes"] == 96
+        assert rt.plane.totals["halo_bytes"] == 96
         steps = sorted((s.rank, s.attrs["step"])
                        for s in rec.spans_of_kind("kernel"))
         assert steps == [(r, k) for r in range(3) for k in range(4)]
-        (exchange,) = [s for s in rec.spans_of_kind("halo")
-                       if s.name == "exchange"]
-        assert exchange.attrs == {"halo_bytes": 96, "iterations": 4}
+        assert [s.name for s in rec.spans_of_kind("halo")] == [
+            "halo->r1", "halo->r2"]
+        assert len([e for e in rec.events if e["kind"] == "send"]) == 4
 
     def test_summarize_prints_the_sweep(self, tmp_path):
         from repro.obs.export import load_jsonl, write_jsonl
@@ -153,6 +153,6 @@ class TestStencilSweep:
         summary = summarize(load_jsonl(str(path)))
         (row,) = summary["sweeps"]
         assert (row["nodes"], row["iterations"], row["supersteps"],
-                row["exchange_bytes"], row["halo_bytes"]) == (3, 4, 12, 96, 120)
+                row["depth"], row["halo_bytes"]) == (3, 4, 12, 4, 96)
         text = render_summary(summary)
-        assert "stencil sweep" in text and "exchanged B" in text
+        assert "stencil sweep" in text and "ghost rows" in text

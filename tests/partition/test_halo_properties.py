@@ -12,9 +12,7 @@ from hypothesis import given, strategies as st
 from repro.data.views import slice_view, zip_view
 from repro.partition import block_bounds
 from repro.partition.halo import (
-    exchange_rows,
     halo_bytes_bound,
-    halo_exchange,
     halo_intervals,
     section_halos,
     written_rows,
@@ -197,86 +195,45 @@ def _tilings(draw):
     return bounds, radius, extent
 
 
-class TestExchangeSchedule:
-    """Who sends which rows to whom between two iterations of a sweep,
-    against the row-set definition: a rank receives the rows it reads but
-    does not write, from whoever writes them."""
+class TestSweepReads:
+    """What a ``k``-iteration sweep's rank reads, against the row-set
+    definition: the rows its written rows depend on through ``k``
+    iterations, the fixed edge rows standing for themselves."""
 
     @staticmethod
-    def _windows(bounds, radius, extent):
-        writes, reads = [], []
-        for lo, hi in bounds:
-            wlo, whi = written_rows(lo, hi, radius, extent)
-            w = set(range(wlo, whi))
-            writes.append(w)
-            reads.append(set(range(wlo - radius, whi + radius)) if w else set())
-        return writes, reads
+    def _cone(block, radius, extent, k):
+        """Every row the block's written rows depend on after *k*
+        iterations: a written row reads ``radius`` rows a side from the
+        iteration before; a fixed row has no inputs."""
+        wlo, whi = written_rows(*block, radius, extent)
+        need = set(range(wlo, whi))
+        for _ in range(k):
+            need |= {j for i in need if radius <= i < extent - radius
+                     for j in range(i - radius, i + radius + 1)}
+        return need
 
-    @given(_tilings())
-    def test_receives_are_read_minus_written_rows_somebody_writes(self, case):
+    @given(_tilings(), st.integers(1, 8))
+    def test_ghosts_r_k_deep_are_what_a_sweep_reads(self, case, k):
+        """A writing block plus its ghosts ``radius * k`` deep is exactly
+        its sweep's read set: nothing less would do, nothing more is
+        shipped."""
         bounds, radius, extent = case
-        writes, reads = self._windows(bounds, radius, extent)
-        written_by_anyone = set().union(*writes)
-        for rank in range(len(bounds)):
-            _sends, recvs = halo_exchange(bounds, rank, radius, extent)
-            want = (reads[rank] - writes[rank]) & written_by_anyone
-            assert _rows([(lo, hi) for _src, lo, hi in recvs]) == want
-            assert sum(hi - lo for _src, lo, hi in recvs) == len(want)  # disjoint
-            assert all(lo < hi for _src, lo, hi in recvs)
-            assert recvs == sorted(recvs, key=lambda m: m[1])
-            assert [src for src, _, _ in recvs] == sorted(
-                {src for src, _, _ in recvs})  # one message per peer, in order
-            for src, lo, hi in recvs:
-                assert src != rank and set(range(lo, hi)) <= writes[src]
-            assert reads[rank] <= set(range(extent))  # the window fits the array
+        for block in bounds:
+            wlo, whi = written_rows(*block, radius, extent)
+            if whi <= wlo:
+                continue
+            ghosts = halo_intervals(*block, radius * k, extent)
+            assert _rows([block] + ghosts) == self._cone(block, radius, extent, k)
 
-    @given(_tilings())
-    def test_sends_mirror_receives(self, case):
+    @given(_tilings(), st.integers(0, 8), st.sampled_from([1, 8, 80]))
+    def test_a_sweeps_ghosts_fit_under_the_bound(self, case, k, row_nbytes):
         bounds, radius, extent = case
-        plans = [halo_exchange(bounds, r, radius, extent)
-                 for r in range(len(bounds))]
-        sent = sorted((s, d, lo, hi)
-                      for s, (sends, _) in enumerate(plans)
-                      for d, lo, hi in sends)
-        received = sorted((s, d, lo, hi)
-                          for d, (_, recvs) in enumerate(plans)
-                          for s, lo, hi in recvs)
-        assert sent == received
+        shipped = sum(hi - lo for per in section_halos(bounds, radius * k, extent)
+                      for lo, hi in per)
+        assert shipped * row_nbytes <= halo_bytes_bound(
+            radius * k, len(bounds), row_nbytes)
 
-    @given(_tilings())
-    def test_rows_nobody_writes_never_travel(self, case):
-        bounds, radius, extent = case
-        moved = set()
-        for rank in range(len(bounds)):
-            sends, recvs = halo_exchange(bounds, rank, radius, extent)
-            moved |= _rows([(lo, hi) for _p, lo, hi in sends + recvs])
-        fixed = set(range(min(radius, extent))) | set(
-            range(max(0, extent - radius), extent))
-        assert not moved & fixed
-
-    @given(_tilings(), st.integers(0, 6), st.sampled_from([1, 8, 80]))
-    def test_a_superstep_fits_under_the_bytes_bound(self, case, k, row_nbytes):
-        bounds, radius, extent = case
-        per_step = sum(
-            hi - lo
-            for r in range(len(bounds))
-            for _src, lo, hi in halo_exchange(bounds, r, radius, extent)[1]
-        )
-        assert per_step * row_nbytes <= halo_bytes_bound(
-            radius, len(bounds), row_nbytes)
-        assert exchange_rows(bounds, radius, extent, k) == max(0, k - 1) * per_step
-
-    @given(st.integers(0, 64), st.integers(1, 4), st.integers(0, 6))
-    def test_one_rank_or_one_iteration_schedules_nothing(self, extent, radius, k):
-        assert halo_exchange([(0, extent)], 0, radius, extent) == ([], [])
-        assert exchange_rows([(0, extent)], radius, extent, k) == 0
-        for nranks in (2, 5, 9):
-            bounds = block_bounds(extent, max(1, min(nranks, extent)))
-            assert exchange_rows(bounds, radius, extent, 0) == 0
-            assert exchange_rows(bounds, radius, extent, 1) == 0
-
-    def test_a_block_narrower_than_the_radius_hears_from_several_ranks(self):
-        bounds = block_bounds(12, 6)  # 2-row blocks, radius 3
-        sends, recvs = halo_exchange(bounds, 2, 3, 12)
-        assert recvs == [(1, 3, 4), (3, 6, 8), (4, 8, 9)]
-        assert sends == [(1, 4, 6), (3, 4, 6), (4, 5, 6)]  # rank 4 writes row 8 only
+    def test_a_narrow_block_reads_past_its_neighbour(self):
+        bounds = block_bounds(12, 6)  # 2-row blocks; radius 1, 3 iterations
+        assert halo_intervals(*bounds[2], 3, 12) == [(1, 4), (6, 9)]
+        assert self._cone(bounds[2], 1, 12, 3) == set(range(1, 9))

@@ -378,7 +378,6 @@ def _halo_stats(**over):
         requests=0, resident_hits=0, placements=0, migrations=0,
         cache_hits=0, cache_misses=0, input_bytes=0, placed_bytes=0,
         halo_requests=0, halo_hits=0, halo_refreshes=0, halo_bytes=0,
-        exchange_bytes=0,
     )
     stats.update(over)
     return stats
@@ -424,13 +423,20 @@ class TestRejectsCorruptedHalos:
         InvariantChecker()(payload)  # as observed: clean
         return payload
 
-    def test_exchange_bytes_off_the_schedule_rejected(self):
+    def test_halo_bytes_off_the_shipment_rejected(self):
         payload = self._observed_sweep()
         stats = payload["record"].data_plane
-        # 2 boundaries x 2 directions x 8 bytes x 2 exchanges, + 3 first ghosts
-        assert (stats["exchange_bytes"], stats["halo_bytes"]) == (64, 64 + 24)
-        stats["exchange_bytes"] += 8
-        with pytest.raises(InvariantViolation, match="its schedule moves 64"):
+        # 3-row ghosts (radius 1 x 3 iterations): two to rank 1, one to rank 2
+        assert (stats["halo_refreshes"], stats["halo_bytes"]) == (3, 3 * 3 * 8)
+        stats["halo_bytes"] += 8
+        with pytest.raises(InvariantViolation, match="ships 3 of them and 72"):
+            InvariantChecker()(payload)
+        stats["halo_bytes"] -= 8
+        # one ghost row deeper than the sweep reads
+        (op,) = [op for op in payload["ship"].ops[1] if op[0] == "cache"
+                 and op[2] < 1600]
+        op[2] -= 1
+        with pytest.raises(InvariantViolation, match="was shipped ghosts"):
             InvariantChecker()(payload)
 
     def test_a_message_the_schedule_does_not_know_rejected(self):
@@ -442,7 +448,7 @@ class TestRejectsCorruptedHalos:
     def test_blocks_on_the_wire_where_ghost_rows_were_planned_rejected(self):
         payload = self._observed_sweep()
         for m in payload["record"].metrics.per_rank[:2]:
-            m.bytes_sent += 1600 * 8 * 2  # a block per exchange, not a row
+            m.bytes_sent += 1600 * 8 * 2  # blocks where ghost rows were planned
             m.bytes_received += 1600 * 8 * 2
         with pytest.raises(InvariantViolation, match="ranks sent"):
             InvariantChecker()(payload)
