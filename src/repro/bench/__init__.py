@@ -23,8 +23,8 @@ from repro.bench.harness import (
 
 
 def reset_run_state() -> None:
-    """Reset every piece of process-global engine state a run can
-    observe: the fusion-plan caches, the serialization copy counters, the
+    """Reset every piece of engine state a run can observe: the current
+    run state's fusion-plan cache, the serialization copy counters, the
     distributed-array handle registry, and any stale observability
     recorder.  Called before a run whose counters are compared with
     another's, so each reports deltas for *that* run -- the workloads of

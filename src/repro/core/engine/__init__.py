@@ -29,7 +29,6 @@ from repro.core.engine.bulk_forms import (
 )
 from repro.core.engine.execute import (
     chunk_size,
-    set_chunk_size,
     try_build,
     try_collect,
     try_reduce,
@@ -44,7 +43,6 @@ __all__ = [
     "bulk_form_of",
     "register_bulk",
     "chunk_size",
-    "set_chunk_size",
     "try_build",
     "try_collect",
     "try_reduce",

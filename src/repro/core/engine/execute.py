@@ -24,8 +24,6 @@ equal element by element to what the scalar loop would have tallied
 """
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -33,53 +31,30 @@ import numpy as np
 from repro.core import meter
 from repro.core.domains import Dim2
 from repro.core.fusion import planner
+from repro.core.runstate import run_state, running
 from repro.serial import bind
-
-_DEFAULT_CHUNK = 1024
-
-_enabled = os.environ.get("REPRO_VECTORIZE", "1") != "0"
-_chunk = int(os.environ.get("REPRO_CHUNK", str(_DEFAULT_CHUNK)))
 
 
 def vectorization_enabled() -> bool:
-    return _enabled
+    return run_state().vectorized
 
 
-@contextmanager
 def use_vectorization(flag: bool):
     """Force the engine on/off for a dynamic extent (tests, benchmarks)."""
-    prev = set_vectorization(flag)
-    try:
-        yield
-    finally:
-        set_vectorization(prev)
-
-
-def set_vectorization(flag: bool) -> bool:
-    """Turn the engine on/off from here on (a rank process takes its
-    job's flag); returns the previous value."""
-    global _enabled
-    prev, _enabled = _enabled, bool(flag)
-    return prev
+    return running(vectorized=bool(flag))
 
 
 def chunk_size() -> int:
-    return _chunk
-
-
-def set_chunk_size(n: int) -> int:
-    """Set the chunk size; returns the previous value."""
-    global _chunk
-    if n < 1:
-        raise ValueError("chunk size must be >= 1")
-    prev, _chunk = _chunk, int(n)
-    return prev
+    return run_state().chunk
 
 
 def _plan(it):
-    if not _enabled:
-        return None
-    return planner.plan_for(it)
+    """The plan for *it* and the chunk size to run it at (``None``: run
+    the scalar loop)."""
+    run = run_state()
+    if not run.vectorized:
+        return None, 0
+    return planner.plan_for(it), run.chunk
 
 
 def _tally(batch) -> None:
@@ -101,11 +76,11 @@ def try_reduce(
     call (the histogram scatter); it must be order-equivalent to folding
     the chunk's elements one at a time.
     """
-    plan = _plan(it)
+    plan, chunk = _plan(it)
     if plan is None:
         return False, None
     acc = init
-    for batch in plan.run_chunks(it, _chunk):
+    for batch in plan.run_chunks(it, chunk):
         _tally(batch)
         if chunk_op is not None:
             # Segmented batches scatter their concatenation: same
@@ -125,11 +100,11 @@ def try_reduce(
 
 def try_collect(it) -> tuple[bool, list]:
     """Vectorized counterpart of ``_seq_collect``."""
-    plan = _plan(it)
+    plan, chunk = _plan(it)
     if plan is None:
         return False, []
     out: list = []
-    for batch in plan.run_chunks(it, _chunk):
+    for batch in plan.run_chunks(it, chunk):
         _tally(batch)
         out.extend(batch.elements())
     return True, out
@@ -137,14 +112,14 @@ def try_collect(it) -> tuple[bool, list]:
 
 def try_build(it) -> tuple[bool, Any]:
     """Vectorized counterpart of ``_seq_build`` (flat pipelines only)."""
-    plan = _plan(it)
+    plan, chunk = _plan(it)
     if plan is None or plan.kind != "flat" or plan.segmented:
         return False, None
     dom = it.idx.domain
     if dom.size == 0:
         return False, None
     parts = []
-    for batch in plan.run_chunks(it, _chunk):
+    for batch in plan.run_chunks(it, chunk):
         if not isinstance(batch.vals, np.ndarray):
             return False, None  # tuple elements: let np.asarray decide
         _tally(batch)

@@ -12,24 +12,23 @@ recompiling.
 Unsupported pipelines are cached too (negative caching): deciding "use
 the scalar loop" costs one dict lookup on every later encounter.
 
-Cache + counters live in a :class:`PlannerState`.  One process-global
-default state preserves the historical behaviour (a one-shot run shares
-one cache); a resident job server installs its *own* state with
-:func:`use_state` so jobs from every tenant share the server's warmed
-plans while unrelated runs (solo oracles, tests) stay isolated without
-needing a global reset between jobs.  The active state is a plain module
-global, not a context variable, deliberately: simulated ranks run in
-worker threads, and the plans they consult must be the same plans the
-installing driver sees.
+Cache + counters live in a :class:`PlannerState`, a field of the run
+state (:mod:`repro.core.runstate`).  The default run state's is one per
+process (a one-shot run shares one cache); a resident job server
+installs its *own* with :func:`use_state` so jobs from every tenant
+share the server's warmed plans while unrelated runs (solo oracles,
+tests) stay isolated without needing a global reset between jobs.
+Simulated ranks run in a copy of their launcher's context, so the plans
+they consult are the plans the installing driver sees.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 from repro.core.engine.plan import Plan, compile_iter
 from repro.core.iterators.iter_type import IdxFlat, IdxNest
+from repro.core.runstate import PlannerState, PlannerStats, run_state, running
 from repro.obs.spans import count as _obs_count
 from repro.serial.closures import Closure
 
@@ -42,75 +41,21 @@ _OPAQUE = "·"  # env entry that is data, not structure
 NEGATIVE_CACHE_MAX = 256
 
 
-@dataclass
-class PlannerStats:
-    """Cache traffic counters (reset with :func:`reset_planner`)."""
-
-    hits: int = 0
-    misses: int = 0
-    compiled: int = 0  # misses that produced a plan
-    unsupported: int = 0  # misses that fell back to the scalar loop
-    negative_evictions: int = 0  # unsupported entries dropped by the LRU bound
-
-
-_STAT_FIELDS = ("hits", "misses", "compiled", "unsupported",
-                "negative_evictions")
-
-
-@dataclass
-class PlannerState:
-    """One plan cache plus its traffic counters.
-
-    Owns everything :func:`plan_for` touches, so whoever holds the state
-    object -- the process (default) or a resident
-    :class:`~repro.service.JobServer` -- owns plan-cache lifetime.
-    """
-
-    cache: dict = field(default_factory=dict)
-    #: structural key -> None, LRU-bounded negative cache
-    negative: OrderedDict = field(default_factory=OrderedDict)
-    stats: PlannerStats = field(default_factory=PlannerStats)
-
-    def reset(self) -> None:
-        self.cache.clear()
-        self.negative.clear()
-        self.stats = PlannerStats()
-
-    def snapshot(self) -> dict:
-        return {k: getattr(self.stats, k) for k in _STAT_FIELDS}
-
-
-#: The process-default state (one-shot runs, tests, legacy callers).
-_GLOBAL_STATE = PlannerState()
-_active: PlannerState = _GLOBAL_STATE
-
-
 def current_state() -> PlannerState:
     """The state every planner function currently operates on."""
-    return _active
+    return run_state().planner
 
 
 @contextmanager
 def use_state(state: PlannerState):
     """Install *state* as the active plan cache for the dynamic extent.
 
-    Reentrant (installing the already-active state is a no-op swap) and
-    visible from simulated rank threads, which is what lets a job server
+    Reentrant, and visible from simulated rank threads (they run in a
+    copy of the launcher's context), which is what lets a job server
     serve its shared cache to every section a job runs.
     """
-    prev = set_state(state)
-    try:
+    with running(planner=state):
         yield state
-    finally:
-        set_state(prev)
-
-
-def set_state(state: PlannerState) -> PlannerState:
-    """Make *state* the active plan cache from here on (a rank process
-    takes its job's); returns the previous one."""
-    global _active
-    prev, _active = _active, state
-    return prev
 
 
 def _env_key(entry):
@@ -149,7 +94,7 @@ def plan_for(it) -> Plan | None:
     key = structural_key(it)
     if key is None:
         return None
-    st = _active
+    st = current_state()
     try:
         plan = st.cache[key]
     except KeyError:
@@ -183,14 +128,7 @@ def plan_for(it) -> Plan | None:
 
 def planner_stats() -> PlannerStats:
     """A snapshot of the active state's cache counters."""
-    s = _active.stats
-    return PlannerStats(
-        hits=s.hits,
-        misses=s.misses,
-        compiled=s.compiled,
-        unsupported=s.unsupported,
-        negative_evictions=s.negative_evictions,
-    )
+    return replace(current_state().stats)
 
 
 def merge_stats(delta: dict) -> None:
@@ -201,16 +139,16 @@ def merge_stats(delta: dict) -> None:
     back through ``rank_extras`` and merges them here so
     ``planner_stats()`` reports the same traffic on every backend.
     """
-    st = _active.stats
-    for k in _STAT_FIELDS:
-        setattr(st, k, getattr(st, k) + delta.get(k, 0))
+    st = current_state().stats
+    for k, v in delta.items():
+        setattr(st, k, getattr(st, k) + v)
 
 
 def reset_planner() -> None:
     """Clear the *active* state's caches and zero its counters.
 
-    Compatibility shim: one-shot runs and tests reset the process-global
-    default state exactly as before.  A resident server never calls
-    this -- it owns a private :class:`PlannerState` instead.
+    One-shot runs and tests reset the default run state's cache this
+    way.  A resident server never calls this -- it owns a private
+    :class:`PlannerState` instead.
     """
-    _active.reset()
+    current_state().reset()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any
@@ -46,7 +46,7 @@ from repro.cluster.simclock import VirtualClock
 from repro.cluster.transport import kept, rank_extras, resolve_transport
 from repro.core import meter
 from repro.core.domains import Dim2
-from repro.core.engine import execute as _engine
+from repro.core.engine import vectorization_enabled
 from repro.core.fusion import planner
 from repro.core.iterators.executor import ConsumeSpec, use_executor
 from repro.core.iterators.iter_type import (
@@ -55,11 +55,12 @@ from repro.core.iterators.iter_type import (
     Iter,
     ParHint,
 )
+from repro.core.runstate import running
 from repro.data.plane import DataPlane, chunk_requirements
 from repro.obs.spans import active as _obs_active, obs_span as _obs_span
 from repro.partition import block2d_bounds, block_bounds, grid_shape
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.costs import CostContext, use_costs
+from repro.runtime.costs import CostContext
 from repro.runtime.gc_model import BOEHM_GC, AllocatorModel
 from repro.runtime.recovery import (
     DEFAULT_RECOVERY,
@@ -329,8 +330,8 @@ class TrioletRuntime:
         Server-owned construction (:mod:`repro.service`): ``transport``
         reuses an already-resolved backend instead of resolving
         ``machine.transport`` again; ``planner_state`` is a
-        :class:`~repro.core.fusion.planner.PlannerState` installed
-        around everything this runtime executes, so attached jobs hit a
+        :class:`~repro.core.fusion.planner.PlannerState` the runtime
+        installs (:meth:`installed`), so attached jobs hit a
         resident server's warmed plan cache; ``lost_ranks`` seeds the
         permanent-loss count, so a job attaching after an earlier job's
         elastic shrink partitions over the survivors only."""
@@ -347,8 +348,8 @@ class TrioletRuntime:
             if transport is not None
             else resolve_transport(machine.transport)
         )
-        #: server-owned plan cache, installed around everything this
-        #: runtime executes (None: the process-global default cache)
+        #: server-owned plan cache, installed with the runtime (None: the
+        #: caller's)
         self.planner_state = planner_state
         self.costs = costs if costs is not None else CostContext()
         self.alloc = alloc
@@ -385,13 +386,15 @@ class TrioletRuntime:
         #: how this runtime's nodes run their chunks, in every rank
         self.node = NodeModel(self)
 
-    def _planner_scope(self):
-        """The plan-cache scope everything this runtime runs under:
-        the server-owned state when one was injected, otherwise a no-op
-        (the process-global default cache stays active)."""
-        if self.planner_state is None:
-            return nullcontext()
-        return planner.use_state(self.planner_state)
+    @contextmanager
+    def installed(self):
+        """This runtime as the skeleton executor, with its cost context
+        and -- when a server injected one -- its plan cache as the run
+        state, for the dynamic extent; yields the runtime."""
+        with use_executor(self), running(
+                costs=self.costs,
+                planner=self.planner_state or planner.current_state()):
+            yield self
 
     def _merge_rank_extras(self, extras) -> None:
         """Merge what ranks outside the launcher published of driver
@@ -461,9 +464,8 @@ class TrioletRuntime:
         checkpoint).  Returns the handle; its master copy holds the
         final state.
         """
-        with self._planner_scope():
-            return run_stencil(self, handle, radius, kernel,
-                               iterations=iterations, label=label)
+        return run_stencil(self, handle, radius, kernel,
+                           iterations=iterations, label=label)
 
     def report(self) -> str:
         """Human-readable ledger of every section this runtime ran."""
@@ -516,16 +518,11 @@ class TrioletRuntime:
 
     def run_sequential(self, fn, *args, label: str = "seq", **kwargs) -> Any:
         """Run plain code at the main rank, charging its metered time."""
-        with self._planner_scope():
-            return self._run_metered(label, "seq", fn, *args, **kwargs)
+        return self._run_metered(label, "seq", fn, *args, **kwargs)
 
     # -- the Executor interface ----------------------------------------------
 
     def execute(self, it: Iter, spec: ConsumeSpec) -> Any:
-        with self._planner_scope():
-            return self._execute(it, spec)
-
-    def _execute(self, it: Iter, spec: ConsumeSpec) -> Any:
         if _node_ctx.get() is not None:
             # Nested hint inside a node task: feed the node's work pool.
             return self.node.execute(it, spec)
@@ -579,7 +576,7 @@ class TrioletRuntime:
         rank's tasks -- and post-crash re-executions -- hit the fusion-plan
         cache instead of recompiling.
         """
-        if not _engine.vectorization_enabled():
+        if not vectorization_enabled():
             return None
         with _obs_span("plan", "plan_for", clock=self.clock) as sp:
             p = planner.plan_for(it)
@@ -965,6 +962,5 @@ def _assemble_build(gathered: list[Any], partition: str) -> Any:
 def triolet_runtime(machine: MachineSpec, **kwargs):
     """Install a :class:`TrioletRuntime` as the skeleton executor
     (keywords are :class:`TrioletRuntime`'s)."""
-    rt = TrioletRuntime(machine, **kwargs)
-    with use_executor(rt), use_costs(rt.costs):
+    with TrioletRuntime(machine, **kwargs).installed() as rt:
         yield rt

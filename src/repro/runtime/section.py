@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextvars
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Any, Callable
 
@@ -32,9 +32,9 @@ from repro.cluster.metrics import RunMetrics
 from repro.cluster.process import run_spmd
 from repro.cluster.transport import kept, rank_extras
 from repro.core import meter
-from repro.core.engine import execute as _engine
 from repro.core.fusion import planner
 from repro.core.iterators.executor import use_executor
+from repro.core.runstate import install, run_state
 from repro.data.handle import bind_store, lookup_handle
 from repro.data.plane import SectionShipment
 from repro.data.store import RankStore
@@ -52,7 +52,6 @@ from repro.runtime.recovery import (
     RecoveryReport,
     classify_failure,
 )
-from repro.runtime.costs import current_costs, set_costs
 from repro.serial.arrays import copy_stats, reset_copy_stats
 
 _CHUNK_TAG = 99
@@ -331,11 +330,11 @@ class RankProgram:
     Pickled -- sent to a rank in another process -- it is what a rank >= 1
     reads: the kind's rank body, the attempt's bounds and held partials,
     whether it has a shipment (work items and ops go by message), the
-    plane's key and handles (as metadata), and the run state rank code
-    reads from globals and context variables -- vectorization flag and
-    chunk, cost context, plan cache, whether a recorder is on -- which it
-    assigns as it is unpickled (:meth:`_sent`); the cost context and each
-    compiled plan go by name to a member that holds them
+    plane's key and handles (as metadata), the launcher's
+    :class:`~repro.core.runstate.RunState` and whether a recorder is on
+    (:func:`repro.obs.spans.snapshot`), which it installs as it is
+    unpickled (:meth:`_sent`); the cost context and each compiled plan go
+    by name to a member that holds them
     (:func:`repro.cluster.transport.kept`).  Every rank runs it with the
     runtime's node model as its executor.
 
@@ -360,35 +359,32 @@ class RankProgram:
         self.handles = ()  # sent: what its messages name, alive for the run
 
     def __reduce__(self):
-        parts, st = self.parts, planner.current_state()
+        parts, run = self.parts, run_state()
+        st = run.planner
         return RankProgram._sent, (
             self.body, self.node, parts.label, parts.bounds, parts.held,
             self.ops is not None, self.key,
             [self.plane.handles.get(a) or lookup_handle(a)
              for a in sorted(set(self.plane.handles).union(*self.reqs))],
-            _engine.vectorization_enabled(), _engine.chunk_size(),
-            kept(current_costs()),
-            # the plan cache as its keys and compiled plans (``None``:
-            # unsupported), each of which a member keeps once sent
-            [kept(entry, entry[0])
-             for entry in (*st.cache.items(), *st.negative.items())],
+            # the run state, its plan cache as its keys and compiled plans
+            # (``None``: unsupported), each of which a member keeps once sent
+            replace(run, costs=kept(run.costs), planner=[
+                kept(entry, entry[0])
+                for entry in (*st.cache.items(), *st.negative.items())]),
             obs_snapshot())
 
     @staticmethod
     def _sent(body, node, label, bounds, held, shipped, key, handles,
-              vec, chunk, costs, plans, traced) -> "RankProgram":
+              run, traced) -> "RankProgram":
         """The program as a rank process reads it, its run state installed."""
         self = RankProgram.__new__(RankProgram)
         self.body, self.node, self.key, self.handles = body, node, key, handles
         self.parts = Parts(label, bounds, [], held=held)
         self.ops, self.reqs, self.plane = [] if shipped else None, (), None
-        _engine.set_vectorization(vec)
-        _engine.set_chunk_size(chunk)
-        set_costs(costs)
         state = planner.PlannerState()
-        for k, p in plans:  # ``None``: unsupported
+        for k, p in run.planner:  # ``None``: unsupported
             (state.cache if p is not None else state.negative)[k] = p
-        planner.set_state(state)
+        install(replace(run, planner=state))
         obs_resume(traced)
         return self
 

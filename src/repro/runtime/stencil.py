@@ -45,9 +45,8 @@ edge are held fixed, so every padded read window sits inside the array.
 
 The kernel contract is vectorized-NumPy: ``kernel(xpad)`` receives a
 padded row window (the rows to update plus ``radius`` rows of context on
-each side: a slice of the rank's own copy, so writing to it harms no
-master or store, though the sweep's later iterations read it) and
-returns the updated rows, i.e. an array of
+each side, a private copy each iteration, so writing to it harms
+nothing) and returns the updated rows, i.e. an array of
 ``len(xpad) - 2 * radius`` rows.  For 1-D heat::
 
     rt.stencil(h, radius=1, kernel=lambda x: 0.5 * (x[:-2] + x[2:]),
@@ -183,8 +182,10 @@ class _SweepRank:
                 if chi > clo:
                     with meter.metered() as m:
                         meter.tally_visits(chi - clo)
+                        # a copy: the fixed edge rows a kernel could
+                        # write in place are read again next step
                         rows = np.asarray(self.kernel(
-                            window[clo - r - rlo:chi + r - rlo]))
+                            window[clo - r - rlo:chi + r - rlo].copy()))
                     if len(rows) != chi - clo:
                         raise ValueError(
                             f"stencil kernel returned {len(rows)} rows for a "

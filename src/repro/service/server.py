@@ -40,10 +40,9 @@ from repro.cluster.transport import resolve_transport
 from repro.core.fusion import planner
 from repro.data.plane import DataPlane
 from repro.obs import obs_span
-from repro.runtime.costs import CostContext, use_costs
+from repro.runtime.costs import CostContext
 from repro.runtime.driver import TrioletRuntime
 from repro.runtime.recovery import DEFAULT_RECOVERY, JobFailure
-from repro.core.iterators.executor import use_executor
 from repro.service.job import (
     JobContext,
     JobHandle,
@@ -262,7 +261,7 @@ class JobServer:
                       tenant=rec.tenant, seq=rec.seq) as osp:
             try:
                 with serial.use_copy_stats(self.serial_stats), \
-                        use_executor(rt), use_costs(rt.costs):
+                        rt.installed():
                     rec.result.value = rec.fn(ctx)
             except Exception as exc:
                 # Futures semantics: cluster faults (JobFailure) and

@@ -32,9 +32,8 @@ from repro.apps.tpacf.triolet import (
 )
 from repro.cluster.machine import MachineSpec
 from repro.core.fusion import planner
-from repro.core.iterators.executor import use_executor
 from repro.data.plane import DataPlane
-from repro.runtime.costs import CostContext, use_costs
+from repro.runtime.costs import CostContext
 from repro.runtime.driver import TrioletRuntime
 from repro.serial import closure
 from repro.service.job import JobContext
@@ -165,6 +164,6 @@ def run_solo(
     )
     ctx = JobContext(rt=rt)
     with serial.use_copy_stats(serial.new_copy_stats()), \
-            use_executor(rt), use_costs(rt.costs):
+            rt.installed():
         value = fn(ctx)
     return value, rt

@@ -53,10 +53,11 @@ def _no_crew_outlives_a_test():
 
 
 def _on_its_own_thread(fn, *args, **kw):
-    """``fn(*args, **kw)`` from a launching thread that is over -- and its
-    crew retired with it -- when this returns; *fn*'s value or error."""
+    """``fn(*args, **kw)``, in a copy of the caller's context (its run
+    state), from a launching thread that is over -- and its crew retired
+    with it -- when this returns; *fn*'s value or error."""
     with ThreadPoolExecutor(1) as pool:
-        future = pool.submit(fn, *args, **kw)
+        future = pool.submit(contextvars.copy_context().run, fn, *args, **kw)
     return future.result()
 
 

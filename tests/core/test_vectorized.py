@@ -14,10 +14,10 @@ from repro.core.engine import (
     SEGMENTED,
     chunk_size,
     register_bulk,
-    set_chunk_size,
     use_vectorization,
 )
 from repro.core.fusion import plan_for, planner_stats, reset_planner
+from repro.core.runstate import running
 from repro.serial import closure, register_function
 
 
@@ -226,14 +226,11 @@ class TestChunking:
                 )
             )
 
-        default = chunk_size()
         with use_vectorization(True), meter.metered() as m_big:
             big = run()
-        try:
-            set_chunk_size(7)
-            with use_vectorization(True), meter.metered() as m_small:
-                small = run()
-        finally:
-            set_chunk_size(default)
+        with running(chunk=7), use_vectorization(True), \
+                meter.metered() as m_small:
+            assert chunk_size() == 7
+            small = run()
         assert np.asarray(big).tobytes() == np.asarray(small).tobytes()
         assert m_big == m_small

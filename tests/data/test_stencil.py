@@ -46,6 +46,17 @@ def _weighted(radius):
     return kernel
 
 
+def _scribbling(kernel):
+    """*kernel*, then writing its input: harmless by the kernel contract."""
+
+    def scribbler(x):
+        out = kernel(x)
+        x[:] = -1.0
+        return out
+
+    return scribbler
+
+
 def _sequential(init, radius, kernel, iterations):
     x = np.array(init, copy=True)
     n = len(x)
@@ -131,13 +142,13 @@ class TestBitIdentity:
                     assert rt.sections[0].messages == 2 * (nranks - 1)
 
 
-def _traced_sweep(transport, init, radius, ranks, iterations):
-    """One sweep under the checker and a recorder: the value, the virtual
-    clock, every rank's wire counters and the ``(rank, peer, tag)`` of
-    every send."""
+def _traced_sweep(transport, init, radius, ranks, iterations, kernel=None):
+    """One sweep (of ``_weighted(radius)`` unless *kernel* is given) under
+    the checker and a recorder: the value, the virtual clock, every rank's
+    wire counters and the ``(rank, peer, tag)`` of every send."""
     machine = MachineSpec(nodes=ranks, cores_per_node=1, transport=transport)
     with capture() as rec, checking():
-        got, rt = _run(init, radius, _weighted(radius), iterations,
+        got, rt = _run(init, radius, kernel or _weighted(radius), iterations,
                        machine=machine)
     sends = [(e["rank"], e["peer"], e["tag"]) for e in rec.events
              if e["kind"] == "send"]
@@ -175,13 +186,15 @@ class TestDeepGhosts:
 
     @given(n=st.integers(3, 40), width=st.sampled_from([None, 1, 4]),
            ranks=st.integers(1, 8), radius=st.integers(1, 3),
-           iterations=st.integers(0, 8), seed=st.integers(0, 2**16))
+           iterations=st.integers(0, 8), seed=st.integers(0, 2**16),
+           scribble=st.booleans())
     def test_bit_identical_and_silent_on_sim(self, n, width, ranks, radius,
-                                             iterations, seed):
+                                             iterations, seed, scribble):
         shape = (n,) if width is None else (n, width)
         init = np.random.default_rng(seed).random(shape)
+        kernel = _scribbling(_weighted(radius)) if scribble else None
         got, rt, sends, _wire = _traced_sweep("sim", init, radius, ranks,
-                                              iterations)
+                                              iterations, kernel)
         self._check(init, radius, iterations, got, rt, sends)
 
     @pytest.mark.parametrize("n, width, ranks, radius, iterations", [
@@ -451,35 +464,39 @@ class TestBudgets:
 class TestPrivateWindow:
     """A rank computes on its own copy of its rows: a kernel that writes
     its input corrupts neither the master (before the commit, where a
-    retry would re-read it) nor a rank store."""
+    retry would re-read it) nor a rank store, nor the fixed edge rows its
+    later iterations read again."""
 
     @pytest.mark.parametrize("transport", ["sim", "local"])
     @pytest.mark.parametrize("ranks", [1, 2, 3])
     def test_window_shares_memory_with_nothing(self, ranks, transport):
         machine = MachineSpec(nodes=ranks, cores_per_node=1,
                               transport=transport)
-        seen = []
+        for iterations in (1, 2, 3):
+            seen = []
 
-        with triolet_runtime(machine) as rt:
-            h = rt.distribute(INIT.copy())
+            with triolet_runtime(machine) as rt:
+                h = rt.distribute(INIT.copy())
 
-            def scribbler(x):
-                shared = np.shares_memory(x, h.array) or any(
-                    np.shares_memory(x, buf)
-                    for store in rt.plane._stores.values()
-                    for buf in _buffers(store)
-                )
-                seen.append(shared)  # rank 0's verdict lands here; a forked
-                assert not shared    # rank's comes home as its failure
-                out = 0.5 * (x[:-2] + x[2:])
-                x[:] = -1.0  # writes its input
-                return out
+                def scribbler(x):
+                    shared = np.shares_memory(x, h.array) or any(
+                        np.shares_memory(x, buf)
+                        for store in rt.plane._stores.values()
+                        for buf in _buffers(store)
+                    )
+                    seen.append(shared)  # rank 0's verdict lands here; a
+                    assert not shared    # forked rank's comes home as its failure
+                    out = 0.5 * (x[:-2] + x[2:])
+                    x[:] = -1.0  # writes its input
+                    return out
 
-            rt.stencil(h, radius=1, kernel=scribbler, iterations=1)
-            got = h.array.copy()
-        assert got.tobytes() == _sequential(INIT, 1, _relax, 1).tobytes()
-        assert seen and not any(seen)
-        check_plane(rt.plane)
+                rt.stencil(h, radius=1, kernel=scribbler,
+                           iterations=iterations)
+                got = h.array.copy()
+            want = _sequential(INIT, 1, _relax, iterations)
+            assert got.tobytes() == want.tobytes(), iterations
+            assert seen and not any(seen)
+            check_plane(rt.plane)
 
 
 def _buffers(store):

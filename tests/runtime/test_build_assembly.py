@@ -12,6 +12,7 @@ import repro.triolet as tri
 from repro.cluster import MachineSpec
 from repro.runtime import triolet_runtime
 from repro.serial import register_function
+from repro.testing.invariants import checking
 
 WIDE = MachineSpec(nodes=6, cores_per_node=2)
 
@@ -140,3 +141,18 @@ class TestMoreGridRowsThanRows:
         assert rt.last_section.partition == f"2d {nodes}x1"
         assert dist_val.tobytes() == seq_val.tobytes()
         assert dist_val.shape == seq_val.shape == (4, 2, 2)
+
+    @pytest.mark.parametrize("rows, cols, nodes, grid", [
+        (3, 3, 7, "1x7"), (4, 2, 7, "7x1"), (3, 3, 5, "1x5")])
+    def test_the_checker_s_cross_product_law_holds(self, rows, cols, nodes,
+                                                   grid):
+        """Grids with more blocks than rows or columns, where empty
+        intervals repeat, tile the domain by the checker's 2-D law."""
+        u, v = np.arange(float(rows)), np.arange(float(cols))
+        seq_val = tri.build(tri.seq(tri.outerproduct(u, v)))
+        with checking() as ck, \
+                triolet_runtime(MachineSpec(nodes=nodes, cores_per_node=1)) as rt:
+            dist_val = tri.build(tri.par(tri.outerproduct(u, v)))
+        assert rt.last_section.partition == f"2d {grid}"
+        assert ck.sections == 1
+        assert dist_val.tobytes() == seq_val.tobytes()

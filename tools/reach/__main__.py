@@ -3,13 +3,14 @@
 Usage: ``python tools/reach`` (about 3 minutes on 2 vCPUs).
 
 Runs each non-test entry point of the repo (the examples, the benchmark
-with ``--trace 1``, the figure CLI, the fuzzer on CI's ten seeds, the
-app CLIs and the observability CLI) under ``sitecustomize.py`` beside
-this file, which records every ``src/repro`` code object each process
-enters -- subprocesses and forked ``local`` members included, one dump
-per pid.  Then it walks ``src/repro`` with ``ast`` and prints, per
-module, the ``def``s no process entered (a ``def`` inside an unreached
-one is counted with it), the modules no process imported, and totals.
+with ``--trace 1``, the figure CLI and CI's ``paper`` suite, the fuzzer
+on CI's ten seeds, the app CLIs and the observability CLI) under
+``sitecustomize.py`` beside this file, which records every
+``src/repro`` code object each process enters -- subprocesses and
+forked ``local`` members included, one dump per pid.  Then it walks
+``src/repro`` with ``ast`` and prints, per module, the ``def``s no
+process entered (a ``def`` inside an unreached one is counted with it),
+the modules no process imported, and totals.
 A line count here is the source span of a ``def``, decorators included.
 """
 from __future__ import annotations
@@ -38,6 +39,10 @@ def entry_points() -> list[tuple[str, list[str]]]:
     out.append(("e2e", [py, str(REPO / "benchmarks/e2e/run.py"),
                         "--workload", "all", "--rounds", "2", "--trace", "1"]))
     out.append(("bench", [py, "-m", "repro.bench"]))
+    # CI's ``paper`` job: the figure suite (its tables stay as they are)
+    out.append(("paper", [py, "-m", "pytest", str(REPO / "benchmarks"),
+                          f"--ignore={REPO / 'benchmarks/e2e'}", "-q",
+                          "-p", "no:cacheprovider"]))
     out += [(f"fuzz:{s}", [py, "-m", "repro.testing", "--seed", str(s),
                            "--cases", "70", "--quiet"]) for s in FUZZ_SEEDS]
     out += [(f"app:{a}", [py, "-m", f"repro.apps.{a}"]) for a in APPS]
